@@ -7,7 +7,9 @@ One client runs passes over the workload's items in a closed loop, one
 fresh worker process per pass, until `--seconds` have elapsed (at least one
 pass).  `--trace 0` reports the end-to-end metrics of BENCHMARK.json,
 `--trace 1` the per-layer ones from traced passes, alternated with untraced
-passes to measure the tracing overhead.  Every item goes through the
+passes to measure the tracing overhead.  Times are medians over passes,
+scaled to a fixed machine speed by a reference loop run between workers
+(see REF_S).  Every item goes through the
 correctness gate: the verifier must report ok and the canonical sizes and
 chain_to_json digest must equal perfbench/expected.json.  The last line of
 standard output is one JSON object with the result.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import select
 import signal
 import statistics
@@ -40,6 +43,30 @@ ITEM_CAP_S = 60.0
 RUN_CAP_S = 150.0
 SETUP_PROBES = 7
 GATED = ("k", "sltm_states", "dfw_states", "sha256")
+
+
+# Machine-speed correction.  On the shared 2-vCPU VM the benchmark was
+# written on, other tenants slow everything down by up to 1.5x, in stretches
+# of seconds to minutes, long enough to cover a whole run.  So every worker
+# is bracketed by runs of reference_s(), a fixed loop that does not use
+# cocoa, and each time the worker measured is multiplied by its scale,
+# REF_S over the mean of the two reference times: the time it would have
+# taken at the speed at which the loop takes REF_S.  A change to the
+# library moves the scaled times as it moves the measured ones.
+REF_S = 0.2
+
+
+def reference_s() -> float:
+    """Time of a fixed pure-Python loop doing the library's kind of work:
+    building frozensets, looking them up in a dict, sorting."""
+    rng = random.Random(1)
+    start = time.perf_counter()
+    seen: dict[frozenset, int] = {}
+    for _ in range(20000):
+        key = frozenset(rng.randrange(200) for _ in range(6))
+        seen[key] = seen.get(key, 0) + 1
+    sorted(seen.items(), key=lambda kv: (kv[1], sorted(kv[0])))
+    return time.perf_counter() - start
 
 
 class Capped(Exception):
@@ -97,6 +124,15 @@ def run_worker(args: list[str], hard_deadline: float) -> dict:
     return out
 
 
+def run_scaled(args: list[str], hard_deadline: float, before: float) -> tuple[dict, float]:
+    """run_worker followed by a reference loop.  Returns the worker's result
+    with its speed scale, and the reference time that opens the next one."""
+    r = run_worker(args, hard_deadline)
+    after = reference_s()
+    r["scale"] = REF_S / ((before + after) / 2)
+    return r, after
+
+
 def gate(item: dict, got: dict | None, expected: dict) -> str | None:
     """Why an item failed, or None if it passed."""
     if got is None:
@@ -118,34 +154,42 @@ def _sum(items: list[dict], field: str) -> float:
     return sum(it[field] for it in items)
 
 
-def _fastest(done: list[dict], field: str) -> float:
-    """Sum over items of each item's fastest time among the passes."""
-    return sum(min(p["items"][i][field] for p in done) for i in range(len(done[0]["items"])))
-
-
 def e2e_metrics(passes: list[dict], setups: list[float]) -> dict:
-    """Item times sum each item's fastest pass of the run, and wall_s adds
-    the fastest worker start to the items' fastest wall times: other tenants
-    of the shared machine only ever add time, in stretches that can last a
-    minute, and on it these sums repeat from run to run two to three times
-    as closely as medians over passes do.  Set-up time and memory are
-    medians."""
+    """Medians over the run's complete passes of each pass's scaled times;
+    setup_s is the median scaled start of every worker of the run.  Medians
+    over passes repeat from run to run about twice as closely as the
+    fastest pass does, which depends on whether a run happened to catch a
+    short quiet stretch of the shared machine."""
     done = [p for p in passes
             if p["complete"] and all("build_s" in it for it in p["items"])]
     if not done:
         return {}
+    med = statistics.median
     return {
-        "setup_s": statistics.median(setups),
-        "wall_s": min(p["setup_s"] for p in done) + _fastest(done, "wall_s"),
-        "build_s": _fastest(done, "build_s"),
-        "verify_lassos_per_s": _sum(done[0]["items"], "lassos") / _fastest(done, "verify_s"),
-        "peak_rss_mb": statistics.median(p["rss_mb"] for p in done),
+        "setup_s": med(setups),
+        "wall_s": med(p["wall_s"] * p["scale"] for p in done),
+        "build_s": med(_sum(p["items"], "build_s") * p["scale"] for p in done),
+        "verify_lassos_per_s": med(_sum(p["items"], "lassos")
+                                   / (_sum(p["items"], "verify_s") * p["scale"]) for p in done),
+        "peak_rss_mb": med(p["rss_mb"] for p in done),
     }
+
+
+def unscaled(passes: list[dict]) -> str:
+    """The measured medians behind the scaled times, for the log."""
+    done = [p for p in passes if p["complete"]]
+    if not done:
+        return "no complete pass"
+    med = statistics.median
+    return (f"unscaled medians over {len(done)} passes: wall_s "
+            f"{med(p['wall_s'] for p in done):.4f} s, setup_s "
+            f"{med(p['setup_s'] for p in done):.4f} s; reference loop "
+            f"{med(REF_S / p['scale'] for p in done):.4f} s (REF_S {REF_S} s)")
 
 
 def layer_metrics(p: dict) -> dict:
     """Per-layer metrics of one complete traced pass; sizes are summed over
-    the pass's items."""
+    the pass's items, times are scaled like the end-to-end ones."""
     t, items = p["trace"], p["items"]
     calls = t["calls"]
     m = {}
@@ -180,7 +224,7 @@ def layer_metrics(p: dict) -> dict:
     m["sltm.labels_equivalent_share"] = m["sltm.labels_equivalent_s"] / build
     m["chain.verify_share"] = verify / (build + verify)
     m["trace.wall_s"] = p["wall_s"]
-    return m
+    return {name: v * p["scale"] if name.endswith("_s") else v for name, v in m.items()}
 
 
 def trace_metrics(traced: list[dict], untraced: list[dict]) -> dict:
@@ -188,7 +232,7 @@ def trace_metrics(traced: list[dict], untraced: list[dict]) -> dict:
     if not rows:
         return {}
     out = {name: statistics.median(r[name] for r in rows) for name in rows[0]}
-    walls = [p["wall_s"] for p in untraced if p["complete"]]
+    walls = [p["wall_s"] * p["scale"] for p in untraced if p["complete"]]
     if walls:
         out["trace.untraced_wall_s"] = statistics.median(walls)
         out["trace.overhead_s"] = out["trace.wall_s"] - out["trace.untraced_wall_s"]
@@ -231,13 +275,15 @@ def main(argv=None) -> int:
                    "--corpus-seed", str(args.corpus_seed)]
     plan = workloads.items(args.workload, args.seed, args.corpus_seed)
 
+    reference_s()  # warm-up
+    ref = reference_s()
     setups: list[float] = []
     if not args.trace:
         # the first start may compile bytecode, which users pay only once
         for probe in range(SETUP_PROBES + 1):
-            r = run_worker(["--setup-only"], hard_deadline)
+            r, ref = run_scaled(["--setup-only"], hard_deadline, ref)
             if probe and "setup_s" in r:
-                setups.append(r["setup_s"])
+                setups.append(r["setup_s"] * r["scale"])
 
     # a traced run alternates untraced and traced passes, at least one each
     passes: list[dict] = []
@@ -249,9 +295,9 @@ def main(argv=None) -> int:
         if enough and time.monotonic() >= deadline:
             break
         with_trace = bool(args.trace) and len(traced) < len(untraced)
-        r = run_worker(worker_args + ["--trace", str(int(with_trace))], hard_deadline)
+        r, ref = run_scaled(worker_args + ["--trace", str(int(with_trace))], hard_deadline, ref)
         if "setup_s" in r:
-            setups.append(r["setup_s"])
+            setups.append(r["setup_s"] * r["scale"])
         passes.append(r)
         (traced if with_trace else untraced).append(r)
 
@@ -280,6 +326,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed}: {len(passes)} passes "
           f"({len(traced)} traced), {attempted} items, {failed} failed, "
           f"{time.monotonic() - start:.1f} s")
+    print(unscaled(passes))
     if args.trace and values:
         first = next(p for p in traced if p["complete"])
         print_self_times(first["trace"])
