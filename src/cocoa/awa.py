@@ -243,8 +243,7 @@ def winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
     applies.
     """
     n = w.n_positions
-    letters = [w.letter_at(i) for i in range(n)]
-    nxt = [w.next_pos(i) for i in range(n)]
+    letters, nxt = w.letters, w.next_positions
 
     # node ids: state nodes q*n + i (rejector to move), then clause nodes
     n_snodes = a.n_states * n

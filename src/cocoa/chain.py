@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .awa import Awa, dualize, from_ltl
 from .floating import (
     Dfw, Nfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
-    minimize_dfw, universal_dfw,
+    minimize_dfw, run_survives, universal_dfw,
 )
 from .formula import (
     Alphabet, Formula, LassoWord, enumerate_lassos, eval_lasso, to_nnf,
@@ -81,9 +81,7 @@ def dfw_to_hd_ncw(d: Dfw, m: Sltm) -> HdNcw:
     def add(src: int, x: frozenset[str], dst: int) -> None:
         rej.setdefault((src, x), []).append(dst)
 
-    by_label: dict[int, list[int]] = {}
-    for q in range(d.n_states):
-        by_label.setdefault(d.label[q], []).append(q)
+    by_label = d.by_label
     for s in range(m.n_states):
         for x in m.alphabet.letters:
             s2 = m.delta[(s, x)]
@@ -108,13 +106,13 @@ def dfw_to_hd_ncw(d: Dfw, m: Sltm) -> HdNcw:
 def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
     """Co-Buchi lasso membership: a reachable product node from which the
     deterministic accepting sub-relation runs forever."""
-    n = w.n_positions
+    letters, nxt = w.letters, w.next_positions
     seen = {(c.initial, 0)}
     todo = [(c.initial, 0)]
     while todo:
         q, i = todo.pop()
-        x = w.letter_at(i)
-        j = w.next_pos(i)
+        x = letters[i]
+        j = nxt[i]
         dsts = list(c.rej.get((q, x), ()))
         a = c.acc.get((q, x))
         if a is not None:
@@ -124,32 +122,7 @@ def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
                 seen.add((dst, j))
                 todo.append((dst, j))
 
-    memo: dict[tuple[int, int], bool] = {}
-
-    def survives(q: int, i: int) -> bool:
-        path = []
-        on_path = set()
-        cur = (q, i)
-        while True:
-            known = memo.get(cur)
-            if known is not None:
-                val = known
-                break
-            if cur in on_path:
-                val = True
-                break
-            path.append(cur)
-            on_path.add(cur)
-            cq, ci = cur
-            nq = c.acc.get((cq, w.letter_at(ci)))
-            if nq is None:
-                val = False
-                break
-            cur = (nq, w.next_pos(ci))
-        for node in path:
-            memo[node] = val
-        return val
-
+    survives = run_survives(c.acc, w)
     return any(survives(q, i) for (q, i) in seen)
 
 

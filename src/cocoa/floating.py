@@ -10,7 +10,9 @@ and emptiness.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._graph import scc_ids, tarjan_sccs
 from .formula import Alphabet, LassoWord, letter_text
@@ -50,12 +52,22 @@ class Dfw:
     def step(self, q: int, x: frozenset[str]) -> int | None:
         return self.trans.get((q, x))
 
+    @cached_property
+    def by_label(self) -> dict[int, tuple[int, ...]]:
+        """The states carrying each SLTM state as label, in state order."""
+        out: dict[int, list[int]] = {}
+        for q in range(self.n_states):
+            out.setdefault(self.label[q], []).append(q)
+        return {s: tuple(qs) for s, qs in out.items()}
 
-def _assert_label_consistency(aut, m: Sltm) -> None:
+
+def _check_label_consistency(aut, m: Sltm) -> None:
     for (q, x), dst in aut.trans.items():
         dsts = dst if isinstance(dst, tuple) else (dst,)
         for q2 in dsts:
-            assert aut.label[q2] == m.delta[(aut.label[q], x)], (q, sorted(x), q2)
+            if aut.label[q2] != m.delta[(aut.label[q], x)]:
+                raise AssertionError(
+                    f"transition {q} -{sorted(x)}-> {q2} disagrees with the SLTM labels")
 
 
 def universal_dfw(m: Sltm) -> Dfw:
@@ -71,7 +83,7 @@ def universal_dfw(m: Sltm) -> Dfw:
     )
     d = _strip_transient(d)
     d = minimize_dfw(d, m)
-    _assert_label_consistency(d, m)
+    _check_label_consistency(d, m)
     return d
 
 
@@ -128,7 +140,8 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
                 continue
             dsts = []
             for v2 in g.succ(v, x):
-                assert v2 in vsets[prev.label[p2]], "vertex outside successor state's set"
+                if v2 not in vsets[prev.label[p2]]:
+                    raise AssertionError("vertex outside successor state's set")
                 dsts.append(ids[(p2, v2)])
             if dsts:
                 trans[(q, x)] = tuple(sorted(dsts))
@@ -168,7 +181,7 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
         graph_size=g.n_vertices,
         level=ell,
     )
-    _assert_label_consistency(nfw, m)
+    _check_label_consistency(nfw, m)
     return nfw
 
 
@@ -188,7 +201,7 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
             frontier.append(got)
         return got
 
-    frontier: list[int] = []
+    frontier: deque[int] = deque()
     members_of: dict[tuple[int, frozenset[int]], list[int]] = {}
     for q in range(n.n_states):
         p, v = n.origin[q]
@@ -198,7 +211,7 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
 
     nfw_by_pv = {n.origin[q]: q for q in range(n.n_states)}
     while frontier:
-        did = frontier.pop(0)
+        did = frontier.popleft()
         p, vs = states[did]
         for x in m.alphabet.letters:
             p2 = None
@@ -210,11 +223,11 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
                     p2 = p2b
                     out.add(v2)
             if out:
-                assert p2 is not None
                 trans[(did, x)] = intern((p2, frozenset(out)))
 
     bound = n.prev_size ** 2 * (2 ** n.graph_size) * max(n.graph_size, 1)
-    assert len(states) <= bound, f"determinization exceeded the size bound {bound}"
+    if len(states) > bound:
+        raise AssertionError(f"determinization exceeded the size bound {bound}")
 
     d = Dfw(
         alphabet=m.alphabet,
@@ -224,7 +237,7 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
         trans=trans,
         origin=tuple((p, vs) for (p, vs) in states),
     )
-    _assert_label_consistency(d, m)
+    _check_label_consistency(d, m)
     return d
 
 
@@ -274,7 +287,7 @@ def minimize_dfw(d: Dfw, m: Sltm) -> Dfw:
         origin=tuple(d.origin[rep[c]] for c in range(n_classes)),
     )
     out = _strip_transient(merged)
-    _assert_label_consistency(out, m)
+    _check_label_consistency(out, m)
     return out
 
 
@@ -284,62 +297,64 @@ def is_empty_dfw(d: Dfw) -> bool:
     return d.n_states == 0
 
 
-def _sltm_states_along(m: Sltm, w: LassoWord, count: int) -> list[int]:
-    out = [m.initial]
-    s = m.initial
-    for i in range(count - 1):
-        s = m.delta[(s, w.letter_at(i))]
-        out.append(s)
-    return out
+def run_survives(trans: dict, w: LassoWord):
+    """Deterministic-run survival on the lasso's positions.
+
+    Returns ``survives(q, j)``: whether the partial deterministic transition
+    function ``trans`` (keyed by (state, letter)) runs forever from state q
+    at lasso position j.  A run either dies or repeats a (state, position)
+    pair, and every pair it passes shares its verdict, which is memoized.
+    """
+    letters, nxt = w.letters, w.next_positions
+    memo: dict[tuple[int, int], bool] = {}
+
+    def survives(q: int, j: int) -> bool:
+        path = []
+        while True:
+            key = (q, j)
+            val = memo.get(key)
+            if val is not None:
+                # a pair on the current path was entered as True: a cycle
+                break
+            memo[key] = True
+            path.append(key)
+            q = trans.get((q, letters[j]))
+            if q is None:
+                val = False
+                break
+            j = nxt[j]
+        if not val:
+            for key in path:
+                memo[key] = False
+        return val
+
+    return survives
 
 
 def dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
     """Jump-in acceptance on a lasso.
 
-    The SLTM state sequence along the word is eventually periodic with
-    pre-period at most |u| + |Q^S|.|v|, so trying every jump-in moment in
-    that unrolled range covers all of them.  Each jump-in runs the partial
-    deterministic automaton until a (state, phase) pair repeats or the
-    transition function is undefined.
+    A jump-in at some moment enters a DFW state labeled with the SLTM state
+    at that moment and at the moment's lasso position; whether it survives
+    depends only on that (SLTM state, position) pair.  The pairs along the
+    word follow a deterministic walk, so walking them until the first repeat
+    visits every moment's pair.  Each jump-in runs the partial deterministic
+    automaton (``run_survives``).
     """
     if d.n_states == 0:
         return False
-    horizon = w.cut + (m.n_states + 1) * len(w.period)
-    sltm_states = _sltm_states_along(m, w, horizon)
-    memo: dict[tuple[int, int], bool] = {}
-
-    def survives(q: int, j: int) -> bool:
-        path: list[tuple[int, int]] = []
-        on_path: set[tuple[int, int]] = set()
-        cur = (q, j)
-        while True:
-            known = memo.get(cur)
-            if known is not None:
-                val = known
-                break
-            if cur in on_path:
-                val = True
-                break
-            path.append(cur)
-            on_path.add(cur)
-            cq, cj = cur
-            nq = d.trans.get((cq, w.letter_at(cj)))
-            if nq is None:
-                val = False
-                break
-            cur = (nq, w.next_pos(cj))
-        for node in path:
-            memo[node] = val
-        return val
-
-    by_label: dict[int, list[int]] = {}
-    for q in range(d.n_states):
-        by_label.setdefault(d.label[q], []).append(q)
-    for i in range(horizon):
-        j = i if i < w.n_positions else w.cut + (i - w.cut) % len(w.period)
-        for q in by_label.get(sltm_states[i], ()):
+    by_label = d.by_label
+    survives = run_survives(d.trans, w)
+    letters, nxt = w.letters, w.next_positions
+    seen: set[tuple[int, int]] = set()
+    s, j = m.initial, 0
+    while (s, j) not in seen:
+        seen.add((s, j))
+        for q in by_label.get(s, ()):
             if survives(q, j):
                 return True
+        s = m.delta[(s, letters[j])]
+        j = nxt[j]
     return False
 
 
@@ -347,15 +362,12 @@ def reachable_transitions(d: Dfw, m: Sltm, prefix) -> frozenset:
     """Transitions (q, x, q') reachable after reading the prefix: some run on
     prefix.x ends with the transition (jump-ins at every moment allowed)."""
     prefix = tuple(prefix)
-    by_label: dict[int, set[int]] = {}
-    for q in range(d.n_states):
-        by_label.setdefault(d.label[q], set()).add(q)
     s = m.initial
-    alive: set[int] = set(by_label.get(s, ()))
+    alive: set[int] = set(d.by_label.get(s, ()))
     for x in prefix:
         s = m.delta[(s, x)]
         alive = {d.trans[(q, x)] for q in alive if (q, x) in d.trans}
-        alive |= by_label.get(s, set())
+        alive.update(d.by_label.get(s, ()))
     out = set()
     for q in alive:
         for x in d.alphabet.letters:

@@ -2,14 +2,18 @@
 
 The fixpoint evaluator in this module is the ground truth: every automaton
 construction in the package is ultimately checked against ``eval_lasso`` on
-ultimately-periodic words.
+ultimately-periodic words.  Each formula is compiled once into a
+children-first program over its distinct subformulas; a lasso is then
+evaluated with one Python int per subformula holding one bit per lasso
+position.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 ATOM = "atom"
 NOT = "not"
@@ -65,6 +69,26 @@ class Formula:
 
     def size(self) -> int:
         return 1 + sum(a.size() for a in self.args)
+
+    @cached_property
+    def program(self) -> tuple[tuple[str, tuple[int, ...], str | None], ...]:
+        """The distinct subformulas as ``(kind, child indices, name)``,
+        children before parents; the last entry is the formula itself.
+
+        Equal subtrees share one entry.  Entries are looked up by the entry
+        tuple itself, so compiling hashes small tuples, never whole subtrees.
+        """
+        ids: dict[tuple[str, tuple[int, ...], str | None], int] = {}
+
+        def walk(g: Formula) -> int:
+            op = (g.kind, tuple(walk(c) for c in g.args), g.name)
+            got = ids.get(op)
+            if got is None:
+                got = ids[op] = len(ids)
+            return got
+
+        walk(self)
+        return tuple(ids)
 
 
 LTRUE = Formula(TRUE)
@@ -321,19 +345,30 @@ def letter_text(letter: frozenset[str]) -> str:
 
 @dataclass(frozen=True)
 class LassoWord:
-    """Ultimately-periodic word u . v^omega over an alphabet."""
+    """Ultimately-periodic word u . v^omega over an alphabet.
+
+    ``letters`` holds the letter at each of the |u|+|v| distinct positions
+    and ``next_positions`` the successor of each position, the last one
+    looping back to the cut.
+    """
 
     alphabet: Alphabet
     prefix: tuple[frozenset[str], ...]
     period: tuple[frozenset[str], ...]
+    letters: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
+    next_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.period) < 1:
             raise ValueError("lasso period must be non-empty")
+        letters = self.prefix + self.period
         apset = set(self.alphabet.aps)
-        for letter in self.prefix + self.period:
+        for letter in letters:
             if not letter <= apset:
                 raise ValueError(f"letter {sorted(letter)} not over declared propositions")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "next_positions",
+                           tuple(range(1, len(letters))) + (len(self.prefix),))
 
     @property
     def cut(self) -> int:
@@ -349,7 +384,7 @@ class LassoWord:
         return self.period[(i - self.cut) % len(self.period)]
 
     def next_pos(self, i: int) -> int:
-        return i + 1 if i + 1 < self.n_positions else self.cut
+        return self.next_positions[i]
 
     def text(self) -> str:
         return "".join(map(letter_text, self.prefix)) + ";" + "".join(map(letter_text, self.period))
@@ -424,72 +459,63 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
 
 
 def eval_lasso(f: Formula, w: LassoWord) -> bool:
-    """Standard LTL semantics on the lasso, by memoized fixpoint evaluation.
+    """Standard LTL semantics on the lasso, evaluated on bit rows.
 
-    Truth tables are computed per subformula over the |u|+|v| distinct
-    positions; U/F are least fixpoints, R/G greatest fixpoints on the loop.
+    Runs the formula's compiled ``program``: each subformula gets one int
+    whose bit i says whether it holds at lasso position i.  X is a right
+    shift with the cut bit looped to the last position; U/F are least
+    fixpoints, R/G greatest fixpoints, iterated on the rows.  Any formula is
+    accepted, NNF or not.
     """
-    n = w.n_positions
-    nxt_pos = [w.next_pos(i) for i in range(n)]
-    letters = [w.letter_at(i) for i in range(n)]
-    memo: dict[Formula, list[bool]] = {}
-
-    def fix(init: bool, step) -> list[bool]:
-        row = [init] * n
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
-                v = step(i, row)
-                if v != row[i]:
-                    row[i] = v
-                    changed = True
-        return row
-
-    def ev(g: Formula) -> list[bool]:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        k = g.kind
-        if k == ATOM:
-            row = [g.name in letters[i] for i in range(n)]
-        elif k == TRUE:
-            row = [True] * n
-        elif k == FALSE:
-            row = [False] * n
-        elif k == NOT:
-            a = ev(g.args[0])
-            row = [not x for x in a]
-        elif k == AND:
-            a, b = ev(g.args[0]), ev(g.args[1])
-            row = [x and y for x, y in zip(a, b)]
-        elif k == OR:
-            a, b = ev(g.args[0]), ev(g.args[1])
-            row = [x or y for x, y in zip(a, b)]
-        elif k == IMPLIES:
-            a, b = ev(g.args[0]), ev(g.args[1])
-            row = [(not x) or y for x, y in zip(a, b)]
-        elif k == NEXT:
-            a = ev(g.args[0])
-            row = [a[nxt_pos[i]] for i in range(n)]
-        elif k == UNTIL:
-            a, b = ev(g.args[0]), ev(g.args[1])
-            row = fix(False, lambda i, r: b[i] or (a[i] and r[nxt_pos[i]]))
-        elif k == RELEASE:
-            a, b = ev(g.args[0]), ev(g.args[1])
-            row = fix(True, lambda i, r: b[i] and (a[i] or r[nxt_pos[i]]))
-        elif k == FINALLY:
-            a = ev(g.args[0])
-            row = fix(False, lambda i, r: a[i] or r[nxt_pos[i]])
-        elif k == GLOBALLY:
-            a = ev(g.args[0])
-            row = fix(True, lambda i, r: a[i] and r[nxt_pos[i]])
+    letters = w.letters
+    n = len(letters)
+    last = n - 1
+    cut = w.cut
+    full = (1 << n) - 1
+    rows: list[int] = []
+    for kind, kids, name in f.program:
+        if kind == ATOM:
+            row = 0
+            for i, x in enumerate(letters):
+                if name in x:
+                    row |= 1 << i
+        elif kind == AND:
+            row = rows[kids[0]] & rows[kids[1]]
+        elif kind == OR:
+            row = rows[kids[0]] | rows[kids[1]]
+        elif kind == NOT:
+            row = full ^ rows[kids[0]]
+        elif kind == NEXT:
+            a = rows[kids[0]]
+            row = (a >> 1) | ((a >> cut) & 1) << last
+        elif kind in (UNTIL, FINALLY):
+            # least fixpoint of r = b | (a & X r), from b upwards
+            a, b = (rows[kids[0]], rows[kids[1]]) if kind == UNTIL else (full, rows[kids[0]])
+            row = b
+            while True:
+                grown = b | (a & ((row >> 1) | ((row >> cut) & 1) << last))
+                if grown == row:
+                    break
+                row = grown
+        elif kind in (RELEASE, GLOBALLY):
+            # greatest fixpoint of r = b & (a | X r), from b downwards
+            a, b = (rows[kids[0]], rows[kids[1]]) if kind == RELEASE else (0, rows[kids[0]])
+            row = b
+            while True:
+                shrunk = b & (a | ((row >> 1) | ((row >> cut) & 1) << last))
+                if shrunk == row:
+                    break
+                row = shrunk
+        elif kind == IMPLIES:
+            row = (full ^ rows[kids[0]]) | rows[kids[1]]
+        elif kind == TRUE:
+            row = full
+        elif kind == FALSE:
+            row = 0
         else:
-            raise ValueError(f"unknown node kind {k!r}")
-        memo[g] = row
-        return row
-
-    return ev(f)[0]
+            raise ValueError(f"unknown node kind {kind!r}")
+        rows.append(row)
+    return bool(rows[-1] & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ still owing an accepting visit."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from ._graph import reachable, scc_ids, tarjan_sccs
@@ -133,9 +134,9 @@ def miyano_hayashi(a: Awa, prune_empty: bool = False) -> ObligationGraph:
     ids: dict[Vertex, int] = {v0: 0}
     vertices: list[Vertex] = [v0]
     edges: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        vid = frontier.pop(0)
+        vid = frontier.popleft()
         S, O = vertices[vid]
         for x in a.alphabet.letters:
             dsts = []
@@ -198,9 +199,9 @@ def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
         start = (src, 0)
         prev: dict[tuple[int, int], tuple[tuple[int, int], frozenset[str]]] = {}
         seen = {start}
-        queue = [start]
+        queue = deque([start])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             vid, moved = cur
             if vid == dst and moved >= min_len:
                 letters = []
@@ -223,7 +224,8 @@ def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     path = bfs_letters(g.initial, target, None, 0)
     members = set(sccs[comp[target]])
     cycle = bfs_letters(target, target, members, 1)
-    assert path is not None and cycle is not None
+    if path is None or cycle is None:
+        raise AssertionError("no lasso through an accepting cyclic vertex")
     return LassoWord(g.alphabet, tuple(path), tuple(cycle))
 
 

@@ -11,6 +11,7 @@ emptiness check.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -338,18 +339,21 @@ class _LanguageOracle:
         return sorted(set(roots))
 
 
-_ORACLES: dict[tuple[int, int], _LanguageOracle] = {}
+# (a, a_dual, oracle) by (id(a), id(a_dual)); the entry holds the automata
+# so that their ids cannot be reused by other automata while it exists
+_ORACLES: dict[tuple[int, int], tuple[Awa, Awa, _LanguageOracle]] = {}
 
 
 def _oracle_for(a: Awa, a_dual: Awa) -> _LanguageOracle:
     key = (id(a), id(a_dual))
     got = _ORACLES.get(key)
-    if got is None:
-        if len(_ORACLES) > 64:
-            _ORACLES.clear()
-        got = _LanguageOracle(a, a_dual)
-        _ORACLES[key] = got
-    return got
+    if got is not None and got[0] is a and got[1] is a_dual:
+        return got[2]
+    if len(_ORACLES) > 64:
+        _ORACLES.clear()
+    oracle = _LanguageOracle(a, a_dual)
+    _ORACLES[key] = (a, a_dual, oracle)
+    return oracle
 
 
 def labels_equivalent(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> bool:
@@ -450,9 +454,9 @@ def build_canonical_sltm(
     ids: dict[frozenset[int], int] = {start: 0}
     naive: list[frozenset[int]] = [start]
     ndelta: dict[tuple[int, frozenset[str]], int] = {}
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        sid = frontier.pop(0)
+        sid = frontier.popleft()
         vn = naive[sid]
         for x in a.alphabet.letters:
             nn = frozenset(d for v in vn for d in g_neg.succ(v, x))

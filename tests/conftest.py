@@ -1,5 +1,5 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-and the test-only NFW membership oracle."""
+the test-only NFW membership oracle, and the reference lasso evaluator."""
 
 from __future__ import annotations
 
@@ -9,8 +9,12 @@ import random
 import pytest
 
 from cocoa import (
-    Alphabet, LassoWord, always, atom, conj, disj, enumerate_lassos,
+    Alphabet, Formula, LassoWord, always, atom, conj, disj, enumerate_lassos,
     eventually, neg, nxt, release, until,
+)
+from cocoa.formula import (
+    AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
+    UNTIL,
 )
 from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks
 from cocoa.floating import Nfw
@@ -122,3 +126,74 @@ def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
                 return True
         s = m.delta[(s, w.letter_at(j))]
     return False
+
+
+def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
+    """Per-position LTL semantics on the lasso, the reference for
+    ``eval_lasso``.
+
+    Truth tables are computed per subformula over the |u|+|v| distinct
+    positions and memoized by subformula; U/F are least fixpoints, R/G
+    greatest fixpoints on the loop.
+    """
+    n = w.n_positions
+    nxt_pos = [w.next_pos(i) for i in range(n)]
+    letters = [w.letter_at(i) for i in range(n)]
+    memo: dict[Formula, list[bool]] = {}
+
+    def fix(init: bool, step) -> list[bool]:
+        row = [init] * n
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n - 1, -1, -1):
+                v = step(i, row)
+                if v != row[i]:
+                    row[i] = v
+                    changed = True
+        return row
+
+    def ev(g: Formula) -> list[bool]:
+        got = memo.get(g)
+        if got is not None:
+            return got
+        k = g.kind
+        if k == ATOM:
+            row = [g.name in letters[i] for i in range(n)]
+        elif k == TRUE:
+            row = [True] * n
+        elif k == FALSE:
+            row = [False] * n
+        elif k == NOT:
+            a = ev(g.args[0])
+            row = [not x for x in a]
+        elif k == AND:
+            a, b = ev(g.args[0]), ev(g.args[1])
+            row = [x and y for x, y in zip(a, b)]
+        elif k == OR:
+            a, b = ev(g.args[0]), ev(g.args[1])
+            row = [x or y for x, y in zip(a, b)]
+        elif k == IMPLIES:
+            a, b = ev(g.args[0]), ev(g.args[1])
+            row = [(not x) or y for x, y in zip(a, b)]
+        elif k == NEXT:
+            a = ev(g.args[0])
+            row = [a[nxt_pos[i]] for i in range(n)]
+        elif k == UNTIL:
+            a, b = ev(g.args[0]), ev(g.args[1])
+            row = fix(False, lambda i, r: b[i] or (a[i] and r[nxt_pos[i]]))
+        elif k == RELEASE:
+            a, b = ev(g.args[0]), ev(g.args[1])
+            row = fix(True, lambda i, r: b[i] and (a[i] or r[nxt_pos[i]]))
+        elif k == FINALLY:
+            a = ev(g.args[0])
+            row = fix(False, lambda i, r: a[i] or r[nxt_pos[i]])
+        elif k == GLOBALLY:
+            a = ev(g.args[0])
+            row = fix(True, lambda i, r: a[i] and r[nxt_pos[i]])
+        else:
+            raise ValueError(f"unknown node kind {k!r}")
+        memo[g] = row
+        return row
+
+    return ev(f)[0]

@@ -1,6 +1,12 @@
 """Floating automata: universal base, level products, determinization,
 minimization, jump-in acceptance."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
+import cocoa
 from cocoa import (
     Alphabet, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
     is_empty_dfw, level_product, minimize_dfw, parse_ltl, reachable_transitions,
@@ -198,3 +204,32 @@ def test_reachable_transitions_depend_only_on_sltm_state():
                 rep = reachable_transitions(mind, m, group[0])
                 for p in group[1:]:
                     assert reachable_transitions(mind, m, p) == rep
+
+
+def test_label_check_fires_under_optimize():
+    # `python -O` strips assert statements; the invariant check must not be one
+    code = textwrap.dedent("""
+        import sys
+        from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
+        from cocoa.floating import Dfw, _check_label_consistency
+        from cocoa.sltm import build_canonical_sltm
+
+        if sys.flags.optimize != 1:
+            sys.exit(2)
+        alpha = Alphabet.from_aps(["a"])
+        m = build_canonical_sltm(from_ltl(to_nnf(parse_ltl("G a", ["a"])), alpha))
+        # one state labeled with the initial SLTM state, looping on every
+        # letter, although the letter {} leaves that SLTM state
+        loops = {(0, x): 0 for x in alpha.letters}
+        bad = Dfw(alpha, 1, (m.initial,), loops, ((None, frozenset()),))
+        try:
+            _check_label_consistency(bad, m)
+        except AssertionError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cocoa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

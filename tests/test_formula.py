@@ -3,18 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, InvalidParameter, LassoWord, ParseError, UnknownAtom,
-    enumerate_lassos, eval_lasso, lower_bound_alphabet, lower_bound_family,
-    neg, parse_lasso, parse_ltl, to_nnf,
+    Alphabet, Formula, InvalidParameter, LassoWord, ParseError, UnknownAtom,
+    atom, enumerate_lassos, eval_lasso, lower_bound_alphabet,
+    lower_bound_family, neg, parse_lasso, parse_ltl, to_nnf,
 )
 from cocoa.formula import (
-    ATOM, FINALLY, GLOBALLY, IMPLIES, NOT, RELEASE, UNTIL, canonical_lasso,
-    is_nnf, subformulas,
+    AND, ATOM, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
+    RELEASE, UNTIL, canonical_lasso, is_nnf, subformulas,
 )
 
-from conftest import formula_corpus, lassos_up_to
+from conftest import formula_corpus, lassos_up_to, reference_eval_lasso
 
 
 def test_parse_single_operator():
@@ -120,6 +122,45 @@ def test_nnf_preserves_semantics():
         nnf = to_nnf(f)
         for w in lassos_up_to(alpha, 1, 2):
             assert eval_lasso(f, w) == eval_lasso(nnf, w)
+
+
+def test_eval_matches_reference_on_corpus():
+    for f, aps in formula_corpus(15, seed=45):
+        alpha = Alphabet.from_aps(aps)
+        for g in (f, neg(f), to_nnf(neg(f))):
+            for w in enumerate_lassos(alpha, 2, 3):
+                assert eval_lasso(g, w) == reference_eval_lasso(g, w), (g, w.text())
+
+
+def test_eval_matches_reference_on_lower_bound_family():
+    f = lower_bound_family(1)
+    lassos = enumerate_lassos(lower_bound_alphabet(1), 2, 3)
+    for g in (f, neg(f)):
+        for w in lassos:
+            assert eval_lasso(g, w) == reference_eval_lasso(g, w), (g, w.text())
+
+
+_AB = Alphabet.from_aps(["a", "b"])
+_formulas = st.recursive(
+    st.sampled_from([atom("a"), atom("b"), LTRUE, LFALSE]),
+    lambda sub: st.one_of(
+        st.builds(lambda k, x: Formula(k, (x,)),
+                  st.sampled_from([NOT, NEXT, FINALLY, GLOBALLY]), sub),
+        st.builds(lambda k, x, y: Formula(k, (x, y)),
+                  st.sampled_from([AND, OR, IMPLIES, UNTIL, RELEASE]), sub, sub),
+    ),
+    max_leaves=10,
+)
+_letters = st.sampled_from(_AB.letters)
+_lassos = st.builds(
+    lambda u, v: LassoWord(_AB, tuple(u), tuple(v)),
+    st.lists(_letters, max_size=4), st.lists(_letters, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_formulas, _lassos)
+def test_eval_matches_reference_on_random_inputs(f, w):
+    assert eval_lasso(f, w) == reference_eval_lasso(f, w)
 
 
 def test_lasso_parse_and_text():

@@ -10,9 +10,11 @@ from cocoa import (
     label_accepts_lasso, label_of, labels_equivalent, miyano_hayashi,
     parse_ltl, sltm_state_after, to_nnf,
 )
+import cocoa.sltm
 from cocoa.sltm import (
-    IncompatibleAutomata, Label, _difference_automaton, build_canonical_sltm,
-    sltm_from_json, sltm_to_dot, sltm_to_json, suffix_label,
+    IncompatibleAutomata, Label, _difference_automaton, _LanguageOracle,
+    _oracle_for, build_canonical_sltm, sltm_from_json, sltm_to_dot,
+    sltm_to_json, suffix_label,
 )
 
 from conftest import (
@@ -81,6 +83,20 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
         ref = (is_empty(_difference_automaton(l1, l2, fig1, d))
                and is_empty(_difference_automaton(l2, l1, fig1, d)))
         assert labels_equivalent(l1, l2, fig1, d) == ref
+
+
+def test_oracle_cache_ignores_reused_ids(fig1, monkeypatch):
+    # an entry left by other automata whose ids were reused
+    a, a_dual = fig1, dualize(fig1)
+    other = from_ltl(to_nnf(parse_ltl("G a", ["a"])), Alphabet.from_aps(["a"]))
+    other_dual = dualize(other)
+    planted = _LanguageOracle(other, other_dual)
+    monkeypatch.setattr(cocoa.sltm, "_ORACLES",
+                        {(id(a), id(a_dual)): (other, other_dual, planted)})
+    got = _oracle_for(a, a_dual)
+    assert got is not planted
+    assert got.n == a.n_states
+    assert _oracle_for(a, a_dual) is got
 
 
 def test_label_membership_helper(fig1, ab_alphabet):
