@@ -1,8 +1,11 @@
 """Weak alternating Buchi automata with PCNF transition formulas.
 
 Covers construction from LTL (one state per subformula, expansion laws),
-dualization (complement), weakness checking, word-checking-game acceptance
-on lassos, and emptiness.
+dualization (complement), weakness checking, emptiness, and acceptance of
+lassos by the word-checking game.  Weakness lets the game be solved one rank
+group at a time, sinks first (Muller, Saoudi and Schupp, 1986): an accepting
+group is a greatest fixpoint and a rejecting group a least fixpoint, iterated
+on bit rows with one bit per lasso position.
 """
 
 from __future__ import annotations
@@ -94,7 +97,9 @@ class Awa:
     ``delta`` is total over states x letters; ``rank`` witnesses weakness
     (ranks never increase along transitions and rank-equal states agree on
     acceptance); ``top``/``bottom`` are the accepting/rejecting sinks used
-    for constant transition formulas.
+    for constant transition formulas.  ``winning_state_positions`` solves
+    its game one rank group at a time and is only correct when ``rank``
+    meets this invariant, which ``validate`` checks.
     """
 
     alphabet: Alphabet
@@ -111,16 +116,19 @@ class Awa:
         return self.delta[(q, letter)]
 
     def validate(self) -> None:
-        assert self.top in self.accepting and self.bottom not in self.accepting
+        if self.top not in self.accepting or self.bottom in self.accepting:
+            raise AssertionError("top must be accepting and bottom rejecting")
         for q in range(self.n_states):
             for x in self.alphabet.letters:
-                p = self.delta[(q, x)]
-                for q2 in p.states():
-                    assert self.rank[q2] <= self.rank[q], (q, q2)
+                for q2 in self.delta[(q, x)].states():
+                    if self.rank[q2] > self.rank[q]:
+                        raise AssertionError(f"rank increases along {q} -> {q2}")
         by_rank: dict[int, set[bool]] = {}
         for q in range(self.n_states):
             by_rank.setdefault(self.rank[q], set()).add(q in self.accepting)
-        assert all(len(v) == 1 for v in by_rank.values())
+        for r, flags in by_rank.items():
+            if len(flags) > 1:
+                raise AssertionError(f"rank {r} mixes accepting and rejecting states")
 
 
 def _edge_lists(n_states, alphabet, delta) -> list[list[int]]:
@@ -234,68 +242,56 @@ def dualize(a: Awa) -> Awa:
 
 
 def winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
-    """Solve the finite Buchi game on states x lasso positions.
+    """Solve the word-checking game on states x lasso positions.
 
     Returns the (state, position) pairs from which the acceptor wins; the
-    rejector picks clauses, the acceptor picks states inside a clause.
-    Weakness makes "eventually only accepting" coincide with "accepting
-    infinitely often", so the classical recurrence/attractor fixpoint
-    applies.
+    rejector picks a clause of the transition formula, the acceptor a state
+    inside it.  Each state gets one int with bit i set when it wins at
+    position i; ``pre`` shifts a row one position on, looping the last
+    position back to the cut.  Rank groups are solved in increasing order
+    (sinks first), against the transitions: successors of a lower rank are
+    already final.  A play that stays in one group forever is won exactly
+    when the group is accepting, so an accepting group is a greatest fixpoint
+    (from all ones) and a rejecting group a least fixpoint (from zero).
     """
     n = w.n_positions
-    letters, nxt = w.letters, w.next_positions
-
-    # node ids: state nodes q*n + i (rejector to move), then clause nodes
-    n_snodes = a.n_states * n
-    clause_ids: dict[tuple[frozenset[int], int], int] = {}
-    succs: list[list[int]] = [[] for _ in range(n_snodes)]
-    owner_acceptor: list[bool] = [False] * n_snodes
-
+    last, cut = n - 1, w.cut
+    full = (1 << n) - 1
+    masks: dict[frozenset[str], int] = {}
+    for i, x in enumerate(w.letters):
+        masks[x] = masks.get(x, 0) | 1 << i
+    groups: dict[int, list[int]] = {}
     for q in range(a.n_states):
-        for i in range(n):
-            outs = []
-            for clause in a.delta[(q, letters[i])].clauses:
-                key = (clause, i)
-                cid = clause_ids.get(key)
-                if cid is None:
-                    cid = n_snodes + len(clause_ids)
-                    clause_ids[key] = cid
-                    succs.append([q2 * n + nxt[i] for q2 in sorted(clause)])
-                    owner_acceptor.append(True)
-                outs.append(cid)
-            succs[q * n + i] = outs
+        groups.setdefault(a.rank[q], []).append(q)
 
-    total = len(succs)
-    target = {q * n + i for q in a.accepting for i in range(n)}
-
-    def attractor(for_acceptor: bool, base: set[int], alive: set[int]) -> set[int]:
-        attr = set(base) & alive
+    win = [0] * a.n_states
+    pre = [0] * a.n_states  # pre[q] bit i: q wins at the successor of i
+    for r in sorted(groups):
+        group = groups[r]
+        start = full if group[0] in a.accepting else 0
+        moves = []
+        for q in group:
+            win[q] = pre[q] = start
+            moves.append((q, [(m, a.delta[(q, x)].clauses) for x, m in masks.items()]))
         changed = True
         while changed:
             changed = False
-            for nd in alive:
-                if nd in attr:
-                    continue
-                alive_succ = [s for s in succs[nd] if s in alive]
-                if owner_acceptor[nd] == for_acceptor:
-                    hit = any(s in attr for s in alive_succ)
-                else:
-                    hit = all(s in attr for s in alive_succ)
-                if hit:
-                    attr.add(nd)
+            for q, by_letter in moves:
+                row = 0
+                for m, clauses in by_letter:
+                    for clause in clauses:
+                        hit = 0
+                        for q2 in clause:
+                            hit |= pre[q2]
+                        m &= hit
+                        if not m:
+                            break
+                    row |= m
+                if row != win[q]:
+                    win[q] = row
+                    pre[q] = (row >> 1) | ((row >> cut) & 1) << last
                     changed = True
-        return attr
-
-    alive = set(range(total))
-    while True:
-        reach = attractor(True, target & alive, alive)
-        dead = alive - reach
-        if not dead:
-            break
-        alive -= attractor(False, dead, alive)
-        if not alive:
-            break
-    return {(nd // n, nd % n) for nd in alive if nd < n_snodes}
+    return {(q, i) for q in range(a.n_states) for i in range(n) if win[q] >> i & 1}
 
 
 def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:

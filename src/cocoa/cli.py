@@ -41,7 +41,6 @@ class RunConfig:
     period_bound: int = 3
     max_states: int = 10 ** 6
     timeout_s: float = 300.0
-    seed: int = 0
     json_output: bool = False
     word: str | None = None
     mutate: str | None = None
@@ -230,7 +229,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="out_dir", default="cocoa-out")
         sp.add_argument("--max-states", type=int, default=10 ** 6)
         sp.add_argument("--timeout-s", type=float, default=300.0)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", dest="json_output", action="store_true")
 
     sp = sub.add_parser("translate", help="build the chain and write artifacts")
@@ -263,7 +261,6 @@ def main(argv=None) -> int:
         period_bound=getattr(args, "period_bound", 3),
         max_states=args.max_states,
         timeout_s=args.timeout_s,
-        seed=args.seed,
         json_output=args.json_output,
         word=getattr(args, "word", None),
         mutate=getattr(args, "mutate", None),

@@ -424,33 +424,25 @@ def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
     return LassoWord(alphabet, prefix, period)
 
 
-def canonical_lasso(prefix, period) -> tuple[tuple, tuple]:
-    """Normal form of u.v^omega: primitive period, rolled back into the prefix."""
-    period = tuple(period)
-    k = len(period)
-    for d in range(1, k + 1):
-        if k % d == 0 and period == period[:d] * (k // d):
-            period = period[:d]
-            break
-    prefix = list(prefix)
-    while prefix and prefix[-1] == period[-1]:
-        prefix.pop()
-        period = (period[-1],) + period[:-1]
-    return tuple(prefix), tuple(period)
-
-
 def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -> list[LassoWord]:
-    """All distinct lassos with |u| <= prefix_bound and |v| <= period_bound."""
-    seen = set()
+    """All distinct lassos with |u| <= prefix_bound and |v| <= period_bound.
+
+    Each word is listed once, in its normal form: the period is primitive
+    and the prefix does not end with the period's last letter (else the
+    period could be rolled back into the prefix).  Words come ordered by
+    prefix length, prefix, period length and period.
+    """
+    periods = []
+    for vlen in range(1, period_bound + 1):
+        for per in itertools.product(alphabet.letters, repeat=vlen):
+            if all(per != per[:d] * (vlen // d) for d in range(1, vlen) if vlen % d == 0):
+                periods.append(per)
     out = []
     for plen in range(prefix_bound + 1):
         for pref in itertools.product(alphabet.letters, repeat=plen):
-            for vlen in range(1, period_bound + 1):
-                for per in itertools.product(alphabet.letters, repeat=vlen):
-                    c = canonical_lasso(pref, per)
-                    if c not in seen:
-                        seen.add(c)
-                        out.append(LassoWord(alphabet, c[0], c[1]))
+            for per in periods:
+                if not pref or pref[-1] != per[-1]:
+                    out.append(LassoWord(alphabet, pref, per))
     return out
 
 

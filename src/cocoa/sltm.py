@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .awa import (
-    Awa, CNF_FALSE, CNF_TRUE, Pcnf, _scc_ranks, cnf_and, cnf_or, cnf_subsume,
-    dualize, finalize_pcnf, is_empty, winning_state_positions,
+    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, cnf_subsume, dualize,
+    winning_state_positions,
 )
 from .formula import Alphabet, LassoWord, enumerate_lassos
 from .obligation import ObligationGraph, miyano_hayashi
-
-EPS_AP = "<eps>"
 
 
 class IncompatibleAutomata(Exception):
@@ -85,76 +83,6 @@ def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
 # --- label equivalence -------------------------------------------------------
 
 
-def _difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
-    """Weak alternating automaton for eps . (pos and not neg).
-
-    A fresh initial state reads a fresh letter whose transition formula
-    plugs together states of the automaton (for the positive side) and of
-    its dual (for the negated side); each union of the negated label becomes
-    one auxiliary conjunction state over dual states.
-    """
-    n = a.n_states
-    iota = 0
-    off_a = 1
-    off_d = 1 + n
-    t_base = 1 + 2 * n
-    t_ids = {i: t_base + i for i in range(len(neg.unions))}
-    n_states = t_base + len(neg.unions)
-
-    eps = frozenset({EPS_AP})
-    alphabet = Alphabet(a.alphabet.aps + (EPS_AP,), a.alphabet.letters + (eps,))
-
-    def sh_a(clauses):
-        return [frozenset(off_a + q for q in c) for c in clauses]
-
-    def sh_d(clauses):
-        return [frozenset(off_d + q for q in c) for c in clauses]
-
-    top = off_a + a.top
-    bottom = off_a + a.bottom
-    d_bottom = off_d + a_dual.bottom
-
-    delta: dict[tuple[int, frozenset[str]], Pcnf] = {}
-    for q in range(n):
-        for x in a.alphabet.letters:
-            delta[(off_a + q, x)] = Pcnf.make(sh_a(a.delta[(q, x)].clauses))
-            delta[(off_d + q, x)] = Pcnf.make(sh_d(a_dual.delta[(q, x)].clauses))
-        if q == a.top:
-            delta[(off_a + q, eps)] = Pcnf.make([frozenset({top})])
-        else:
-            delta[(off_a + q, eps)] = Pcnf.make([frozenset({bottom})])
-        delta[(off_d + q, eps)] = Pcnf.make([frozenset({d_bottom})])
-    for k, u in enumerate(neg.unions):
-        for x in a.alphabet.letters:
-            merged: set[frozenset[int]] = set()
-            for q in sorted(u):
-                merged.update(sh_d(a_dual.delta[(q, x)].clauses))
-            delta[(t_ids[k], x)] = Pcnf.make(cnf_subsume(merged))
-        delta[(t_ids[k], eps)] = Pcnf.make([frozenset({d_bottom})])
-
-    # iota: the difference formula on eps, dead otherwise
-    cnf = cnf_and(
-        cnf_subsume({frozenset(off_a + q for q in u) for u in pos.unions}),
-        CNF_FALSE if not neg.unions else cnf_subsume({frozenset(t_ids.values())}),
-    )
-    delta[(iota, eps)] = finalize_pcnf(cnf, top, bottom)
-    for x in a.alphabet.letters:
-        delta[(iota, x)] = Pcnf.make([frozenset({bottom})])
-
-    accepting = frozenset(
-        {off_a + q for q in a.accepting} | {off_d + q for q in a_dual.accepting})
-    succ: list[list[int]] = [[] for _ in range(n_states)]
-    for q in range(n_states):
-        seen: set[int] = set()
-        for x in alphabet.letters:
-            seen |= delta[(q, x)].states()
-        succ[q] = sorted(seen)
-    rank = tuple(_scc_ranks(n_states, succ, accepting))
-    names = ("iota",) + a.state_names + tuple("~" + s for s in a_dual.state_names) \
-        + tuple(f"t{k}" for k in range(len(neg.unions)))
-    return Awa(alphabet, n_states, iota, delta, accepting, rank, top, bottom, names)
-
-
 def _syntactic_subset(l1: Label, l2: Label) -> bool:
     # every union of l2 weakens some union of l1, hence [[l1]] within [[l2]]
     return all(any(u1 <= u2 for u1 in l1.unions) for u2 in l2.unions)
@@ -170,8 +98,6 @@ class _LanguageOracle:
     """
 
     def __init__(self, a: Awa, a_dual: Awa):
-        from .awa import cnf_subsume
-
         self._cnf_subsume = cnf_subsume
         n = a.n_states
         self.n = n

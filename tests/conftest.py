@@ -1,5 +1,6 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-the test-only NFW membership oracle, and the reference lasso evaluator."""
+the test-only NFW membership oracle, the reference lasso evaluator, the
+reference game solver, and the reference lasso enumeration."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cocoa import (
     Alphabet, Formula, LassoWord, always, atom, conj, disj, enumerate_lassos,
@@ -90,8 +92,47 @@ def a_alphabet() -> Alphabet:
     return Alphabet.from_aps(["a"])
 
 
+AB = Alphabet.from_aps(["a", "b"])
+_ab_letters = st.sampled_from(AB.letters)
+# random lassos over {a, b} for the hypothesis properties
+ab_lassos = st.builds(
+    lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
+    st.lists(_ab_letters, max_size=4), st.lists(_ab_letters, min_size=1, max_size=5))
+
+
 def lassos_up_to(alphabet: Alphabet, prefix_bound=2, period_bound=3):
     return enumerate_lassos(alphabet, prefix_bound, period_bound)
+
+
+def canonical_lasso(prefix, period) -> tuple[tuple, tuple]:
+    """Normal form of u.v^omega: primitive period, rolled back into the prefix."""
+    period = tuple(period)
+    k = len(period)
+    for d in range(1, k + 1):
+        if k % d == 0 and period == period[:d] * (k // d):
+            period = period[:d]
+            break
+    prefix = list(prefix)
+    while prefix and prefix[-1] == period[-1]:
+        prefix.pop()
+        period = (period[-1],) + period[:-1]
+    return tuple(prefix), tuple(period)
+
+
+def reference_enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int):
+    """Every (u, v) within the bounds folded to its normal form, first
+    occurrence kept: the reference for ``enumerate_lassos``."""
+    seen = set()
+    out = []
+    for plen in range(prefix_bound + 1):
+        for pref in itertools.product(alphabet.letters, repeat=plen):
+            for vlen in range(1, period_bound + 1):
+                for per in itertools.product(alphabet.letters, repeat=vlen):
+                    c = canonical_lasso(pref, per)
+                    if c not in seen:
+                        seen.add(c)
+                        out.append(LassoWord(alphabet, c[0], c[1]))
+    return out
 
 
 def prefixes_up_to(alphabet: Alphabet, max_len: int):
@@ -197,3 +238,69 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
         return row
 
     return ev(f)[0]
+
+
+def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
+    """Attractor solution of the Buchi word-checking game, the reference for
+    ``winning_state_positions``.
+
+    The game graph has a rejector node per (state, position) and an acceptor
+    node per (clause, position).  Weakness makes "eventually only accepting"
+    coincide with "accepting infinitely often", so the classical
+    recurrence/attractor fixpoint applies.
+    """
+    n = w.n_positions
+    letters = [w.letter_at(i) for i in range(n)]
+    nxt = [w.next_pos(i) for i in range(n)]
+
+    # node ids: state nodes q*n + i (rejector to move), then clause nodes
+    n_snodes = a.n_states * n
+    clause_ids: dict[tuple[frozenset[int], int], int] = {}
+    succs: list[list[int]] = [[] for _ in range(n_snodes)]
+    owner_acceptor: list[bool] = [False] * n_snodes
+
+    for q in range(a.n_states):
+        for i in range(n):
+            outs = []
+            for clause in a.delta[(q, letters[i])].clauses:
+                key = (clause, i)
+                cid = clause_ids.get(key)
+                if cid is None:
+                    cid = n_snodes + len(clause_ids)
+                    clause_ids[key] = cid
+                    succs.append([q2 * n + nxt[i] for q2 in sorted(clause)])
+                    owner_acceptor.append(True)
+                outs.append(cid)
+            succs[q * n + i] = outs
+
+    total = len(succs)
+    target = {q * n + i for q in a.accepting for i in range(n)}
+
+    def attractor(for_acceptor: bool, base: set[int], alive: set[int]) -> set[int]:
+        attr = set(base) & alive
+        changed = True
+        while changed:
+            changed = False
+            for nd in alive:
+                if nd in attr:
+                    continue
+                alive_succ = [s for s in succs[nd] if s in alive]
+                if owner_acceptor[nd] == for_acceptor:
+                    hit = any(s in attr for s in alive_succ)
+                else:
+                    hit = all(s in attr for s in alive_succ)
+                if hit:
+                    attr.add(nd)
+                    changed = True
+        return attr
+
+    alive = set(range(total))
+    while True:
+        reach = attractor(True, target & alive, alive)
+        dead = alive - reach
+        if not dead:
+            break
+        alive -= attractor(False, dead, alive)
+        if not alive:
+            break
+    return {(nd // n, nd % n) for nd in alive if nd < n_snodes}

@@ -1,15 +1,34 @@
 """Weak alternating automata: construction, dualization, game acceptance."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, accepts_lasso, check_weak, dualize, eval_lasso, from_ltl,
-    is_empty, neg, parse_lasso, parse_ltl, to_nnf,
+    Alphabet, accepts_lasso, check_weak, dualize, enumerate_lassos,
+    eval_lasso, from_ltl, is_empty, lower_bound_alphabet, lower_bound_family,
+    neg, parse_lasso, parse_ltl, to_nnf, winning_state_positions,
 )
-from cocoa.awa import NotNnf, NotWeak, Pcnf, awa_to_dot, from_ltl as _from_ltl
-from cocoa.formula import subformulas
+import cocoa
+from cocoa.awa import (
+    NotNnf, NotWeak, Pcnf, _edge_lists, awa_to_dot, from_ltl as _from_ltl,
+)
+from cocoa.formula import (
+    AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
+    atom, subformulas,
+)
+from cocoa.sltm import _signature_battery
 
-from conftest import build_fig1, formula_corpus, lassos_up_to
+from conftest import (
+    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to,
+    reference_winning_state_positions,
+)
 
 
 def test_pcnf_canonical_form():
@@ -142,6 +161,83 @@ def test_game_agrees_with_oracle_on_corpus():
             assert accepts_lasso(a, w) == eval_lasso(nnf, w), (f, w.text())
 
 
+def test_winning_positions_match_reference_on_corpus():
+    for f, aps in formula_corpus(10, seed=14):
+        alpha = Alphabet.from_aps(aps)
+        a = from_ltl(to_nnf(f), alpha)
+        for b in (a, dualize(a)):
+            for w in enumerate_lassos(alpha, 2, 3):
+                assert winning_state_positions(b, w) == \
+                    reference_winning_state_positions(b, w), (f, w.text())
+
+
+def test_winning_positions_match_reference_on_lower_bound_battery():
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1))
+    for b in (a, dualize(a)):
+        for w in _signature_battery(b):
+            assert winning_state_positions(b, w) == \
+                reference_winning_state_positions(b, w), w.text()
+
+
+def test_winning_positions_of_fig1_match_reference(fig1):
+    for b in (fig1, dualize(fig1)):
+        for w in lassos_up_to(fig1.alphabet, 1, 3):
+            assert winning_state_positions(b, w) == reference_winning_state_positions(b, w)
+
+
+def coarse_rank(a):
+    """A valid weakness witness with fewer groups than one per SCC: 2 * (the
+    most acceptance changes on a path from the state) + acceptance."""
+    succ = _edge_lists(a.n_states, a.alphabet, a.delta)
+    groups: dict[int, list[int]] = {}
+    for q in range(a.n_states):
+        groups.setdefault(a.rank[q], []).append(q)
+    level = [0] * a.n_states
+    for r in sorted(groups):
+        acc = groups[r][0] in a.accepting
+        deepest = max((level[q2] + (acc != (q2 in a.accepting))
+                       for q in groups[r] for q2 in succ[q] if a.rank[q2] < r),
+                      default=0)
+        for q in groups[r]:
+            level[q] = deepest
+    return tuple(2 * level[q] + (q in a.accepting) for q in range(a.n_states))
+
+
+def test_winning_positions_with_coarse_rank_groups():
+    # a rank group may hold several SCCs; only the weakness invariant counts
+    merged = 0
+    for f, aps in formula_corpus(25, seed=15):
+        alpha = Alphabet.from_aps(aps)
+        a = from_ltl(to_nnf(f), alpha)
+        for b in (a, dualize(a)):
+            coarse = dataclasses.replace(b, rank=coarse_rank(b))
+            coarse.validate()
+            merged += len(set(coarse.rank)) < len(set(b.rank))
+            for w in lassos_up_to(alpha, 1, 3):
+                assert winning_state_positions(coarse, w) == winning_state_positions(b, w)
+    assert merged
+
+
+_nnf_formulas = st.recursive(
+    st.sampled_from([atom("a"), atom("b"), neg(atom("a")), neg(atom("b")), LTRUE, LFALSE]),
+    lambda sub: st.one_of(
+        st.builds(lambda k, x: Formula(k, (x,)),
+                  st.sampled_from([NEXT, FINALLY, GLOBALLY]), sub),
+        st.builds(lambda k, x, y: Formula(k, (x, y)),
+                  st.sampled_from([AND, OR, UNTIL, RELEASE]), sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_nnf_formulas, ab_lassos)
+def test_winning_positions_match_reference_on_random_inputs(f, w):
+    a = from_ltl(f, AB)
+    for b in (a, dualize(a)):
+        assert winning_state_positions(b, w) == reference_winning_state_positions(b, w)
+
+
 def test_is_empty_contradiction(a_alphabet):
     a = from_ltl(to_nnf(parse_ltl("a & !a", ["a"])), a_alphabet)
     assert is_empty(a) is True
@@ -179,6 +275,39 @@ def test_validate_invariants_on_corpus():
         a = from_ltl(to_nnf(f), alpha)
         a.validate()
         dualize(a).validate()
+
+
+def test_validate_rejects_bad_ranks(fig1):
+    rising = list(fig1.rank)
+    rising[0] = min(rising) - 1  # below the states it moves to
+    mixed = [0] * fig1.n_states  # accepting and rejecting states share rank 0
+    for rank in (rising, mixed):
+        with pytest.raises(AssertionError):
+            dataclasses.replace(fig1, rank=tuple(rank)).validate()
+
+
+def test_validate_fires_under_optimize():
+    # `python -O` strips assert statements; the rank check must not be one
+    code = textwrap.dedent("""
+        import dataclasses
+        import sys
+        from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
+
+        if sys.flags.optimize != 1:
+            sys.exit(2)
+        a = from_ltl(to_nnf(parse_ltl("F G a", ["a"])), Alphabet.from_aps(["a"]))
+        bad = dataclasses.replace(a, rank=(0,) * a.n_states)
+        try:
+            bad.validate()
+        except AssertionError:
+            sys.exit(0)
+        sys.exit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cocoa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_dot_export_mentions_structure(fig1):

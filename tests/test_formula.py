@@ -13,10 +13,13 @@ from cocoa import (
 )
 from cocoa.formula import (
     AND, ATOM, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
-    RELEASE, UNTIL, canonical_lasso, is_nnf, subformulas,
+    RELEASE, UNTIL, is_nnf, subformulas,
 )
 
-from conftest import formula_corpus, lassos_up_to, reference_eval_lasso
+from conftest import (
+    ab_lassos, canonical_lasso, formula_corpus, lassos_up_to,
+    reference_enumerate_lassos, reference_eval_lasso,
+)
 
 
 def test_parse_single_operator():
@@ -140,7 +143,6 @@ def test_eval_matches_reference_on_lower_bound_family():
             assert eval_lasso(g, w) == reference_eval_lasso(g, w), (g, w.text())
 
 
-_AB = Alphabet.from_aps(["a", "b"])
 _formulas = st.recursive(
     st.sampled_from([atom("a"), atom("b"), LTRUE, LFALSE]),
     lambda sub: st.one_of(
@@ -151,14 +153,10 @@ _formulas = st.recursive(
     ),
     max_leaves=10,
 )
-_letters = st.sampled_from(_AB.letters)
-_lassos = st.builds(
-    lambda u, v: LassoWord(_AB, tuple(u), tuple(v)),
-    st.lists(_letters, max_size=4), st.lists(_letters, min_size=1, max_size=5))
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_formulas, _lassos)
+@given(_formulas, ab_lassos)
 def test_eval_matches_reference_on_random_inputs(f, w):
     assert eval_lasso(f, w) == reference_eval_lasso(f, w)
 
@@ -204,6 +202,16 @@ def test_enumerate_lassos_distinct_words():
         key = tuple(w.letter_at(i) for i in range(8))  # long unrolling
         assert key not in seen
         seen.add(key)
+
+
+@pytest.mark.parametrize("bounds", [(1, 2), (2, 2), (2, 3), (3, 3), (0, 4)])
+def test_enumerate_lassos_matches_reference(bounds):
+    alphabets = [Alphabet.from_aps(["a"]), Alphabet.from_aps(["a", "b"]),
+                 lower_bound_alphabet(1)]
+    if bounds[0] <= 2 and bounds[1] <= 2:
+        alphabets.append(Alphabet.from_aps(["a", "b", "c"]))
+    for alpha in alphabets:
+        assert enumerate_lassos(alpha, *bounds) == reference_enumerate_lassos(alpha, *bounds)
 
 
 def test_lower_bound_family_size_linear():

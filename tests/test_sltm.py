@@ -11,10 +11,14 @@ from cocoa import (
     parse_ltl, sltm_state_after, to_nnf,
 )
 import cocoa.sltm
+from cocoa.awa import (
+    Awa, CNF_FALSE, Pcnf, _edge_lists, _scc_ranks, cnf_and, cnf_subsume,
+    finalize_pcnf,
+)
 from cocoa.sltm import (
-    IncompatibleAutomata, Label, _difference_automaton, _LanguageOracle,
-    _oracle_for, build_canonical_sltm, sltm_from_json, sltm_to_dot,
-    sltm_to_json, suffix_label,
+    IncompatibleAutomata, Label, _LanguageOracle, _oracle_for,
+    build_canonical_sltm, sltm_from_json, sltm_to_dot, sltm_to_json,
+    suffix_label,
 )
 
 from conftest import (
@@ -67,6 +71,75 @@ def test_labels_equivalent_rejects_foreign_states(fig1):
         labels_equivalent(Label.make([frozenset({99})]), Label.make([]), fig1, d)
 
 
+EPS_AP = "<eps>"
+
+
+def difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
+    """Weak alternating automaton for eps . (pos and not neg): the one-shot
+    reference encoding for ``labels_equivalent``.
+
+    A fresh initial state reads a fresh letter whose transition formula
+    plugs together states of the automaton (for the positive side) and of
+    its dual (for the negated side); each union of the negated label becomes
+    one auxiliary conjunction state over dual states.
+    """
+    n = a.n_states
+    iota = 0
+    off_a = 1
+    off_d = 1 + n
+    t_base = 1 + 2 * n
+    t_ids = {i: t_base + i for i in range(len(neg.unions))}
+    n_states = t_base + len(neg.unions)
+
+    eps = frozenset({EPS_AP})
+    alphabet = Alphabet(a.alphabet.aps + (EPS_AP,), a.alphabet.letters + (eps,))
+
+    def sh_a(clauses):
+        return [frozenset(off_a + q for q in c) for c in clauses]
+
+    def sh_d(clauses):
+        return [frozenset(off_d + q for q in c) for c in clauses]
+
+    top = off_a + a.top
+    bottom = off_a + a.bottom
+    d_bottom = off_d + a_dual.bottom
+
+    delta: dict[tuple[int, frozenset[str]], Pcnf] = {}
+    for q in range(n):
+        for x in a.alphabet.letters:
+            delta[(off_a + q, x)] = Pcnf.make(sh_a(a.delta[(q, x)].clauses))
+            delta[(off_d + q, x)] = Pcnf.make(sh_d(a_dual.delta[(q, x)].clauses))
+        if q == a.top:
+            delta[(off_a + q, eps)] = Pcnf.make([frozenset({top})])
+        else:
+            delta[(off_a + q, eps)] = Pcnf.make([frozenset({bottom})])
+        delta[(off_d + q, eps)] = Pcnf.make([frozenset({d_bottom})])
+    for k, u in enumerate(neg.unions):
+        for x in a.alphabet.letters:
+            merged: set[frozenset[int]] = set()
+            for q in sorted(u):
+                merged.update(sh_d(a_dual.delta[(q, x)].clauses))
+            delta[(t_ids[k], x)] = Pcnf.make(cnf_subsume(merged))
+        delta[(t_ids[k], eps)] = Pcnf.make([frozenset({d_bottom})])
+
+    # iota: the difference formula on eps, dead otherwise
+    cnf = cnf_and(
+        cnf_subsume({frozenset(off_a + q for q in u) for u in pos.unions}),
+        CNF_FALSE if not neg.unions else cnf_subsume({frozenset(t_ids.values())}),
+    )
+    delta[(iota, eps)] = finalize_pcnf(cnf, top, bottom)
+    for x in a.alphabet.letters:
+        delta[(iota, x)] = Pcnf.make([frozenset({bottom})])
+
+    accepting = frozenset(
+        {off_a + q for q in a.accepting} | {off_d + q for q in a_dual.accepting})
+    succ = _edge_lists(n_states, alphabet, delta)
+    rank = tuple(_scc_ranks(n_states, succ, accepting))
+    names = ("iota",) + a.state_names + tuple("~" + s for s in a_dual.state_names) \
+        + tuple(f"t{k}" for k in range(len(neg.unions)))
+    return Awa(alphabet, n_states, iota, delta, accepting, rank, top, bottom, names)
+
+
 def test_labels_equivalent_matches_reference_encoding(fig1):
     # the shared-oracle decision agrees with the one-shot alternating
     # automaton encoding of each difference half
@@ -80,8 +153,8 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
         Label.make([frozenset({0})]),
     ]
     for l1, l2 in itertools.combinations(candidates, 2):
-        ref = (is_empty(_difference_automaton(l1, l2, fig1, d))
-               and is_empty(_difference_automaton(l2, l1, fig1, d)))
+        ref = (is_empty(difference_automaton(l1, l2, fig1, d))
+               and is_empty(difference_automaton(l2, l1, fig1, d)))
         assert labels_equivalent(l1, l2, fig1, d) == ref
 
 
