@@ -2,68 +2,82 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
-def tarjan_sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components of a graph on vertices 0..n-1.
+def tarjan_sccs(roots: Iterable[int], succ: Callable[[int], Iterable[int]],
+                settled: Callable[[int], bool] | None = None) -> Iterator[list[int]]:
+    """Strongly connected components reachable from the roots.
 
-    Components come out in reverse topological order of the condensation
-    (every component is emitted after all components it can reach), and
-    members are sorted, so repeated runs number components identically.
+    Iterative Tarjan over the successor callable ``succ``.  Components come
+    out in reverse topological order of the condensation (every component
+    is yielded after all components it can reach), members sorted, so
+    repeated runs number components identically.  Vertices for which
+    ``settled`` holds are skipped, as roots and as successors; a caller may
+    settle each component as it is yielded, since the search never enters
+    a yielded component again.
     """
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
     stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
+    onstack: set[int] = set()
+
+    def enter(v: int) -> tuple[int, Iterator[int]]:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        onstack.add(v)
+        return v, iter(succ(v))
+
+    for root in roots:
+        if root in index or (settled is not None and settled(root)):
             continue
-        work: list[list[int]] = [[root, 0]]
+        work = [enter(root)]
         while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            while i < len(succ[v]):
-                w = succ[v][i]
-                i += 1
-                if index[w] == -1:
-                    work[-1][1] = i
-                    work.append([w, 0])
-                    advanced = True
+            v, it = work[-1]
+            for w in it:
+                if settled is not None and settled(w):
+                    continue
+                if w not in index:
+                    work.append(enter(w))
                     break
-                if onstack[w]:
+                if w in onstack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    yield sorted(comp)
 
 
-def scc_ids(n: int, sccs: list[list[int]]) -> list[int]:
+def scc_ids(n: int, sccs: Iterable[list[int]]) -> list[int]:
     ids = [-1] * n
     for k, comp in enumerate(sccs):
         for v in comp:
             ids[v] = k
     return ids
+
+
+def cyclic_sccs(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Component id of every vertex that lies on a cycle, -1 for the
+    transient rest, on a graph given by its successor lists.
+
+    A component is cyclic when it has an internal edge (a self-loop
+    counts).  Two vertices share a cycle exactly when their ids are equal
+    and not -1.
+    """
+    n = len(succ)
+    comp = scc_ids(n, tarjan_sccs(range(n), succ.__getitem__))
+    cyclic = {comp[v] for v in range(n) for w in succ[v] if comp[w] == comp[v]}
+    return [c if c in cyclic else -1 for c in comp]
 
 
 def reachable(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:

@@ -42,12 +42,23 @@ CNF_TRUE: frozenset[frozenset[int]] = frozenset()
 CNF_FALSE: frozenset[frozenset[int]] = frozenset({frozenset()})
 
 
+def canon_key(s) -> tuple[int, tuple[int, ...]]:
+    """The canonical order of state sets: by size, then by sorted members."""
+    return (len(s), tuple(sorted(s)))
+
+
+def minimal_sets(sets) -> tuple[frozenset[int], ...]:
+    """The inclusion-minimal members of a collection of frozensets, without
+    duplicates, in canonical order."""
+    kept: list[frozenset[int]] = []
+    for s in sorted(set(sets), key=canon_key):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
 def cnf_subsume(clauses) -> frozenset[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for c in sorted(set(clauses), key=lambda c: (len(c), tuple(sorted(c)))):
-        if not any(o <= c for o in out):
-            out.add(c)
-    return frozenset(out)
+    return frozenset(minimal_sets(clauses))
 
 
 def cnf_and(*parts) -> frozenset[frozenset[int]]:
@@ -69,10 +80,10 @@ class Pcnf:
 
     @staticmethod
     def make(clauses) -> "Pcnf":
-        canon = cnf_subsume(clauses)
+        canon = minimal_sets(clauses)
         if not canon or frozenset() in canon:
             raise ValueError("PCNF cannot express true or false")
-        return Pcnf(tuple(sorted(canon, key=lambda c: (len(c), tuple(sorted(c))))))
+        return Pcnf(canon)
 
     def states(self) -> frozenset[int]:
         out: set[int] = set()
@@ -112,9 +123,6 @@ class Awa:
     bottom: int
     state_names: tuple[str, ...]
 
-    def pcnf(self, q: int, letter: frozenset[str]) -> Pcnf:
-        return self.delta[(q, letter)]
-
     def validate(self) -> None:
         if self.top not in self.accepting or self.bottom in self.accepting:
             raise AssertionError("top must be accepting and bottom rejecting")
@@ -144,9 +152,8 @@ def _edge_lists(n_states, alphabet, delta) -> list[list[int]]:
 def _scc_ranks(n_states, succ, accepting) -> list[int]:
     """Distinct rank per SCC, increasing against edge direction; homogeneity
     of each SCC is checked and violations reported via NotWeak."""
-    sccs = tarjan_sccs(n_states, succ)
     rank = [0] * n_states
-    for k, comp in enumerate(sccs):
+    for k, comp in enumerate(tarjan_sccs(range(n_states), succ.__getitem__)):
         flags = {q in accepting for q in comp}
         if len(flags) > 1:
             raise NotWeak(comp)
@@ -241,18 +248,18 @@ def dualize(a: Awa) -> Awa:
 # --- word-checking game on lassos ------------------------------------------
 
 
-def winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
+def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
     """Solve the word-checking game on states x lasso positions.
 
-    Returns the (state, position) pairs from which the acceptor wins; the
-    rejector picks a clause of the transition formula, the acceptor a state
-    inside it.  Each state gets one int with bit i set when it wins at
-    position i; ``pre`` shifts a row one position on, looping the last
-    position back to the cut.  Rank groups are solved in increasing order
-    (sinks first), against the transitions: successors of a lower rank are
-    already final.  A play that stays in one group forever is won exactly
-    when the group is accepting, so an accepting group is a greatest fixpoint
-    (from all ones) and a rejecting group a least fixpoint (from zero).
+    Returns one bit row per state: bit i is set when the acceptor wins from
+    the state at lasso position i.  The rejector picks a clause of the
+    transition formula, the acceptor a state inside it.  ``pre`` shifts a
+    row one position on, looping the last position back to the cut.  Rank
+    groups are solved in increasing order (sinks first), against the
+    transitions: successors of a lower rank are already final.  A play that
+    stays in one group forever is won exactly when the group is accepting,
+    so an accepting group is a greatest fixpoint (from all ones) and a
+    rejecting group a least fixpoint (from zero).
     """
     n = w.n_positions
     last, cut = n - 1, w.cut
@@ -291,13 +298,13 @@ def winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
                     win[q] = row
                     pre[q] = (row >> 1) | ((row >> cut) & 1) << last
                     changed = True
-    return {(q, i) for q in range(a.n_states) for i in range(n) if win[q] >> i & 1}
+    return win
 
 
 def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:
     """True iff the acceptor wins the word-checking game on the lasso."""
     q0 = a.initial if start is None else start
-    return (q0, 0) in winning_state_positions(a, w)
+    return bool(winning_state_positions(a, w)[q0] & 1)
 
 
 def is_empty(a: Awa) -> bool:

@@ -10,17 +10,17 @@ on bounded lassos.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .awa import Awa, dualize, from_ltl
 from .floating import (
-    Dfw, Nfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
+    Dfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
     minimize_dfw, run_survives, universal_dfw,
 )
 from .formula import (
     Alphabet, Formula, LassoWord, enumerate_lassos, eval_lasso, to_nnf,
 )
-from .obligation import ObligationGraph, miyano_hayashi
+from .obligation import miyano_hayashi
 from .sltm import Sltm, build_canonical_sltm, sltm_from_json, sltm_to_json
 
 

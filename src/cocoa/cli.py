@@ -13,15 +13,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .awa import awa_to_dot, dualize, from_ltl
+from .awa import awa_to_dot
 from .chain import (
-    ChainConfig, Cocoa, ResourceLimit, build_chain, chain_to_json,
+    ChainConfig, Cocoa, ResourceLimit, build_chain_for_formula, chain_to_json,
     drop_accepting_transition, level_to_hoa, natural_color, verify_chain,
 )
 from .floating import dfw_to_dot
 from .formula import (
-    Alphabet, Formula, InvalidParameter, ParseError, lower_bound_alphabet,
-    lower_bound_family, parse_lasso, parse_ltl, to_nnf,
+    Alphabet, InvalidParameter, ParseError, lower_bound_alphabet,
+    lower_bound_family, parse_lasso, parse_ltl,
 )
 from .obligation import obligation_to_dot
 from .sltm import sltm_to_dot
@@ -62,17 +62,12 @@ def _scan_aps(text: str) -> list[str]:
     return sorted(names)
 
 
-def _build(cfg: RunConfig) -> tuple[Cocoa, Formula, Alphabet]:
-    aps = cfg.aps or _scan_aps(cfg.formula_text or "")
-    if not aps:
-        aps = ["a"]
+def _build(cfg: RunConfig) -> Cocoa:
+    aps = cfg.aps or _scan_aps(cfg.formula_text or "") or ["a"]
     f = parse_ltl(cfg.formula_text or "", aps)
-    alphabet = Alphabet.from_aps(aps)
-    a = from_ltl(to_nnf(f), alphabet)
-    chain = build_chain(a, config=ChainConfig(max_states=cfg.max_states,
-                                              timeout_s=cfg.timeout_s),
-                        formula=f)
-    return chain, f, alphabet
+    return build_chain_for_formula(
+        f, Alphabet.from_aps(aps),
+        ChainConfig(max_states=cfg.max_states, timeout_s=cfg.timeout_s))
 
 
 def _level_summary(chain: Cocoa) -> list[dict]:
@@ -83,7 +78,7 @@ def _level_summary(chain: Cocoa) -> list[dict]:
 
 
 def cmd_translate(cfg: RunConfig) -> int:
-    chain, f, _alphabet = _build(cfg)
+    chain = _build(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -113,7 +108,7 @@ def cmd_translate(cfg: RunConfig) -> int:
     else:
         raise InvalidParameter(f"unknown format {cfg.fmt!r}")
     report = {
-        "formula": str(f),
+        "formula": str(chain.formula),
         "k": chain.k,
         "sltm_states": chain.sltm.n_states,
         "levels": _level_summary(chain),
@@ -133,8 +128,8 @@ def cmd_translate(cfg: RunConfig) -> int:
 
 
 def cmd_color(cfg: RunConfig) -> int:
-    chain, _f, alphabet = _build(cfg)
-    w = parse_lasso(cfg.word or "", alphabet)
+    chain = _build(cfg)
+    w = parse_lasso(cfg.word or "", chain.alphabet)
     color = natural_color(chain, w)
     member = color % 2 == 0
     if cfg.json_output:
@@ -146,7 +141,8 @@ def cmd_color(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    chain, f, _alphabet = _build(cfg)
+    chain = _build(cfg)
+    f = chain.formula
     if cfg.mutate:
         if cfg.mutate != "drop-accepting":
             raise InvalidParameter(f"unknown mutation {cfg.mutate!r}")
@@ -176,13 +172,11 @@ def cmd_bench(cfg: RunConfig) -> int:
         raise InvalidParameter("benchmark parameter n must be at least 1")
     f = lower_bound_family(cfg.n)
     alphabet = lower_bound_alphabet(cfg.n, restricted=not cfg.full_alphabet)
-    a = from_ltl(to_nnf(f), alphabet)
     t0 = time.monotonic()
-    chain = build_chain(
-        a,
-        config=ChainConfig(max_states=cfg.max_states, timeout_s=cfg.timeout_s,
-                           check_single_step=False),
-        formula=f)
+    chain = build_chain_for_formula(
+        f, alphabet,
+        ChainConfig(max_states=cfg.max_states, timeout_s=cfg.timeout_s,
+                    check_single_step=False))
     elapsed = time.monotonic() - t0
     report = {
         "n": cfg.n,

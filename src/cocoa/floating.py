@@ -14,10 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._graph import scc_ids, tarjan_sccs
+from ._graph import cyclic_sccs
 from .formula import Alphabet, LassoWord, letter_text
 from .obligation import ObligationGraph
-from .sltm import Sltm, sltm_state_after
+from .sltm import Sltm
 
 Payload = tuple[int | None, frozenset[int]]
 
@@ -91,19 +91,12 @@ def _strip_transient(d: Dfw) -> Dfw:
     succ: list[set[int]] = [set() for _ in range(d.n_states)]
     for (q, _x), dst in d.trans.items():
         succ[q].add(dst)
-    sccs = tarjan_sccs(d.n_states, [sorted(s) for s in succ])
-    comp = scc_ids(d.n_states, sccs)
-    cyclic = [False] * len(sccs)
-    for q in range(d.n_states):
-        for s in succ[q]:
-            if comp[s] == comp[q]:
-                cyclic[comp[q]] = True
-    keep = [q for q in range(d.n_states) if cyclic[comp[q]]]
-    keepset = set(keep)
+    comp = cyclic_sccs([sorted(s) for s in succ])
+    keep = [q for q in range(d.n_states) if comp[q] >= 0]
     remap = {old: new for new, old in enumerate(keep)}
     trans = {}
     for (q, x), dst in d.trans.items():
-        if q in keepset and dst in keepset and comp[q] == comp[dst]:
+        if comp[q] >= 0 and comp[q] == comp[dst]:
             trans[(remap[q], x)] = remap[dst]
     return Dfw(
         alphabet=d.alphabet,
@@ -150,24 +143,15 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
     succ: list[set[int]] = [set() for _ in range(n)]
     for (q, _x), dsts in trans.items():
         succ[q].update(dsts)
-    sccs = tarjan_sccs(n, [sorted(s) for s in succ])
-    comp = scc_ids(n, sccs)
-    cyclic = [False] * len(sccs)
-    scc_accepting = [False] * len(sccs)
-    for q in range(n):
-        for s in succ[q]:
-            if comp[s] == comp[q]:
-                cyclic[comp[q]] = True
-        if states[q][1] in g.accepting:
-            scc_accepting[comp[q]] = True
-    keep = [q for q in range(n) if cyclic[comp[q]] and scc_accepting[comp[q]]]
-    keepset = set(keep)
+    comp = cyclic_sccs([sorted(s) for s in succ])
+    accepting_comps = {comp[q] for q in range(n) if states[q][1] in g.accepting} - {-1}
+    keep = [q for q in range(n) if comp[q] in accepting_comps]
     remap = {old: new for new, old in enumerate(keep)}
     ntrans: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
     for (q, x), dsts in trans.items():
-        if q not in keepset:
+        if q not in remap:
             continue
-        kept = tuple(remap[d] for d in dsts if d in keepset and comp[d] == comp[q])
+        kept = tuple(remap[d] for d in dsts if comp[d] == comp[q])
         if kept:
             ntrans[(remap[q], x)] = kept
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ._graph import reachable, scc_ids, tarjan_sccs
-from .awa import Awa, cnf_subsume
+from ._graph import cyclic_sccs, reachable
+from .awa import Awa, minimal_sets
 from .formula import Alphabet, LassoWord, letter_text
 
 Vertex = tuple[frozenset[int], frozenset[int]]
@@ -44,12 +44,10 @@ _MM_CACHE: dict[tuple[frozenset[int], ...], tuple[frozenset[int], ...]] = {}
 def minimal_models(clauses, canonical: bool = False) -> tuple[frozenset[int], ...]:
     """Minimal hitting sets of a clause collection (each clause non-empty).
 
-    The empty conjunction has the single minimal model {}.
+    The empty conjunction has the single minimal model {}.  ``canonical``
+    says the clauses are already minimal and in canonical order.
     """
-    if canonical:
-        canon = tuple(clauses)
-    else:
-        canon = tuple(sorted(cnf_subsume(clauses), key=lambda c: (len(c), tuple(sorted(c)))))
+    canon = tuple(clauses) if canonical else minimal_sets(clauses)
     got = _MM_CACHE.get(canon)
     if got is not None:
         return got
@@ -65,15 +63,72 @@ def minimal_models(clauses, canonical: bool = False) -> tuple[frozenset[int], ..
             rec(rest, chosen + (x,))
 
     rec(canon, ())
-    keep: list[frozenset[int]] = []
-    for s in sorted(results, key=lambda s: (len(s), tuple(sorted(s)))):
-        if not any(t <= s for t in keep):
-            keep.append(s)
-    out = tuple(keep)
+    out = minimal_sets(results)
     if len(_MM_CACHE) > 400_000:
         _MM_CACHE.clear()
     _MM_CACHE[canon] = out
     return out
+
+
+class Breakpoint:
+    """Breakpoint successors (Miyano and Hayashi, 1984) of (S, O) pairs.
+
+    ``delta`` maps (state, letter) to the clauses of the transition formula
+    and ``accepting`` is the accepting state set.  A pair holding one of the
+    ``bottoms`` (rejecting sinks) carries no accepted run and is dropped;
+    the ``tops`` (accepting sinks, so never in O) impose nothing and are
+    stripped from S.  The conjunction of a state set's clauses is cached
+    per instance.
+    """
+
+    def __init__(self, delta: dict[tuple[int, frozenset[str]], tuple[frozenset[int], ...]],
+                 accepting: frozenset[int], tops: frozenset[int], bottoms: frozenset[int]):
+        self.delta = delta
+        self.accepting = accepting
+        self.tops = tops
+        self.bottoms = bottoms
+        self._conjunctions: dict[tuple[frozenset[int], frozenset[str]], tuple] = {}
+
+    def _conjunction(self, states: frozenset[int], x: frozenset[str]) -> tuple:
+        key = (states, x)
+        got = self._conjunctions.get(key)
+        if got is None:
+            merged: set[frozenset[int]] = set()
+            for q in states:
+                merged.update(self.delta[(q, x)])
+            got = minimal_sets(merged)
+            self._conjunctions[key] = got
+        return got
+
+    def successors(self, S: frozenset[int], O: frozenset[int],
+                   x: frozenset[str]) -> list[Vertex]:
+        acc = self.accepting
+        ms = minimal_models(self._conjunction(S, x), canonical=True)
+        if not O:
+            return self.prune({(sm, sm - acc) for sm in ms})
+        mo = minimal_models(self._conjunction(O, x), canonical=True)
+        # Pair each minimal model of the whole set with each minimal model
+        # of the obligations; the union keeps the escape states the
+        # obligations need even when the overall minimal model would drop
+        # them.
+        return self.prune({(sm | so, so - acc) for sm in ms for so in mo})
+
+    def prune(self, pairs) -> list[Vertex]:
+        """Apply the sinks, then keep the componentwise-minimal pairs (a
+        smaller state set and obligation set accept every word the bigger
+        pair does), sorted by their sorted members."""
+        out = set()
+        for (s, o) in pairs:
+            if s & self.bottoms:
+                continue
+            if s & self.tops:
+                s = s - self.tops
+            out.add((s, o))
+        kept: list[Vertex] = []
+        for (s, o) in sorted(out, key=lambda v: len(v[0]) + len(v[1])):
+            if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
+                kept.append((s, o))
+        return sorted(kept, key=lambda v: (tuple(sorted(v[0])), tuple(sorted(v[1]))))
 
 
 def miyano_hayashi(a: Awa, prune_empty: bool = False) -> ObligationGraph:
@@ -86,50 +141,9 @@ def miyano_hayashi(a: Awa, prune_empty: bool = False) -> ObligationGraph:
     feed the tracking machine keep every reachable vertex, dead or not.
     """
     acc = a.accepting
-    conj_cache: dict[tuple[frozenset[int], frozenset[str]], tuple] = {}
-
-    def conjunction(states: frozenset[int], x: frozenset[str]) -> tuple:
-        key = (states, x)
-        got = conj_cache.get(key)
-        if got is None:
-            merged: set[frozenset[int]] = set()
-            for q in states:
-                merged.update(a.delta[(q, x)].clauses)
-            got = tuple(sorted(cnf_subsume(merged),
-                               key=lambda c: (len(c), tuple(sorted(c)))))
-            conj_cache[key] = got
-        return got
-
-    def successors(S: frozenset[int], O: frozenset[int], x: frozenset[str]) -> list[Vertex]:
-        ms = minimal_models(conjunction(S, x), canonical=True)
-        if not O:
-            succ = {(sm, sm - acc) for sm in ms}
-        else:
-            mo = minimal_models(conjunction(O, x), canonical=True)
-            # Pair each minimal model of the whole set with each minimal
-            # model of the obligations; the union keeps the escape states
-            # the obligations need even when the overall minimal model
-            # would drop them.
-            succ = {(sm | so, so - acc) for sm in ms for so in mo}
-        if prune_empty:
-            pruned = set()
-            for (s, o) in succ:
-                if a.bottom in s:
-                    continue
-                if a.top in s:
-                    s = s - {a.top}
-                pruned.add((s, o))
-            succ = pruned
-        # keep only componentwise-minimal successors: a smaller state set
-        # and smaller obligation set accept every word the bigger pair does
-        ordered = sorted(succ, key=lambda v: (len(v[0]), len(v[1]),
-                                              tuple(sorted(v[0])), tuple(sorted(v[1]))))
-        kept: list[Vertex] = []
-        for (s, o) in ordered:
-            if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
-                kept.append((s, o))
-        return sorted(kept, key=lambda v: (tuple(sorted(v[0])), tuple(sorted(v[1]))))
-
+    tops = frozenset({a.top}) if prune_empty else frozenset()
+    bottoms = frozenset({a.bottom}) if prune_empty else frozenset()
+    kernel = Breakpoint({key: p.clauses for key, p in a.delta.items()}, acc, tops, bottoms)
     v0: Vertex = (frozenset({a.initial}), frozenset({a.initial}) - acc)
     ids: dict[Vertex, int] = {v0: 0}
     vertices: list[Vertex] = [v0]
@@ -140,7 +154,7 @@ def miyano_hayashi(a: Awa, prune_empty: bool = False) -> ObligationGraph:
         S, O = vertices[vid]
         for x in a.alphabet.letters:
             dsts = []
-            for v in successors(S, O, x):
+            for v in kernel.successors(S, O, x):
                 nid = ids.get(v)
                 if nid is None:
                     nid = len(vertices)
@@ -166,30 +180,14 @@ def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
         for i in range(n):
             succ[node(vid, i)] = [node(v2, w.next_pos(i)) for v2 in g.succ(vid, w.letter_at(i))]
     reach = reachable(succ, [node(g.initial, 0)])
-    sccs = tarjan_sccs(total, succ)
-    comp = scc_ids(total, sccs)
-    cyclic = [False] * len(sccs)
-    for v in range(total):
-        for s in succ[v]:
-            if comp[s] == comp[v]:
-                cyclic[comp[v]] = True
-    for nd in reach:
-        if cyclic[comp[nd]] and (nd // n) in g.accepting:
-            return True
-    return False
+    comp = cyclic_sccs(succ)
+    return any(comp[nd] >= 0 and nd // n in g.accepting for nd in reach)
 
 
 def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     """An accepted lasso if the language is non-empty, else None."""
-    succ = g.succ_graph()
-    sccs = tarjan_sccs(g.n_vertices, succ)
-    comp = scc_ids(g.n_vertices, sccs)
-    cyclic = [False] * len(sccs)
-    for v in range(g.n_vertices):
-        for s in succ[v]:
-            if comp[s] == comp[v]:
-                cyclic[comp[v]] = True
-    targets = sorted(v for v in g.accepting if cyclic[comp[v]])
+    comp = cyclic_sccs(g.succ_graph())
+    targets = sorted(v for v in g.accepting if comp[v] >= 0)
     if not targets:
         return None
     target = targets[0]
@@ -222,7 +220,7 @@ def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
         return None
 
     path = bfs_letters(g.initial, target, None, 0)
-    members = set(sccs[comp[target]])
+    members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
     cycle = bfs_letters(target, target, members, 1)
     if path is None or cycle is None:
         raise AssertionError("no lasso through an accepting cyclic vertex")

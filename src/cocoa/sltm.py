@@ -4,9 +4,10 @@ A single deterministic Moore machine tracks the suffix language of the
 source language after every prefix.  Each state carries two obligation-graph
 vertex sets (one for the complement graph, one for the positive graph) plus
 a suffix-language label in intersection-of-unions form.  The machine is
-built naively by a lockstep subset construction over both graphs and then
+built naively by a subset construction over the complement graph and then
 minimized by deciding label equivalence with an alternating-automaton
-emptiness check.
+emptiness check; the positive-graph vertex sets come from a product sweep
+of the naive machine with the positive graph.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._graph import tarjan_sccs
 from .awa import (
-    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, cnf_subsume, dualize,
+    Awa, CNF_FALSE, CNF_TRUE, canon_key, cnf_and, cnf_or, dualize, minimal_sets,
     winning_state_positions,
 )
 from .formula import Alphabet, LassoWord, enumerate_lassos
-from .obligation import ObligationGraph, miyano_hayashi
+from .obligation import Breakpoint, ObligationGraph, miyano_hayashi
 
 
 class IncompatibleAutomata(Exception):
@@ -37,21 +39,10 @@ class Label:
 
     @staticmethod
     def make(unions) -> "Label":
-        canon = set()
-        for u in unions:
-            u = frozenset(u)
-            if not u:
-                raise ValueError("label unions must be non-empty")
-            canon.add(u)
-        kept: list[frozenset[int]] = []
-        for u in sorted(canon, key=lambda u: (len(u), tuple(sorted(u)))):
-            if not any(k <= u for k in kept):
-                kept.append(u)
-        return Label(tuple(sorted(kept, key=lambda u: (len(u), tuple(sorted(u))))))
-
-    @property
-    def is_universal(self) -> bool:
-        return not self.unions
+        canon = [frozenset(u) for u in unions]
+        if frozenset() in canon:
+            raise ValueError("label unions must be non-empty")
+        return Label(minimal_sets(canon))
 
     def states(self) -> frozenset[int]:
         out: set[int] = set()
@@ -74,9 +65,14 @@ def label_of(vertex_ids: Iterable[int], graph: ObligationGraph) -> Label:
     return Label.make(unions)
 
 
+def _initial_winners(a: Awa, w: LassoWord) -> frozenset[int]:
+    """The states whose language contains the lasso, via the game solver."""
+    return frozenset(q for q, row in enumerate(winning_state_positions(a, w)) if row & 1)
+
+
 def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
-    """Membership of a lasso in the label's language, via the game solver."""
-    win0 = {q for (q, i) in winning_state_positions(a, w) if i == 0}
+    """Membership of a lasso in the label's language."""
+    win0 = _initial_winners(a, w)
     return all(u & win0 for u in label.unions)
 
 
@@ -98,24 +94,21 @@ class _LanguageOracle:
     """
 
     def __init__(self, a: Awa, a_dual: Awa):
-        self._cnf_subsume = cnf_subsume
         n = a.n_states
         self.n = n
         self.letters = a.alphabet.letters
-        self.delta: dict[tuple[int, frozenset[str]], tuple] = {}
-        for q in range(n):
-            for x in self.letters:
-                self.delta[(q, x)] = tuple(a.delta[(q, x)].clauses)
-                self.delta[(n + q, x)] = tuple(
-                    frozenset(n + p for p in c) for c in a_dual.delta[(q, x)].clauses)
-        self.accepting = frozenset(a.accepting) | frozenset(n + q for q in a_dual.accepting)
-        self.tops = frozenset({a.top, n + a_dual.top})
-        self.bottoms = frozenset({a.bottom, n + a_dual.bottom})
+        delta = {key: p.clauses for key, p in a.delta.items()}
+        for (q, x), p in a_dual.delta.items():
+            delta[(n + q, x)] = tuple(frozenset(n + r for r in c) for c in p.clauses)
+        self.kernel = Breakpoint(
+            delta,
+            accepting=frozenset(a.accepting) | frozenset(n + q for q in a_dual.accepting),
+            tops=frozenset({a.top, n + a_dual.top}),
+            bottoms=frozenset({a.bottom, n + a_dual.bottom}))
         self.vid: dict[tuple[frozenset[int], frozenset[int]], int] = {}
         self.vertices: list[tuple[frozenset[int], frozenset[int]]] = []
         self.succ: list[tuple[int, ...] | None] = []
         self.verdict: list[bool | None] = []
-        self.conj_cache: dict[tuple[frozenset[int], frozenset[str]], tuple] = {}
 
     def intern(self, v: tuple[frozenset[int], frozenset[int]]) -> int:
         got = self.vid.get(v)
@@ -127,118 +120,35 @@ class _LanguageOracle:
             self.verdict.append(None)
         return got
 
-    def _conjunction(self, states: frozenset[int], x: frozenset[str]) -> tuple:
-        key = (states, x)
-        got = self.conj_cache.get(key)
-        if got is None:
-            merged: set[frozenset[int]] = set()
-            for q in states:
-                merged.update(self.delta[(q, x)])
-            got = tuple(sorted(self._cnf_subsume(merged),
-                               key=lambda c: (len(c), tuple(sorted(c)))))
-            self.conj_cache[key] = got
-        return got
-
-    def _prune(self, pairs):
-        out = set()
-        for (s, o) in pairs:
-            if s & self.bottoms:
-                continue
-            if s & self.tops:
-                s = s - self.tops
-                o = o - self.tops
-            out.add((s, o))
-        ordered = sorted(out, key=lambda v: (len(v[0]), len(v[1]),
-                                             tuple(sorted(v[0])), tuple(sorted(v[1]))))
-        kept = []
-        for (s, o) in ordered:
-            if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
-                kept.append((s, o))
-        return kept
-
     def _expand(self, vid: int) -> tuple[int, ...]:
         got = self.succ[vid]
-        if got is not None:
-            return got
-        S, O = self.vertices[vid]
-        from .obligation import minimal_models
-
-        acc = self.accepting
-        result: set[int] = set()
-        for x in self.letters:
-            ms = minimal_models(self._conjunction(S, x), canonical=True)
-            if not O:
-                pairs = {(sm, sm - acc) for sm in ms}
-            else:
-                mo = minimal_models(self._conjunction(O, x), canonical=True)
-                pairs = {(sm | so, so - acc) for sm in ms for so in mo}
-            for v in self._prune(pairs):
-                result.add(self.intern(v))
-        out = tuple(sorted(result))
-        self.succ[vid] = out
-        return out
+        if got is None:
+            S, O = self.vertices[vid]
+            got = tuple(sorted({self.intern(v) for x in self.letters
+                                for v in self.kernel.successors(S, O, x)}))
+            self.succ[vid] = got
+        return got
 
     def nonempty_from(self, roots: list[int]) -> bool:
         """True iff some root can reach a cycle through an accepting vertex.
 
-        Iterative Tarjan over the lazily expanded graph; verdicts of
-        previously settled vertices are reused as leaf values.
+        Each component of the lazily expanded graph gets its verdict as it
+        is found; settled vertices are skipped by later searches, and their
+        verdicts are reused as leaf values.
         """
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        onstack: dict[int, bool] = {}
-        stack: list[int] = []
-        counter = 0
-        for root in roots:
-            if self.verdict[root] is not None or root in index:
-                continue
-            work: list[list] = [[root, None]]
-            while work:
-                v, it = work[-1]
-                if it is None:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    onstack[v] = True
-                    work[-1][1] = iter(self._expand(v))
-                    it = work[-1][1]
-                advanced = False
-                for w in it:
-                    if self.verdict[w] is not None:
-                        continue
-                    if w not in index:
-                        work.append([w, None])
-                        advanced = True
-                        break
-                    if onstack.get(w):
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    members = set(comp)
-                    good = False
-                    internal = False
-                    for w in comp:
-                        for s in self._expand(w):
-                            if s in members:
-                                internal = True
-                            elif self.verdict[s]:
-                                good = True
-                    if internal and any(self.vertices[w][1] == frozenset() for w in comp):
+        for comp in tarjan_sccs(roots, self._expand, lambda v: self.verdict[v] is not None):
+            members = set(comp)
+            good = internal = False
+            for w in comp:
+                for s in self._expand(w):
+                    if s in members:
+                        internal = True
+                    elif self.verdict[s]:
                         good = True
-                    for w in comp:
-                        self.verdict[w] = good
+            if internal and any(not self.vertices[w][1] for w in comp):
+                good = True
+            for w in comp:
+                self.verdict[w] = good
         return any(self.verdict[r] for r in roots)
 
     def difference_roots(self, pos: Label, neg: Label) -> list[int]:
@@ -260,8 +170,8 @@ class _LanguageOracle:
                 else:
                     S.add(q)
             fs = frozenset(S)
-            for (s, o) in self._prune([(fs, fs - self.accepting)]):
-                roots.append(self.intern((s, o)))
+            for v in self.kernel.prune([(fs, fs - self.kernel.accepting)]):
+                roots.append(self.intern(v))
         return sorted(set(roots))
 
 
@@ -339,9 +249,6 @@ class Sltm:
     source: Awa | None = None
     source_dual: Awa | None = None
 
-    def step(self, state: int, letter: frozenset[str]) -> int:
-        return self.delta[(state, letter)]
-
 
 def sltm_state_after(m: Sltm, word: Iterable[frozenset[str]]) -> int:
     state = m.initial
@@ -360,8 +267,10 @@ def build_canonical_sltm(
     g_pos: ObligationGraph | None = None,
     check_single_step: bool = True,
 ) -> Sltm:
-    """Naive lockstep subset construction over both obligation graphs, then
-    minimization by merging label-equivalent states.
+    """Naive subset construction over the complement obligation graph, then
+    minimization by merging label-equivalent states; each state's
+    positive-graph vertex set comes from a product sweep of the naive
+    machine with the positive graph.
 
     ``check_single_step`` additionally asserts, per canonical transition,
     that the successor's label is equivalent to the suffix of the source
@@ -398,22 +307,17 @@ def build_canonical_sltm(
 
     # cheap pre-partition: membership vectors over a small lasso battery
     battery = _signature_battery(a)
-    win0 = []
-    for w in battery:
-        win0.append({q for (q, i) in winning_state_positions(a, w) if i == 0})
+    win0 = [_initial_winners(a, w) for w in battery]
 
     def signature(label: Label) -> tuple[bool, ...]:
         return tuple(all(u & win for u in label.unions) for win in win0)
 
     equiv_cache: dict[tuple[Label, Label], bool] = {}
 
-    def label_key(l: Label):
-        return tuple((len(u), tuple(sorted(u))) for u in l.unions)
-
     def equivalent(l1: Label, l2: Label) -> bool:
         if l1 == l2:
             return True
-        first, second = sorted((l1, l2), key=label_key)
+        first, second = sorted((l1, l2), key=lambda l: tuple(map(canon_key, l.unions)))
         key = (first, second)
         got = equiv_cache.get(key)
         if got is None:

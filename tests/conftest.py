@@ -240,6 +240,13 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
     return ev(f)[0]
 
 
+def row_pairs(rows: list[int]) -> set[tuple[int, int]]:
+    """The (state, position) pairs of the bit rows that
+    ``winning_state_positions`` returns, comparable with the reference."""
+    return {(q, i) for q, row in enumerate(rows) for i in range(row.bit_length())
+            if row >> i & 1}
+
+
 def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, int]]:
     """Attractor solution of the Buchi word-checking game, the reference for
     ``winning_state_positions``.

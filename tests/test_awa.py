@@ -27,7 +27,7 @@ from cocoa.sltm import _signature_battery
 
 from conftest import (
     AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to,
-    reference_winning_state_positions,
+    reference_winning_state_positions, row_pairs,
 )
 
 
@@ -167,7 +167,7 @@ def test_winning_positions_match_reference_on_corpus():
         a = from_ltl(to_nnf(f), alpha)
         for b in (a, dualize(a)):
             for w in enumerate_lassos(alpha, 2, 3):
-                assert winning_state_positions(b, w) == \
+                assert row_pairs(winning_state_positions(b, w)) == \
                     reference_winning_state_positions(b, w), (f, w.text())
 
 
@@ -175,14 +175,15 @@ def test_winning_positions_match_reference_on_lower_bound_battery():
     a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1))
     for b in (a, dualize(a)):
         for w in _signature_battery(b):
-            assert winning_state_positions(b, w) == \
+            assert row_pairs(winning_state_positions(b, w)) == \
                 reference_winning_state_positions(b, w), w.text()
 
 
 def test_winning_positions_of_fig1_match_reference(fig1):
     for b in (fig1, dualize(fig1)):
         for w in lassos_up_to(fig1.alphabet, 1, 3):
-            assert winning_state_positions(b, w) == reference_winning_state_positions(b, w)
+            assert row_pairs(winning_state_positions(b, w)) == \
+                reference_winning_state_positions(b, w)
 
 
 def coarse_rank(a):
@@ -235,7 +236,7 @@ _nnf_formulas = st.recursive(
 def test_winning_positions_match_reference_on_random_inputs(f, w):
     a = from_ltl(f, AB)
     for b in (a, dualize(a)):
-        assert winning_state_positions(b, w) == reference_winning_state_positions(b, w)
+        assert row_pairs(winning_state_positions(b, w)) == reference_winning_state_positions(b, w)
 
 
 def test_is_empty_contradiction(a_alphabet):

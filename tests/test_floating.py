@@ -79,7 +79,7 @@ def test_nfw_transient_free():
             # revisits, and every transition stays inside one component
             from cocoa._graph import scc_ids, tarjan_sccs
 
-            sccs = tarjan_sccs(nfw.n_states, [sorted(s) for s in succ])
+            sccs = tarjan_sccs(range(nfw.n_states), [sorted(s) for s in succ].__getitem__)
             comp = scc_ids(nfw.n_states, sccs)
             cyclic = set()
             for q in range(nfw.n_states):

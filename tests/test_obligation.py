@@ -1,8 +1,8 @@
 """Breakpoint construction: language preservation and vertex invariants."""
 
 from cocoa import (
-    Alphabet, accepts_lasso, dualize, eval_lasso, from_ltl, miyano_hayashi,
-    nbw_accepts_lasso, parse_ltl, to_nnf,
+    Alphabet, accepts_lasso, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    miyano_hayashi, nbw_accepts_lasso, parse_ltl, to_nnf,
 )
 from cocoa.obligation import minimal_models, obligation_to_dot
 
@@ -107,3 +107,21 @@ def test_obligation_escape_pattern():
 def test_dot_export(fig1):
     dot = obligation_to_dot(miyano_hayashi(fig1))
     assert "doublecircle" in dot and " | " in dot
+
+
+def test_sink_pruning_keeps_the_language():
+    # the emptiness check's graph drops vertices holding the rejecting sink
+    # and strips the accepting one; both must leave the language unchanged
+    shrunk = 0
+    for f, aps in formula_corpus(12, seed=22):
+        alpha = Alphabet.from_aps(aps)
+        a = from_ltl(to_nnf(f), alpha)
+        for b in (a, dualize(a)):
+            full = miyano_hayashi(b)
+            pruned = miyano_hayashi(b, prune_empty=True)
+            assert all(b.top not in S and b.bottom not in S for S, _O in pruned.vertices)
+            shrunk += pruned.n_vertices < full.n_vertices
+            for w in enumerate_lassos(alpha, 2, 2):
+                assert nbw_accepts_lasso(pruned, w) == nbw_accepts_lasso(full, w), \
+                    (f, w.text())
+    assert shrunk

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from cocoa import (
-    Alphabet, LassoWord, dualize, eval_lasso, from_ltl, is_empty,
+    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl, is_empty,
     label_accepts_lasso, label_of, labels_equivalent, miyano_hayashi,
     parse_ltl, sltm_state_after, to_nnf,
 )
@@ -334,3 +334,48 @@ def test_sltm_json_roundtrip():
 def test_sltm_dot():
     _a, m = build("G a", ["a"])
     assert sltm_to_dot(m).startswith("digraph")
+
+
+def _member_labels_by_state(m):
+    """The label of every vertex set that the subset construction over the
+    complement graph reaches, grouped by the SLTM state it reaches with,
+    together with that state's own label."""
+    g = m.g_neg
+    start = (frozenset({g.initial}), m.initial)
+    seen = {start}
+    todo = [start]
+    while todo:
+        vs, s = todo.pop()
+        for x in m.alphabet.letters:
+            nxt = (frozenset(d for v in vs for d in g.succ(v, x)), m.delta[(s, x)])
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    groups = {s: {m.labels[s]} for s in range(m.n_states)}
+    for vs, s in seen:
+        groups[s].add(label_of(vs, g))
+    return groups
+
+
+def test_labels_equivalent_agrees_with_lasso_membership():
+    # lasso membership comes from the game solver, not the breakpoint
+    # kernel: labels told apart by a lasso are inequivalent, labels merged
+    # into one SLTM state are equivalent
+    told_apart = merged = 0
+    for f, aps in formula_corpus(8, seed=3):
+        alpha = Alphabet.from_aps(aps)
+        m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
+        a, a_dual = m.source, m.source_dual
+        groups = _member_labels_by_state(m)
+        battery = enumerate_lassos(alpha, 1, 2)
+        labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
+        member = {l: [label_accepts_lasso(l, a, w) for w in battery] for l in labels}
+        for l1, l2 in itertools.combinations(labels, 2):
+            if member[l1] != member[l2]:
+                told_apart += 1
+                assert labels_equivalent(l1, l2, a, a_dual) is False, (f, l1, l2)
+        for group in groups.values():
+            for l1, l2 in itertools.combinations(sorted(group, key=lambda l: repr(l.unions)), 2):
+                merged += 1
+                assert labels_equivalent(l1, l2, a, a_dual) is True, (f, l1, l2)
+    assert told_apart and merged
