@@ -1,0 +1,53 @@
+"""`chain_to_json` bytes stay fixed: a sample of the benchmark items is
+rebuilt the way the benchmark worker builds them and each digest is
+compared with the one stored in `perfbench/expected.json`."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from cocoa import (
+    Alphabet, ChainConfig, build_chain, chain_to_json, from_ltl,
+    lower_bound_alphabet, lower_bound_family, parse_ltl, to_nnf,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# loaded from its file, so that perfbench/ stays off sys.path
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
+
+SAMPLE = (
+    [("lowerbound", item) for item in workloads.items("lowerbound", 0)]
+    + [("rabin", item) for item in workloads.items("rabin", 0)[:4]]
+    + [("corpus", item) for item in
+       workloads.corpus_items(workloads.CORPUS_SEED)[::workloads.CORPUS_PER_CELL]]
+)
+
+
+def chain_digest(item: dict) -> str:
+    """The sha256 the benchmark worker records for one item."""
+    if item["family"] is not None:
+        f = lower_bound_family(item["family"])
+        alphabet = lower_bound_alphabet(item["family"], restricted=True)
+    else:
+        f = parse_ltl(item["text"], item["aps"])
+        alphabet = Alphabet.from_aps(item["aps"])
+    config = ChainConfig(check_single_step=item["settings"] != workloads.BENCH)
+    chain = build_chain(from_ltl(to_nnf(f), alphabet), config=config, formula=f)
+    return hashlib.sha256(json.dumps(chain_to_json(chain), sort_keys=True).encode()).hexdigest()
+
+
+def test_sample_covers_every_workload_cell():
+    assert len(SAMPLE) == 19
+    assert len({item["key"] for _w, item in SAMPLE}) == 19
+
+
+@pytest.mark.parametrize("workload,item", SAMPLE, ids=[item["key"] for _w, item in SAMPLE])
+def test_chain_bytes_match_benchmark_digest(workload, item):
+    assert chain_digest(item) == EXPECTED[workload][item["key"]]["sha256"]

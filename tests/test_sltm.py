@@ -2,6 +2,7 @@
 minimality, and the P1-P4 structural properties."""
 
 import itertools
+from collections import deque
 
 import pytest
 
@@ -244,29 +245,33 @@ def test_sltm_p3_pairwise_nonequivalent():
 
 
 def test_sltm_p1_eq1_witness_replay():
-    # replay the naive construction with witness prefixes: every vertex of
-    # every canonical state is reached by a prefix that lands in the state
+    # replay the joint subset construction over both graphs with witness
+    # prefixes: every vertex of every canonical state, in either graph, is
+    # reached by a prefix that lands in the state
     for text, aps in [("G a", ["a"]), ("a U b", ["a", "b"]),
-                      ("GF a -> GF b", ["a", "b"])]:
+                      ("GF a -> GF b", ["a", "b"]), ("X a | G b", ["a", "b"]),
+                      ("GF a -> (GF b & FG c)", ["a", "b", "c"])]:
         a, m = build(text, aps)
-        g = m.g_neg
-        start = frozenset({g.initial})
+        graphs = (m.g_neg, m.g_pos)
+        start = tuple(frozenset({g.initial}) for g in graphs)
         witness = {start: ()}
-        frontier = [start]
+        frontier = deque([start])
         while frontier:
-            vn = frontier.pop(0)
+            vsets = frontier.popleft()
             for x in m.alphabet.letters:
-                nn = frozenset(d for v in vn for d in g.succ(v, x))
-                if nn not in witness:
-                    witness[nn] = witness[vn] + (x,)
-                    frontier.append(nn)
-        seen_sets: dict[int, set] = {s: set() for s in range(m.n_states)}
-        for vn, p in witness.items():
-            s = sltm_state_after(m, p)
-            assert vn <= m.vertex_sets_neg[s]  # P2 at the subset level
-            seen_sets[s] |= vn
-        for s in range(m.n_states):
-            assert seen_sets[s] == m.vertex_sets_neg[s]  # Eq. (1) both ways
+                nxt = tuple(frozenset(d for v in vs for d in g.succ(v, x))
+                            for g, vs in zip(graphs, vsets))
+                if nxt not in witness:
+                    witness[nxt] = witness[vsets] + (x,)
+                    frontier.append(nxt)
+        for side, state_sets in enumerate((m.vertex_sets_neg, m.vertex_sets_pos)):
+            seen_sets: dict[int, set] = {s: set() for s in range(m.n_states)}
+            for vsets, p in witness.items():
+                s = sltm_state_after(m, p)
+                assert vsets[side] <= state_sets[s]  # P2 at the subset level
+                seen_sets[s] |= vsets[side]
+            for s in range(m.n_states):
+                assert seen_sets[s] == state_sets[s]  # Eq. (1) both ways
 
 
 def test_sltm_p2_prefix_images_contained():
