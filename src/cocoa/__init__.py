@@ -13,7 +13,7 @@ from .chain import (
 )
 from .floating import (
     Dfw, Nfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
-    minimize_dfw, reachable_transitions, universal_dfw,
+    minimize_dfw, universal_dfw,
 )
 from .formula import (
     Alphabet, Formula, InvalidParameter, LassoWord, ParseError, UnknownAtom,

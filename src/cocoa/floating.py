@@ -342,25 +342,6 @@ def dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
     return False
 
 
-def reachable_transitions(d: Dfw, m: Sltm, prefix) -> frozenset:
-    """Transitions (q, x, q') reachable after reading the prefix: some run on
-    prefix.x ends with the transition (jump-ins at every moment allowed)."""
-    prefix = tuple(prefix)
-    s = m.initial
-    alive: set[int] = set(d.by_label.get(s, ()))
-    for x in prefix:
-        s = m.delta[(s, x)]
-        alive = {d.trans[(q, x)] for q in alive if (q, x) in d.trans}
-        alive.update(d.by_label.get(s, ()))
-    out = set()
-    for q in alive:
-        for x in d.alphabet.letters:
-            dst = d.trans.get((q, x))
-            if dst is not None:
-                out.add((q, x, dst))
-    return frozenset(out)
-
-
 def dfw_to_dot(d: Dfw, m: Sltm, name: str = "dfw") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for q in range(d.n_states):

@@ -4,10 +4,11 @@ A single deterministic Moore machine tracks the suffix language of the
 source language after every prefix.  Each state carries two obligation-graph
 vertex sets (one for the complement graph, one for the positive graph) plus
 a suffix-language label in intersection-of-unions form.  The machine is
-built naively by a subset construction over the complement graph and then
-minimized by deciding label equivalence with an alternating-automaton
-emptiness check; the positive-graph vertex sets come from a product sweep
-of the naive machine with the positive graph.
+explored over label-equivalence classes only: a subset construction over
+the complement graph steps one representative vertex set per state and
+merges each successor set into the state of an equivalent label, decided
+with an alternating-automaton emptiness check.  Both vertex sets of a state
+then come from a product sweep of the machine with each graph.
 """
 
 from __future__ import annotations
@@ -267,10 +268,17 @@ def build_canonical_sltm(
     g_pos: ObligationGraph | None = None,
     check_single_step: bool = True,
 ) -> Sltm:
-    """Naive subset construction over the complement obligation graph, then
-    minimization by merging label-equivalent states; each state's
-    positive-graph vertex set comes from a product sweep of the naive
-    machine with the positive graph.
+    """Subset construction over the complement obligation graph that keeps
+    one state per label-equivalence class.
+
+    Each state keeps the first vertex set that reached it as its
+    representative.  The machine is Moore in its labels, so stepping the
+    representative gives the successor class of every member; each
+    successor set joins the class of an equivalent label or starts a new
+    one.  Breadth-first order numbers states by their shortlex-least access
+    words.  Each state's vertex sets, in both graphs, are the vertices
+    reachable together with it: a product sweep of the finished machine
+    with each graph.
 
     ``check_single_step`` additionally asserts, per canonical transition,
     that the successor's label is equivalent to the suffix of the source
@@ -281,29 +289,7 @@ def build_canonical_sltm(
         g_neg = miyano_hayashi(a_dual)
     if g_pos is None:
         g_pos = miyano_hayashi(a)
-
-    # naive machine: subset construction over the complement graph; the
-    # positive-graph vertex sets are recovered afterwards by a product
-    # reachability sweep, which avoids pairing up the two subset spaces
-    start = frozenset({g_neg.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
-    naive: list[frozenset[int]] = [start]
-    ndelta: dict[tuple[int, frozenset[str]], int] = {}
-    frontier = deque([0])
-    while frontier:
-        sid = frontier.popleft()
-        vn = naive[sid]
-        for x in a.alphabet.letters:
-            nn = frozenset(d for v in vn for d in g_neg.succ(v, x))
-            nid = ids.get(nn)
-            if nid is None:
-                nid = len(naive)
-                ids[nn] = nid
-                naive.append(nn)
-                frontier.append(nid)
-            ndelta[(sid, x)] = nid
-
-    nlabels = [label_of(vn, g_neg) for vn in naive]
+    letters = a.alphabet.letters
 
     # cheap pre-partition: membership vectors over a small lasso battery
     battery = _signature_battery(a)
@@ -325,82 +311,79 @@ def build_canonical_sltm(
             equiv_cache[key] = got
         return got
 
-    class_of: list[int] = [-1] * len(naive)
-    classes: list[list[int]] = []
+    reps: list[frozenset[int]] = []
+    rep_labels: list[Label] = []
+    state_of: dict[frozenset[int], int] = {}
     by_label: dict[Label, int] = {}
     buckets: dict[tuple[bool, ...], list[int]] = {}
-    for sid in range(len(naive)):
-        label = nlabels[sid]
-        cid = by_label.get(label)
-        if cid is None:
+    frontier: deque[int] = deque()
+
+    def classify(vs: frozenset[int]) -> int:
+        sid = state_of.get(vs)
+        if sid is not None:
+            return sid
+        label = label_of(vs, g_neg)
+        sid = by_label.get(label)
+        if sid is None:
             sig = signature(label)
             for cand in buckets.get(sig, []):
-                if equivalent(label, nlabels[classes[cand][0]]):
-                    cid = cand
+                if equivalent(label, rep_labels[cand]):
+                    sid = cand
                     break
-            if cid is None:
-                cid = len(classes)
-                classes.append([])
-                buckets.setdefault(sig, []).append(cid)
-            by_label[label] = cid
-        classes[cid].append(sid)
-        class_of[sid] = cid
+            if sid is None:
+                sid = len(reps)
+                reps.append(vs)
+                rep_labels.append(label)
+                buckets.setdefault(sig, []).append(sid)
+                frontier.append(sid)
+            by_label[label] = sid
+        state_of[vs] = sid
+        return sid
 
-    n_states = len(classes)
-    vsets_neg = []
-    labels = []
-    for members in classes:
-        vn: set[int] = set()
-        for sid in members:
-            vn |= naive[sid]
-        vsets_neg.append(frozenset(vn))
-        labels.append(label_of(vn, g_neg))
-
-    # positive-graph vertex sets: vertices reachable while the naive machine
-    # sits in each class (product reachability from the two initial objects)
-    vpos: list[set[int]] = [set() for _ in range(n_states)]
-    seen_pairs = {(0, g_pos.initial)}
-    vpos[class_of[0]].add(g_pos.initial)
-    todo = [(0, g_pos.initial)]
-    while todo:
-        sid, v = todo.pop()
-        for x in a.alphabet.letters:
-            sid2 = ndelta[(sid, x)]
-            for v2 in g_pos.succ(v, x):
-                if (sid2, v2) not in seen_pairs:
-                    seen_pairs.add((sid2, v2))
-                    vpos[class_of[sid2]].add(v2)
-                    todo.append((sid2, v2))
-    vsets_pos = [frozenset(s) for s in vpos]
-
+    initial = classify(frozenset({g_neg.initial}))
     delta: dict[tuple[int, frozenset[str]], int] = {}
-    for cid, members in enumerate(classes):
-        for x in a.alphabet.letters:
-            succ_classes = {class_of[ndelta[(sid, x)]] for sid in members}
-            if len(succ_classes) != 1:
-                raise AssertionError(
-                    f"single-step condition violated: state {cid} on {sorted(x)} "
-                    f"maps members to classes {sorted(succ_classes)}")
-            delta[(cid, x)] = succ_classes.pop()
+    while frontier:
+        sid = frontier.popleft()
+        for x in letters:
+            delta[(sid, x)] = classify(frozenset(d for v in reps[sid] for d in g_neg.succ(v, x)))
+    n_states = len(reps)
+
+    def sweep(graph: ObligationGraph) -> tuple[frozenset[int], ...]:
+        # vertices reachable together with each state, from the two initials
+        sets: list[set[int]] = [set() for _ in range(n_states)]
+        sets[initial].add(graph.initial)
+        todo = [(initial, graph.initial)]
+        while todo:
+            sid, v = todo.pop()
+            for x in letters:
+                sid2 = delta[(sid, x)]
+                for v2 in graph.succ(v, x):
+                    if v2 not in sets[sid2]:
+                        sets[sid2].add(v2)
+                        todo.append((sid2, v2))
+        return tuple(frozenset(vs) for vs in sets)
+
+    vsets_neg = sweep(g_neg)
+    labels = tuple(label_of(vs, g_neg) for vs in vsets_neg)
 
     if check_single_step:
-        for cid in range(n_states):
-            for x in a.alphabet.letters:
-                succ = delta[(cid, x)]
-                expect = suffix_label(labels[cid], x, a)
+        for sid in range(n_states):
+            for x in letters:
+                succ = delta[(sid, x)]
+                expect = suffix_label(labels[sid], x, a)
                 if not equivalent(labels[succ], expect):
                     raise AssertionError(
                         f"single-step condition violated: label of state {succ} "
-                        f"is not the suffix of state {cid} on {sorted(x)}")
+                        f"is not the suffix of state {sid} on {sorted(x)}")
 
     return Sltm(
         alphabet=a.alphabet,
         n_states=n_states,
-        initial=class_of[0],
+        initial=initial,
         delta=delta,
-        vertex_sets_neg=tuple(vsets_neg),
-        vertex_sets_pos=tuple(vsets_pos),
-        labels=tuple(labels),
+        vertex_sets_neg=vsets_neg,
+        vertex_sets_pos=sweep(g_pos),
+        labels=labels,
         g_neg=g_neg,
         g_pos=g_pos,
         source=a,

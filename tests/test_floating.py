@@ -9,7 +9,7 @@ import textwrap
 import cocoa
 from cocoa import (
     Alphabet, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
-    is_empty_dfw, level_product, minimize_dfw, parse_ltl, reachable_transitions,
+    is_empty_dfw, level_product, minimize_dfw, parse_ltl,
     sltm_state_after, to_nnf, universal_dfw,
 )
 from cocoa.sltm import build_canonical_sltm
@@ -190,6 +190,24 @@ def test_monotone_levels_on_corpus():
         for w in lassos_up_to(alpha, 2, 2):
             acc = [dfw_accepts_lasso(d, m, w) for d in chain]
             assert acc == sorted(acc, reverse=True)  # downward closed
+
+
+def reachable_transitions(d, m, prefix) -> frozenset:
+    """Transitions (q, x, q') reachable after reading the prefix: some run on
+    prefix.x ends with the transition (jump-ins at every moment allowed)."""
+    s = m.initial
+    alive: set[int] = set(d.by_label.get(s, ()))
+    for x in prefix:
+        s = m.delta[(s, x)]
+        alive = {d.trans[(q, x)] for q in alive if (q, x) in d.trans}
+        alive.update(d.by_label.get(s, ()))
+    out = set()
+    for q in alive:
+        for x in d.alphabet.letters:
+            dst = d.trans.get((q, x))
+            if dst is not None:
+                out.add((q, x, dst))
+    return frozenset(out)
 
 
 def test_reachable_transitions_depend_only_on_sltm_state():
