@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from collections import deque
+from typing import Callable, Container, Hashable, Iterable, Iterator, Sequence
 
 
 def tarjan_sccs(roots: Iterable[int], succ: Callable[[int], Iterable[int]],
@@ -90,3 +91,47 @@ def reachable(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
                 seen.add(w)
                 todo.append(w)
     return seen
+
+
+
+def lasso_letters(src: int, targets: dict[int, Container[int]],
+                  step: Callable[[int], Iterable[tuple[Hashable, int]]]
+                  ) -> tuple[list, list] | None:
+    """Edge letters of a lasso from ``src``: a shortest path to the nearest
+    key of ``targets``, then a shortest non-empty cycle through it inside
+    the vertex set that key maps to.  None if either does not exist.
+
+    The graph is given by ``step``, which yields the (letter, successor)
+    edges of a vertex in a fixed order, so the lasso is deterministic.
+    """
+    def path(frm: int, is_dst: Callable[[int], bool], edges, min_len: int):
+        # breadth first over (vertex, edges taken, capped at min_len)
+        start = (frm, 0)
+        prev: dict[tuple[int, int], tuple[tuple[int, int], Hashable]] = {}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            vid, moved = cur
+            if moved >= min_len and is_dst(vid):
+                letters = []
+                while cur != start:
+                    cur, letter = prev[cur]
+                    letters.append(letter)
+                return vid, letters[::-1]
+            for x, v2 in edges(vid):
+                nxt = (v2, min(moved + 1, min_len))
+                if nxt != start and nxt not in prev:
+                    prev[nxt] = (cur, x)
+                    queue.append(nxt)
+        return None
+
+    found = path(src, targets.__contains__, step, 0)
+    if found is None:
+        return None
+    target, prefix = found
+    inside = targets[target]
+    cycle = path(target, target.__eq__,
+                 lambda v: ((x, w) for x, w in step(v) if w in inside), 1)
+    if cycle is None:
+        return None
+    return prefix, cycle[1]

@@ -92,7 +92,6 @@ def cmd_translate(cfg: RunConfig) -> int:
             path.write_text(level_to_hoa(chain, i))
             written.append(str(path))
     elif cfg.fmt == "dot":
-        assert chain.awa is not None and chain.sltm.g_neg is not None
         files = {
             "awa.dot": awa_to_dot(chain.awa),
             "obligation-neg.dot": obligation_to_dot(chain.sltm.g_neg),

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ._graph import cyclic_sccs, reachable
+from ._graph import cyclic_sccs, lasso_letters, reachable
 from .awa import Awa, minimal_sets
 from .formula import Alphabet, LassoWord, letter_text
 
@@ -191,40 +191,13 @@ def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     if not targets:
         return None
     target = targets[0]
-
-    def bfs_letters(src: int, dst: int, restrict: set[int] | None, min_len: int):
-        # breadth-first path by (vertex, parity of zero-length) bookkeeping
-        start = (src, 0)
-        prev: dict[tuple[int, int], tuple[tuple[int, int], frozenset[str]]] = {}
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            vid, moved = cur
-            if vid == dst and moved >= min_len:
-                letters = []
-                node = cur
-                while node != start:
-                    node, letter = prev[node]
-                    letters.append(letter)
-                return list(reversed(letters))
-            for x in g.alphabet.letters:
-                for v2 in g.succ(vid, x):
-                    if restrict is not None and v2 not in restrict:
-                        continue
-                    nxt = (v2, min(moved + 1, min_len))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        prev[nxt] = (cur, x)
-                        queue.append(nxt)
-        return None
-
-    path = bfs_letters(g.initial, target, None, 0)
     members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
-    cycle = bfs_letters(target, target, members, 1)
-    if path is None or cycle is None:
+    found = lasso_letters(
+        g.initial, {target: members},
+        lambda vid: ((x, v2) for x in g.alphabet.letters for v2 in g.succ(vid, x)))
+    if found is None:
         raise AssertionError("no lasso through an accepting cyclic vertex")
-    return LassoWord(g.alphabet, tuple(path), tuple(cycle))
+    return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))
 
 
 def obligation_to_dot(g: ObligationGraph) -> str:

@@ -7,8 +7,12 @@ a suffix-language label in intersection-of-unions form.  The machine is
 explored over label-equivalence classes only: a subset construction over
 the complement graph steps one representative vertex set per state and
 merges each successor set into the state of an equivalent label, decided
-with an alternating-automaton emptiness check.  Both vertex sets of a state
-then come from a product sweep of the machine with each graph.
+with an alternating-automaton emptiness check.  Candidate states are
+bucketed by signature, the label's membership of each lasso in a battery
+that starts empty; every inequivalent pair the check meets adds a lasso
+that tells the two apart, read off the nonempty half of their difference.
+Both vertex sets of a state then come from a product sweep of the machine
+with each graph.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._graph import tarjan_sccs
+from ._graph import lasso_letters, tarjan_sccs
 from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, canon_key, cnf_and, cnf_or, dualize, minimal_sets,
     winning_state_positions,
 )
-from .formula import Alphabet, LassoWord, enumerate_lassos
+from .formula import Alphabet, LassoWord
 from .obligation import Breakpoint, ObligationGraph, miyano_hayashi
 
 
@@ -71,10 +75,14 @@ def _initial_winners(a: Awa, w: LassoWord) -> frozenset[int]:
     return frozenset(q for q, row in enumerate(winning_state_positions(a, w)) if row & 1)
 
 
+def _holds(label: Label, win0: frozenset[int]) -> bool:
+    # every union keeps a state whose language contains the lasso
+    return all(u & win0 for u in label.unions)
+
+
 def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
     """Membership of a lasso in the label's language."""
-    win0 = _initial_winners(a, w)
-    return all(u & win0 for u in label.unions)
+    return _holds(label, _initial_winners(a, w))
 
 
 # --- label equivalence -------------------------------------------------------
@@ -109,6 +117,8 @@ class _LanguageOracle:
         self.vid: dict[tuple[frozenset[int], frozenset[int]], int] = {}
         self.vertices: list[tuple[frozenset[int], frozenset[int]]] = []
         self.succ: list[tuple[int, ...] | None] = []
+        # the successors of each expanded vertex per letter, in letter order
+        self.edges: list[tuple[tuple[frozenset[str], tuple[int, ...]], ...] | None] = []
         self.verdict: list[bool | None] = []
 
     def intern(self, v: tuple[frozenset[int], frozenset[int]]) -> int:
@@ -118,6 +128,7 @@ class _LanguageOracle:
             self.vid[v] = got
             self.vertices.append(v)
             self.succ.append(None)
+            self.edges.append(None)
             self.verdict.append(None)
         return got
 
@@ -125,8 +136,10 @@ class _LanguageOracle:
         got = self.succ[vid]
         if got is None:
             S, O = self.vertices[vid]
-            got = tuple(sorted({self.intern(v) for x in self.letters
-                                for v in self.kernel.successors(S, O, x)}))
+            edges = tuple((x, tuple(self.intern(v) for v in self.kernel.successors(S, O, x)))
+                          for x in self.letters)
+            got = tuple(sorted({d for _x, dsts in edges for d in dsts}))
+            self.edges[vid] = edges
             self.succ[vid] = got
         return got
 
@@ -151,6 +164,30 @@ class _LanguageOracle:
             for w in comp:
                 self.verdict[w] = good
         return any(self.verdict[r] for r in roots)
+
+    def accepted_lasso(self, roots: list[int]) -> tuple[list, list]:
+        """Prefix and cycle letters of an accepted lasso from a root that
+        ``nonempty_from`` found nonempty.
+
+        Only vertices with a true verdict are walked; all of them are
+        expanded and settled.  Every such component either is cyclic with
+        a vertex owing nothing, or leads to one that is, so the nearest of
+        those vertices closes the lasso.
+        """
+        def good_succ(v: int) -> list[int]:
+            return [s for s in self.succ[v] if self.verdict[s]]
+
+        root = next(r for r in roots if self.verdict[r])
+        targets: dict[int, set[int]] = {}
+        for comp in tarjan_sccs([root], good_succ):
+            inside = set(comp)
+            if any(s in inside for w in comp for s in good_succ(w)):
+                targets.update((w, inside) for w in comp if not self.vertices[w][1])
+        found = lasso_letters(root, targets, lambda v: (
+            (x, d) for x, dsts in self.edges[v] for d in dsts if self.verdict[d]))
+        if found is None:
+            raise AssertionError("no accepted lasso from a nonempty root")
+        return found
 
     def difference_roots(self, pos: Label, neg: Label) -> list[int]:
         """Initial vertices for [[pos]] minus [[neg]]; negated unions enter
@@ -193,6 +230,13 @@ def _oracle_for(a: Awa, a_dual: Awa) -> _LanguageOracle:
     return oracle
 
 
+def _check_states(labels: Iterable[Label], a: Awa) -> None:
+    for l in labels:
+        for q in l.states():
+            if not 0 <= q < a.n_states:
+                raise IncompatibleAutomata(f"label references unknown state {q}")
+
+
 def labels_equivalent(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> bool:
     """Decide language equality of two labels.
 
@@ -201,10 +245,7 @@ def labels_equivalent(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> bool:
     encoding of (l1 and not l2) or (l2 and not l1)); syntactic containment
     both ways short-cuts the check.
     """
-    for l in (l1, l2):
-        for q in l.states():
-            if not 0 <= q < a.n_states:
-                raise IncompatibleAutomata(f"label references unknown state {q}")
+    _check_states((l1, l2), a)
     if l1 == l2:
         return True
     if _syntactic_subset(l1, l2) and _syntactic_subset(l2, l1):
@@ -213,6 +254,23 @@ def labels_equivalent(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> bool:
     if oracle.nonempty_from(oracle.difference_roots(l1, l2)):
         return False
     return not oracle.nonempty_from(oracle.difference_roots(l2, l1))
+
+
+def distinguishing_lasso(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> LassoWord:
+    """A lasso in the language of exactly one of two inequivalent labels.
+
+    It is read off the nonempty half of the symmetric difference in the
+    shared oracle, whose verdicts ``labels_equivalent`` has usually settled
+    already.  Raises ValueError when the labels are equivalent.
+    """
+    _check_states((l1, l2), a)
+    oracle = _oracle_for(a, a_dual)
+    for pos, neg in ((l1, l2), (l2, l1)):
+        roots = oracle.difference_roots(pos, neg)
+        if oracle.nonempty_from(roots):
+            prefix, cycle = oracle.accepted_lasso(roots)
+            return LassoWord(a.alphabet, tuple(prefix), tuple(cycle))
+    raise ValueError("the labels are equivalent")
 
 
 def suffix_label(label: Label, x: frozenset[str], a: Awa) -> Label:
@@ -258,10 +316,6 @@ def sltm_state_after(m: Sltm, word: Iterable[frozenset[str]]) -> int:
     return state
 
 
-def _signature_battery(a: Awa) -> list[LassoWord]:
-    return enumerate_lassos(a.alphabet, 1, 2)
-
-
 def build_canonical_sltm(
     a: Awa,
     g_neg: ObligationGraph | None = None,
@@ -275,10 +329,15 @@ def build_canonical_sltm(
     representative.  The machine is Moore in its labels, so stepping the
     representative gives the successor class of every member; each
     successor set joins the class of an equivalent label or starts a new
-    one.  Breadth-first order numbers states by their shortlex-least access
-    words.  Each state's vertex sets, in both graphs, are the vertices
-    reachable together with it: a product sweep of the finished machine
-    with each graph.
+    one.  Only states whose signature matches are checked for
+    equivalence; each check that fails adds its distinguishing lasso to
+    the signature battery and re-buckets the states, so no pair is
+    rejected twice.  Representatives are pairwise inequivalent and
+    equivalent labels share every signature, so the class found does not
+    depend on the battery.  Breadth-first order numbers states by their
+    shortlex-least access words.  Each state's vertex sets, in both
+    graphs, are the vertices reachable together with it: a product sweep
+    of the finished machine with each graph.
 
     ``check_single_step`` additionally asserts, per canonical transition,
     that the successor's label is equivalent to the suffix of the source
@@ -291,12 +350,13 @@ def build_canonical_sltm(
         g_pos = miyano_hayashi(a)
     letters = a.alphabet.letters
 
-    # cheap pre-partition: membership vectors over a small lasso battery
-    battery = _signature_battery(a)
-    win0 = [_initial_winners(a, w) for w in battery]
+    # cheap pre-partition: membership bits over a battery of lassos that
+    # starts empty and gains, per inequivalent pair met, a lasso telling
+    # the two apart; equivalent labels always share a signature
+    winners: list[frozenset[int]] = []
 
     def signature(label: Label) -> tuple[bool, ...]:
-        return tuple(all(u & win for u in label.unions) for win in win0)
+        return tuple(_holds(label, win) for win in winners)
 
     equiv_cache: dict[tuple[Label, Label], bool] = {}
 
@@ -318,6 +378,27 @@ def build_canonical_sltm(
     buckets: dict[tuple[bool, ...], list[int]] = {}
     frontier: deque[int] = deque()
 
+    def refine(l1: Label, l2: Label) -> None:
+        # one more battery lasso, hence one more signature bit per state
+        win = _initial_winners(a, distinguishing_lasso(l1, l2, a, a_dual))
+        if _holds(l1, win) == _holds(l2, win):
+            raise AssertionError("a distinguishing lasso is in both labels or in neither")
+        winners.append(win)
+        buckets.clear()
+        for sid, label in enumerate(rep_labels):
+            buckets.setdefault(signature(label), []).append(sid)
+
+    def find_class(label: Label) -> int | None:
+        # the state whose label is equivalent; every candidate rejected
+        # refines the signatures, which moves the label out of its bucket
+        while True:
+            bucket = buckets.get(signature(label))
+            if not bucket:
+                return None
+            if equivalent(label, rep_labels[bucket[0]]):
+                return bucket[0]
+            refine(label, rep_labels[bucket[0]])
+
     def classify(vs: frozenset[int]) -> int:
         sid = state_of.get(vs)
         if sid is not None:
@@ -325,16 +406,12 @@ def build_canonical_sltm(
         label = label_of(vs, g_neg)
         sid = by_label.get(label)
         if sid is None:
-            sig = signature(label)
-            for cand in buckets.get(sig, []):
-                if equivalent(label, rep_labels[cand]):
-                    sid = cand
-                    break
+            sid = find_class(label)
             if sid is None:
                 sid = len(reps)
                 reps.append(vs)
                 rep_labels.append(label)
-                buckets.setdefault(sig, []).append(sid)
+                buckets.setdefault(signature(label), []).append(sid)
                 frontier.append(sid)
             by_label[label] = sid
         state_of[vs] = sid

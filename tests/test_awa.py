@@ -23,7 +23,6 @@ from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
     atom, subformulas,
 )
-from cocoa.sltm import _signature_battery
 
 from conftest import (
     AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to,
@@ -174,7 +173,7 @@ def test_winning_positions_match_reference_on_corpus():
 def test_winning_positions_match_reference_on_lower_bound_battery():
     a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1))
     for b in (a, dualize(a)):
-        for w in _signature_battery(b):
+        for w in enumerate_lassos(b.alphabet, 1, 2):
             assert row_pairs(winning_state_positions(b, w)) == \
                 reference_winning_state_positions(b, w), w.text()
 

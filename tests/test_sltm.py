@@ -8,8 +8,8 @@ import pytest
 
 from cocoa import (
     Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl, is_empty,
-    label_accepts_lasso, label_of, labels_equivalent, miyano_hayashi,
-    parse_ltl, sltm_state_after, to_nnf,
+    label_accepts_lasso, label_of, labels_equivalent, lower_bound_alphabet,
+    lower_bound_family, miyano_hayashi, parse_ltl, sltm_state_after, to_nnf,
 )
 import cocoa.sltm
 from cocoa.awa import (
@@ -18,8 +18,8 @@ from cocoa.awa import (
 )
 from cocoa.sltm import (
     IncompatibleAutomata, Label, _LanguageOracle, _oracle_for,
-    build_canonical_sltm, sltm_from_json, sltm_to_dot, sltm_to_json,
-    suffix_label,
+    build_canonical_sltm, distinguishing_lasso, sltm_from_json, sltm_to_dot,
+    sltm_to_json, suffix_label,
 )
 
 from conftest import (
@@ -362,18 +362,24 @@ def _member_labels_by_state(m):
     return groups
 
 
+def _corpus_labels():
+    """Per formula of a small corpus: the automaton, its dual, the member
+    labels grouped by SLTM state, and all those labels in a fixed order."""
+    for f, aps in formula_corpus(8, seed=3):
+        alpha = Alphabet.from_aps(aps)
+        m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
+        groups = _member_labels_by_state(m)
+        labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
+        yield f, m.source, m.source_dual, groups, labels
+
+
 def test_labels_equivalent_agrees_with_lasso_membership():
     # lasso membership comes from the game solver, not the breakpoint
     # kernel: labels told apart by a lasso are inequivalent, labels merged
     # into one SLTM state are equivalent
     told_apart = merged = 0
-    for f, aps in formula_corpus(8, seed=3):
-        alpha = Alphabet.from_aps(aps)
-        m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
-        a, a_dual = m.source, m.source_dual
-        groups = _member_labels_by_state(m)
-        battery = enumerate_lassos(alpha, 1, 2)
-        labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
+    for f, a, a_dual, groups, labels in _corpus_labels():
+        battery = enumerate_lassos(a.alphabet, 1, 2)
         member = {l: [label_accepts_lasso(l, a, w) for w in battery] for l in labels}
         for l1, l2 in itertools.combinations(labels, 2):
             if member[l1] != member[l2]:
@@ -384,3 +390,53 @@ def test_labels_equivalent_agrees_with_lasso_membership():
                 merged += 1
                 assert labels_equivalent(l1, l2, a, a_dual) is True, (f, l1, l2)
     assert told_apart and merged
+
+
+@pytest.fixture(scope="module")
+def lower_bound_queries():
+    """Every ``labels_equivalent`` query, with its result, made while the
+    SLTM of lower_bound_family(1) is built with the benchmark settings,
+    and the machine built."""
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
+    queries = []
+    original = cocoa.sltm.labels_equivalent
+
+    def recording(l1, l2, a, a_dual):
+        got = original(l1, l2, a, a_dual)
+        queries.append((l1, l2, a, a_dual, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocoa.sltm, "labels_equivalent", recording)
+        m = build_canonical_sltm(a, check_single_step=False)
+    return queries, m
+
+
+def test_distinguishing_lasso_separates_labels(lower_bound_queries):
+    # membership comes from the game solver, which does not use the
+    # breakpoint oracle the lasso is read from
+    pairs = [(a, a_dual, l1, l2, labels_equivalent(l1, l2, a, a_dual))
+             for _f, a, a_dual, _groups, labels in _corpus_labels()
+             for l1, l2 in itertools.combinations(labels, 2)]
+    queries, _m = lower_bound_queries
+    pairs += [(a, a_dual, l1, l2, got) for l1, l2, a, a_dual, got in queries]
+    separated = raised = 0
+    for a, a_dual, l1, l2, equivalent in pairs:
+        if equivalent:
+            with pytest.raises(ValueError):
+                distinguishing_lasso(l1, l2, a, a_dual)
+            raised += 1
+        else:
+            w = distinguishing_lasso(l1, l2, a, a_dual)
+            assert label_accepts_lasso(l1, a, w) != label_accepts_lasso(l2, a, w), (l1, l2, w)
+            separated += 1
+    assert separated and raised
+
+
+def test_lower_bound_sltm_makes_few_false_equivalence_queries(lower_bound_queries):
+    # each rejected candidate adds a lasso that splits the signatures, so
+    # rejections stay near the number of states (a fixed battery of 64
+    # lassos left 95 of them)
+    queries, m = lower_bound_queries
+    assert m.n_states == 13
+    assert sum(not got for *_pair, got in queries) <= 20
