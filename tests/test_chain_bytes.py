@@ -51,3 +51,19 @@ def test_sample_covers_every_workload_cell():
 @pytest.mark.parametrize("workload,item", SAMPLE, ids=[item["key"] for _w, item in SAMPLE])
 def test_chain_bytes_match_benchmark_digest(workload, item):
     assert chain_digest(item) == EXPECTED[workload][item["key"]]["sha256"]
+
+
+def test_lower_bound_n2_chain_is_pinned():
+    # the n=2 member of the lower-bound family, built as `cocoa bench --n 2`
+    # builds it; its digest was measured before the breakpoint kernel moved
+    # to bit masks
+    f = lower_bound_family(2)
+    a = from_ltl(to_nnf(f), lower_bound_alphabet(2, restricted=True))
+    chain = build_chain(a, config=ChainConfig(check_single_step=False), formula=f)
+    assert chain.k == 1
+    assert chain.sltm.n_states == 83
+    assert chain.sltm.g_neg.n_vertices == 3244
+    assert chain.sltm.g_pos.n_vertices == 831
+    assert [d.n_states for d, _c in chain.levels] == [1]
+    digest = hashlib.sha256(json.dumps(chain_to_json(chain), sort_keys=True).encode()).hexdigest()
+    assert digest == "2006494e430e6e2c5a86e8b475c795349920bcbf74d3b9bef553a04a73c74ce4"
