@@ -27,7 +27,7 @@ from .awa import (
     winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
-from .obligation import Breakpoint, ObligationGraph, miyano_hayashi
+from .obligation import Breakpoint, ObligationGraph, miyano_hayashi, state_mask
 
 
 class IncompatibleAutomata(Exception):
@@ -97,31 +97,35 @@ class _LanguageOracle:
     """Lazy emptiness oracle for state-set languages over A and its dual.
 
     Vertices are breakpoint pairs over the disjoint union of the automaton
-    and its dual; the language of a vertex is the intersection of its member
-    state languages, so per-vertex nonemptiness verdicts are a property of
-    the shared graph and can be memoized across equivalence queries.
+    and its dual (dual state q is bit n + q), held as (S, O) int masks as
+    the breakpoint kernel gives them; the language of a vertex is the
+    intersection of its member state languages, so per-vertex nonemptiness
+    verdicts are a property of the shared graph and can be memoized across
+    equivalence queries.
     """
 
     def __init__(self, a: Awa, a_dual: Awa):
         n = a.n_states
         self.n = n
         self.letters = a.alphabet.letters
-        delta = {key: p.clauses for key, p in a.delta.items()}
+        delta = {key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()}
         for (q, x), p in a_dual.delta.items():
-            delta[(n + q, x)] = tuple(frozenset(n + r for r in c) for c in p.clauses)
+            delta[(n + q, x)] = tuple(state_mask(c) << n for c in p.clauses)
         self.kernel = Breakpoint(
             delta,
-            accepting=frozenset(a.accepting) | frozenset(n + q for q in a_dual.accepting),
-            tops=frozenset({a.top, n + a_dual.top}),
-            bottoms=frozenset({a.bottom, n + a_dual.bottom}))
-        self.vid: dict[tuple[frozenset[int], frozenset[int]], int] = {}
-        self.vertices: list[tuple[frozenset[int], frozenset[int]]] = []
+            accepting=state_mask(a.accepting) | state_mask(a_dual.accepting) << n,
+            tops=1 << a.top | 1 << (n + a_dual.top),
+            bottoms=1 << a.bottom | 1 << (n + a_dual.bottom))
+        self.vid: dict[tuple[int, int], int] = {}
+        self.vertices: list[tuple[int, int]] = []
         self.succ: list[tuple[int, ...] | None] = []
         # the successors of each expanded vertex per letter, in letter order
         self.edges: list[tuple[tuple[frozenset[str], tuple[int, ...]], ...] | None] = []
         self.verdict: list[bool | None] = []
+        # the minimal models of each positive label's unions, as masks
+        self.label_models: dict[Label, tuple[int, ...]] = {}
 
-    def intern(self, v: tuple[frozenset[int], frozenset[int]]) -> int:
+    def intern(self, v: tuple[int, int]) -> int:
         got = self.vid.get(v)
         if got is None:
             got = len(self.vertices)
@@ -190,27 +194,26 @@ class _LanguageOracle:
         return found
 
     def difference_roots(self, pos: Label, neg: Label) -> list[int]:
-        """Initial vertices for [[pos]] minus [[neg]]; negated unions enter
-        as virtual conjunction atoms expanded into dual states."""
+        """Initial vertices for [[pos]] minus [[neg]].
+
+        The negated unions enter as fresh atoms in one extra clause, so the
+        minimal models are those of pos's unions, each with one neg union;
+        that union expands into its dual states.
+        """
         from .obligation import minimal_models
 
-        virt_base = 2 * self.n
-        clauses = set()
-        for u in pos.unions:
-            clauses.add(frozenset(u))
-        clauses.add(frozenset(virt_base + k for k in range(len(neg.unions))))
-        roots = []
-        for model in minimal_models(clauses):
-            S: set[int] = set()
-            for q in model:
-                if q >= virt_base:
-                    S.update(self.n + p for p in neg.unions[q - virt_base])
-                else:
-                    S.add(q)
-            fs = frozenset(S)
-            for v in self.kernel.prune([(fs, fs - self.kernel.accepting)]):
-                roots.append(self.intern(v))
-        return sorted(set(roots))
+        models = self.label_models.get(pos)
+        if models is None:
+            models = minimal_models(tuple(map(state_mask, pos.unions)))
+            self.label_models[pos] = models
+        duals = [state_mask(u) << self.n for u in neg.unions]
+        free = ~self.kernel.accepting
+        roots = set()
+        for m in models:
+            for d in duals:
+                for v in self.kernel.prune([(m | d, (m | d) & free)]):
+                    roots.add(self.intern(v))
+        return sorted(roots)
 
 
 # (a, a_dual, oracle) by (id(a), id(a_dual)); the entry holds the automata

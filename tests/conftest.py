@@ -1,6 +1,7 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
 the test-only NFW membership oracle, the reference lasso evaluator, the
-reference game solver, and the reference lasso enumeration."""
+reference game solver, the reference lasso enumeration, and the frozenset
+reference breakpoint kernel."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
     UNTIL,
 )
-from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks
+from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, minimal_sets
 from cocoa.floating import Nfw
 from cocoa.sltm import Sltm
 
@@ -311,3 +312,59 @@ def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, in
         if not alive:
             break
     return {(nd // n, nd % n) for nd in alive if nd < n_snodes}
+
+
+def reference_minimal_models(clauses) -> tuple[frozenset[int], ...]:
+    """Minimal hitting sets of frozenset clauses by branching on the states
+    of the first clause left unhit, in canonical order; the reference for
+    ``obligation.minimal_models``."""
+    results: set[frozenset[int]] = set()
+
+    def rec(remaining: tuple, chosen: tuple) -> None:
+        if not remaining:
+            results.add(frozenset(chosen))
+            return
+        for x in sorted(remaining[0]):
+            rec(tuple(c for c in remaining[1:] if x not in c), chosen + (x,))
+
+    rec(minimal_sets(clauses), ())
+    return minimal_sets(results)
+
+
+class ReferenceBreakpoint:
+    """Breakpoint successors on frozensets, the reference for
+    ``obligation.Breakpoint``: the clauses of a state set are merged and
+    their minimal hitting sets taken whole."""
+
+    def __init__(self, delta, accepting: frozenset[int], tops: frozenset[int],
+                 bottoms: frozenset[int]):
+        self.delta = delta
+        self.accepting = accepting
+        self.tops = tops
+        self.bottoms = bottoms
+
+    def _models(self, states: frozenset[int], x: frozenset[str]) -> tuple[frozenset[int], ...]:
+        merged: set[frozenset[int]] = set()
+        for q in states:
+            merged.update(self.delta[(q, x)])
+        return reference_minimal_models(merged)
+
+    def successors(self, S: frozenset[int], O: frozenset[int], x: frozenset[str]):
+        acc = self.accepting
+        ms = self._models(S, x)
+        if not O:
+            return self.prune({(sm, sm - acc) for sm in ms})
+        mo = self._models(O, x)
+        return self.prune({(sm | so, so - acc) for sm in ms for so in mo})
+
+    def prune(self, pairs):
+        out = set()
+        for (s, o) in pairs:
+            if s & self.bottoms:
+                continue
+            out.add((s - self.tops, o))
+        kept = []
+        for (s, o) in sorted(out, key=lambda v: len(v[0]) + len(v[1])):
+            if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
+                kept.append((s, o))
+        return sorted(kept, key=lambda v: (tuple(sorted(v[0])), tuple(sorted(v[1]))))

@@ -1,20 +1,76 @@
-"""Breakpoint construction: language preservation and vertex invariants."""
+"""Breakpoint construction: language preservation, vertex invariants, and
+the mask kernel against its frozenset reference."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocoa import (
     Alphabet, accepts_lasso, dualize, enumerate_lassos, eval_lasso, from_ltl,
-    miyano_hayashi, nbw_accepts_lasso, parse_ltl, to_nnf,
+    lower_bound_alphabet, lower_bound_family, miyano_hayashi, nbw_accepts_lasso,
+    parse_ltl, to_nnf,
 )
-from cocoa.obligation import minimal_models, obligation_to_dot
+from cocoa.obligation import (
+    Breakpoint, mask_states, member_order, minimal_models, obligation_to_dot, state_mask,
+)
 
-from conftest import formula_corpus, lassos_up_to
+from conftest import (
+    ReferenceBreakpoint, formula_corpus, lassos_up_to, reference_minimal_models,
+)
 
 
 def test_minimal_models_basic():
-    c = lambda *xs: frozenset(xs)
-    assert minimal_models([c(1, 2), c(2)]) == (c(2),)
-    assert minimal_models([c(1), c(2)]) == (c(1, 2),)
-    assert minimal_models([]) == (frozenset(),)
-    assert set(minimal_models([c(1, 2)])) == {c(1), c(2)}
+    c = state_mask
+    assert minimal_models([c({1, 2}), c({2})]) == (c({2}),)
+    assert minimal_models([c({1}), c({2})]) == (c({1, 2}),)
+    assert minimal_models([]) == (0,)
+    assert set(minimal_models([c({1, 2})])) == {c({1}), c({2})}
+
+
+_clause_sets = st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=4), max_size=7)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_clause_sets)
+def test_minimal_models_match_reference(clauses):
+    got = minimal_models([state_mask(c) for c in clauses])
+    assert tuple(frozenset(mask_states(m)) for m in got) == reference_minimal_models(clauses)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.frozensets(st.integers(0, 70), max_size=12), max_size=8))
+def test_member_order_sorts_by_sorted_members(sets):
+    masks = [state_mask(s) for s in sets]
+    assert sorted(masks, key=member_order) == sorted(masks, key=mask_states)
+
+
+def test_breakpoint_successors_match_reference():
+    # every reachable vertex and letter, with and without the sinks; the
+    # graph's own edges must name the reference successors in order
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    checked = 0
+    for f, alpha in inputs:
+        a = from_ltl(f, alpha)
+        for b in (a, dualize(a)):
+            for sinks in (False, True):
+                tops = frozenset({b.top}) if sinks else frozenset()
+                bottoms = frozenset({b.bottom}) if sinks else frozenset()
+                ref = ReferenceBreakpoint({k: p.clauses for k, p in b.delta.items()},
+                                          b.accepting, tops, bottoms)
+                kernel = Breakpoint({k: tuple(map(state_mask, p.clauses))
+                                     for k, p in b.delta.items()},
+                                    state_mask(b.accepting), state_mask(tops),
+                                    state_mask(bottoms))
+                g = miyano_hayashi(b, prune_empty=sinks)
+                for vid, (S, O) in enumerate(g.vertices):
+                    for x in alpha.letters:
+                        want = ref.successors(S, O, x)
+                        got = kernel.successors(state_mask(S), state_mask(O), x)
+                        assert [(frozenset(mask_states(s)), frozenset(mask_states(o)))
+                                for s, o in got] == want, (f, S, O, x)
+                        assert [g.vertices[d] for d in g.succ(vid, x)] == want
+                        checked += 1
+    assert checked > 2000
 
 
 def test_vertices_pair_invariants(fig1):
