@@ -2,8 +2,8 @@
 with a brute-force lasso-word oracle for differential verification."""
 
 from .awa import (
-    Awa, NotNnf, NotWeak, Pcnf, accepts_lasso, awa_to_dot, check_weak,
-    dualize, from_ltl, is_empty, winning_state_positions,
+    Awa, NotNnf, NotWeak, Pcnf, accepts_lasso, awa_to_dot, dualize, from_ltl,
+    winning_state_positions,
 )
 from .chain import (
     ChainConfig, Cocoa, HdNcw, ResourceLimit, VerifyReport, build_chain,
@@ -21,14 +21,10 @@ from .formula import (
     implies, lower_bound_alphabet, lower_bound_family, neg, nxt, parse_lasso,
     parse_ltl, release, to_nnf, until,
 )
-from .obligation import (
-    ObligationGraph, miyano_hayashi, nbw_accepts_lasso, nonempty_witness,
-    obligation_to_dot,
-)
+from .obligation import ObligationGraph, miyano_hayashi, obligation_to_dot
 from .sltm import (
-    IncompatibleAutomata, Label, Sltm, build_canonical_sltm,
-    label_accepts_lasso, label_of, labels_equivalent, sltm_state_after,
-    sltm_to_json,
+    IncompatibleAutomata, LanguageOracle, Label, Sltm, build_canonical_sltm,
+    label_accepts_lasso, label_of, labels_equivalent, sltm_to_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -81,19 +81,6 @@ def cyclic_sccs(succ: Sequence[Sequence[int]]) -> list[int]:
     return [c if c in cyclic else -1 for c in comp]
 
 
-def reachable(succ: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
-    seen = set(starts)
-    todo = sorted(seen)
-    while todo:
-        v = todo.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
-
-
-
 def lasso_letters(src: int, targets: dict[int, Container[int]],
                   step: Callable[[int], Iterable[tuple[Hashable, int]]]
                   ) -> tuple[list, list] | None:

@@ -1,11 +1,12 @@
 """Weak alternating Buchi automata with PCNF transition formulas.
 
 Covers construction from LTL (one state per subformula, expansion laws),
-dualization (complement), weakness checking, emptiness, and acceptance of
-lassos by the word-checking game.  Weakness lets the game be solved one rank
-group at a time, sinks first (Muller, Saoudi and Schupp, 1986): an accepting
-group is a greatest fixpoint and a rejecting group a least fixpoint, iterated
-on bit rows with one bit per lasso position.
+dualization (complement), weakness checking, and acceptance of lassos by
+the word-checking game.  Weakness lets the game be solved one rank group at
+a time, sinks first (Muller, Saoudi and Schupp, 1986): an accepting group is
+a greatest fixpoint and a rejecting group a least fixpoint, iterated on bit
+rows with one bit per lasso position.  Emptiness is decided on the
+breakpoint graph (``obligation.BreakpointGraph``).
 """
 
 from __future__ import annotations
@@ -162,13 +163,6 @@ def _scc_ranks(n_states, succ, accepting) -> list[int]:
     return rank
 
 
-def check_weak(a: Awa) -> dict[int, int]:
-    """Recompute the weakness witness; raises NotWeak on a mixed SCC."""
-    succ = _edge_lists(a.n_states, a.alphabet, a.delta)
-    ranks = _scc_ranks(a.n_states, succ, a.accepting)
-    return dict(enumerate(ranks))
-
-
 def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
     """Closure construction: one state per subformula, LTL expansion laws as
     transition formulas, constants routed through the sink states."""
@@ -305,14 +299,6 @@ def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:
     """True iff the acceptor wins the word-checking game on the lasso."""
     q0 = a.initial if start is None else start
     return bool(winning_state_positions(a, w)[q0] & 1)
-
-
-def is_empty(a: Awa) -> bool:
-    """Language emptiness via the breakpoint construction and a reachable
-    accepting cycle check on the resulting Buchi graph."""
-    from .obligation import miyano_hayashi, nonempty_witness
-
-    return nonempty_witness(miyano_hayashi(a, prune_empty=True)) is None
 
 
 # --- DOT export -------------------------------------------------------------

@@ -24,6 +24,10 @@ from .obligation import miyano_hayashi
 from .sltm import Sltm, build_canonical_sltm, sltm_from_json, sltm_to_json
 
 
+# a guard against a level loop that never comes out empty
+MAX_LEVELS = 64
+
+
 class ResourceLimit(Exception):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
@@ -34,7 +38,6 @@ class ResourceLimit(Exception):
 class ChainConfig:
     max_states: int = 10 ** 6
     timeout_s: float = 300.0
-    max_levels: int = 64
     check_single_step: bool = True
 
 
@@ -152,8 +155,8 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
     prev = universal_dfw(m)
     ell = 1
     while True:
-        if ell > cfg.max_levels:
-            raise ResourceLimit(f"more than {cfg.max_levels} levels", levels)
+        if ell > MAX_LEVELS:
+            raise ResourceLimit(f"more than {MAX_LEVELS} levels", levels)
         nfw = level_product(prev, m, ell, g_neg, g_pos)
         checkpoint(nfw.n_states, f"level {ell} product", levels)
         d = determinize(nfw, m)

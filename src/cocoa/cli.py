@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .awa import awa_to_dot
@@ -30,30 +29,6 @@ _IDENT = __import__("re").compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _RESERVED = {"X", "F", "G", "U", "R", "true", "false"}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    formula_text: str | None = None
-    aps: list[str] | None = None
-    out_dir: str = "cocoa-out"
-    fmt: str = "json"
-    prefix_bound: int = 2
-    period_bound: int = 3
-    max_states: int = 10 ** 6
-    timeout_s: float = 300.0
-    json_output: bool = False
-    word: str | None = None
-    mutate: str | None = None
-    n: int = 1
-    full_alphabet: bool = False
-
-    def validate(self) -> None:
-        if self.prefix_bound < 1 or self.period_bound < 1:
-            raise InvalidParameter("verification bounds must be at least 1")
-        if self.max_states <= 0 or self.timeout_s <= 0:
-            raise InvalidParameter("resource caps must be positive")
-
-
 def _scan_aps(text: str) -> list[str]:
     names = {m.group(0) for m in _IDENT.finditer(text)} - _RESERVED
     # stacked unary operators like "FG" lex as identifiers; a proposition
@@ -62,12 +37,13 @@ def _scan_aps(text: str) -> list[str]:
     return sorted(names)
 
 
-def _build(cfg: RunConfig) -> Cocoa:
-    aps = cfg.aps or _scan_aps(cfg.formula_text or "") or ["a"]
-    f = parse_ltl(cfg.formula_text or "", aps)
+def _build(args: argparse.Namespace) -> Cocoa:
+    given = [s.strip() for s in args.aps.split(",") if s.strip()] if args.aps else None
+    aps = given or _scan_aps(args.formula) or ["a"]
+    f = parse_ltl(args.formula, aps)
     return build_chain_for_formula(
         f, Alphabet.from_aps(aps),
-        ChainConfig(max_states=cfg.max_states, timeout_s=cfg.timeout_s))
+        ChainConfig(max_states=args.max_states, timeout_s=args.timeout_s))
 
 
 def _level_summary(chain: Cocoa) -> list[dict]:
@@ -77,21 +53,21 @@ def _level_summary(chain: Cocoa) -> list[dict]:
     return out
 
 
-def cmd_translate(cfg: RunConfig) -> int:
-    chain = _build(cfg)
-    out = Path(cfg.out_dir)
+def cmd_translate(args: argparse.Namespace) -> int:
+    chain = _build(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if cfg.fmt == "json":
+    if args.format == "json":
         path = out / "chain.json"
         path.write_text(json.dumps(chain_to_json(chain), indent=2, sort_keys=True) + "\n")
         written.append(str(path))
-    elif cfg.fmt == "hoa":
+    elif args.format == "hoa":
         for i in range(1, chain.k + 1):
             path = out / f"level-{i}.hoa"
             path.write_text(level_to_hoa(chain, i))
             written.append(str(path))
-    elif cfg.fmt == "dot":
+    elif args.format == "dot":
         files = {
             "awa.dot": awa_to_dot(chain.awa),
             "obligation-neg.dot": obligation_to_dot(chain.sltm.g_neg),
@@ -105,7 +81,7 @@ def cmd_translate(cfg: RunConfig) -> int:
             path.write_text(text)
             written.append(str(path))
     else:
-        raise InvalidParameter(f"unknown format {cfg.fmt!r}")
+        raise InvalidParameter(f"unknown format {args.format!r}")
     report = {
         "formula": str(chain.formula),
         "k": chain.k,
@@ -113,7 +89,7 @@ def cmd_translate(cfg: RunConfig) -> int:
         "levels": _level_summary(chain),
         "files": written,
     }
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(f"k={chain.k}")
@@ -126,12 +102,12 @@ def cmd_translate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_color(cfg: RunConfig) -> int:
-    chain = _build(cfg)
-    w = parse_lasso(cfg.word or "", chain.alphabet)
+def cmd_color(args: argparse.Namespace) -> int:
+    chain = _build(args)
+    w = parse_lasso(args.word, chain.alphabet)
     color = natural_color(chain, w)
     member = color % 2 == 0
-    if cfg.json_output:
+    if args.json:
         print(json.dumps({"word": w.text(), "natural_color": color, "member": member}))
     else:
         print(f"natural_color={color}")
@@ -139,20 +115,22 @@ def cmd_color(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    chain = _build(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.prefix < 1 or args.period < 1:
+        raise InvalidParameter("verification bounds must be at least 1")
+    chain = _build(args)
     f = chain.formula
-    if cfg.mutate:
-        if cfg.mutate != "drop-accepting":
-            raise InvalidParameter(f"unknown mutation {cfg.mutate!r}")
+    if args.mutate:
+        if args.mutate != "drop-accepting":
+            raise InvalidParameter(f"unknown mutation {args.mutate!r}")
         if chain.k == 0:
             raise InvalidParameter("cannot mutate a chain with no levels")
         chain = drop_accepting_transition(chain)
-    report = verify_chain(chain, f, cfg.prefix_bound, cfg.period_bound)
+    report = verify_chain(chain, f, args.prefix, args.period)
     payload = report.to_json()
     payload["k"] = chain.k
-    payload["mutated"] = bool(cfg.mutate)
-    if cfg.json_output:
+    payload["mutated"] = bool(args.mutate)
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"k={chain.k} lassos={report.lassos} "
@@ -166,40 +144,40 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.n < 1:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.n < 1:
         raise InvalidParameter("benchmark parameter n must be at least 1")
-    f = lower_bound_family(cfg.n)
-    alphabet = lower_bound_alphabet(cfg.n, restricted=not cfg.full_alphabet)
+    f = lower_bound_family(args.n)
+    alphabet = lower_bound_alphabet(args.n, restricted=not args.full_alphabet)
     t0 = time.monotonic()
     chain = build_chain_for_formula(
         f, alphabet,
-        ChainConfig(max_states=cfg.max_states, timeout_s=cfg.timeout_s,
+        ChainConfig(max_states=args.max_states, timeout_s=args.timeout_s,
                     check_single_step=False))
     elapsed = time.monotonic() - t0
     report = {
-        "n": cfg.n,
+        "n": args.n,
         "k": chain.k,
         "sltm_states": chain.sltm.n_states,
         "levels": _level_summary(chain),
         "elapsed_s": round(elapsed, 3),
     }
     checks_ok = True
-    if cfg.n == 1:
+    if args.n == 1:
         report["checks"] = {
             "sltm_at_least_4": chain.sltm.n_states >= 4,
             "single_level": chain.k == 1,
         }
         checks_ok = all(report["checks"].values())
-    if cfg.json_output:
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(f"n={cfg.n} k={chain.k} sltm_states={chain.sltm.n_states} "
+        print(f"n={args.n} k={chain.k} sltm_states={chain.sltm.n_states} "
               f"elapsed_s={elapsed:.2f}")
         for lvl in report["levels"]:
             print(f"level {lvl['level']}: dfw_states={lvl['dfw_states']} "
                   f"hdncw_states={lvl['hdncw_states']}")
-        if cfg.n == 1:
+        if args.n == 1:
             for name, ok in report["checks"].items():
                 print(f"check {name}: {'PASS' if ok else 'FAIL'}")
     return 0 if checks_ok else 1
@@ -212,30 +190,28 @@ def _parser() -> argparse.ArgumentParser:
                     "verify it against the lasso-word oracle.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_formula=True):
+    def command(name, func, summary, with_formula=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
         if with_formula:
             sp.add_argument("formula", help="LTL formula (ASCII grammar)")
             sp.add_argument("--aps", help="comma-separated atomic propositions "
                                           "(default: identifiers in the formula)")
-        sp.add_argument("--format", dest="fmt", default="json",
-                        choices=["json", "dot", "hoa"])
-        sp.add_argument("--out", dest="out_dir", default="cocoa-out")
-        sp.add_argument("--max-states", type=int, default=10 ** 6)
-        sp.add_argument("--timeout-s", type=float, default=300.0)
-        sp.add_argument("--json", dest="json_output", action="store_true")
+        sp.add_argument("--max-states", type=int, default=ChainConfig.max_states)
+        sp.add_argument("--timeout-s", type=float, default=ChainConfig.timeout_s)
+        sp.add_argument("--json", action="store_true")
+        return sp
 
-    sp = sub.add_parser("translate", help="build the chain and write artifacts")
-    common(sp)
-    sp = sub.add_parser("color", help="natural color of a lasso word")
-    common(sp)
+    sp = command("translate", cmd_translate, "build the chain and write artifacts")
+    sp.add_argument("--format", default="json", choices=["json", "dot", "hoa"])
+    sp.add_argument("--out", default="cocoa-out")
+    sp = command("color", cmd_color, "natural color of a lasso word")
     sp.add_argument("--word", required=True, help="lasso syntax {a}{};{b}")
-    sp = sub.add_parser("verify", help="differential check against the oracle")
-    common(sp)
-    sp.add_argument("--prefix", dest="prefix_bound", type=int, default=2)
-    sp.add_argument("--period", dest="period_bound", type=int, default=3)
+    sp = command("verify", cmd_verify, "differential check against the oracle")
+    sp.add_argument("--prefix", type=int, default=2)
+    sp.add_argument("--period", type=int, default=3)
     sp.add_argument("--mutate", choices=["drop-accepting"])
-    sp = sub.add_parser("bench", help="benchmark formula family")
-    common(sp, with_formula=False)
+    sp = command("bench", cmd_bench, "benchmark formula family", with_formula=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--full-alphabet", action="store_true",
                     help="use all subsets of the propositions as letters")
@@ -244,33 +220,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        formula_text=getattr(args, "formula", None),
-        aps=[s.strip() for s in args.aps.split(",") if s.strip()] if getattr(args, "aps", None) else None,
-        out_dir=args.out_dir,
-        fmt=args.fmt,
-        prefix_bound=getattr(args, "prefix_bound", 2),
-        period_bound=getattr(args, "period_bound", 3),
-        max_states=args.max_states,
-        timeout_s=args.timeout_s,
-        json_output=args.json_output,
-        word=getattr(args, "word", None),
-        mutate=getattr(args, "mutate", None),
-        n=getattr(args, "n", 1),
-        full_alphabet=getattr(args, "full_alphabet", False),
-    )
     try:
-        cfg.validate()
-        if cfg.command == "translate":
-            return cmd_translate(cfg)
-        if cfg.command == "color":
-            return cmd_color(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "bench":
-            return cmd_bench(cfg)
-        raise InvalidParameter(f"unknown command {cfg.command!r}")
+        if args.max_states <= 0 or args.timeout_s <= 0:
+            raise InvalidParameter("resource caps must be positive")
+        return args.func(args)
     except (ParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

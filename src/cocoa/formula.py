@@ -184,17 +184,6 @@ def atom_names(f: Formula) -> list[str]:
     return sorted(names)
 
 
-def is_nnf(f: Formula) -> bool:
-    for g in subformulas(f):
-        if g.kind == IMPLIES:
-            return False
-        if g.kind == NOT and g.args[0].kind != ATOM:
-            return False
-        if g.kind in (TRUE, FALSE) and g is not f:
-            return False
-    return True
-
-
 def _s_not(f: Formula) -> Formula:
     if f.kind == TRUE:
         return LFALSE

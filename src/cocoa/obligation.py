@@ -7,17 +7,21 @@ state, so a subset test is ``k & s == k``; vertices become frozensets only
 when an ``ObligationGraph`` is built.  The minimal models of a state set's
 transition formulas are folded from those of each member state, one state
 at a time, so no clause set is ever merged and searched as a whole.
+
+One explorer, ``BreakpointGraph``, interns the pairs and expands their
+successor rows.  ``miyano_hayashi`` expands it whole and freezes it into an
+``ObligationGraph``; the tracking machine's language oracle expands it only
+as far as its emptiness checks reach.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
-from ._graph import cyclic_sccs, lasso_letters, reachable
+from ._graph import lasso_letters, tarjan_sccs
 from .awa import Awa
-from .formula import Alphabet, LassoWord, letter_text
+from .formula import Alphabet, letter_text
 
 Vertex = tuple[frozenset[int], frozenset[int]]
 
@@ -46,9 +50,6 @@ class ObligationGraph:
 
     def succ(self, vid: int, letter: frozenset[str]) -> tuple[int, ...]:
         return self.edges[vid][self._letter_number[letter]]
-
-    def succ_graph(self) -> list[list[int]]:
-        return [sorted({d for dsts in row for d in dsts}) for row in self.edges]
 
 
 def state_mask(states) -> int:
@@ -90,6 +91,8 @@ def minimal_masks(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
+# shared by every build in the process until a per-build context owns it
+# (ROADMAP open item 3)
 _MM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -211,77 +214,126 @@ class Breakpoint:
         return out
 
 
-def miyano_hayashi(a: Awa, prune_empty: bool = False) -> ObligationGraph:
-    """Language-preserving NBW for the alternating automaton.
+class BreakpointGraph:
+    """The graph of a breakpoint kernel over (S, O) mask pairs, explored on
+    demand.
 
-    With ``prune_empty`` (used by the emptiness check only) the accepting
-    sink is stripped from vertex sets and successors containing the
-    rejecting sink are dropped; neither carries an accepted run, so the
-    language is unchanged while the graph shrinks.  Obligation graphs that
-    feed the tracking machine keep every reachable vertex, dead or not.
+    ``intern`` numbers a pair on first sight.  ``row(vid)`` expands a
+    vertex once, interning its successors per letter and, within a letter,
+    in kernel order; a graph expanded in id order from vertex 0 is thus
+    numbered breadth first.  ``nonempty_from`` settles an emptiness verdict
+    per vertex, component by component, so repeated queries on one graph
+    reuse each other's work; ``accepted_lasso`` reads a witness off them.
+    """
+
+    def __init__(self, kernel: Breakpoint, letters: tuple[frozenset[str], ...]):
+        self.kernel = kernel
+        self.letters = letters
+        self.ids: dict[tuple[int, int], int] = {}
+        self.pairs: list[tuple[int, int]] = []
+        # per vertex: the successor ids on each letter once expanded, all
+        # of them sorted once an emptiness check walks the vertex, and
+        # whether an accepted run starts there once settled
+        self.rows: list[tuple[tuple[int, ...], ...] | None] = []
+        self.succs: list[list[int] | None] = []
+        self.verdict: list[bool | None] = []
+
+    def intern(self, v: tuple[int, int]) -> int:
+        got = self.ids.get(v)
+        if got is None:
+            got = len(self.pairs)
+            self.ids[v] = got
+            self.pairs.append(v)
+            self.rows.append(None)
+            self.succs.append(None)
+            self.verdict.append(None)
+        return got
+
+    def row(self, vid: int) -> tuple[tuple[int, ...], ...]:
+        """The successor ids of a vertex, one tuple per letter."""
+        got = self.rows[vid]
+        if got is None:
+            S, O = self.pairs[vid]
+            got = self.rows[vid] = tuple(
+                tuple(self.intern(v) for v in self.kernel.successors(S, O, x))
+                for x in self.letters)
+        return got
+
+    def _succ(self, vid: int) -> list[int]:
+        got = self.succs[vid]
+        if got is None:
+            got = self.succs[vid] = sorted({d for dsts in self.row(vid) for d in dsts})
+        return got
+
+    def nonempty_from(self, roots: list[int]) -> bool:
+        """True iff some root can reach a cycle through a vertex that owes
+        no obligation (O empty).
+
+        Each component of the graph gets its verdict as it is found;
+        settled vertices are skipped by later searches, and their verdicts
+        are reused as leaf values.
+        """
+        for comp in tarjan_sccs(roots, self._succ, lambda v: self.verdict[v] is not None):
+            members = set(comp)
+            good = internal = False
+            for w in comp:
+                for s in self._succ(w):
+                    if s in members:
+                        internal = True
+                    elif self.verdict[s]:
+                        good = True
+            if internal and any(not self.pairs[w][1] for w in comp):
+                good = True
+            for w in comp:
+                self.verdict[w] = good
+        return any(self.verdict[r] for r in roots)
+
+    def accepted_lasso(self, roots: list[int]) -> tuple[list, list]:
+        """Prefix and cycle letters of an accepted lasso from a root that
+        ``nonempty_from`` found nonempty.
+
+        Only vertices with a true verdict are walked; all of them are
+        expanded and settled.  Every such component either is cyclic with
+        a vertex owing nothing, or leads to one that is, so the nearest of
+        those vertices closes the lasso.
+        """
+        def good_succ(v: int) -> list[int]:
+            return [s for s in self._succ(v) if self.verdict[s]]
+
+        root = next(r for r in roots if self.verdict[r])
+        targets: dict[int, set[int]] = {}
+        for comp in tarjan_sccs([root], good_succ):
+            inside = set(comp)
+            if any(s in inside for w in comp for s in good_succ(w)):
+                targets.update((w, inside) for w in comp if not self.pairs[w][1])
+        found = lasso_letters(root, targets, lambda v: (
+            (x, d) for x, dsts in zip(self.letters, self.row(v)) for d in dsts
+            if self.verdict[d]))
+        if found is None:
+            raise AssertionError("no accepted lasso from a nonempty root")
+        return found
+
+
+def miyano_hayashi(a: Awa) -> ObligationGraph:
+    """Language-preserving NBW for the alternating automaton: its breakpoint
+    graph, expanded in id order from the initial pair.
+
+    Every reachable vertex is kept, dead or not, since the tracking machine
+    steps vertex sets of this graph.
     """
     acc = state_mask(a.accepting)
-    kernel = Breakpoint({key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()},
-                        acc, 1 << a.top if prune_empty else 0,
-                        1 << a.bottom if prune_empty else 0)
+    delta = {key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()}
+    graph = BreakpointGraph(Breakpoint(delta, acc, 0, 0), a.alphabet.letters)
     init = 1 << a.initial
-    v0 = (init, init & ~acc)
-    ids: dict[tuple[int, int], int] = {v0: 0}
-    pairs: list[tuple[int, int]] = [v0]
-    edges: list[tuple[tuple[int, ...], ...]] = []
-    frontier = deque([0])
-    while frontier:
-        S, O = pairs[frontier.popleft()]
-        row = []
-        for x in a.alphabet.letters:
-            dsts = []
-            for v in kernel.successors(S, O, x):
-                nid = ids.get(v)
-                if nid is None:
-                    nid = len(pairs)
-                    ids[v] = nid
-                    pairs.append(v)
-                    frontier.append(nid)
-                dsts.append(nid)
-            row.append(tuple(dsts))
-        # vertices leave the queue in id order, so this is row ``vid``
-        edges.append(tuple(row))
+    graph.intern((init, init & ~acc))
+    vid = 0
+    while vid < len(graph.pairs):
+        graph.row(vid)
+        vid += 1
+    pairs = graph.pairs
     vertices = tuple((frozenset(mask_states(s)), frozenset(mask_states(o))) for s, o in pairs)
     accepting = frozenset(i for i, (_s, o) in enumerate(pairs) if not o)
-    return ObligationGraph(a.alphabet, vertices, 0, tuple(edges), accepting)
-
-
-def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
-    """Buchi lasso membership on the product with the lasso positions."""
-    n = w.n_positions
-
-    def node(vid: int, i: int) -> int:
-        return vid * n + i
-
-    total = g.n_vertices * n
-    succ: list[list[int]] = [[] for _ in range(total)]
-    for vid in range(g.n_vertices):
-        for i in range(n):
-            succ[node(vid, i)] = [node(v2, w.next_pos(i)) for v2 in g.succ(vid, w.letter_at(i))]
-    reach = reachable(succ, [node(g.initial, 0)])
-    comp = cyclic_sccs(succ)
-    return any(comp[nd] >= 0 and nd // n in g.accepting for nd in reach)
-
-
-def nonempty_witness(g: ObligationGraph) -> LassoWord | None:
-    """An accepted lasso if the language is non-empty, else None."""
-    comp = cyclic_sccs(g.succ_graph())
-    targets = sorted(v for v in g.accepting if comp[v] >= 0)
-    if not targets:
-        return None
-    target = targets[0]
-    members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
-    found = lasso_letters(
-        g.initial, {target: members},
-        lambda vid: ((x, v2) for x in g.alphabet.letters for v2 in g.succ(vid, x)))
-    if found is None:
-        raise AssertionError("no lasso through an accepting cyclic vertex")
-    return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))
+    return ObligationGraph(a.alphabet, vertices, 0, tuple(graph.rows), accepting)
 
 
 def obligation_to_dot(g: ObligationGraph) -> str:

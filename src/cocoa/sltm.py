@@ -7,10 +7,13 @@ a suffix-language label in intersection-of-unions form.  The machine is
 explored over label-equivalence classes only: a subset construction over
 the complement graph steps one representative vertex set per state and
 merges each successor set into the state of an equivalent label, decided
-with an alternating-automaton emptiness check.  Candidate states are
-bucketed by signature, the label's membership of each lasso in a battery
-that starts empty; every inequivalent pair the check meets adds a lasso
-that tells the two apart, read off the nonempty half of their difference.
+with an alternating-automaton emptiness check.  Each build owns one
+``LanguageOracle``: the breakpoint graph over the automaton and its dual,
+explored only as far as the checks reach, whose emptiness verdicts every
+check of that build shares.  Candidate states are bucketed by signature,
+the label's membership of each lasso in a battery that starts empty; every
+inequivalent pair the check meets adds a lasso that tells the two apart,
+read off the nonempty half of their difference.
 Both vertex sets of a state then come from a product sweep of the machine
 with each graph.
 """
@@ -21,13 +24,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._graph import lasso_letters, tarjan_sccs
 from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, canon_key, cnf_and, cnf_or, dualize, minimal_sets,
     winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
-from .obligation import Breakpoint, ObligationGraph, miyano_hayashi, state_mask
+from .obligation import (
+    Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi, state_mask,
+)
 
 
 class IncompatibleAutomata(Exception):
@@ -93,105 +97,28 @@ def _syntactic_subset(l1: Label, l2: Label) -> bool:
     return all(any(u1 <= u2 for u1 in l1.unions) for u2 in l2.unions)
 
 
-class _LanguageOracle:
-    """Lazy emptiness oracle for state-set languages over A and its dual.
+class LanguageOracle(BreakpointGraph):
+    """Emptiness of label differences, on the breakpoint graph over an
+    automaton and its dual; one per build.
 
-    Vertices are breakpoint pairs over the disjoint union of the automaton
-    and its dual (dual state q is bit n + q), held as (S, O) int masks as
-    the breakpoint kernel gives them; the language of a vertex is the
-    intersection of its member state languages, so per-vertex nonemptiness
-    verdicts are a property of the shared graph and can be memoized across
-    equivalence queries.
+    Dual state q is bit n + q.  The language of a vertex is the
+    intersection of its member state languages, so per-vertex verdicts are
+    a property of the graph and are shared by every query on it.
     """
 
     def __init__(self, a: Awa, a_dual: Awa):
         n = a.n_states
-        self.n = n
-        self.letters = a.alphabet.letters
         delta = {key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()}
         for (q, x), p in a_dual.delta.items():
             delta[(n + q, x)] = tuple(state_mask(c) << n for c in p.clauses)
-        self.kernel = Breakpoint(
+        super().__init__(Breakpoint(
             delta,
             accepting=state_mask(a.accepting) | state_mask(a_dual.accepting) << n,
             tops=1 << a.top | 1 << (n + a_dual.top),
-            bottoms=1 << a.bottom | 1 << (n + a_dual.bottom))
-        self.vid: dict[tuple[int, int], int] = {}
-        self.vertices: list[tuple[int, int]] = []
-        self.succ: list[tuple[int, ...] | None] = []
-        # the successors of each expanded vertex per letter, in letter order
-        self.edges: list[tuple[tuple[frozenset[str], tuple[int, ...]], ...] | None] = []
-        self.verdict: list[bool | None] = []
+            bottoms=1 << a.bottom | 1 << (n + a_dual.bottom)), a.alphabet.letters)
+        self.a = a
         # the minimal models of each positive label's unions, as masks
         self.label_models: dict[Label, tuple[int, ...]] = {}
-
-    def intern(self, v: tuple[int, int]) -> int:
-        got = self.vid.get(v)
-        if got is None:
-            got = len(self.vertices)
-            self.vid[v] = got
-            self.vertices.append(v)
-            self.succ.append(None)
-            self.edges.append(None)
-            self.verdict.append(None)
-        return got
-
-    def _expand(self, vid: int) -> tuple[int, ...]:
-        got = self.succ[vid]
-        if got is None:
-            S, O = self.vertices[vid]
-            edges = tuple((x, tuple(self.intern(v) for v in self.kernel.successors(S, O, x)))
-                          for x in self.letters)
-            got = tuple(sorted({d for _x, dsts in edges for d in dsts}))
-            self.edges[vid] = edges
-            self.succ[vid] = got
-        return got
-
-    def nonempty_from(self, roots: list[int]) -> bool:
-        """True iff some root can reach a cycle through an accepting vertex.
-
-        Each component of the lazily expanded graph gets its verdict as it
-        is found; settled vertices are skipped by later searches, and their
-        verdicts are reused as leaf values.
-        """
-        for comp in tarjan_sccs(roots, self._expand, lambda v: self.verdict[v] is not None):
-            members = set(comp)
-            good = internal = False
-            for w in comp:
-                for s in self._expand(w):
-                    if s in members:
-                        internal = True
-                    elif self.verdict[s]:
-                        good = True
-            if internal and any(not self.vertices[w][1] for w in comp):
-                good = True
-            for w in comp:
-                self.verdict[w] = good
-        return any(self.verdict[r] for r in roots)
-
-    def accepted_lasso(self, roots: list[int]) -> tuple[list, list]:
-        """Prefix and cycle letters of an accepted lasso from a root that
-        ``nonempty_from`` found nonempty.
-
-        Only vertices with a true verdict are walked; all of them are
-        expanded and settled.  Every such component either is cyclic with
-        a vertex owing nothing, or leads to one that is, so the nearest of
-        those vertices closes the lasso.
-        """
-        def good_succ(v: int) -> list[int]:
-            return [s for s in self.succ[v] if self.verdict[s]]
-
-        root = next(r for r in roots if self.verdict[r])
-        targets: dict[int, set[int]] = {}
-        for comp in tarjan_sccs([root], good_succ):
-            inside = set(comp)
-            if any(s in inside for w in comp for s in good_succ(w)):
-                targets.update((w, inside) for w in comp if not self.vertices[w][1])
-        found = lasso_letters(root, targets, lambda v: (
-            (x, d) for x, dsts in self.edges[v] for d in dsts if self.verdict[d]))
-        if found is None:
-            raise AssertionError("no accepted lasso from a nonempty root")
-        return found
 
     def difference_roots(self, pos: Label, neg: Label) -> list[int]:
         """Initial vertices for [[pos]] minus [[neg]].
@@ -206,7 +133,8 @@ class _LanguageOracle:
         if models is None:
             models = minimal_models(tuple(map(state_mask, pos.unions)))
             self.label_models[pos] = models
-        duals = [state_mask(u) << self.n for u in neg.unions]
+        n = self.a.n_states
+        duals = [state_mask(u) << n for u in neg.unions]
         free = ~self.kernel.accepting
         roots = set()
         for m in models:
@@ -216,23 +144,6 @@ class _LanguageOracle:
         return sorted(roots)
 
 
-# (a, a_dual, oracle) by (id(a), id(a_dual)); the entry holds the automata
-# so that their ids cannot be reused by other automata while it exists
-_ORACLES: dict[tuple[int, int], tuple[Awa, Awa, _LanguageOracle]] = {}
-
-
-def _oracle_for(a: Awa, a_dual: Awa) -> _LanguageOracle:
-    key = (id(a), id(a_dual))
-    got = _ORACLES.get(key)
-    if got is not None and got[0] is a and got[1] is a_dual:
-        return got[2]
-    if len(_ORACLES) > 64:
-        _ORACLES.clear()
-    oracle = _LanguageOracle(a, a_dual)
-    _ORACLES[key] = (a, a_dual, oracle)
-    return oracle
-
-
 def _check_states(labels: Iterable[Label], a: Awa) -> None:
     for l in labels:
         for q in l.states():
@@ -240,39 +151,37 @@ def _check_states(labels: Iterable[Label], a: Awa) -> None:
                 raise IncompatibleAutomata(f"label references unknown state {q}")
 
 
-def labels_equivalent(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> bool:
+def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
     """Decide language equality of two labels.
 
     Both halves of the symmetric difference are tested for emptiness on the
-    breakpoint graph over the automaton and its dual (the alternating
-    encoding of (l1 and not l2) or (l2 and not l1)); syntactic containment
-    both ways short-cuts the check.
+    oracle's breakpoint graph over the automaton and its dual (the
+    alternating encoding of (l1 and not l2) or (l2 and not l1)); syntactic
+    containment both ways short-cuts the check.
     """
-    _check_states((l1, l2), a)
+    _check_states((l1, l2), oracle.a)
     if l1 == l2:
         return True
     if _syntactic_subset(l1, l2) and _syntactic_subset(l2, l1):
         return True
-    oracle = _oracle_for(a, a_dual)
     if oracle.nonempty_from(oracle.difference_roots(l1, l2)):
         return False
     return not oracle.nonempty_from(oracle.difference_roots(l2, l1))
 
 
-def distinguishing_lasso(l1: Label, l2: Label, a: Awa, a_dual: Awa) -> LassoWord:
+def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoWord:
     """A lasso in the language of exactly one of two inequivalent labels.
 
     It is read off the nonempty half of the symmetric difference in the
-    shared oracle, whose verdicts ``labels_equivalent`` has usually settled
+    oracle, whose verdicts ``labels_equivalent`` has usually settled
     already.  Raises ValueError when the labels are equivalent.
     """
-    _check_states((l1, l2), a)
-    oracle = _oracle_for(a, a_dual)
+    _check_states((l1, l2), oracle.a)
     for pos, neg in ((l1, l2), (l2, l1)):
         roots = oracle.difference_roots(pos, neg)
         if oracle.nonempty_from(roots):
             prefix, cycle = oracle.accepted_lasso(roots)
-            return LassoWord(a.alphabet, tuple(prefix), tuple(cycle))
+            return LassoWord(oracle.a.alphabet, tuple(prefix), tuple(cycle))
     raise ValueError("the labels are equivalent")
 
 
@@ -312,13 +221,6 @@ class Sltm:
     source_dual: Awa | None = None
 
 
-def sltm_state_after(m: Sltm, word: Iterable[frozenset[str]]) -> int:
-    state = m.initial
-    for x in word:
-        state = m.delta[(state, x)]
-    return state
-
-
 def build_canonical_sltm(
     a: Awa,
     g_neg: ObligationGraph | None = None,
@@ -355,12 +257,10 @@ def build_canonical_sltm(
 
     # cheap pre-partition: membership bits over a battery of lassos that
     # starts empty and gains, per inequivalent pair met, a lasso telling
-    # the two apart; equivalent labels always share a signature
+    # the two apart; equivalent labels always share a signature.  Each
+    # state keeps its signature, so a new lasso costs one bit per state.
     winners: list[frozenset[int]] = []
-
-    def signature(label: Label) -> tuple[bool, ...]:
-        return tuple(_holds(label, win) for win in winners)
-
+    oracle = LanguageOracle(a, a_dual)
     equiv_cache: dict[tuple[Label, Label], bool] = {}
 
     def equivalent(l1: Label, l2: Label) -> bool:
@@ -370,37 +270,31 @@ def build_canonical_sltm(
         key = (first, second)
         got = equiv_cache.get(key)
         if got is None:
-            got = labels_equivalent(l1, l2, a, a_dual)
+            got = labels_equivalent(l1, l2, oracle)
             equiv_cache[key] = got
         return got
 
     reps: list[frozenset[int]] = []
     rep_labels: list[Label] = []
+    sigs: list[tuple[bool, ...]] = []
     state_of: dict[frozenset[int], int] = {}
     by_label: dict[Label, int] = {}
     buckets: dict[tuple[bool, ...], list[int]] = {}
     frontier: deque[int] = deque()
 
-    def refine(l1: Label, l2: Label) -> None:
-        # one more battery lasso, hence one more signature bit per state
-        win = _initial_winners(a, distinguishing_lasso(l1, l2, a, a_dual))
-        if _holds(l1, win) == _holds(l2, win):
-            raise AssertionError("a distinguishing lasso is in both labels or in neither")
+    def refine(label: Label, sig: tuple[bool, ...], sid: int) -> tuple[bool, ...]:
+        # one more battery lasso, told apart by the label and state sid: one
+        # more bit per state's signature and on the label's, which is returned
+        win = _initial_winners(a, distinguishing_lasso(label, rep_labels[sid], oracle))
         winners.append(win)
         buckets.clear()
-        for sid, label in enumerate(rep_labels):
-            buckets.setdefault(signature(label), []).append(sid)
-
-    def find_class(label: Label) -> int | None:
-        # the state whose label is equivalent; every candidate rejected
-        # refines the signatures, which moves the label out of its bucket
-        while True:
-            bucket = buckets.get(signature(label))
-            if not bucket:
-                return None
-            if equivalent(label, rep_labels[bucket[0]]):
-                return bucket[0]
-            refine(label, rep_labels[bucket[0]])
+        for s, l in enumerate(rep_labels):
+            sigs[s] += (_holds(l, win),)
+            buckets.setdefault(sigs[s], []).append(s)
+        sig += (_holds(label, win),)
+        if sig[-1] == sigs[sid][-1]:
+            raise AssertionError("a distinguishing lasso is in both labels or in neither")
+        return sig
 
     def classify(vs: frozenset[int]) -> int:
         sid = state_of.get(vs)
@@ -409,13 +303,23 @@ def build_canonical_sltm(
         label = label_of(vs, g_neg)
         sid = by_label.get(label)
         if sid is None:
-            sid = find_class(label)
-            if sid is None:
-                sid = len(reps)
-                reps.append(vs)
-                rep_labels.append(label)
-                buckets.setdefault(signature(label), []).append(sid)
-                frontier.append(sid)
+            # the state whose label is equivalent; every candidate rejected
+            # refines the signatures, which moves the label out of its bucket
+            sig = tuple(_holds(label, win) for win in winners)
+            while True:
+                bucket = buckets.get(sig)
+                if not bucket:
+                    sid = len(reps)
+                    reps.append(vs)
+                    rep_labels.append(label)
+                    sigs.append(sig)
+                    buckets[sig] = [sid]
+                    frontier.append(sid)
+                    break
+                if equivalent(label, rep_labels[bucket[0]]):
+                    sid = bucket[0]
+                    break
+                sig = refine(label, sig, bucket[0])
             by_label[label] = sid
         state_of[vs] = sid
         return sid

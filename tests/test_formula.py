@@ -12,14 +12,25 @@ from cocoa import (
     lower_bound_family, neg, parse_lasso, parse_ltl, to_nnf,
 )
 from cocoa.formula import (
-    AND, ATOM, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
-    RELEASE, UNTIL, is_nnf, subformulas,
+    AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
+    RELEASE, TRUE, UNTIL, subformulas,
 )
 
 from conftest import (
     ab_lassos, canonical_lasso, formula_corpus, lassos_up_to,
     reference_enumerate_lassos, reference_eval_lasso,
 )
+
+
+def is_nnf(f: Formula) -> bool:
+    for g in subformulas(f):
+        if g.kind == IMPLIES:
+            return False
+        if g.kind == NOT and g.args[0].kind != ATOM:
+            return False
+        if g.kind in (TRUE, FALSE) and g is not f:
+            return False
+    return True
 
 
 def test_parse_single_operator():

@@ -1,21 +1,80 @@
-"""Breakpoint construction: language preservation, vertex invariants, and
-the mask kernel against its frozenset reference."""
+"""Breakpoint construction: language preservation, vertex invariants, the
+mask kernel against its frozenset reference, and the lazy emptiness check
+against the eager one."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, accepts_lasso, dualize, enumerate_lassos, eval_lasso, from_ltl,
-    lower_bound_alphabet, lower_bound_family, miyano_hayashi, nbw_accepts_lasso,
+    Alphabet, LassoWord, accepts_lasso, dualize, enumerate_lassos, eval_lasso,
+    from_ltl, lower_bound_alphabet, lower_bound_family, miyano_hayashi,
     parse_ltl, to_nnf,
 )
+from cocoa._graph import cyclic_sccs
+from cocoa.awa import Awa
 from cocoa.obligation import (
-    Breakpoint, mask_states, member_order, minimal_models, obligation_to_dot, state_mask,
+    Breakpoint, BreakpointGraph, ObligationGraph, mask_states, member_order,
+    minimal_models, obligation_to_dot, state_mask,
 )
 
 from conftest import (
     ReferenceBreakpoint, formula_corpus, lassos_up_to, reference_minimal_models,
+    reference_nonempty_witness, succ_lists,
 )
+
+
+def reachable(succ, starts) -> set[int]:
+    seen = set(starts)
+    todo = sorted(seen)
+    while todo:
+        v = todo.pop()
+        for w in succ[v]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
+    """Buchi lasso membership on the product with the lasso positions."""
+    n = w.n_positions
+
+    def node(vid: int, i: int) -> int:
+        return vid * n + i
+
+    total = g.n_vertices * n
+    succ: list[list[int]] = [[] for _ in range(total)]
+    for vid in range(g.n_vertices):
+        for i in range(n):
+            succ[node(vid, i)] = [node(v2, w.next_pos(i)) for v2 in g.succ(vid, w.letter_at(i))]
+    reach = reachable(succ, [node(g.initial, 0)])
+    comp = cyclic_sccs(succ)
+    return any(comp[nd] >= 0 and nd // n in g.accepting for nd in reach)
+
+
+def sink_explorer(b: Awa) -> BreakpointGraph:
+    """The breakpoint graph of b with the sinks applied (pairs holding the
+    rejecting sink dropped, the accepting sink stripped from state sets),
+    unexpanded, its initial pair interned as vertex 0."""
+    acc = state_mask(b.accepting)
+    kernel = Breakpoint({k: tuple(map(state_mask, p.clauses)) for k, p in b.delta.items()},
+                        acc, 1 << b.top, 1 << b.bottom)
+    g = BreakpointGraph(kernel, b.alphabet.letters)
+    init = 1 << b.initial
+    g.intern((init, init & ~acc))
+    return g
+
+
+def expanded(g: BreakpointGraph, alphabet: Alphabet) -> ObligationGraph:
+    """Every vertex reachable from vertex 0 expanded in id order, frozen
+    into an obligation graph."""
+    vid = 0
+    while vid < len(g.pairs):
+        g.row(vid)
+        vid += 1
+    vertices = tuple((frozenset(mask_states(s)), frozenset(mask_states(o))) for s, o in g.pairs)
+    accepting = frozenset(i for i, (_s, o) in enumerate(g.pairs) if not o)
+    return ObligationGraph(alphabet, vertices, 0, tuple(g.rows), accepting)
 
 
 def test_minimal_models_basic():
@@ -61,7 +120,7 @@ def test_breakpoint_successors_match_reference():
                                      for k, p in b.delta.items()},
                                     state_mask(b.accepting), state_mask(tops),
                                     state_mask(bottoms))
-                g = miyano_hayashi(b, prune_empty=sinks)
+                g = expanded(sink_explorer(b), alpha) if sinks else miyano_hayashi(b)
                 for vid, (S, O) in enumerate(g.vertices):
                     for x in alpha.letters:
                         want = ref.successors(S, O, x)
@@ -93,7 +152,7 @@ def test_tautology_dual_has_no_accepting_cycle():
     alpha = Alphabet.from_aps(["a"])
     a = from_ltl(to_nnf(parse_ltl("a | !a", ["a"])), alpha)
     g = miyano_hayashi(dualize(a))
-    succ = g.succ_graph()
+    succ = succ_lists(g)
     # no accepting vertex reachable from itself
     for v in g.accepting:
         seen, todo = set(), [v]
@@ -174,10 +233,27 @@ def test_sink_pruning_keeps_the_language():
         a = from_ltl(to_nnf(f), alpha)
         for b in (a, dualize(a)):
             full = miyano_hayashi(b)
-            pruned = miyano_hayashi(b, prune_empty=True)
+            pruned = expanded(sink_explorer(b), alpha)
             assert all(b.top not in S and b.bottom not in S for S, _O in pruned.vertices)
             shrunk += pruned.n_vertices < full.n_vertices
             for w in enumerate_lassos(alpha, 2, 2):
                 assert nbw_accepts_lasso(pruned, w) == nbw_accepts_lasso(full, w), \
                     (f, w.text())
     assert shrunk
+
+
+def test_lazy_emptiness_matches_reference():
+    # the lazy check settles a verdict per component as it explores; the
+    # reference runs over the whole graph without the sinks applied
+    nonempty = 0
+    for f, aps in formula_corpus(25, seed=12):
+        a = from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+        for b in (a, dualize(a)):
+            g = sink_explorer(b)
+            got = g.nonempty_from([0])
+            assert got == (reference_nonempty_witness(miyano_hayashi(b)) is not None), f
+            if got:
+                nonempty += 1
+                prefix, cycle = g.accepted_lasso([0])
+                assert accepts_lasso(b, LassoWord(b.alphabet, tuple(prefix), tuple(cycle))), f
+    assert 0 < nonempty < 50

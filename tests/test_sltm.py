@@ -7,9 +7,9 @@ from collections import deque
 import pytest
 
 from cocoa import (
-    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl, is_empty,
+    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl,
     label_accepts_lasso, label_of, labels_equivalent, lower_bound_alphabet,
-    lower_bound_family, miyano_hayashi, parse_ltl, sltm_state_after, to_nnf,
+    lower_bound_family, miyano_hayashi, parse_ltl, to_nnf,
 )
 import cocoa.sltm
 from cocoa.awa import (
@@ -17,13 +17,14 @@ from cocoa.awa import (
     finalize_pcnf,
 )
 from cocoa.sltm import (
-    IncompatibleAutomata, Label, _LanguageOracle, _oracle_for,
-    build_canonical_sltm, distinguishing_lasso, sltm_from_json, sltm_to_dot,
-    sltm_to_json, suffix_label,
+    IncompatibleAutomata, Label, LanguageOracle, build_canonical_sltm,
+    distinguishing_lasso, sltm_from_json, sltm_to_dot, sltm_to_json,
+    suffix_label,
 )
 
 from conftest import (
-    formula_corpus, lassos_up_to, prefixes_up_to, prepend,
+    formula_corpus, lassos_up_to, prefixes_up_to, prepend, reference_is_empty,
+    sltm_state_after,
 )
 
 
@@ -51,25 +52,25 @@ def test_label_of_merges_shared_state_sets(fig1):
 
 
 def test_labels_equivalent_reflexive(fig1):
-    d = dualize(fig1)
+    oracle = LanguageOracle(fig1, dualize(fig1))
     l = Label.make([frozenset({1, 2})])
-    assert labels_equivalent(l, l, fig1, d) is True
+    assert labels_equivalent(l, l, oracle) is True
 
 
 def test_labels_equivalent_fig1_branch_states(fig1):
-    d = dualize(fig1)
+    oracle = LanguageOracle(fig1, dualize(fig1))
     f1_label = Label.make([frozenset({2})])   # G a branch state
     f2_label = Label.make([frozenset({3})])   # empty-language state
-    assert labels_equivalent(f1_label, f2_label, fig1, d) is False
+    assert labels_equivalent(f1_label, f2_label, oracle) is False
     universal = Label.make([])
     g2_label = Label.make([frozenset({6})])
-    assert labels_equivalent(universal, g2_label, fig1, d) is True
+    assert labels_equivalent(universal, g2_label, oracle) is True
 
 
 def test_labels_equivalent_rejects_foreign_states(fig1):
-    d = dualize(fig1)
+    oracle = LanguageOracle(fig1, dualize(fig1))
     with pytest.raises(IncompatibleAutomata):
-        labels_equivalent(Label.make([frozenset({99})]), Label.make([]), fig1, d)
+        labels_equivalent(Label.make([frozenset({99})]), Label.make([]), oracle)
 
 
 EPS_AP = "<eps>"
@@ -153,24 +154,11 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
         Label.make([frozenset({1}), frozenset({4})]),
         Label.make([frozenset({0})]),
     ]
+    oracle = LanguageOracle(fig1, d)
     for l1, l2 in itertools.combinations(candidates, 2):
-        ref = (is_empty(difference_automaton(l1, l2, fig1, d))
-               and is_empty(difference_automaton(l2, l1, fig1, d)))
-        assert labels_equivalent(l1, l2, fig1, d) == ref
-
-
-def test_oracle_cache_ignores_reused_ids(fig1, monkeypatch):
-    # an entry left by other automata whose ids were reused
-    a, a_dual = fig1, dualize(fig1)
-    other = from_ltl(to_nnf(parse_ltl("G a", ["a"])), Alphabet.from_aps(["a"]))
-    other_dual = dualize(other)
-    planted = _LanguageOracle(other, other_dual)
-    monkeypatch.setattr(cocoa.sltm, "_ORACLES",
-                        {(id(a), id(a_dual)): (other, other_dual, planted)})
-    got = _oracle_for(a, a_dual)
-    assert got is not planted
-    assert got.n == a.n_states
-    assert _oracle_for(a, a_dual) is got
+        ref = (reference_is_empty(difference_automaton(l1, l2, fig1, d))
+               and reference_is_empty(difference_automaton(l2, l1, fig1, d)))
+        assert labels_equivalent(l1, l2, oracle) == ref
 
 
 def test_label_membership_helper(fig1, ab_alphabet):
@@ -184,11 +172,11 @@ def test_suffix_label_semantics(fig1, ab_alphabet):
     # suffix of L(f1) = G a after reading a letter with a is G a again,
     # after a letter without a it is empty
     l = Label.make([frozenset({2})])
-    d = dualize(fig1)
+    oracle = LanguageOracle(fig1, dualize(fig1))
     with_a = suffix_label(l, frozenset({"a"}), fig1)
     without_a = suffix_label(l, frozenset(), fig1)
-    assert labels_equivalent(with_a, l, fig1, d) is True
-    assert labels_equivalent(without_a, Label.make([frozenset({3})]), fig1, d) is True
+    assert labels_equivalent(with_a, l, oracle) is True
+    assert labels_equivalent(without_a, Label.make([frozenset({3})]), oracle) is True
 
 
 def test_sltm_fg_a_single_state():
@@ -238,10 +226,10 @@ def test_sltm_p3_pairwise_nonequivalent():
     for text, aps in [("G a", ["a"]), ("GF a -> GF b", ["a", "b"]),
                       ("a U b", ["a", "b"]), ("X a | G b", ["a", "b"])]:
         a, m = build(text, aps)
-        d = dualize(a)
+        oracle = LanguageOracle(a, dualize(a))
         for s1 in range(m.n_states):
             for s2 in range(s1 + 1, m.n_states):
-                assert labels_equivalent(m.labels[s1], m.labels[s2], a, d) is False
+                assert labels_equivalent(m.labels[s1], m.labels[s2], oracle) is False
 
 
 def test_sltm_p1_eq1_witness_replay():
@@ -363,14 +351,15 @@ def _member_labels_by_state(m):
 
 
 def _corpus_labels():
-    """Per formula of a small corpus: the automaton, its dual, the member
-    labels grouped by SLTM state, and all those labels in a fixed order."""
+    """Per formula of a small corpus: the automaton, an equivalence oracle
+    over it and its dual, the member labels grouped by SLTM state, and all
+    those labels in a fixed order."""
     for f, aps in formula_corpus(8, seed=3):
         alpha = Alphabet.from_aps(aps)
         m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
         groups = _member_labels_by_state(m)
         labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
-        yield f, m.source, m.source_dual, groups, labels
+        yield f, m.source, LanguageOracle(m.source, m.source_dual), groups, labels
 
 
 def test_labels_equivalent_agrees_with_lasso_membership():
@@ -378,32 +367,32 @@ def test_labels_equivalent_agrees_with_lasso_membership():
     # kernel: labels told apart by a lasso are inequivalent, labels merged
     # into one SLTM state are equivalent
     told_apart = merged = 0
-    for f, a, a_dual, groups, labels in _corpus_labels():
+    for f, a, oracle, groups, labels in _corpus_labels():
         battery = enumerate_lassos(a.alphabet, 1, 2)
         member = {l: [label_accepts_lasso(l, a, w) for w in battery] for l in labels}
         for l1, l2 in itertools.combinations(labels, 2):
             if member[l1] != member[l2]:
                 told_apart += 1
-                assert labels_equivalent(l1, l2, a, a_dual) is False, (f, l1, l2)
+                assert labels_equivalent(l1, l2, oracle) is False, (f, l1, l2)
         for group in groups.values():
             for l1, l2 in itertools.combinations(sorted(group, key=lambda l: repr(l.unions)), 2):
                 merged += 1
-                assert labels_equivalent(l1, l2, a, a_dual) is True, (f, l1, l2)
+                assert labels_equivalent(l1, l2, oracle) is True, (f, l1, l2)
     assert told_apart and merged
 
 
 @pytest.fixture(scope="module")
 def lower_bound_queries():
-    """Every ``labels_equivalent`` query, with its result, made while the
-    SLTM of lower_bound_family(1) is built with the benchmark settings,
-    and the machine built."""
+    """Every ``labels_equivalent`` query, with the build's oracle and the
+    result, made while the SLTM of lower_bound_family(1) is built with the
+    benchmark settings, and the machine built."""
     a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
     queries = []
     original = cocoa.sltm.labels_equivalent
 
-    def recording(l1, l2, a, a_dual):
-        got = original(l1, l2, a, a_dual)
-        queries.append((l1, l2, a, a_dual, got))
+    def recording(l1, l2, oracle):
+        got = original(l1, l2, oracle)
+        queries.append((oracle, l1, l2, got))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -415,19 +404,20 @@ def lower_bound_queries():
 def test_distinguishing_lasso_separates_labels(lower_bound_queries):
     # membership comes from the game solver, which does not use the
     # breakpoint oracle the lasso is read from
-    pairs = [(a, a_dual, l1, l2, labels_equivalent(l1, l2, a, a_dual))
-             for _f, a, a_dual, _groups, labels in _corpus_labels()
+    pairs = [(oracle, l1, l2, labels_equivalent(l1, l2, oracle))
+             for _f, _a, oracle, _groups, labels in _corpus_labels()
              for l1, l2 in itertools.combinations(labels, 2)]
     queries, _m = lower_bound_queries
-    pairs += [(a, a_dual, l1, l2, got) for l1, l2, a, a_dual, got in queries]
+    pairs += queries
     separated = raised = 0
-    for a, a_dual, l1, l2, equivalent in pairs:
+    for oracle, l1, l2, equivalent in pairs:
         if equivalent:
             with pytest.raises(ValueError):
-                distinguishing_lasso(l1, l2, a, a_dual)
+                distinguishing_lasso(l1, l2, oracle)
             raised += 1
         else:
-            w = distinguishing_lasso(l1, l2, a, a_dual)
+            w = distinguishing_lasso(l1, l2, oracle)
+            a = oracle.a
             assert label_accepts_lasso(l1, a, w) != label_accepts_lasso(l2, a, w), (l1, l2, w)
             separated += 1
     assert separated and raised

@@ -13,7 +13,7 @@ import cocoa.chain
 import cocoa.obligation
 import cocoa.sltm
 from cocoa import Alphabet, dualize, parse_ltl, to_nnf
-from cocoa.sltm import Label
+from cocoa.sltm import Label, LanguageOracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,12 +51,13 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
 
     f = parse_ltl("G (a -> F b)", ["a", "b"])
     a = cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"]))
-    # a fresh automaton, so the equivalence oracle starts with nothing cached
+    # a direct query on a fresh oracle, besides those of the build
     b = cocoa.awa.from_ltl(to_nnf(parse_ltl("F a", ["a"])), Alphabet.from_aps(["a"]))
     with counting_calls(originals) as actual:
         cocoa.chain.build_chain(a, formula=f)
         assert cocoa.sltm.labels_equivalent(
-            Label.make([{b.initial}]), Label.make([{b.top}]), b, dualize(b)) is False
+            Label.make([{b.initial}]), Label.make([{b.top}]),
+            LanguageOracle(b, dualize(b))) is False
     traced = {name: tracer.calls[name][0] for name in originals}
     assert traced["obligation.minimal_models"] > 0
     assert traced["sltm.labels_equivalent"] > 1
