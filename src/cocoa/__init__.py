@@ -12,12 +12,13 @@ from .chain import (
     verify_chain,
 )
 from .floating import (
-    Dfw, Nfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
-    minimize_dfw, universal_dfw,
+    Dfw, Nfw, determinize, dfw_accepts_lasso, dfw_accepts_lassos, is_empty_dfw,
+    level_product, minimize_dfw, universal_dfw,
 )
 from .formula import (
-    Alphabet, Formula, InvalidParameter, LassoWord, ParseError, UnknownAtom,
-    always, atom, conj, disj, enumerate_lassos, eval_lasso, eventually,
+    Alphabet, Formula, InvalidParameter, LassoWord, Lassos, ParseError,
+    UnknownAtom, always, atom, conj, disj, enumerate_lassos, eval_lasso,
+    eval_lassos, eventually,
     implies, lower_bound_alphabet, lower_bound_family, neg, nxt, parse_lasso,
     parse_ltl, release, to_nnf, until,
 )

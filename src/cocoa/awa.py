@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ._graph import tarjan_sccs
 from .formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, NEXT, NOT, OR, RELEASE, TRUE, UNTIL,
-    Alphabet, Formula, LassoWord, letter_text, render, subformulas,
+    Alphabet, Formula, LassoWord, Lassos, letter_text, render, subformulas,
 )
 
 
@@ -247,20 +247,17 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
 
     Returns one bit row per state: bit i is set when the acceptor wins from
     the state at lasso position i.  The rejector picks a clause of the
-    transition formula, the acceptor a state inside it.  ``pre`` shifts a
-    row one position on, looping the last position back to the cut.  Rank
+    transition formula, the acceptor a state inside it.  ``pre`` is the X
+    shift of the lasso as a one-lasso ``Lassos`` suite.  Rank
     groups are solved in increasing order (sinks first), against the
     transitions: successors of a lower rank are already final.  A play that
     stays in one group forever is won exactly when the group is accepting,
     so an accepting group is a greatest fixpoint (from all ones) and a
     rejecting group a least fixpoint (from zero).
     """
-    n = w.n_positions
-    last, cut = n - 1, w.cut
-    full = (1 << n) - 1
-    masks: dict[frozenset[str], int] = {}
-    for i, x in enumerate(w.letters):
-        masks[x] = masks.get(x, 0) | 1 << i
+    lassos = Lassos.of([w])
+    full = lassos.full
+    masks = lassos.rows
     groups: dict[int, list[int]] = {}
     for q in range(a.n_states):
         groups.setdefault(a.rank[q], []).append(q)
@@ -290,7 +287,7 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
                     row |= m
                 if row != win[q]:
                     win[q] = row
-                    pre[q] = (row >> 1) | ((row >> cut) & 1) << last
+                    pre[q] = lassos.next(row)
                     changed = True
     return win
 

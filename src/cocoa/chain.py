@@ -9,17 +9,22 @@ on bounded lassos.
 
 from __future__ import annotations
 
+import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .awa import Awa, dualize, from_ltl
 from .floating import (
-    Dfw, determinize, dfw_accepts_lasso, is_empty_dfw, level_product,
-    minimize_dfw, run_survives, universal_dfw,
+    Dfw, determinize, dfw_accepts_lasso, dfw_accepts_lassos, is_empty_dfw,
+    level_product, minimize_dfw, reach_rows, survival_rows, universal_dfw,
 )
 from .formula import (
-    Alphabet, Formula, LassoWord, enumerate_lassos, eval_lasso, to_nnf,
+    Alphabet, Formula, LassoWord, Lassos, enumerate_lassos, eval_lassos, to_nnf,
 )
+# verify_chain decides whole suites; perfbench/tracing.py still wraps the
+# one-lasso oracle at this name
+from .formula import eval_lasso  # noqa: F401
 from .obligation import miyano_hayashi
 from .sltm import Sltm, build_canonical_sltm, sltm_from_json, sltm_to_json
 
@@ -109,24 +114,10 @@ def dfw_to_hd_ncw(d: Dfw, m: Sltm) -> HdNcw:
 def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
     """Co-Buchi lasso membership: a reachable product node from which the
     deterministic accepting sub-relation runs forever."""
-    letters, nxt = w.letters, w.next_positions
-    seen = {(c.initial, 0)}
-    todo = [(c.initial, 0)]
-    while todo:
-        q, i = todo.pop()
-        x = letters[i]
-        j = nxt[i]
-        dsts = list(c.rej.get((q, x), ()))
-        a = c.acc.get((q, x))
-        if a is not None:
-            dsts.append(a)
-        for dst in dsts:
-            if (dst, j) not in seen:
-                seen.add((dst, j))
-                todo.append((dst, j))
-
-    survives = run_survives(c.acc, w)
-    return any(survives(q, i) for (q, i) in seen)
+    lassos = Lassos.of([w])
+    edges = itertools.chain(c.rej.items(), ((key, (q,)) for key, q in c.acc.items()))
+    reach = reach_rows(c.initial, edges, lassos)
+    return any(row & reach.get(q, 0) for q, row in survival_rows(c.acc, lassos).items())
 
 
 def build_chain(a: Awa, config: ChainConfig | None = None,
@@ -227,29 +218,35 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
                  period_bound: int) -> VerifyReport:
     """Check max-even soundness against the lasso oracle: a word belongs to
     the language exactly when its natural color is even.  Also checks that
-    level acceptance is downward closed (chain monotonicity)."""
+    level acceptance is downward closed (chain monotonicity).
+
+    The bounded lassos form one packed suite (``formula.Lassos``), and every
+    check runs on masks with one bit per lasso, at its start bit: the
+    oracle's members, and each level's accepted words ``A_i``.  The parity
+    of the natural color is folded level by level, the last accepting level
+    deciding; monotonicity fails where ``A_(i+1) & ~A_i`` is set.  Only the
+    first counterexample, the lowest mismatch bit, is built as a word.
+    """
     t0 = time.monotonic()
-    nnf = to_nnf(f)
-    report = VerifyReport(str(f), prefix_bound, period_bound)
-    for w in enumerate_lassos(chain.alphabet, prefix_bound, period_bound):
-        report.lassos += 1
-        accept_vector = [dfw_accepts_lasso(d, chain.sltm, w) for d, _ in chain.levels]
-        color = 0
-        for i, acc in enumerate(accept_vector, start=1):
-            if acc:
-                color = i
-        for i in range(1, len(accept_vector)):
-            if accept_vector[i] and not accept_vector[i - 1]:
-                report.monotonicity_ok = False
-        member = eval_lasso(nnf, w)
-        if (color % 2 == 0) != member:
-            report.counterexamples += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = {
-                    "lasso": w.text(),
-                    "natural_color": color,
-                    "oracle_member": member,
-                }
+    lassos = enumerate_lassos(chain.alphabet, prefix_bound, period_bound)
+    member = eval_lassos(to_nnf(f), lassos)
+    accepted = [dfw_accepts_lassos(d, chain.sltm, lassos) for d, _ in chain.levels]
+    even = lassos.starts
+    for i, a in enumerate(accepted, start=1):
+        even = (even & ~a) | (a if i % 2 == 0 else 0)
+    mismatch = even ^ member
+    report = VerifyReport(str(f), prefix_bound, period_bound, lassos=len(lassos),
+                          counterexamples=mismatch.bit_count())
+    report.monotonicity_ok = not any(hi & ~lo for lo, hi in zip(accepted, accepted[1:]))
+    if mismatch:
+        first = mismatch & -mismatch
+        w = lassos[bisect_left(lassos.offsets, first.bit_length() - 1)]
+        report.first_counterexample = {
+            "lasso": w.text(),
+            "natural_color": max((i for i, a in enumerate(accepted, start=1) if a & first),
+                                 default=0),
+            "oracle_member": bool(member & first),
+        }
     report.elapsed_s = time.monotonic() - t0
     return report
 

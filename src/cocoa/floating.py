@@ -6,6 +6,11 @@ on the consumed prefix, and then run forever.  This module builds the
 universal automaton, the per-level product with an obligation graph, the
 subset-construction determinization, Moore minimization, lasso membership,
 and emptiness.
+
+Lasso membership runs on a packed suite (``formula.Lassos``: one int per
+row, one bit per position of every lasso): run survival is a greatest and
+reachability a least fixpoint with one row per state, so a few big-int
+operations per automaton edge decide the whole suite.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._graph import cyclic_sccs
-from .formula import Alphabet, LassoWord, letter_text
+from .formula import Alphabet, LassoWord, Lassos, letter_text
 from .obligation import ObligationGraph
 from .sltm import Sltm
 
@@ -281,65 +286,95 @@ def is_empty_dfw(d: Dfw) -> bool:
     return d.n_states == 0
 
 
-def run_survives(trans: dict, w: LassoWord):
-    """Deterministic-run survival on the lasso's positions.
+def _grouped(edges, lassos: Lassos) -> dict[int, dict[int, int]]:
+    """``out[q][q2]``: the rows of the letters that lead from q to q2, joined,
+    from ((state, letter), successors) pairs."""
+    rows = lassos.rows
+    out: dict[int, dict[int, int]] = {}
+    for (q, x), dsts in edges:
+        row = rows.get(x)
+        if row:
+            by_dst = out.setdefault(q, {})
+            for q2 in dsts:
+                by_dst[q2] = by_dst.get(q2, 0) | row
+    return out
 
-    Returns ``survives(q, j)``: whether the partial deterministic transition
-    function ``trans`` (keyed by (state, letter)) runs forever from state q
-    at lasso position j.  A run either dies or repeats a (state, position)
-    pair, and every pair it passes shares its verdict, which is memoized.
+
+def survival_rows(trans: dict[tuple[int, frozenset[str]], int], lassos: Lassos) -> dict[int, int]:
+    """Deterministic-run survival on a packed suite.
+
+    Bit p of ``surv[q]`` is set when the partial deterministic transition
+    function ``trans`` (keyed by (state, letter)) runs forever from q at the
+    position of bit p: the greatest fixpoint of
+    ``surv[q] = OR_x row_x & X surv[trans[q, x]]``, from all ones.  A
+    worklist recomputes only the predecessors of a state whose row shrank;
+    a state left out survives nowhere.
     """
-    letters, nxt = w.letters, w.next_positions
-    memo: dict[tuple[int, int], bool] = {}
+    out = _grouped(((key, (q2,)) for key, q2 in trans.items()), lassos)
+    preds: dict[int, list[int]] = {}
+    for q, by_dst in out.items():
+        for q2 in by_dst:
+            preds.setdefault(q2, []).append(q)
+    surv = dict.fromkeys(out, lassos.full)
+    ahead = dict.fromkeys(out, lassos.full)  # X surv[q]; X keeps all ones
+    todo = list(out)
+    while todo:
+        q = todo.pop()
+        row = 0
+        for q2, mask in out[q].items():
+            row |= mask & ahead.get(q2, 0)
+        if row != surv[q]:
+            surv[q] = row
+            ahead[q] = lassos.next(row)
+            todo += preds.get(q, ())
+    return surv
 
-    def survives(q: int, j: int) -> bool:
-        path = []
-        while True:
-            key = (q, j)
-            val = memo.get(key)
-            if val is not None:
-                # a pair on the current path was entered as True: a cycle
-                break
-            memo[key] = True
-            path.append(key)
-            q = trans.get((q, letters[j]))
-            if q is None:
-                val = False
-                break
-            j = nxt[j]
-        if not val:
-            for key in path:
-                memo[key] = False
-        return val
 
-    return survives
+def reach_rows(initial: int, edges, lassos: Lassos) -> dict[int, int]:
+    """The positions at which some run from ``initial`` at the start of a
+    lasso can be in each state.
+
+    ``edges`` gives ((state, letter), successors) pairs.  Bit p of
+    ``reach[q]`` is set when a run is in q at the position of bit p: the
+    least fixpoint from the start bits through ``Lassos.step``, with a
+    worklist of the states whose row grew.
+    """
+    out = _grouped(edges, lassos)
+    reach = {initial: lassos.starts}
+    todo = [initial]
+    while todo:
+        q = todo.pop()
+        here = reach[q]
+        for q2, mask in out.get(q, {}).items():
+            there = reach.get(q2, 0)
+            grown = there | lassos.step(here & mask)
+            if grown != there:
+                reach[q2] = grown
+                todo.append(q2)
+    return reach
+
+
+def dfw_accepts_lassos(d: Dfw, m: Sltm, lassos: Lassos) -> int:
+    """Jump-in acceptance on a packed suite: the start bits of the lassos
+    that the floating automaton accepts.
+
+    A jump-in at some moment enters a DFW state labeled with the SLTM state
+    at that moment, at the moment's lasso position, and is accepted when
+    the DFW run from there survives (``survival_rows``).  ``reach_rows``
+    over the SLTM gives the (SLTM state, position) pairs the word passes,
+    so a lasso is accepted when F(reach & surv) holds at its start.
+    """
+    surv = survival_rows(d.trans, lassos)
+    reach = reach_rows(m.initial, ((key, (s,)) for key, s in m.delta.items()), lassos)
+    hit = 0
+    for q, row in surv.items():
+        hit |= row & reach.get(d.label[q], 0)
+    return lassos.until(lassos.full, hit) & lassos.starts
 
 
 def dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
-    """Jump-in acceptance on a lasso.
-
-    A jump-in at some moment enters a DFW state labeled with the SLTM state
-    at that moment and at the moment's lasso position; whether it survives
-    depends only on that (SLTM state, position) pair.  The pairs along the
-    word follow a deterministic walk, so walking them until the first repeat
-    visits every moment's pair.  Each jump-in runs the partial deterministic
-    automaton (``run_survives``).
-    """
-    if d.n_states == 0:
-        return False
-    by_label = d.by_label
-    survives = run_survives(d.trans, w)
-    letters, nxt = w.letters, w.next_positions
-    seen: set[tuple[int, int]] = set()
-    s, j = m.initial, 0
-    while (s, j) not in seen:
-        seen.add((s, j))
-        for q in by_label.get(s, ()):
-            if survives(q, j):
-                return True
-        s = m.delta[(s, letters[j])]
-        j = nxt[j]
-    return False
+    """Jump-in acceptance of one lasso (``dfw_accepts_lassos`` on it alone)."""
+    return bool(dfw_accepts_lassos(d, m, Lassos.of([w])))
 
 
 def dfw_to_dot(d: Dfw, m: Sltm, name: str = "dfw") -> str:

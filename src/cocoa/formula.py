@@ -1,19 +1,23 @@
 """LTL syntax, lasso words, and brute-force lasso semantics.
 
 The fixpoint evaluator in this module is the ground truth: every automaton
-construction in the package is ultimately checked against ``eval_lasso`` on
-ultimately-periodic words.  Each formula is compiled once into a
-children-first program over its distinct subformulas; a lasso is then
-evaluated with one Python int per subformula holding one bit per lasso
-position.
+construction in the package is ultimately checked against ``eval_lassos`` on
+ultimately-periodic words.  A suite of lassos is packed into ``Lassos``: one
+Python int per row, with one bit for each position of every lasso in the
+suite, each lasso on its own run of bits.  Each formula is compiled once
+into a children-first program over its distinct subformulas, and the
+program runs on those rows: a few big-int operations per subformula decide
+the whole suite at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 ATOM = "atom"
 NOT = "not"
@@ -413,7 +417,115 @@ def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
     return LassoWord(alphabet, prefix, period)
 
 
-def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -> list[LassoWord]:
+def _bits(backwards: str, table: str) -> int:
+    """The int whose bit i is ``table[ord(c)]``, a "0" or a "1", for the
+    character c at ``backwards[-1 - i]``."""
+    return int(backwards.translate(table) or "0", 2)
+
+
+def _one_hot(size: int, k: int) -> str:
+    """A ``_bits`` table of ``size`` entries with a "1" at entry k only."""
+    return "0" * k + "1" + "0" * (size - k - 1)
+
+
+class Lassos(Sequence[LassoWord]):
+    """A suite of lassos packed into one int per row.
+
+    Lasso i takes the bits ``[off_i, off_i + |u|+|v|)``, its position j the
+    bit ``off_i + j``.  ``rows`` maps each letter that occurs to the int
+    with a bit wherever it occurs, and ``starts`` has the bit of every
+    lasso's position 0.  The last position of a lasso steps back to its
+    cut, v - 1 bits lower for a period of length v; that distance depends on
+    the period length only, so lassos of every shape share one int, with a
+    cut mask and a last mask per period length (``next`` and ``step``).
+
+    The suite is a read-only sequence in its given order; each ``LassoWord``
+    is built only when it is accessed.
+    """
+
+    def __init__(self, alphabet: Alphabet, letters: tuple[frozenset[str], ...],
+                 words: list[tuple[str, str]]):
+        """``words`` spell each lasso's (prefix, period) with ``chr(i)`` for
+        ``letters[i]``."""
+        self.alphabet = alphabet
+        self._letters = letters
+        self._words = words
+        # backwards, so that the first position of the first lasso is bit 0
+        spelled = "".join(itertools.chain.from_iterable(words))[::-1]
+        self.full = (1 << len(spelled)) - 1
+        n = len(letters)
+        self.rows = {x: _bits(spelled, _one_hot(n, k))
+                     for k, x in enumerate(letters) if chr(k) in spelled}
+        prefix_lens = list(map(len, map(itemgetter(0), words)))
+        period_lens = list(map(len, map(itemgetter(1), words)))
+        periods = sorted(set(period_lens))
+        # chr(v) at the cut of a lasso whose period has length v, chr(0) elsewhere
+        cut_of = {(p, v): "\0" * p + chr(v) + "\0" * (v - 1)
+                  for p in set(prefix_lens) for v in periods}
+        cuts = "".join(map(cut_of.__getitem__, zip(prefix_lens, period_lens)))[::-1]
+        self._cuts = tuple((v - 1, _bits(cuts, _one_hot(periods[-1] + 1, v))) for v in periods)
+        # the last position lies v - 1 bits above the cut, and the next
+        # lasso starts one bit above that
+        self._lasts = tuple((shift, cut << shift) for shift, cut in self._cuts)
+        last = 0
+        for _shift, mask in self._lasts:
+            last |= mask
+        self._inner = self.full ^ last
+        self.starts = ((last << 1) | 1) & self.full
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """The bit of each lasso's position 0, in suite order."""
+        return list(itertools.accumulate(
+            (len(u) + len(v) for u, v in self._words), initial=0))[:-1]
+
+    @staticmethod
+    def of(words: Sequence[LassoWord]) -> "Lassos":
+        """The given lassos, over the alphabet of the first, in order."""
+        code: dict[frozenset[str], str] = {}
+
+        def spell(xs: tuple[frozenset[str], ...]) -> str:
+            return "".join([code.setdefault(x, chr(len(code))) for x in xs])
+
+        spelled = [(spell(w.prefix), spell(w.period)) for w in words]
+        return Lassos(words[0].alphabet, tuple(code), spelled)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        u, v = self._words[i]
+        letters = self._letters
+        return LassoWord(self.alphabet, tuple(letters[ord(c)] for c in u),
+                         tuple(letters[ord(c)] for c in v))
+
+    def next(self, row: int) -> int:
+        """X: bit p is set when ``row`` has the bit of the position after p."""
+        out = (row >> 1) & self._inner
+        for shift, cut in self._cuts:
+            out |= (row & cut) << shift
+        return out
+
+    def step(self, row: int) -> int:
+        """The positions that follow the positions in ``row``."""
+        out = (row & self._inner) << 1
+        for shift, last in self._lasts:
+            out |= (row & last) >> shift
+        return out
+
+    def until(self, a: int, b: int) -> int:
+        """a U b: the least fixpoint of r = b | (a & X r), from b upwards."""
+        row = b
+        while True:
+            grown = b | (a & self.next(row))
+            if grown == row:
+                return row
+            row = grown
+
+
+def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -> Lassos:
     """All distinct lassos with |u| <= prefix_bound and |v| <= period_bound.
 
     Each word is listed once, in its normal form: the period is primitive
@@ -421,45 +533,42 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
     period could be rolled back into the prefix).  Words come ordered by
     prefix length, prefix, period length and period.
     """
+    chars = [chr(i) for i in range(len(alphabet.letters))]
     periods = []
     for vlen in range(1, period_bound + 1):
-        for per in itertools.product(alphabet.letters, repeat=vlen):
+        for per in map("".join, itertools.product(chars, repeat=vlen)):
             if all(per != per[:d] * (vlen // d) for d in range(1, vlen) if vlen % d == 0):
                 periods.append(per)
-    out = []
+    # the periods that may follow a prefix ending in each letter
+    after = {c: [per for per in periods if per[-1] != c] for c in chars}
+    words = []
     for plen in range(prefix_bound + 1):
-        for pref in itertools.product(alphabet.letters, repeat=plen):
-            for per in periods:
-                if not pref or pref[-1] != per[-1]:
-                    out.append(LassoWord(alphabet, pref, per))
-    return out
+        for pref in map("".join, itertools.product(chars, repeat=plen)):
+            words += zip(itertools.repeat(pref), after[pref[-1]] if pref else periods)
+    return Lassos(alphabet, alphabet.letters, words)
 
 
 # ---------------------------------------------------------------------------
 # Lasso semantics
 
 
-def eval_lasso(f: Formula, w: LassoWord) -> bool:
-    """Standard LTL semantics on the lasso, evaluated on bit rows.
+def eval_lassos(f: Formula, lassos: Lassos) -> int:
+    """Standard LTL semantics on a packed suite: the start bits of the
+    lassos that satisfy ``f``.
 
-    Runs the formula's compiled ``program``: each subformula gets one int
-    whose bit i says whether it holds at lasso position i.  X is a right
-    shift with the cut bit looped to the last position; U/F are least
-    fixpoints, R/G greatest fixpoints, iterated on the rows.  Any formula is
-    accepted, NNF or not.
+    Runs the formula's compiled ``program`` with one row per subformula,
+    whose bit p says whether the subformula holds at the position of bit p.
+    X is ``Lassos.next``; U/F are least fixpoints iterated on the rows, and
+    R/G their duals.  Any formula is accepted, NNF or not.
     """
-    letters = w.letters
-    n = len(letters)
-    last = n - 1
-    cut = w.cut
-    full = (1 << n) - 1
+    full = lassos.full
     rows: list[int] = []
     for kind, kids, name in f.program:
         if kind == ATOM:
             row = 0
-            for i, x in enumerate(letters):
+            for x, r in lassos.rows.items():
                 if name in x:
-                    row |= 1 << i
+                    row |= r
         elif kind == AND:
             row = rows[kids[0]] & rows[kids[1]]
         elif kind == OR:
@@ -467,26 +576,16 @@ def eval_lasso(f: Formula, w: LassoWord) -> bool:
         elif kind == NOT:
             row = full ^ rows[kids[0]]
         elif kind == NEXT:
-            a = rows[kids[0]]
-            row = (a >> 1) | ((a >> cut) & 1) << last
-        elif kind in (UNTIL, FINALLY):
-            # least fixpoint of r = b | (a & X r), from b upwards
-            a, b = (rows[kids[0]], rows[kids[1]]) if kind == UNTIL else (full, rows[kids[0]])
-            row = b
-            while True:
-                grown = b | (a & ((row >> 1) | ((row >> cut) & 1) << last))
-                if grown == row:
-                    break
-                row = grown
-        elif kind in (RELEASE, GLOBALLY):
-            # greatest fixpoint of r = b & (a | X r), from b downwards
-            a, b = (rows[kids[0]], rows[kids[1]]) if kind == RELEASE else (0, rows[kids[0]])
-            row = b
-            while True:
-                shrunk = b & (a | ((row >> 1) | ((row >> cut) & 1) << last))
-                if shrunk == row:
-                    break
-                row = shrunk
+            row = lassos.next(rows[kids[0]])
+        elif kind == UNTIL:
+            row = lassos.until(rows[kids[0]], rows[kids[1]])
+        elif kind == FINALLY:
+            row = lassos.until(full, rows[kids[0]])
+        elif kind == RELEASE:
+            # a R b is !(!a U !b), a greatest fixpoint
+            row = full ^ lassos.until(full ^ rows[kids[0]], full ^ rows[kids[1]])
+        elif kind == GLOBALLY:
+            row = full ^ lassos.until(full, full ^ rows[kids[0]])
         elif kind == IMPLIES:
             row = (full ^ rows[kids[0]]) | rows[kids[1]]
         elif kind == TRUE:
@@ -496,7 +595,12 @@ def eval_lasso(f: Formula, w: LassoWord) -> bool:
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         rows.append(row)
-    return bool(rows[-1] & 1)
+    return rows[-1] & lassos.starts
+
+
+def eval_lasso(f: Formula, w: LassoWord) -> bool:
+    """Whether the lasso satisfies ``f`` (``eval_lassos`` on it alone)."""
+    return bool(eval_lassos(f, Lassos.of([w])))
 
 
 # ---------------------------------------------------------------------------

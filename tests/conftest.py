@@ -1,7 +1,8 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
 the test-only NFW membership oracle, the reference lasso evaluator, the
-reference game solver, the reference lasso enumeration, the frozenset
-reference breakpoint kernel, and the eager reference emptiness check."""
+per-lasso reference verifier, the reference game solver, the reference
+lasso enumeration, the frozenset reference breakpoint kernel, and the eager
+reference emptiness check."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from cocoa.formula import (
 )
 from cocoa._graph import cyclic_sccs, lasso_letters
 from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, minimal_sets
-from cocoa.floating import Nfw
+from cocoa.chain import Cocoa, VerifyReport
+from cocoa.floating import Dfw, Nfw
 from cocoa.obligation import ObligationGraph, miyano_hayashi
 from cocoa.sltm import Sltm
 
@@ -248,6 +250,90 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
         return row
 
     return ev(f)[0]
+
+
+def reference_run_survives(trans: dict, w: LassoWord):
+    """Deterministic-run survival on the lasso's positions, the reference
+    for ``floating.survival_rows``.
+
+    Returns ``survives(q, j)``: whether the partial deterministic transition
+    function ``trans`` (keyed by (state, letter)) runs forever from state q
+    at lasso position j.  A run either dies or repeats a (state, position)
+    pair, and every pair it passes shares its verdict, which is memoized.
+    """
+    letters, nxt = w.letters, w.next_positions
+    memo: dict[tuple[int, int], bool] = {}
+
+    def survives(q: int, j: int) -> bool:
+        path = []
+        while True:
+            key = (q, j)
+            val = memo.get(key)
+            if val is not None:
+                # a pair on the current path was entered as True: a cycle
+                break
+            memo[key] = True
+            path.append(key)
+            q = trans.get((q, letters[j]))
+            if q is None:
+                val = False
+                break
+            j = nxt[j]
+        if not val:
+            for key in path:
+                memo[key] = False
+        return val
+
+    return survives
+
+
+def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
+    """Jump-in acceptance on one lasso, the reference for
+    ``floating.dfw_accepts_lassos``: the (SLTM state, position) pairs along
+    the word follow a deterministic walk, so walking them until the first
+    repeat visits every moment's pair, and each jump-in runs the DFW."""
+    if d.n_states == 0:
+        return False
+    survives = reference_run_survives(d.trans, w)
+    letters, nxt = w.letters, w.next_positions
+    seen: set[tuple[int, int]] = set()
+    s, j = m.initial, 0
+    while (s, j) not in seen:
+        seen.add((s, j))
+        for q in d.by_label.get(s, ()):
+            if survives(q, j):
+                return True
+        s = m.delta[(s, letters[j])]
+        j = nxt[j]
+    return False
+
+
+def reference_verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
+                           period_bound: int) -> VerifyReport:
+    """``verify_chain`` one lasso at a time, the reference for the packed
+    verifier: the natural color from the per-lasso DFW acceptance, the
+    oracle from ``reference_eval_lasso``."""
+    report = VerifyReport(str(f), prefix_bound, period_bound)
+    for w in reference_enumerate_lassos(chain.alphabet, prefix_bound, period_bound):
+        report.lassos += 1
+        accept_vector = [reference_dfw_accepts_lasso(d, chain.sltm, w) for d, _ in chain.levels]
+        color = 0
+        for i, acc in enumerate(accept_vector, start=1):
+            if acc:
+                color = i
+        for i in range(1, len(accept_vector)):
+            if accept_vector[i] and not accept_vector[i - 1]:
+                report.monotonicity_ok = False
+        member = reference_eval_lasso(f, w)
+        if (color % 2 == 0) != member:
+            report.counterexamples += 1
+            if report.first_counterexample is None:
+                report.first_counterexample = {
+                    "lasso": w.text(),
+                    "natural_color": color,
+                    "oracle_member": member,
+                }
+    return report
 
 
 def row_pairs(rows: list[int]) -> set[tuple[int, int]]:

@@ -5,15 +5,20 @@ import json
 
 import pytest
 
+import cocoa.floating
+import cocoa.formula
 from cocoa import (
-    Alphabet, ChainConfig, ResourceLimit, build_chain, build_chain_for_formula,
-    chain_from_json, chain_to_json, dfw_accepts_lasso, dfw_to_hd_ncw,
-    drop_accepting_transition, eval_lasso, from_ltl, level_to_hoa,
-    lower_bound_alphabet, lower_bound_family, natural_color, ncw_accepts_lasso,
-    parse_lasso, parse_ltl, to_nnf, verify_chain,
+    Alphabet, ChainConfig, Cocoa, LassoWord, ResourceLimit, build_chain,
+    build_chain_for_formula, chain_from_json, chain_to_json, dfw_accepts_lasso,
+    dfw_accepts_lassos, dfw_to_hd_ncw, drop_accepting_transition, eval_lassos,
+    from_ltl, level_to_hoa, lower_bound_alphabet, lower_bound_family,
+    natural_color, ncw_accepts_lasso, parse_lasso, parse_ltl, to_nnf,
+    verify_chain,
 )
 
-from conftest import lassos_up_to
+from conftest import formula_corpus, lassos_up_to, reference_verify_chain
+from test_chain_bytes import workloads
+from test_tracing_hooks import counting_calls
 
 # the four worked examples with their per-level languages; the second level
 # of the implication example is pinned to the variant the lasso oracle
@@ -52,9 +57,8 @@ def test_level_languages_match_stated_formulas(golden_chains):
         for ell, lf_text in enumerate(level_texts, start=1):
             oracle = to_nnf(parse_ltl(lf_text, aps))
             d = chain.levels[ell - 1][0]
-            for w in lassos:
-                assert dfw_accepts_lasso(d, chain.sltm, w) == eval_lasso(oracle, w), \
-                    (text, ell, w.text())
+            assert dfw_accepts_lassos(d, chain.sltm, lassos) == eval_lassos(oracle, lassos), \
+                (text, ell)
 
 
 def test_chain_strictness(golden_chains):
@@ -149,6 +153,74 @@ def test_verify_catches_injected_fault(golden_chains):
     report = verify_chain(mutated, f, 2, 3)
     assert report.counterexamples >= 1
     assert report.first_counterexample is not None
+
+
+def assert_verify_matches_reference(chain, f, prefix_bound, period_bound) -> dict:
+    """``verify_chain`` and the per-lasso reference give the same report,
+    elapsed time aside; returns it."""
+    got = verify_chain(chain, f, prefix_bound, period_bound).to_json()
+    want = reference_verify_chain(chain, f, prefix_bound, period_bound).to_json()
+    del got["elapsed_s"], want["elapsed_s"]
+    assert got == want
+    return got
+
+
+def test_verify_matches_reference_on_corpus_and_mutants():
+    caught = 0
+    for f, aps in formula_corpus(30, seed=31):
+        chain, _f = build(str(f), aps)
+        assert assert_verify_matches_reference(chain, f, 2, 3)["ok"], f
+        if chain.k and chain.levels[-1][0].trans:
+            report = assert_verify_matches_reference(drop_accepting_transition(chain), f, 2, 3)
+            caught += report["counterexamples"] > 0
+    assert caught >= 3
+
+
+def test_verify_matches_reference_on_lower_bound_family():
+    f = lower_bound_family(1)
+    a = from_ltl(to_nnf(f), lower_bound_alphabet(1, restricted=True))
+    chain = build_chain(a, formula=f, config=ChainConfig(check_single_step=False))
+    assert assert_verify_matches_reference(chain, f, 2, 3)["ok"]
+
+
+def test_verify_matches_reference_on_rabin_formulas():
+    depths = []
+    for text, aps in workloads.RABIN_FORMULAS:
+        chain, f = build(text, aps)
+        # the bounds of the benchmark's rabin workload
+        assert assert_verify_matches_reference(chain, f, 1, 2)["ok"], text
+        depths.append(chain.k)
+    assert max(depths) == 5
+
+
+def test_verify_matches_reference_on_swapped_levels(golden_chains):
+    chain, f = golden_chains["GF a -> (GF b & FG c)"]
+    first, second, *rest = chain.levels
+    swapped = Cocoa(alphabet=chain.alphabet, sltm=chain.sltm,
+                    levels=(second, first, *rest), formula=chain.formula)
+    report = assert_verify_matches_reference(swapped, f, 2, 2)
+    assert report["monotonicity_ok"] is False
+    assert report["counterexamples"] > 0
+
+
+def test_verify_chain_builds_no_words_but_its_counterexample():
+    fns = {"LassoWord": LassoWord.__post_init__,
+           "eval_lasso": cocoa.formula.eval_lasso,
+           "dfw_accepts_lasso": cocoa.floating.dfw_accepts_lasso}
+    for f, aps in formula_corpus(10, seed=31):
+        chain, _f = build(str(f), aps)
+        if not chain.k:
+            continue
+        with counting_calls(fns) as calls:
+            report = verify_chain(chain, f, 2, 3)
+        assert report.ok
+        assert calls == {"LassoWord": 0, "eval_lasso": 0, "dfw_accepts_lasso": 0}
+        with counting_calls(fns) as calls:
+            report = verify_chain(drop_accepting_transition(chain), f, 2, 3)
+        if report.counterexamples:
+            assert calls == {"LassoWord": 1, "eval_lasso": 0, "dfw_accepts_lasso": 0}
+            return
+    raise AssertionError("no mutant of the corpus had a counterexample")
 
 
 def test_resource_limit_raises():

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, Formula, InvalidParameter, LassoWord, ParseError, UnknownAtom,
-    atom, enumerate_lassos, eval_lasso, lower_bound_alphabet,
-    lower_bound_family, neg, parse_lasso, parse_ltl, to_nnf,
+    Alphabet, Formula, InvalidParameter, LassoWord, Lassos, ParseError,
+    UnknownAtom, atom, enumerate_lassos, eval_lasso, eval_lassos,
+    lower_bound_alphabet, lower_bound_family, neg, parse_lasso, parse_ltl,
+    to_nnf,
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
@@ -17,7 +18,7 @@ from cocoa.formula import (
 )
 
 from conftest import (
-    ab_lassos, canonical_lasso, formula_corpus, lassos_up_to,
+    AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to,
     reference_enumerate_lassos, reference_eval_lasso,
 )
 
@@ -172,6 +173,23 @@ def test_eval_matches_reference_on_random_inputs(f, w):
     assert eval_lasso(f, w) == reference_eval_lasso(f, w)
 
 
+# batches that mix period lengths 1-3, so that the per-length wraps meet
+_short_lassos = st.builds(
+    lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
+    st.lists(st.sampled_from(AB.letters), max_size=3),
+    st.lists(st.sampled_from(AB.letters), min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_formulas, st.lists(_short_lassos, min_size=1, max_size=8))
+def test_eval_lassos_matches_reference_bit_for_bit(f, words):
+    lassos = Lassos.of(words)
+    got = eval_lassos(f, lassos)
+    want = sum(1 << off for off, w in zip(lassos.offsets, words) if reference_eval_lasso(f, w))
+    assert got == want
+    assert [lassos[i] for i in range(len(words))] == words
+
+
 def test_lasso_parse_and_text():
     alpha = Alphabet.from_aps(["a", "b"])
     w = parse_lasso("{a b}{};{a}", alpha)
@@ -222,7 +240,7 @@ def test_enumerate_lassos_matches_reference(bounds):
     if bounds[0] <= 2 and bounds[1] <= 2:
         alphabets.append(Alphabet.from_aps(["a", "b", "c"]))
     for alpha in alphabets:
-        assert enumerate_lassos(alpha, *bounds) == reference_enumerate_lassos(alpha, *bounds)
+        assert list(enumerate_lassos(alpha, *bounds)) == reference_enumerate_lassos(alpha, *bounds)
 
 
 def test_lower_bound_family_size_linear():
