@@ -11,6 +11,7 @@ breakpoint graph (``obligation.BreakpointGraph``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ._graph import tarjan_sccs
@@ -29,76 +30,112 @@ class NotWeak(Exception):
 
     def __init__(self, scc):
         super().__init__(f"mixed SCC {sorted(scc)}")
-        self.scc = frozenset(scc)
 
 
-# --- clause-set (CNF) utilities -------------------------------------------
+# --- state sets and clause-set (CNF) utilities ------------------------------
 #
-# A clause set is a frozenset of frozensets of state ids read as a
-# conjunction of disjunctions; the empty set is TRUE and {frozenset()} is
-# FALSE.  Subsumption keeps only minimal clauses, which also normalizes the
+# A set of states is an int mask with one bit per state, so a subset test is
+# ``k & s == k``.  A clause set is a frozenset of clause masks read as a
+# conjunction of disjunctions; the empty set is TRUE and {0} is FALSE.
+# Subsumption keeps only minimal clauses, which also normalizes the
 # constants.
 
-CNF_TRUE: frozenset[frozenset[int]] = frozenset()
-CNF_FALSE: frozenset[frozenset[int]] = frozenset({frozenset()})
+CNF_TRUE: frozenset[int] = frozenset()
+CNF_FALSE: frozenset[int] = frozenset({0})
 
 
-def canon_key(s) -> tuple[int, tuple[int, ...]]:
-    """The canonical order of state sets: by size, then by sorted members."""
-    return (len(s), tuple(sorted(s)))
+def state_mask(states) -> int:
+    """The int mask with one bit per member of a state set."""
+    m = 0
+    for q in states:
+        m |= 1 << q
+    return m
 
 
-def minimal_sets(sets) -> tuple[frozenset[int], ...]:
-    """The inclusion-minimal members of a collection of frozensets, without
-    duplicates, in canonical order."""
-    kept: list[frozenset[int]] = []
-    for s in sorted(set(sets), key=canon_key):
-        if not any(k <= s for k in kept):
-            kept.append(s)
+def mask_states(m: int) -> tuple[int, ...]:
+    """The members of a state mask, in increasing order."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
+def member_order(m: int) -> str:
+    """A sort key that orders state masks as their sorted member tuples:
+    character i is '0' for a member and '1' for a non-member below the
+    largest member, so a shorter common prefix of members sorts first."""
+    n = m.bit_length()
+    return format(m ^ ((1 << n) - 1), f"0{n}b")[::-1] if m else ""
+
+
+def canon_key(m: int) -> tuple[int, str]:
+    """The canonical order of state masks: by size, then by sorted members."""
+    return (m.bit_count(), member_order(m))
+
+
+def minimal_masks(masks) -> tuple[int, ...]:
+    """The inclusion-minimal members of a collection of masks, without
+    duplicates, smallest first."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
     return tuple(kept)
 
 
-def cnf_subsume(clauses) -> frozenset[frozenset[int]]:
-    return frozenset(minimal_sets(clauses))
+def minimal_sets(masks) -> tuple[int, ...]:
+    """The inclusion-minimal members of a collection of masks, without
+    duplicates, in canonical order."""
+    return tuple(sorted(minimal_masks(masks), key=canon_key))
 
 
-def cnf_and(*parts) -> frozenset[frozenset[int]]:
-    merged: set[frozenset[int]] = set()
+def cnf_subsume(clauses) -> frozenset[int]:
+    return frozenset(minimal_masks(clauses))
+
+
+def cnf_and(*parts) -> frozenset[int]:
+    merged: set[int] = set()
     for p in parts:
         merged |= p
     return cnf_subsume(merged)
 
 
-def cnf_or(a, b) -> frozenset[frozenset[int]]:
+def cnf_or(a, b) -> frozenset[int]:
     return cnf_subsume({c1 | c2 for c1 in a for c2 in b})
 
 
 @dataclass(frozen=True)
 class Pcnf:
-    """Positive CNF over state ids: non-empty clause list, no empty clause."""
+    """Positive CNF over state ids: non-empty clause list, no empty clause,
+    each clause a state mask."""
 
-    clauses: tuple[frozenset[int], ...]
+    clauses: tuple[int, ...]
 
     @staticmethod
     def make(clauses) -> "Pcnf":
         canon = minimal_sets(clauses)
-        if not canon or frozenset() in canon:
+        if not canon or 0 in canon:
             raise ValueError("PCNF cannot express true or false")
         return Pcnf(canon)
 
-    def states(self) -> frozenset[int]:
-        out: set[int] = set()
+    def states(self) -> int:
+        out = 0
         for c in self.clauses:
             out |= c
-        return frozenset(out)
+        return out
 
 
 def finalize_pcnf(cnf, top: int, bottom: int) -> Pcnf:
     """Map the clause-set constants onto the designated sink states."""
     if not cnf:
-        return Pcnf.make([frozenset({top})])
-    if frozenset() in cnf:
-        return Pcnf.make([frozenset({bottom})])
+        return Pcnf.make([1 << top])
+    if 0 in cnf:
+        return Pcnf.make([1 << bottom])
     return Pcnf.make(cnf)
 
 
@@ -129,7 +166,7 @@ class Awa:
             raise AssertionError("top must be accepting and bottom rejecting")
         for q in range(self.n_states):
             for x in self.alphabet.letters:
-                for q2 in self.delta[(q, x)].states():
+                for q2 in mask_states(self.delta[(q, x)].states()):
                     if self.rank[q2] > self.rank[q]:
                         raise AssertionError(f"rank increases along {q} -> {q2}")
         by_rank: dict[int, set[bool]] = {}
@@ -139,14 +176,19 @@ class Awa:
             if len(flags) > 1:
                 raise AssertionError(f"rank {r} mixes accepting and rejecting states")
 
+    @functools.cached_property
+    def dual(self) -> "Awa":
+        """The complement automaton, built once per automaton."""
+        return dualize(self)
+
 
 def _edge_lists(n_states, alphabet, delta) -> list[list[int]]:
     succ: list[list[int]] = [[] for _ in range(n_states)]
     for q in range(n_states):
-        seen: set[int] = set()
+        seen = 0
         for x in alphabet.letters:
             seen |= delta[(q, x)].states()
-        succ[q] = sorted(seen)
+        succ[q] = list(mask_states(seen))
     return succ
 
 
@@ -192,8 +234,8 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
         if k == OR:
             return cnf_or(exp(g.args[0], x), exp(g.args[1], x))
         if k == NEXT:
-            return frozenset({frozenset({ids[g.args[0]]})})
-        own = frozenset({frozenset({ids[g]})})
+            return frozenset({1 << ids[g.args[0]]})
+        own = frozenset({1 << ids[g]})
         if k == UNTIL:
             return cnf_or(exp(g.args[1], x), cnf_and(exp(g.args[0], x), own))
         if k == RELEASE:
@@ -210,8 +252,8 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
         for x in alphabet.letters:
             delta[(q, x)] = finalize_pcnf(exp(g, x), top, bottom)
     for x in alphabet.letters:
-        delta[(top, x)] = Pcnf.make([frozenset({top})])
-        delta[(bottom, x)] = Pcnf.make([frozenset({bottom})])
+        delta[(top, x)] = Pcnf.make([1 << top])
+        delta[(bottom, x)] = Pcnf.make([1 << bottom])
 
     accepting = frozenset(
         {ids[g] for g in subs if g.kind not in (UNTIL, FINALLY)} | {top})
@@ -225,8 +267,7 @@ def _dual_pcnf(p: Pcnf) -> Pcnf:
     # swap and/or: fold the clauses as unit-clause conjunctions through OR
     acc = CNF_FALSE
     for clause in p.clauses:
-        unit = frozenset({frozenset({q}) for q in clause})
-        acc = cnf_or(acc, unit)
+        acc = cnf_or(acc, frozenset(1 << q for q in mask_states(clause)))
     return Pcnf.make(acc)
 
 
@@ -270,7 +311,8 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
         moves = []
         for q in group:
             win[q] = pre[q] = start
-            moves.append((q, [(m, a.delta[(q, x)].clauses) for x, m in masks.items()]))
+            moves.append((q, [(m, [mask_states(c) for c in a.delta[(q, x)].clauses])
+                              for x, m in masks.items()]))
         changed = True
         while changed:
             changed = False
@@ -313,8 +355,8 @@ def awa_to_dot(a: Awa) -> str:
         for x in a.alphabet.letters:
             p = a.delta[(q, x)]
             lab = letter_text(x).replace('"', "'")
-            if len(p.clauses) == 1 and len(p.clauses[0]) == 1:
-                (dst,) = p.clauses[0]
+            if len(p.clauses) == 1 and p.clauses[0].bit_count() == 1:
+                (dst,) = mask_states(p.clauses[0])
                 lines.append(f'  q{q} -> q{dst} [label="{lab}"];')
                 continue
             if len(p.clauses) == 1:
@@ -326,15 +368,15 @@ def awa_to_dot(a: Awa) -> str:
                 lines.append(f'  q{q} -> {cnode} [label="{lab}"];')
                 srcs = []
                 for clause in p.clauses:
-                    if len(clause) == 1:
-                        (dst,) = clause
+                    if clause.bit_count() == 1:
+                        (dst,) = mask_states(clause)
                         lines.append(f"  {cnode} -> q{dst};")
                     else:
                         dnode = f"d{aux}"
                         aux += 1
                         lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
                         lines.append(f"  {cnode} -> {dnode};")
-                        for dst in sorted(clause):
+                        for dst in mask_states(clause):
                             lines.append(f"  {dnode} -> q{dst};")
                 continue
             # single non-unit clause
@@ -342,7 +384,7 @@ def awa_to_dot(a: Awa) -> str:
             aux += 1
             lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
             lines.append(f'  {srcs[0]} -> {dnode} [label="{lab}"];')
-            for dst in sorted(p.clauses[0]):
+            for dst in mask_states(p.clauses[0]):
                 lines.append(f"  {dnode} -> q{dst};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .awa import Awa, dualize, from_ltl
+from .awa import Awa, from_ltl
 from .floating import (
     Dfw, determinize, dfw_accepts_lasso, dfw_accepts_lassos, is_empty_dfw,
     level_product, minimize_dfw, reach_rows, survival_rows, universal_dfw,
@@ -134,7 +134,7 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
         if time.monotonic() - t0 > cfg.timeout_s:
             raise ResourceLimit(f"timed out after {cfg.timeout_s}s during {what}", partial)
 
-    g_neg = miyano_hayashi(dualize(a))
+    g_neg = miyano_hayashi(a.dual)
     checkpoint(g_neg.n_vertices, "complement obligation graph")
     g_pos = miyano_hayashi(a)
     checkpoint(g_pos.n_vertices, "obligation graph")

@@ -38,7 +38,6 @@ class Nfw:
     origin: tuple[tuple[int, int], ...]
     prev_size: int
     graph_size: int
-    level: int
 
     def succ(self, q: int, x: frozenset[str]) -> tuple[int, ...]:
         return self.trans.get((q, x), ())
@@ -168,7 +167,6 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
         origin=tuple(states[q] for q in keep),
         prev_size=prev.n_states,
         graph_size=g.n_vertices,
-        level=ell,
     )
     _check_label_consistency(nfw, m)
     return nfw

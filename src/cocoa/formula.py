@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -338,46 +338,19 @@ def letter_text(letter: frozenset[str]) -> str:
 
 @dataclass(frozen=True)
 class LassoWord:
-    """Ultimately-periodic word u . v^omega over an alphabet.
-
-    ``letters`` holds the letter at each of the |u|+|v| distinct positions
-    and ``next_positions`` the successor of each position, the last one
-    looping back to the cut.
-    """
+    """Ultimately-periodic word u . v^omega over an alphabet."""
 
     alphabet: Alphabet
     prefix: tuple[frozenset[str], ...]
     period: tuple[frozenset[str], ...]
-    letters: tuple[frozenset[str], ...] = field(init=False, repr=False, compare=False)
-    next_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.period) < 1:
             raise ValueError("lasso period must be non-empty")
-        letters = self.prefix + self.period
         apset = set(self.alphabet.aps)
-        for letter in letters:
+        for letter in self.prefix + self.period:
             if not letter <= apset:
                 raise ValueError(f"letter {sorted(letter)} not over declared propositions")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "next_positions",
-                           tuple(range(1, len(letters))) + (len(self.prefix),))
-
-    @property
-    def cut(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def n_positions(self) -> int:
-        return len(self.prefix) + len(self.period)
-
-    def letter_at(self, i: int) -> frozenset[str]:
-        if i < self.cut:
-            return self.prefix[i]
-        return self.period[(i - self.cut) % len(self.period)]
-
-    def next_pos(self, i: int) -> int:
-        return self.next_positions[i]
 
     def text(self) -> str:
         return "".join(map(letter_text, self.prefix)) + ";" + "".join(map(letter_text, self.period))

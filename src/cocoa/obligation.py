@@ -2,11 +2,12 @@
 nondeterministic Buchi graph whose vertices pair a state set with the subset
 still owing an accepting visit.
 
-Inside the breakpoint kernel a state set is a Python int with one bit per
-state, so a subset test is ``k & s == k``; vertices become frozensets only
-when an ``ObligationGraph`` is built.  The minimal models of a state set's
-transition formulas are folded from those of each member state, one state
-at a time, so no clause set is ever merged and searched as a whole.
+A state set is an int mask with one bit per state, as in the automaton's
+transition formulas, so a subset test is ``k & s == k``; an
+``ObligationGraph`` keeps the kernel's (S, O) mask pairs as its vertices.
+The minimal models of a state set's transition formulas are folded from
+those of each member state, one state at a time, so no clause set is ever
+merged and searched as a whole.
 
 One explorer, ``BreakpointGraph``, interns the pairs and expands their
 successor rows.  ``miyano_hayashi`` expands it whole and freezes it into an
@@ -20,15 +21,16 @@ import functools
 from dataclasses import dataclass
 
 from ._graph import lasso_letters, tarjan_sccs
-from .awa import Awa
+from .awa import Awa, canon_key, mask_states, member_order, minimal_masks, state_mask
 from .formula import Alphabet, letter_text
 
-Vertex = tuple[frozenset[int], frozenset[int]]
+Vertex = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
 class ObligationGraph:
-    """NBW over (S, O) vertices with O subset of S; accepting iff O is empty.
+    """NBW over (S, O) vertices, pairs of state masks with O subset of S;
+    accepting iff O is empty.
 
     ``edges[vid][i]`` holds the successors of vertex ``vid`` on the i-th
     letter of the alphabet.
@@ -52,50 +54,6 @@ class ObligationGraph:
         return self.edges[vid][self._letter_number[letter]]
 
 
-def state_mask(states) -> int:
-    """The int mask with one bit per member of a state set."""
-    m = 0
-    for q in states:
-        m |= 1 << q
-    return m
-
-
-def mask_states(m: int) -> tuple[int, ...]:
-    """The members of a state mask, in increasing order."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
-
-
-def member_order(m: int) -> str:
-    """A sort key that orders state masks as their sorted member tuples:
-    character i is '0' for a member and '1' for a non-member below the
-    largest member, so a shorter common prefix of members sorts first."""
-    n = m.bit_length()
-    return format(m ^ ((1 << n) - 1), f"0{n}b")[::-1] if m else ""
-
-
-def minimal_masks(masks) -> tuple[int, ...]:
-    """The inclusion-minimal members of a collection of masks, without
-    duplicates, smallest first."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count):
-        for k in kept:
-            if k & m == k:
-                break
-        else:
-            kept.append(m)
-    return tuple(kept)
-
-
-# shared by every build in the process until a per-build context owns it
-# (ROADMAP open item 3)
-_MM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
 def minimal_models(clauses) -> tuple[int, ...]:
     """Minimal hitting sets of a collection of clause masks (each clause
     non-empty), by size and then by sorted members.
@@ -104,12 +62,8 @@ def minimal_models(clauses) -> tuple[int, ...]:
     one clause at a time (Berge): a model that already hits the clause is
     kept, any other is extended by each state of the clause.
     """
-    key = tuple(clauses)
-    got = _MM_CACHE.get(key)
-    if got is not None:
-        return got
     models: tuple[int, ...] = (0,)
-    for c in key:
+    for c in clauses:
         grown = set()
         for m in models:
             if m & c:
@@ -117,11 +71,7 @@ def minimal_models(clauses) -> tuple[int, ...]:
             else:
                 grown.update(m | 1 << q for q in mask_states(c))
         models = minimal_masks(grown)
-    out = tuple(sorted(models, key=lambda m: (m.bit_count(), member_order(m))))
-    if len(_MM_CACHE) > 400_000:
-        _MM_CACHE.clear()
-    _MM_CACHE[key] = out
-    return out
+    return tuple(sorted(models, key=canon_key))
 
 
 class Breakpoint:
@@ -322,7 +272,7 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     steps vertex sets of this graph.
     """
     acc = state_mask(a.accepting)
-    delta = {key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()}
+    delta = {key: p.clauses for key, p in a.delta.items()}
     graph = BreakpointGraph(Breakpoint(delta, acc, 0, 0), a.alphabet.letters)
     init = 1 << a.initial
     graph.intern((init, init & ~acc))
@@ -331,16 +281,16 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
         graph.row(vid)
         vid += 1
     pairs = graph.pairs
-    vertices = tuple((frozenset(mask_states(s)), frozenset(mask_states(o))) for s, o in pairs)
     accepting = frozenset(i for i, (_s, o) in enumerate(pairs) if not o)
-    return ObligationGraph(a.alphabet, vertices, 0, tuple(graph.rows), accepting)
+    return ObligationGraph(a.alphabet, tuple(pairs), 0, tuple(graph.rows), accepting)
 
 
 def obligation_to_dot(g: ObligationGraph) -> str:
     lines = ["digraph obligation {", "  rankdir=LR;"]
     for vid, (S, O) in enumerate(g.vertices):
         shape = "doublecircle" if vid in g.accepting else "circle"
-        label = "{%s} | {%s}" % (" ".join(map(str, sorted(S))), " ".join(map(str, sorted(O))))
+        label = "{%s} | {%s}" % (" ".join(map(str, mask_states(S))),
+                                 " ".join(map(str, mask_states(O))))
         lines.append(f'  v{vid} [shape={shape} label="{label}"];')
     lines.append(f"  init [shape=point]; init -> v{g.initial};")
     for vid in range(g.n_vertices):

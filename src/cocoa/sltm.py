@@ -25,13 +25,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .awa import (
-    Awa, CNF_FALSE, CNF_TRUE, canon_key, cnf_and, cnf_or, dualize, minimal_sets,
-    winning_state_positions,
+    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, mask_states, minimal_sets,
+    state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
-from .obligation import (
-    Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi, state_mask,
-)
+from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi
 
 
 class IncompatibleAutomata(Exception):
@@ -40,24 +38,18 @@ class IncompatibleAutomata(Exception):
 
 @dataclass(frozen=True)
 class Label:
-    """Intersection of unions of state languages; no unions means the
-    universal language.  Canonical: unions sorted, supersets of another
-    union dropped."""
+    """Intersection of unions of state languages, each union a state mask;
+    no unions means the universal language.  Canonical: unions sorted,
+    supersets of another union dropped."""
 
-    unions: tuple[frozenset[int], ...]
+    unions: tuple[int, ...]
 
     @staticmethod
     def make(unions) -> "Label":
-        canon = [frozenset(u) for u in unions]
-        if frozenset() in canon:
+        canon = minimal_sets(unions)
+        if 0 in canon:
             raise ValueError("label unions must be non-empty")
-        return Label(minimal_sets(canon))
-
-    def states(self) -> frozenset[int]:
-        out: set[int] = set()
-        for u in self.unions:
-            out |= u
-        return frozenset(out)
+        return Label(canon)
 
 
 def label_of(vertex_ids: Iterable[int], graph: ObligationGraph) -> Label:
@@ -74,12 +66,13 @@ def label_of(vertex_ids: Iterable[int], graph: ObligationGraph) -> Label:
     return Label.make(unions)
 
 
-def _initial_winners(a: Awa, w: LassoWord) -> frozenset[int]:
-    """The states whose language contains the lasso, via the game solver."""
-    return frozenset(q for q, row in enumerate(winning_state_positions(a, w)) if row & 1)
+def _initial_winners(a: Awa, w: LassoWord) -> int:
+    """The mask of the states whose language contains the lasso, via the
+    game solver."""
+    return state_mask(q for q, row in enumerate(winning_state_positions(a, w)) if row & 1)
 
 
-def _holds(label: Label, win0: frozenset[int]) -> bool:
+def _holds(label: Label, win0: int) -> bool:
     # every union keeps a state whose language contains the lasso
     return all(u & win0 for u in label.unions)
 
@@ -94,7 +87,7 @@ def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
 
 def _syntactic_subset(l1: Label, l2: Label) -> bool:
     # every union of l2 weakens some union of l1, hence [[l1]] within [[l2]]
-    return all(any(u1 <= u2 for u1 in l1.unions) for u2 in l2.unions)
+    return all(any(u1 & u2 == u1 for u1 in l1.unions) for u2 in l2.unions)
 
 
 class LanguageOracle(BreakpointGraph):
@@ -108,9 +101,9 @@ class LanguageOracle(BreakpointGraph):
 
     def __init__(self, a: Awa, a_dual: Awa):
         n = a.n_states
-        delta = {key: tuple(map(state_mask, p.clauses)) for key, p in a.delta.items()}
+        delta = {key: p.clauses for key, p in a.delta.items()}
         for (q, x), p in a_dual.delta.items():
-            delta[(n + q, x)] = tuple(state_mask(c) << n for c in p.clauses)
+            delta[(n + q, x)] = tuple(c << n for c in p.clauses)
         super().__init__(Breakpoint(
             delta,
             accepting=state_mask(a.accepting) | state_mask(a_dual.accepting) << n,
@@ -131,10 +124,10 @@ class LanguageOracle(BreakpointGraph):
 
         models = self.label_models.get(pos)
         if models is None:
-            models = minimal_models(tuple(map(state_mask, pos.unions)))
+            models = minimal_models(pos.unions)
             self.label_models[pos] = models
         n = self.a.n_states
-        duals = [state_mask(u) << n for u in neg.unions]
+        duals = [u << n for u in neg.unions]
         free = ~self.kernel.accepting
         roots = set()
         for m in models:
@@ -146,9 +139,10 @@ class LanguageOracle(BreakpointGraph):
 
 def _check_states(labels: Iterable[Label], a: Awa) -> None:
     for l in labels:
-        for q in l.states():
-            if not 0 <= q < a.n_states:
-                raise IncompatibleAutomata(f"label references unknown state {q}")
+        for u in l.unions:
+            if u >> a.n_states:
+                raise IncompatibleAutomata(
+                    f"label references unknown state {u.bit_length() - 1}")
 
 
 def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
@@ -190,13 +184,13 @@ def suffix_label(label: Label, x: frozenset[str], a: Awa) -> Label:
     cnf = CNF_TRUE
     for u in label.unions:
         part = CNF_FALSE
-        for q in sorted(u):
-            part = cnf_or(part, frozenset(a.delta[(q, x)].clauses))
+        for q in mask_states(u):
+            part = cnf_or(part, a.delta[(q, x)].clauses)
         cnf = cnf_and(cnf, part)
     if not cnf:
         return Label.make([])
-    if frozenset() in cnf:
-        return Label.make([frozenset({a.bottom})])
+    if 0 in cnf:
+        return Label.make([1 << a.bottom])
     return Label.make(cnf)
 
 
@@ -218,7 +212,6 @@ class Sltm:
     g_neg: ObligationGraph | None = None
     g_pos: ObligationGraph | None = None
     source: Awa | None = None
-    source_dual: Awa | None = None
 
 
 def build_canonical_sltm(
@@ -248,9 +241,8 @@ def build_canonical_sltm(
     that the successor's label is equivalent to the suffix of the source
     label (the single-step soundness condition of the construction).
     """
-    a_dual = dualize(a)
     if g_neg is None:
-        g_neg = miyano_hayashi(a_dual)
+        g_neg = miyano_hayashi(a.dual)
     if g_pos is None:
         g_pos = miyano_hayashi(a)
     letters = a.alphabet.letters
@@ -259,15 +251,14 @@ def build_canonical_sltm(
     # starts empty and gains, per inequivalent pair met, a lasso telling
     # the two apart; equivalent labels always share a signature.  Each
     # state keeps its signature, so a new lasso costs one bit per state.
-    winners: list[frozenset[int]] = []
-    oracle = LanguageOracle(a, a_dual)
+    winners: list[int] = []
+    oracle = LanguageOracle(a, a.dual)
     equiv_cache: dict[tuple[Label, Label], bool] = {}
 
     def equivalent(l1: Label, l2: Label) -> bool:
         if l1 == l2:
             return True
-        first, second = sorted((l1, l2), key=lambda l: tuple(map(canon_key, l.unions)))
-        key = (first, second)
+        key = (l1, l2) if l1.unions < l2.unions else (l2, l1)
         got = equiv_cache.get(key)
         if got is None:
             got = labels_equivalent(l1, l2, oracle)
@@ -371,7 +362,6 @@ def build_canonical_sltm(
         g_neg=g_neg,
         g_pos=g_pos,
         source=a,
-        source_dual=a_dual,
     )
 
 
@@ -385,7 +375,7 @@ def sltm_to_json(m: Sltm) -> dict:
         "letters": letters,
         "states": m.n_states,
         "initial": m.initial,
-        "labels": [[sorted(u) for u in label.unions] for label in m.labels],
+        "labels": [[list(mask_states(u)) for u in label.unions] for label in m.labels],
         "vertex_sets_neg": [sorted(s) for s in m.vertex_sets_neg],
         "vertex_sets_pos": [sorted(s) for s in m.vertex_sets_pos],
         "delta": [
@@ -407,7 +397,7 @@ def sltm_from_json(data: dict) -> Sltm:
         delta=delta,
         vertex_sets_neg=tuple(frozenset(s) for s in data["vertex_sets_neg"]),
         vertex_sets_pos=tuple(frozenset(s) for s in data["vertex_sets_pos"]),
-        labels=tuple(Label.make([frozenset(u) for u in ls]) for ls in data["labels"]),
+        labels=tuple(Label.make([state_mask(u) for u in ls]) for ls in data["labels"]),
     )
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-the test-only NFW membership oracle, the reference lasso evaluator, the
-per-lasso reference verifier, the reference game solver, the reference
-lasso enumeration, the frozenset reference breakpoint kernel, and the eager
-reference emptiness check."""
+the lasso position helpers, the test-only NFW membership oracle, the
+reference lasso evaluator, the per-lasso reference verifier, the reference
+game solver, the reference lasso enumeration, the frozenset references for
+subsumption and the breakpoint kernel, and the eager reference emptiness
+check."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from cocoa.formula import (
     UNTIL,
 )
 from cocoa._graph import cyclic_sccs, lasso_letters
-from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, minimal_sets
+from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, mask_states, state_mask
 from cocoa.chain import Cocoa, VerifyReport
 from cocoa.floating import Dfw, Nfw
 from cocoa.obligation import ObligationGraph, miyano_hayashi
@@ -60,7 +61,7 @@ def build_fig1() -> Awa:
     I0, F0, F1, F2, G0, G1, G2, TOP, BOT = range(9)
 
     def c(*clauses):
-        return Pcnf.make([frozenset(cl) for cl in clauses])
+        return Pcnf.make([state_mask(cl) for cl in clauses])
 
     delta = {}
     for x in alphabet.letters:
@@ -103,6 +104,36 @@ _ab_letters = st.sampled_from(AB.letters)
 ab_lassos = st.builds(
     lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
     st.lists(_ab_letters, max_size=4), st.lists(_ab_letters, min_size=1, max_size=5))
+
+
+def letters(w: LassoWord) -> tuple[frozenset[str], ...]:
+    """The letter at each of the |u|+|v| distinct positions of a lasso."""
+    return w.prefix + w.period
+
+
+def cut(w: LassoWord) -> int:
+    """The position the last position of a lasso steps back to."""
+    return len(w.prefix)
+
+
+def n_positions(w: LassoWord) -> int:
+    return len(w.prefix) + len(w.period)
+
+
+def next_positions(w: LassoWord) -> tuple[int, ...]:
+    """The successor of each position, the last one looping back to the cut."""
+    return tuple(range(1, n_positions(w))) + (cut(w),)
+
+
+def letter_at(w: LassoWord, i: int) -> frozenset[str]:
+    """The letter at any position of the unrolled lasso."""
+    if i < cut(w):
+        return w.prefix[i]
+    return w.period[(i - cut(w)) % len(w.period)]
+
+
+def next_pos(w: LassoWord, i: int) -> int:
+    return i + 1 if i + 1 < n_positions(w) else cut(w)
 
 
 def lassos_up_to(alphabet: Alphabet, prefix_bound=2, period_bound=3):
@@ -161,23 +192,23 @@ def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
 
     A node (state, lasso position) survives when some successor survives;
     the word is accepted when a jump-in hits a surviving node."""
-    nodes = {(q, j) for q in range(n.n_states) for j in range(w.n_positions)}
+    nodes = {(q, j) for q in range(n.n_states) for j in range(n_positions(w))}
     changed = True
     while changed:
         changed = False
         for (q, j) in sorted(nodes):
-            nxt_j = w.next_pos(j)
-            if not any((q2, nxt_j) in nodes for q2 in n.succ(q, w.letter_at(j))):
+            nxt_j = next_pos(w, j)
+            if not any((q2, nxt_j) in nodes for q2 in n.succ(q, letter_at(w, j))):
                 nodes.discard((q, j))
                 changed = True
-    horizon = w.cut + (m.n_states + 1) * len(w.period)
+    horizon = cut(w) + (m.n_states + 1) * len(w.period)
     s = m.initial
     for i in range(horizon):
-        j = i if i < w.n_positions else w.cut + (i - w.cut) % len(w.period)
+        j = i if i < n_positions(w) else cut(w) + (i - cut(w)) % len(w.period)
         for q in range(n.n_states):
             if n.label[q] == s and (q, j) in nodes:
                 return True
-        s = m.delta[(s, w.letter_at(j))]
+        s = m.delta[(s, letter_at(w, j))]
     return False
 
 
@@ -189,9 +220,9 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
     positions and memoized by subformula; U/F are least fixpoints, R/G
     greatest fixpoints on the loop.
     """
-    n = w.n_positions
-    nxt_pos = [w.next_pos(i) for i in range(n)]
-    letters = [w.letter_at(i) for i in range(n)]
+    n = n_positions(w)
+    nxt_pos = next_positions(w)
+    at = letters(w)
     memo: dict[Formula, list[bool]] = {}
 
     def fix(init: bool, step) -> list[bool]:
@@ -212,7 +243,7 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
             return got
         k = g.kind
         if k == ATOM:
-            row = [g.name in letters[i] for i in range(n)]
+            row = [g.name in at[i] for i in range(n)]
         elif k == TRUE:
             row = [True] * n
         elif k == FALSE:
@@ -261,7 +292,7 @@ def reference_run_survives(trans: dict, w: LassoWord):
     at lasso position j.  A run either dies or repeats a (state, position)
     pair, and every pair it passes shares its verdict, which is memoized.
     """
-    letters, nxt = w.letters, w.next_positions
+    at, nxt = letters(w), next_positions(w)
     memo: dict[tuple[int, int], bool] = {}
 
     def survives(q: int, j: int) -> bool:
@@ -274,7 +305,7 @@ def reference_run_survives(trans: dict, w: LassoWord):
                 break
             memo[key] = True
             path.append(key)
-            q = trans.get((q, letters[j]))
+            q = trans.get((q, at[j]))
             if q is None:
                 val = False
                 break
@@ -295,7 +326,7 @@ def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
     if d.n_states == 0:
         return False
     survives = reference_run_survives(d.trans, w)
-    letters, nxt = w.letters, w.next_positions
+    at, nxt = letters(w), next_positions(w)
     seen: set[tuple[int, int]] = set()
     s, j = m.initial, 0
     while (s, j) not in seen:
@@ -303,7 +334,7 @@ def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
         for q in d.by_label.get(s, ()):
             if survives(q, j):
                 return True
-        s = m.delta[(s, letters[j])]
+        s = m.delta[(s, at[j])]
         j = nxt[j]
     return False
 
@@ -352,26 +383,27 @@ def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, in
     coincide with "accepting infinitely often", so the classical
     recurrence/attractor fixpoint applies.
     """
-    n = w.n_positions
-    letters = [w.letter_at(i) for i in range(n)]
-    nxt = [w.next_pos(i) for i in range(n)]
+    n = n_positions(w)
+    at = letters(w)
+    nxt = next_positions(w)
 
     # node ids: state nodes q*n + i (rejector to move), then clause nodes
     n_snodes = a.n_states * n
-    clause_ids: dict[tuple[frozenset[int], int], int] = {}
+    clause_ids: dict[tuple[int, int], int] = {}
     succs: list[list[int]] = [[] for _ in range(n_snodes)]
     owner_acceptor: list[bool] = [False] * n_snodes
 
     for q in range(a.n_states):
         for i in range(n):
             outs = []
-            for clause in a.delta[(q, letters[i])].clauses:
+            for clause in a.delta[(q, at[i])].clauses:
                 key = (clause, i)
                 cid = clause_ids.get(key)
                 if cid is None:
                     cid = n_snodes + len(clause_ids)
                     clause_ids[key] = cid
-                    succs.append([q2 * n + nxt[i] for q2 in sorted(clause)])
+                    succs.append([q2 * n + nxt[i] for q2 in range(a.n_states)
+                                  if clause >> q2 & 1])
                     owner_acceptor.append(True)
                 outs.append(cid)
             succs[q * n + i] = outs
@@ -409,6 +441,17 @@ def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, in
     return {(nd // n, nd % n) for nd in alive if nd < n_snodes}
 
 
+def reference_minimal_sets(sets) -> tuple[frozenset[int], ...]:
+    """The inclusion-minimal members of a collection of frozensets, without
+    duplicates, by size and then by sorted members; the reference for
+    ``awa.minimal_sets``."""
+    kept: list[frozenset[int]] = []
+    for s in sorted(set(sets), key=lambda s: (len(s), sorted(s))):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
 def reference_minimal_models(clauses) -> tuple[frozenset[int], ...]:
     """Minimal hitting sets of frozenset clauses by branching on the states
     of the first clause left unhit, in canonical order; the reference for
@@ -422,21 +465,26 @@ def reference_minimal_models(clauses) -> tuple[frozenset[int], ...]:
         for x in sorted(remaining[0]):
             rec(tuple(c for c in remaining[1:] if x not in c), chosen + (x,))
 
-    rec(minimal_sets(clauses), ())
-    return minimal_sets(results)
+    rec(reference_minimal_sets(clauses), ())
+    return reference_minimal_sets(results)
 
 
 class ReferenceBreakpoint:
     """Breakpoint successors on frozensets, the reference for
     ``obligation.Breakpoint``: the clauses of a state set are merged and
-    their minimal hitting sets taken whole."""
+    their minimal hitting sets taken whole.
 
-    def __init__(self, delta, accepting: frozenset[int], tops: frozenset[int],
-                 bottoms: frozenset[int]):
-        self.delta = delta
-        self.accepting = accepting
-        self.tops = tops
-        self.bottoms = bottoms
+    It takes the kernel's arguments, state masks, and works on frozensets
+    from there on."""
+
+    def __init__(self, delta: dict, accepting: int, tops: int, bottoms: int):
+        def states(m: int) -> frozenset[int]:
+            return frozenset(mask_states(m))
+
+        self.delta = {key: [states(c) for c in clauses] for key, clauses in delta.items()}
+        self.accepting = states(accepting)
+        self.tops = states(tops)
+        self.bottoms = states(bottoms)
 
     def _models(self, states: frozenset[int], x: frozenset[str]) -> tuple[frozenset[int], ...]:
         merged: set[frozenset[int]] = set()

@@ -18,7 +18,7 @@ from cocoa import (
 import cocoa
 from cocoa.awa import (
     Awa, NotNnf, NotWeak, Pcnf, _edge_lists, _scc_ranks, awa_to_dot,
-    from_ltl as _from_ltl,
+    from_ltl as _from_ltl, mask_states, minimal_sets, state_mask,
 )
 from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
@@ -26,18 +26,27 @@ from cocoa.formula import (
 )
 
 from conftest import (
-    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to, reference_is_empty,
-    reference_nonempty_witness, reference_winning_state_positions, row_pairs,
+    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to, letter_at,
+    reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
+    reference_winning_state_positions, row_pairs,
 )
 
 
 def test_pcnf_canonical_form():
-    p = Pcnf.make([frozenset({1, 2}), frozenset({1}), frozenset({2, 1})])
-    assert p.clauses == (frozenset({1}),)  # superset clauses pruned
+    p = Pcnf.make([state_mask({1, 2}), state_mask({1}), state_mask({2, 1})])
+    assert p.clauses == (state_mask({1}),)  # superset clauses pruned
     with pytest.raises(ValueError):
         Pcnf.make([])
     with pytest.raises(ValueError):
-        Pcnf.make([frozenset()])
+        Pcnf.make([0])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.frozensets(st.integers(0, 7)), max_size=10))
+def test_minimal_sets_match_reference(family):
+    # mask subsumption and the canonical order, read back as frozensets
+    got = minimal_sets(map(state_mask, family))
+    assert tuple(frozenset(mask_states(m)) for m in got) == reference_minimal_sets(family)
 
 
 def test_from_ltl_state_count_fig1_formula(ab_alphabet):
@@ -51,7 +60,7 @@ def test_from_ltl_state_count_fig1_formula(ab_alphabet):
 def test_from_ltl_atom_first_letter(a_alphabet):
     a = from_ltl(to_nnf(parse_ltl("a", ["a"])), a_alphabet)
     for w in lassos_up_to(a_alphabet, 1, 2):
-        assert accepts_lasso(a, w) == ("a" in w.letter_at(0))
+        assert accepts_lasso(a, w) == ("a" in letter_at(w, 0))
 
 
 def test_from_ltl_requires_nnf(ab_alphabet):
@@ -104,8 +113,8 @@ def test_check_weak_rejects_mixed_scc(ab_alphabet):
     # force a two-state cycle with one accepting and one rejecting state
     delta = dict(fig.delta)
     for x in ab_alphabet.letters:
-        delta[(1, x)] = Pcnf.make([frozenset({2})])
-        delta[(2, x)] = Pcnf.make([frozenset({1})])
+        delta[(1, x)] = Pcnf.make([1 << 2])
+        delta[(2, x)] = Pcnf.make([1 << 1])
     broken = Awa(fig.alphabet, fig.n_states, fig.initial, delta, fig.accepting,
                  fig.rank, fig.top, fig.bottom, fig.state_names)
     with pytest.raises(NotWeak):

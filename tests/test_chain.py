@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cocoa.awa
 import cocoa.floating
 import cocoa.formula
 from cocoa import (
@@ -221,6 +222,15 @@ def test_verify_chain_builds_no_words_but_its_counterexample():
             assert calls == {"LassoWord": 1, "eval_lasso": 0, "dfw_accepts_lasso": 0}
             return
     raise AssertionError("no mutant of the corpus had a counterexample")
+
+
+def test_build_chain_dualizes_once():
+    # g_neg and the SLTM's equivalence oracle share the automaton's dual
+    f = parse_ltl("GF a -> GF b", ["a", "b"])
+    a = from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"]))
+    with counting_calls({"dualize": cocoa.awa.dualize}) as calls:
+        build_chain(a, formula=f)
+    assert calls == {"dualize": 1}
 
 
 def test_resource_limit_raises():

@@ -18,7 +18,7 @@ from cocoa.formula import (
 )
 
 from conftest import (
-    AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to,
+    AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to, letter_at,
     reference_enumerate_lassos, reference_eval_lasso,
 )
 
@@ -228,7 +228,7 @@ def test_enumerate_lassos_distinct_words():
     lassos = enumerate_lassos(alpha, 2, 2)
     seen = set()
     for w in lassos:
-        key = tuple(w.letter_at(i) for i in range(8))  # long unrolling
+        key = tuple(letter_at(w, i) for i in range(8))  # long unrolling
         assert key not in seen
         seen.add(key)
 

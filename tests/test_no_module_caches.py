@@ -10,9 +10,7 @@ import cocoa
 
 SRC = Path(cocoa.__file__).resolve().parent
 
-# the minimal-models cache stays until a per-build context owns it
-# (ROADMAP open item 3)
-ALLOWED = {("obligation", "_MM_CACHE")}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _is_empty_container(node: ast.expr | None) -> bool:

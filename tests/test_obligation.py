@@ -11,15 +11,14 @@ from cocoa import (
     parse_ltl, to_nnf,
 )
 from cocoa._graph import cyclic_sccs
-from cocoa.awa import Awa
+from cocoa.awa import Awa, mask_states, member_order, state_mask
 from cocoa.obligation import (
-    Breakpoint, BreakpointGraph, ObligationGraph, mask_states, member_order,
-    minimal_models, obligation_to_dot, state_mask,
+    Breakpoint, BreakpointGraph, ObligationGraph, minimal_models, obligation_to_dot,
 )
 
 from conftest import (
-    ReferenceBreakpoint, formula_corpus, lassos_up_to, reference_minimal_models,
-    reference_nonempty_witness, succ_lists,
+    ReferenceBreakpoint, formula_corpus, lassos_up_to, letter_at, n_positions,
+    next_pos, reference_minimal_models, reference_nonempty_witness, succ_lists,
 )
 
 
@@ -37,7 +36,7 @@ def reachable(succ, starts) -> set[int]:
 
 def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
     """Buchi lasso membership on the product with the lasso positions."""
-    n = w.n_positions
+    n = n_positions(w)
 
     def node(vid: int, i: int) -> int:
         return vid * n + i
@@ -46,7 +45,7 @@ def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
     succ: list[list[int]] = [[] for _ in range(total)]
     for vid in range(g.n_vertices):
         for i in range(n):
-            succ[node(vid, i)] = [node(v2, w.next_pos(i)) for v2 in g.succ(vid, w.letter_at(i))]
+            succ[node(vid, i)] = [node(v2, next_pos(w, i)) for v2 in g.succ(vid, letter_at(w, i))]
     reach = reachable(succ, [node(g.initial, 0)])
     comp = cyclic_sccs(succ)
     return any(comp[nd] >= 0 and nd // n in g.accepting for nd in reach)
@@ -57,7 +56,7 @@ def sink_explorer(b: Awa) -> BreakpointGraph:
     rejecting sink dropped, the accepting sink stripped from state sets),
     unexpanded, its initial pair interned as vertex 0."""
     acc = state_mask(b.accepting)
-    kernel = Breakpoint({k: tuple(map(state_mask, p.clauses)) for k, p in b.delta.items()},
+    kernel = Breakpoint({k: p.clauses for k, p in b.delta.items()},
                         acc, 1 << b.top, 1 << b.bottom)
     g = BreakpointGraph(kernel, b.alphabet.letters)
     init = 1 << b.initial
@@ -72,9 +71,8 @@ def expanded(g: BreakpointGraph, alphabet: Alphabet) -> ObligationGraph:
     while vid < len(g.pairs):
         g.row(vid)
         vid += 1
-    vertices = tuple((frozenset(mask_states(s)), frozenset(mask_states(o))) for s, o in g.pairs)
     accepting = frozenset(i for i, (_s, o) in enumerate(g.pairs) if not o)
-    return ObligationGraph(alphabet, vertices, 0, tuple(g.rows), accepting)
+    return ObligationGraph(alphabet, tuple(g.pairs), 0, tuple(g.rows), accepting)
 
 
 def test_minimal_models_basic():
@@ -112,22 +110,22 @@ def test_breakpoint_successors_match_reference():
         a = from_ltl(f, alpha)
         for b in (a, dualize(a)):
             for sinks in (False, True):
-                tops = frozenset({b.top}) if sinks else frozenset()
-                bottoms = frozenset({b.bottom}) if sinks else frozenset()
-                ref = ReferenceBreakpoint({k: p.clauses for k, p in b.delta.items()},
-                                          b.accepting, tops, bottoms)
-                kernel = Breakpoint({k: tuple(map(state_mask, p.clauses))
-                                     for k, p in b.delta.items()},
-                                    state_mask(b.accepting), state_mask(tops),
-                                    state_mask(bottoms))
+                tops = 1 << b.top if sinks else 0
+                bottoms = 1 << b.bottom if sinks else 0
+                args = ({k: p.clauses for k, p in b.delta.items()},
+                        state_mask(b.accepting), tops, bottoms)
+                ref = ReferenceBreakpoint(*args)
+                kernel = Breakpoint(*args)
                 g = expanded(sink_explorer(b), alpha) if sinks else miyano_hayashi(b)
+                as_sets = [(frozenset(mask_states(s)), frozenset(mask_states(o)))
+                           for s, o in g.vertices]
                 for vid, (S, O) in enumerate(g.vertices):
                     for x in alpha.letters:
-                        want = ref.successors(S, O, x)
-                        got = kernel.successors(state_mask(S), state_mask(O), x)
+                        want = ref.successors(*as_sets[vid], x)
+                        got = kernel.successors(S, O, x)
                         assert [(frozenset(mask_states(s)), frozenset(mask_states(o)))
                                 for s, o in got] == want, (f, S, O, x)
-                        assert [g.vertices[d] for d in g.succ(vid, x)] == want
+                        assert [as_sets[d] for d in g.succ(vid, x)] == want
                         checked += 1
     assert checked > 2000
 
@@ -135,10 +133,10 @@ def test_breakpoint_successors_match_reference():
 def test_vertices_pair_invariants(fig1):
     g = miyano_hayashi(fig1)
     for (S, O) in g.vertices:
-        assert O <= S
+        assert O & S == O
         assert S  # never empty
-    assert g.vertices[g.initial] == (frozenset({fig1.initial}),
-                                     frozenset({fig1.initial}) - fig1.accepting)
+    init = 1 << fig1.initial
+    assert g.vertices[g.initial] == (init, init & ~state_mask(fig1.accepting))
     assert g.accepting == frozenset(
         i for i, (_s, o) in enumerate(g.vertices) if not o)
 
@@ -193,7 +191,7 @@ def test_purely_nondeterministic_keeps_singletons():
             assert len(a.delta[(q, x)].clauses) == 1
     g = miyano_hayashi(a)
     for (S, _O) in g.vertices:
-        assert len(S) == 1
+        assert S.bit_count() == 1
 
 
 def test_language_preservation_on_corpus():
@@ -234,7 +232,8 @@ def test_sink_pruning_keeps_the_language():
         for b in (a, dualize(a)):
             full = miyano_hayashi(b)
             pruned = expanded(sink_explorer(b), alpha)
-            assert all(b.top not in S and b.bottom not in S for S, _O in pruned.vertices)
+            sinks = 1 << b.top | 1 << b.bottom
+            assert all(not S & sinks for S, _O in pruned.vertices)
             shrunk += pruned.n_vertices < full.n_vertices
             for w in enumerate_lassos(alpha, 2, 2):
                 assert nbw_accepts_lasso(pruned, w) == nbw_accepts_lasso(full, w), \

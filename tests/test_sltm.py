@@ -14,7 +14,7 @@ from cocoa import (
 import cocoa.sltm
 from cocoa.awa import (
     Awa, CNF_FALSE, Pcnf, _edge_lists, _scc_ranks, cnf_and, cnf_subsume,
-    finalize_pcnf,
+    finalize_pcnf, mask_states, state_mask,
 )
 from cocoa.sltm import (
     IncompatibleAutomata, Label, LanguageOracle, build_canonical_sltm,
@@ -35,10 +35,10 @@ def build(text, aps, **kw):
 
 
 def test_label_canonical_form():
-    l = Label.make([frozenset({1, 2}), frozenset({1}), frozenset({3})])
-    assert l.unions == (frozenset({1}), frozenset({3}))
+    l = Label.make([state_mask({1, 2}), state_mask({1}), state_mask({3})])
+    assert l.unions == (state_mask({1}), state_mask({3}))
     with pytest.raises(ValueError):
-        Label.make([frozenset()])
+        Label.make([0])
 
 
 def test_label_of_merges_shared_state_sets(fig1):
@@ -53,24 +53,24 @@ def test_label_of_merges_shared_state_sets(fig1):
 
 def test_labels_equivalent_reflexive(fig1):
     oracle = LanguageOracle(fig1, dualize(fig1))
-    l = Label.make([frozenset({1, 2})])
+    l = Label.make([state_mask({1, 2})])
     assert labels_equivalent(l, l, oracle) is True
 
 
 def test_labels_equivalent_fig1_branch_states(fig1):
     oracle = LanguageOracle(fig1, dualize(fig1))
-    f1_label = Label.make([frozenset({2})])   # G a branch state
-    f2_label = Label.make([frozenset({3})])   # empty-language state
+    f1_label = Label.make([1 << 2])   # G a branch state
+    f2_label = Label.make([1 << 3])   # empty-language state
     assert labels_equivalent(f1_label, f2_label, oracle) is False
     universal = Label.make([])
-    g2_label = Label.make([frozenset({6})])
+    g2_label = Label.make([1 << 6])
     assert labels_equivalent(universal, g2_label, oracle) is True
 
 
 def test_labels_equivalent_rejects_foreign_states(fig1):
     oracle = LanguageOracle(fig1, dualize(fig1))
     with pytest.raises(IncompatibleAutomata):
-        labels_equivalent(Label.make([frozenset({99})]), Label.make([]), oracle)
+        labels_equivalent(Label.make([1 << 99]), Label.make([]), oracle)
 
 
 EPS_AP = "<eps>"
@@ -97,10 +97,10 @@ def difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
     alphabet = Alphabet(a.alphabet.aps + (EPS_AP,), a.alphabet.letters + (eps,))
 
     def sh_a(clauses):
-        return [frozenset(off_a + q for q in c) for c in clauses]
+        return [c << off_a for c in clauses]
 
     def sh_d(clauses):
-        return [frozenset(off_d + q for q in c) for c in clauses]
+        return [c << off_d for c in clauses]
 
     top = off_a + a.top
     bottom = off_a + a.bottom
@@ -112,26 +112,26 @@ def difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
             delta[(off_a + q, x)] = Pcnf.make(sh_a(a.delta[(q, x)].clauses))
             delta[(off_d + q, x)] = Pcnf.make(sh_d(a_dual.delta[(q, x)].clauses))
         if q == a.top:
-            delta[(off_a + q, eps)] = Pcnf.make([frozenset({top})])
+            delta[(off_a + q, eps)] = Pcnf.make([1 << top])
         else:
-            delta[(off_a + q, eps)] = Pcnf.make([frozenset({bottom})])
-        delta[(off_d + q, eps)] = Pcnf.make([frozenset({d_bottom})])
+            delta[(off_a + q, eps)] = Pcnf.make([1 << bottom])
+        delta[(off_d + q, eps)] = Pcnf.make([1 << d_bottom])
     for k, u in enumerate(neg.unions):
         for x in a.alphabet.letters:
-            merged: set[frozenset[int]] = set()
-            for q in sorted(u):
+            merged: set[int] = set()
+            for q in mask_states(u):
                 merged.update(sh_d(a_dual.delta[(q, x)].clauses))
             delta[(t_ids[k], x)] = Pcnf.make(cnf_subsume(merged))
-        delta[(t_ids[k], eps)] = Pcnf.make([frozenset({d_bottom})])
+        delta[(t_ids[k], eps)] = Pcnf.make([1 << d_bottom])
 
     # iota: the difference formula on eps, dead otherwise
     cnf = cnf_and(
-        cnf_subsume({frozenset(off_a + q for q in u) for u in pos.unions}),
-        CNF_FALSE if not neg.unions else cnf_subsume({frozenset(t_ids.values())}),
+        cnf_subsume({u << off_a for u in pos.unions}),
+        CNF_FALSE if not neg.unions else cnf_subsume({state_mask(t_ids.values())}),
     )
     delta[(iota, eps)] = finalize_pcnf(cnf, top, bottom)
     for x in a.alphabet.letters:
-        delta[(iota, x)] = Pcnf.make([frozenset({bottom})])
+        delta[(iota, x)] = Pcnf.make([1 << bottom])
 
     accepting = frozenset(
         {off_a + q for q in a.accepting} | {off_d + q for q in a_dual.accepting})
@@ -148,11 +148,11 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
     d = dualize(fig1)
     candidates = [
         Label.make([]),
-        Label.make([frozenset({2})]),
-        Label.make([frozenset({3})]),
-        Label.make([frozenset({2, 6})]),
-        Label.make([frozenset({1}), frozenset({4})]),
-        Label.make([frozenset({0})]),
+        Label.make([1 << 2]),
+        Label.make([1 << 3]),
+        Label.make([state_mask({2, 6})]),
+        Label.make([1 << 1, 1 << 4]),
+        Label.make([1 << 0]),
     ]
     oracle = LanguageOracle(fig1, d)
     for l1, l2 in itertools.combinations(candidates, 2):
@@ -163,7 +163,7 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
 
 def test_label_membership_helper(fig1, ab_alphabet):
     ga = to_nnf(parse_ltl("G a", ["a", "b"]))
-    l = Label.make([frozenset({2})])  # f1 state
+    l = Label.make([1 << 2])  # f1 state
     for w in lassos_up_to(ab_alphabet, 1, 2):
         assert label_accepts_lasso(l, fig1, w) == eval_lasso(ga, w)
 
@@ -171,12 +171,12 @@ def test_label_membership_helper(fig1, ab_alphabet):
 def test_suffix_label_semantics(fig1, ab_alphabet):
     # suffix of L(f1) = G a after reading a letter with a is G a again,
     # after a letter without a it is empty
-    l = Label.make([frozenset({2})])
+    l = Label.make([1 << 2])
     oracle = LanguageOracle(fig1, dualize(fig1))
     with_a = suffix_label(l, frozenset({"a"}), fig1)
     without_a = suffix_label(l, frozenset(), fig1)
     assert labels_equivalent(with_a, l, oracle) is True
-    assert labels_equivalent(without_a, Label.make([frozenset({3})]), oracle) is True
+    assert labels_equivalent(without_a, Label.make([1 << 3]), oracle) is True
 
 
 def test_sltm_fg_a_single_state():
@@ -359,7 +359,7 @@ def _corpus_labels():
         m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
         groups = _member_labels_by_state(m)
         labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
-        yield f, m.source, LanguageOracle(m.source, m.source_dual), groups, labels
+        yield f, m.source, LanguageOracle(m.source, m.source.dual), groups, labels
 
 
 def test_labels_equivalent_agrees_with_lasso_membership():

@@ -56,7 +56,7 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
     with counting_calls(originals) as actual:
         cocoa.chain.build_chain(a, formula=f)
         assert cocoa.sltm.labels_equivalent(
-            Label.make([{b.initial}]), Label.make([{b.top}]),
+            Label.make([1 << b.initial]), Label.make([1 << b.top]),
             LanguageOracle(b, dualize(b))) is False
     traced = {name: tracer.calls[name][0] for name in originals}
     assert traced["obligation.minimal_models"] > 0
