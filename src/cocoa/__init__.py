@@ -2,17 +2,16 @@
 with a brute-force lasso-word oracle for differential verification."""
 
 from .awa import (
-    Awa, NotNnf, NotWeak, Pcnf, accepts_lasso, awa_to_dot, dualize, from_ltl,
+    Awa, NotNnf, NotWeak, Pcnf, awa_to_dot, dualize, from_ltl,
     winning_state_positions,
 )
 from .chain import (
     ChainConfig, Cocoa, HdNcw, ResourceLimit, VerifyReport, build_chain,
     build_chain_for_formula, chain_from_json, chain_to_json, dfw_to_hd_ncw,
-    drop_accepting_transition, level_to_hoa, natural_color, ncw_accepts_lasso,
-    verify_chain,
+    drop_accepting_transition, level_to_hoa, natural_color, verify_chain,
 )
 from .floating import (
-    Dfw, Nfw, determinize, dfw_accepts_lasso, dfw_accepts_lassos, is_empty_dfw,
+    Dfw, Nfw, det_edges, determinize, dfw_accepts_lasso, dfw_accepts_lassos,
     level_product, minimize_dfw, universal_dfw,
 )
 from .formula import (
@@ -25,7 +24,7 @@ from .formula import (
 from .obligation import ObligationGraph, miyano_hayashi, obligation_to_dot
 from .sltm import (
     IncompatibleAutomata, LanguageOracle, Label, Sltm, build_canonical_sltm,
-    label_accepts_lasso, label_of, labels_equivalent, sltm_to_json,
+    label_of, labels_equivalent, sltm_to_json,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

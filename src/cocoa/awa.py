@@ -298,7 +298,6 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
     """
     lassos = Lassos.of([w])
     full = lassos.full
-    masks = lassos.rows
     groups: dict[int, list[int]] = {}
     for q in range(a.n_states):
         groups.setdefault(a.rank[q], []).append(q)
@@ -312,7 +311,7 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
         for q in group:
             win[q] = pre[q] = start
             moves.append((q, [(m, [mask_states(c) for c in a.delta[(q, x)].clauses])
-                              for x, m in masks.items()]))
+                              for x, m in zip(w.alphabet.letters, lassos.rows) if m]))
         changed = True
         while changed:
             changed = False
@@ -332,12 +331,6 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
                     pre[q] = lassos.next(row)
                     changed = True
     return win
-
-
-def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:
-    """True iff the acceptor wins the word-checking game on the lasso."""
-    q0 = a.initial if start is None else start
-    return bool(winning_state_positions(a, w)[q0] & 1)
 
 
 # --- DOT export -------------------------------------------------------------

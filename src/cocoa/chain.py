@@ -9,18 +9,17 @@ on bounded lassos.
 
 from __future__ import annotations
 
-import itertools
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .awa import Awa, from_ltl
 from .floating import (
-    Dfw, determinize, dfw_accepts_lasso, dfw_accepts_lassos, is_empty_dfw,
-    level_product, minimize_dfw, reach_rows, survival_rows, universal_dfw,
+    Dfw, det_edges, determinize, dfw_accepts_lasso, dfw_accepts_lassos,
+    level_product, minimize_dfw, universal_dfw,
 )
 from .formula import (
-    Alphabet, Formula, LassoWord, Lassos, enumerate_lassos, eval_lassos, to_nnf,
+    Alphabet, Formula, LassoWord, enumerate_lassos, eval_lassos, to_nnf,
 )
 # verify_chain decides whole suites; perfbench/tracing.py still wraps the
 # one-lasso oracle at this name
@@ -50,14 +49,18 @@ class ChainConfig:
 class HdNcw:
     """Transition-based co-Buchi automaton; SLTM states come first, the
     level's DFW states after.  Accepting transitions are exactly the DFW
-    transitions, hence deterministic; everything else is rejecting."""
+    transitions, hence deterministic; everything else is rejecting.
+
+    Both tables have one row per state: ``acc[q][i]`` is the accepting
+    successor of q on letter number i or None, and ``rej[q][i]`` the
+    rejecting successors."""
 
     alphabet: Alphabet
     n_sltm: int
     n_dfw: int
     initial: int
-    acc: dict[tuple[int, frozenset[str]], int]
-    rej: dict[tuple[int, frozenset[str]], tuple[int, ...]]
+    acc: tuple[tuple[int | None, ...], ...]
+    rej: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def n_states(self) -> int:
@@ -83,41 +86,19 @@ def dfw_to_hd_ncw(d: Dfw, m: Sltm) -> HdNcw:
     """All DFW transitions become accepting; the SLTM is glued in as the
     rejecting skeleton that lets runs wait before committing."""
     off = m.n_states
-    acc = {(off + q, x): off + dst for (q, x), dst in d.trans.items()}
-    rej: dict[tuple[int, frozenset[str]], list[int]] = {}
-
-    def add(src: int, x: frozenset[str], dst: int) -> None:
-        rej.setdefault((src, x), []).append(dst)
-
-    by_label = d.by_label
-    for s in range(m.n_states):
-        for x in m.alphabet.letters:
-            s2 = m.delta[(s, x)]
-            add(s, x, s2)
-            for q2 in by_label.get(s2, ()):
-                add(s, x, off + q2)
-    for q in range(d.n_states):
-        for x in m.alphabet.letters:
-            s2 = m.delta[(d.label[q], x)]
-            for q2 in by_label.get(s2, ()):
-                add(off + q, x, off + q2)
+    # the DFW states a run may commit to on entering each SLTM state
+    committed = {s: tuple(off + q for q in qs) for s, qs in d.by_label.items()}
+    waiting = (None,) * len(m.alphabet.letters)
     return HdNcw(
         alphabet=m.alphabet,
         n_sltm=m.n_states,
         n_dfw=d.n_states,
         initial=m.initial,
-        acc=acc,
-        rej={k: tuple(sorted(set(v))) for k, v in rej.items()},
+        acc=(waiting,) * off + tuple(
+            tuple(None if dst is None else off + dst for dst in row) for row in d.trans),
+        rej=tuple(tuple((s2,) + committed.get(s2, ()) for s2 in row) for row in m.delta)
+        + tuple(tuple(committed.get(s2, ()) for s2 in m.delta[s]) for s in d.label),
     )
-
-
-def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
-    """Co-Buchi lasso membership: a reachable product node from which the
-    deterministic accepting sub-relation runs forever."""
-    lassos = Lassos.of([w])
-    edges = itertools.chain(c.rej.items(), ((key, (q,)) for key, q in c.acc.items()))
-    reach = reach_rows(c.initial, edges, lassos)
-    return any(row & reach.get(q, 0) for q, row in survival_rows(c.acc, lassos).items())
 
 
 def build_chain(a: Awa, config: ChainConfig | None = None,
@@ -153,7 +134,9 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
         d = determinize(nfw, m)
         checkpoint(d.n_states, f"level {ell} determinization", levels)
         d = minimize_dfw(d, m)
-        if is_empty_dfw(d):
+        # a minimized DFW has no transient state, and the SLTM reaches every
+        # state, so it is empty exactly when no state is left
+        if d.n_states == 0:
             break
         levels.append((d, dfw_to_hd_ncw(d, m)))
         prev = d
@@ -257,12 +240,14 @@ def drop_accepting_transition(chain: Cocoa) -> Cocoa:
     if not chain.levels:
         raise ValueError("cannot mutate an empty chain")
     d, _ = chain.levels[-1]
-    items = sorted(d.trans.items(), key=lambda kv: (kv[0][0], tuple(sorted(kv[0][1]))))
-    if not items:
+    first = next(det_edges(d.trans), None)
+    if first is None:
         raise ValueError("last level has no transitions")
-    dropped = dict(items[1:])
+    q, i, _dst = first
+    trans = list(d.trans)
+    trans[q] = trans[q][:i] + (None,) + trans[q][i + 1:]
     mutated = Dfw(alphabet=d.alphabet, n_states=d.n_states, label=d.label,
-                  trans=dropped, origin=d.origin)
+                  trans=tuple(trans), origin=d.origin)
     levels = chain.levels[:-1] + ((mutated, dfw_to_hd_ncw(mutated, chain.sltm)),)
     return Cocoa(alphabet=chain.alphabet, sltm=chain.sltm, levels=levels,
                  formula=chain.formula, awa=chain.awa)
@@ -272,15 +257,12 @@ def drop_accepting_transition(chain: Cocoa) -> Cocoa:
 
 
 def chain_to_json(chain: Cocoa) -> dict:
-    letters = chain.alphabet.letters
-
     def dfw_json(d: Dfw) -> dict:
         return {
             "states": d.n_states,
             "f": list(d.label),
             "origin": [[p, sorted(vs)] for (p, vs) in d.origin],
-            "delta": sorted(
-                [q, letters.index(x), dst] for (q, x), dst in d.trans.items()),
+            "delta": [list(edge) for edge in det_edges(d.trans)],
         }
 
     return {
@@ -288,7 +270,7 @@ def chain_to_json(chain: Cocoa) -> dict:
         "version": 1,
         "formula": None if chain.formula is None else str(chain.formula),
         "aps": list(chain.alphabet.aps),
-        "letters": [sorted(l) for l in letters],
+        "letters": [sorted(l) for l in chain.alphabet.letters],
         "k": chain.k,
         "sltm": sltm_to_json(chain.sltm),
         "levels": [dfw_json(d) for d, _ in chain.levels],
@@ -302,14 +284,14 @@ def chain_from_json(data: dict) -> Cocoa:
     m = sltm_from_json(data["sltm"])
     levels = []
     for lvl in data["levels"]:
-        trans = {}
-        for q, li, dst in lvl["delta"]:
-            trans[(q, alphabet.letters[li])] = dst
+        trans = [[None] * len(alphabet.letters) for _ in range(lvl["states"])]
+        for q, i, dst in lvl["delta"]:
+            trans[q][i] = dst
         d = Dfw(
             alphabet=alphabet,
             n_states=lvl["states"],
             label=tuple(lvl["f"]),
-            trans=trans,
+            trans=tuple(map(tuple, trans)),
             origin=tuple((p, frozenset(vs)) for p, vs in lvl["origin"]),
         )
         levels.append((d, dfw_to_hd_ncw(d, m)))
@@ -347,14 +329,13 @@ def level_to_hoa(chain: Cocoa, level: int) -> str:
         "properties: trans-labels explicit-labels trans-acc",
         "--BODY--",
     ]
+    exprs = [_letter_expr(x, aps) for x in chain.alphabet.letters]
     for src in range(c.n_states):
         lines.append(f"State: {src}")
-        for x in chain.alphabet.letters:
-            expr = _letter_expr(x, aps)
-            dst = c.acc.get((src, x))
+        for expr, dst, rdsts in zip(exprs, c.acc[src], c.rej[src]):
             if dst is not None:
                 lines.append(f"[{expr}] {dst}")
-            for rdst in c.rej.get((src, x), ()):
+            for rdst in rdsts:
                 lines.append(f"[{expr}] {rdst} {{0}}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"

@@ -4,8 +4,9 @@ A floating automaton has no initial states: a word is accepted when a run
 may jump in at some moment, at a state labeled with the SLTM state reached
 on the consumed prefix, and then run forever.  This module builds the
 universal automaton, the per-level product with an obligation graph, the
-subset-construction determinization, Moore minimization, lasso membership,
-and emptiness.
+subset-construction determinization, Moore minimization and lasso
+membership.  Transitions are rows indexed by letter number, as in the SLTM
+and the obligation graphs.
 
 Lasso membership runs on a packed suite (``formula.Lassos``: one int per
 row, one bit per position of every lasso): run survival is a greatest and
@@ -15,9 +16,9 @@ operations per automaton edge decide the whole suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from ._graph import cyclic_sccs
 from .formula import Alphabet, LassoWord, Lassos, letter_text
@@ -29,32 +30,28 @@ Payload = tuple[int | None, frozenset[int]]
 
 @dataclass(frozen=True, eq=False)
 class Nfw:
-    """Nondeterministic floating automaton (product shape, cycle-pruned)."""
+    """Nondeterministic floating automaton (product shape, cycle-pruned);
+    ``trans[q][i]`` holds the successors of q on letter number i."""
 
     alphabet: Alphabet
     n_states: int
     label: tuple[int, ...]
-    trans: dict[tuple[int, frozenset[str]], tuple[int, ...]]
+    trans: tuple[tuple[tuple[int, ...], ...], ...]
     origin: tuple[tuple[int, int], ...]
     prev_size: int
     graph_size: int
 
-    def succ(self, q: int, x: frozenset[str]) -> tuple[int, ...]:
-        return self.trans.get((q, x), ())
-
 
 @dataclass(frozen=True, eq=False)
 class Dfw:
-    """Deterministic floating automaton with a partial transition function."""
+    """Deterministic floating automaton with a partial transition function:
+    ``trans[q][i]`` is the successor of q on letter number i, or None."""
 
     alphabet: Alphabet
     n_states: int
     label: tuple[int, ...]
-    trans: dict[tuple[int, frozenset[str]], int]
+    trans: tuple[tuple[int | None, ...], ...]
     origin: tuple[Payload, ...]
-
-    def step(self, q: int, x: frozenset[str]) -> int | None:
-        return self.trans.get((q, x))
 
     @cached_property
     def by_label(self) -> dict[int, tuple[int, ...]]:
@@ -65,24 +62,34 @@ class Dfw:
         return {s: tuple(qs) for s, qs in out.items()}
 
 
-def _check_label_consistency(aut, m: Sltm) -> None:
-    for (q, x), dst in aut.trans.items():
-        dsts = dst if isinstance(dst, tuple) else (dst,)
-        for q2 in dsts:
-            if aut.label[q2] != m.delta[(aut.label[q], x)]:
-                raise AssertionError(
-                    f"transition {q} -{sorted(x)}-> {q2} disagrees with the SLTM labels")
+def det_edges(rows) -> Iterator[tuple[int, int, int]]:
+    """The (state, letter number, successor) triples of deterministic rows,
+    in (state, letter number) order; None entries are skipped."""
+    for q, row in enumerate(rows):
+        for i, q2 in enumerate(row):
+            if q2 is not None:
+                yield q, i, q2
+
+
+def _check_label_consistency(aut: Nfw | Dfw, m: Sltm) -> None:
+    for q, row in enumerate(aut.trans):
+        for i, (dst, s2) in enumerate(zip(row, m.delta[aut.label[q]])):
+            dsts = dst if isinstance(dst, tuple) else () if dst is None else (dst,)
+            for q2 in dsts:
+                if aut.label[q2] != s2:
+                    raise AssertionError(
+                        f"transition {q} -{sorted(m.alphabet.letters[i])}-> {q2} "
+                        "disagrees with the SLTM labels")
 
 
 def universal_dfw(m: Sltm) -> Dfw:
     """Minimal DFW for the universal language: the recurrent part of the
     SLTM itself, labeled by the identity."""
-    trans = {(s, x): d for (s, x), d in m.delta.items()}
     d = Dfw(
         alphabet=m.alphabet,
         n_states=m.n_states,
         label=tuple(range(m.n_states)),
-        trans=trans,
+        trans=m.delta,
         origin=tuple((None, frozenset()) for _ in range(m.n_states)),
     )
     d = _strip_transient(d)
@@ -92,16 +99,13 @@ def universal_dfw(m: Sltm) -> Dfw:
 
 
 def _strip_transient(d: Dfw) -> Dfw:
-    succ: list[set[int]] = [set() for _ in range(d.n_states)]
-    for (q, _x), dst in d.trans.items():
-        succ[q].add(dst)
-    comp = cyclic_sccs([sorted(s) for s in succ])
+    comp = cyclic_sccs([sorted({q2 for q2 in row if q2 is not None}) for row in d.trans])
     keep = [q for q in range(d.n_states) if comp[q] >= 0]
     remap = {old: new for new, old in enumerate(keep)}
-    trans = {}
-    for (q, x), dst in d.trans.items():
-        if comp[q] >= 0 and comp[q] == comp[dst]:
-            trans[(remap[q], x)] = remap[dst]
+    trans = tuple(
+        tuple(remap[q2] if q2 is not None and comp[q2] == comp[q] else None
+              for q2 in d.trans[q])
+        for q in keep)
     return Dfw(
         alphabet=d.alphabet,
         n_states=len(keep),
@@ -128,42 +132,33 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
             ids[(p, v)] = len(states)
             states.append((p, v))
 
-    trans: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
+    # (p2, v2) has an id exactly when v2 is in the vertex set of p2's label
+    trans: list[list[tuple[int, ...]]] = []
     for (p, v) in states:
-        q = ids[(p, v)]
-        for x in m.alphabet.letters:
-            p2 = prev.step(p, x)
-            if p2 is None:
-                continue
+        row = []
+        for p2, vs2 in zip(prev.trans[p], g.edges[v]):
             dsts = []
-            for v2 in g.succ(v, x):
-                if v2 not in vsets[prev.label[p2]]:
-                    raise AssertionError("vertex outside successor state's set")
-                dsts.append(ids[(p2, v2)])
-            if dsts:
-                trans[(q, x)] = tuple(sorted(dsts))
+            if p2 is not None:
+                for v2 in vs2:
+                    q2 = ids.get((p2, v2))
+                    if q2 is None:
+                        raise AssertionError("vertex outside successor state's set")
+                    dsts.append(q2)
+            row.append(tuple(sorted(dsts)))
+        trans.append(row)
 
-    n = len(states)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for (q, _x), dsts in trans.items():
-        succ[q].update(dsts)
-    comp = cyclic_sccs([sorted(s) for s in succ])
-    accepting_comps = {comp[q] for q in range(n) if states[q][1] in g.accepting} - {-1}
-    keep = [q for q in range(n) if comp[q] in accepting_comps]
+    comp = cyclic_sccs([sorted({d for dsts in row for d in dsts}) for row in trans])
+    accepting_comps = {comp[q] for q in range(len(states))
+                       if states[q][1] in g.accepting} - {-1}
+    keep = [q for q in range(len(states)) if comp[q] in accepting_comps]
     remap = {old: new for new, old in enumerate(keep)}
-    ntrans: dict[tuple[int, frozenset[str]], tuple[int, ...]] = {}
-    for (q, x), dsts in trans.items():
-        if q not in remap:
-            continue
-        kept = tuple(remap[d] for d in dsts if comp[d] == comp[q])
-        if kept:
-            ntrans[(remap[q], x)] = kept
-
     nfw = Nfw(
         alphabet=m.alphabet,
         n_states=len(keep),
         label=tuple(prev.label[states[q][0]] for q in keep),
-        trans=ntrans,
+        trans=tuple(
+            tuple(tuple(remap[d] for d in dsts if comp[d] == comp[q]) for dsts in trans[q])
+            for q in keep),
         origin=tuple(states[q] for q in keep),
         prev_size=prev.n_states,
         graph_size=g.n_vertices,
@@ -174,10 +169,11 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
 
 def determinize(n: Nfw, m: Sltm) -> Dfw:
     """Per-state subset construction, with subsets collapsed to a previous
-    DFW state plus a set of graph vertices, and duplicates shared."""
+    DFW state plus a set of graph vertices, and duplicates shared.  States
+    are numbered as they are found and expanded in id order, one row each."""
     ids: dict[tuple[int, frozenset[int]], int] = {}
     states: list[tuple[int, frozenset[int]]] = []
-    trans: dict[tuple[int, frozenset[str]], int] = {}
+    trans: list[tuple[int | None, ...]] = []
 
     def intern(key: tuple[int, frozenset[int]]) -> int:
         got = ids.get(key)
@@ -185,10 +181,8 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
             got = len(states)
             ids[key] = got
             states.append(key)
-            frontier.append(got)
         return got
 
-    frontier: deque[int] = deque()
     members_of: dict[tuple[int, frozenset[int]], list[int]] = {}
     for q in range(n.n_states):
         p, v = n.origin[q]
@@ -197,20 +191,21 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
         intern(key)
 
     nfw_by_pv = {n.origin[q]: q for q in range(n.n_states)}
-    while frontier:
-        did = frontier.popleft()
-        p, vs = states[did]
-        for x in m.alphabet.letters:
+    while len(trans) < len(states):
+        p, vs = states[len(trans)]
+        rows = [n.trans[nfw_by_pv[(p, v)]] for v in sorted(vs)]
+        row = []
+        for per_letter in zip(*rows):
+            # the previous level is deterministic, so every successor
+            # shares one previous state p2
             p2 = None
             out: set[int] = set()
-            for v in sorted(vs):
-                q = nfw_by_pv[(p, v)]
-                for q2 in n.succ(q, x):
-                    p2b, v2 = n.origin[q2]
-                    p2 = p2b
+            for dsts in per_letter:
+                for q2 in dsts:
+                    p2, v2 = n.origin[q2]
                     out.add(v2)
-            if out:
-                trans[(did, x)] = intern((p2, frozenset(out)))
+            row.append(intern((p2, frozenset(out))) if out else None)
+        trans.append(tuple(row))
 
     bound = n.prev_size ** 2 * (2 ** n.graph_size) * max(n.graph_size, 1)
     if len(states) > bound:
@@ -221,7 +216,7 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
         n_states=len(states),
         label=tuple(
             n.label[nfw_by_pv[(p, min(vs))]] if vs else 0 for (p, vs) in states),
-        trans=trans,
+        trans=tuple(trans),
         origin=tuple((p, vs) for (p, vs) in states),
     )
     _check_label_consistency(d, m)
@@ -233,82 +228,64 @@ def minimize_dfw(d: Dfw, m: Sltm) -> Dfw:
     seeded by the SLTM label, then transient stripping."""
     if d.n_states == 0:
         return d
-    block = list(d.label)
 
-    def renumber(vals: list) -> list[int]:
+    def renumber(vals) -> list[int]:
         mapping: dict = {}
-        out = []
-        for v in vals:
-            if v not in mapping:
-                mapping[v] = len(mapping)
-            out.append(mapping[v])
-        return out
+        return [mapping.setdefault(v, len(mapping)) for v in vals]
 
-    block = renumber(block)
+    def moved(row) -> tuple:
+        return tuple(None if dst is None else block[dst] for dst in row)
+
+    block = renumber(d.label)
     while True:
-        sigs = []
-        for q in range(d.n_states):
-            row = [block[q]]
-            for x in d.alphabet.letters:
-                dst = d.trans.get((q, x))
-                row.append(-1 if dst is None else block[dst])
-            sigs.append(tuple(row))
-        nblock = renumber(sigs)
+        nblock = renumber((block[q],) + moved(row) for q, row in enumerate(d.trans))
         if nblock == block:
             break
         block = nblock
 
+    # every member of a class moves to the same classes, so the first
+    # member's row stands for the class
     n_classes = max(block) + 1
     rep = [-1] * n_classes
     for q in range(d.n_states):
         if rep[block[q]] == -1:
             rep[block[q]] = q
-    trans = {}
-    for (q, x), dst in d.trans.items():
-        trans[(block[q], x)] = block[dst]
     merged = Dfw(
         alphabet=d.alphabet,
         n_states=n_classes,
-        label=tuple(d.label[rep[c]] for c in range(n_classes)),
-        trans=trans,
-        origin=tuple(d.origin[rep[c]] for c in range(n_classes)),
+        label=tuple(d.label[q] for q in rep),
+        trans=tuple(moved(d.trans[q]) for q in rep),
+        origin=tuple(d.origin[q] for q in rep),
     )
     out = _strip_transient(merged)
     _check_label_consistency(out, m)
     return out
 
 
-def is_empty_dfw(d: Dfw) -> bool:
-    """Transient-free DFWs are empty exactly when no state remains: the SLTM
-    reaches every state, so any surviving cycle yields an accepted word."""
-    return d.n_states == 0
-
-
 def _grouped(edges, lassos: Lassos) -> dict[int, dict[int, int]]:
     """``out[q][q2]``: the rows of the letters that lead from q to q2, joined,
-    from ((state, letter), successors) pairs."""
+    from (state, letter number, successor) triples."""
     rows = lassos.rows
     out: dict[int, dict[int, int]] = {}
-    for (q, x), dsts in edges:
-        row = rows.get(x)
+    for q, i, q2 in edges:
+        row = rows[i]
         if row:
             by_dst = out.setdefault(q, {})
-            for q2 in dsts:
-                by_dst[q2] = by_dst.get(q2, 0) | row
+            by_dst[q2] = by_dst.get(q2, 0) | row
     return out
 
 
-def survival_rows(trans: dict[tuple[int, frozenset[str]], int], lassos: Lassos) -> dict[int, int]:
+def survival_rows(edges, lassos: Lassos) -> dict[int, int]:
     """Deterministic-run survival on a packed suite.
 
-    Bit p of ``surv[q]`` is set when the partial deterministic transition
-    function ``trans`` (keyed by (state, letter)) runs forever from q at the
-    position of bit p: the greatest fixpoint of
-    ``surv[q] = OR_x row_x & X surv[trans[q, x]]``, from all ones.  A
-    worklist recomputes only the predecessors of a state whose row shrank;
-    a state left out survives nowhere.
+    ``edges`` gives the (state, letter number, successor) triples of a
+    partial deterministic transition function (``det_edges``).  Bit p of
+    ``surv[q]`` is set when it runs forever from q at the position of bit
+    p: the greatest fixpoint of ``surv[q] = OR_i row_i & X surv[trans[q][i]]``,
+    from all ones.  A worklist recomputes only the predecessors of a state
+    whose row shrank; a state left out survives nowhere.
     """
-    out = _grouped(((key, (q2,)) for key, q2 in trans.items()), lassos)
+    out = _grouped(edges, lassos)
     preds: dict[int, list[int]] = {}
     for q, by_dst in out.items():
         for q2 in by_dst:
@@ -332,7 +309,7 @@ def reach_rows(initial: int, edges, lassos: Lassos) -> dict[int, int]:
     """The positions at which some run from ``initial`` at the start of a
     lasso can be in each state.
 
-    ``edges`` gives ((state, letter), successors) pairs.  Bit p of
+    ``edges`` gives (state, letter number, successor) triples.  Bit p of
     ``reach[q]`` is set when a run is in q at the position of bit p: the
     least fixpoint from the start bits through ``Lassos.step``, with a
     worklist of the states whose row grew.
@@ -361,9 +338,14 @@ def dfw_accepts_lassos(d: Dfw, m: Sltm, lassos: Lassos) -> int:
     the DFW run from there survives (``survival_rows``).  ``reach_rows``
     over the SLTM gives the (SLTM state, position) pairs the word passes,
     so a lasso is accepted when F(reach & surv) holds at its start.
+
+    The suite's letter numbers must be the machine's: raises ValueError
+    when the two alphabets list their letters differently.
     """
-    surv = survival_rows(d.trans, lassos)
-    reach = reach_rows(m.initial, ((key, (s,)) for key, s in m.delta.items()), lassos)
+    if lassos.alphabet.letters != m.alphabet.letters:
+        raise ValueError("the lassos and the machine number their letters differently")
+    surv = survival_rows(det_edges(d.trans), lassos)
+    reach = reach_rows(m.initial, det_edges(m.delta), lassos)
     hit = 0
     for q, row in surv.items():
         hit |= row & reach.get(d.label[q], 0)
@@ -381,7 +363,8 @@ def dfw_to_dot(d: Dfw, m: Sltm, name: str = "dfw") -> str:
         prev, vs = d.origin[q]
         label = f"q{q}\\nf=s{d.label[q]}\\n({prev},{sorted(vs)})"
         lines.append(f'  q{q} [shape=circle label="{label}"];')
-    for (q, x), dst in sorted(d.trans.items(), key=lambda kv: (kv[0][0], tuple(sorted(kv[0][1])))):
-        lines.append(f'  q{q} -> q{dst} [label="{letter_text(x)}"];')
+    letters = d.alphabet.letters
+    for q, i, dst in det_edges(d.trans):
+        lines.append(f'  q{q} -> q{dst} [label="{letter_text(letters[i])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

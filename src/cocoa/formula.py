@@ -309,6 +309,11 @@ class Alphabet:
     aps: tuple[str, ...]
     letters: tuple[frozenset[str], ...]
 
+    @cached_property
+    def number(self) -> dict[frozenset[str], int]:
+        """Letter number i of ``letters[i]``, the index of every transition row."""
+        return {x: i for i, x in enumerate(self.letters)}
+
     @staticmethod
     def from_aps(aps) -> "Alphabet":
         aps = tuple(aps)
@@ -347,10 +352,10 @@ class LassoWord:
     def __post_init__(self):
         if len(self.period) < 1:
             raise ValueError("lasso period must be non-empty")
-        apset = set(self.alphabet.aps)
+        number = self.alphabet.number
         for letter in self.prefix + self.period:
-            if not letter <= apset:
-                raise ValueError(f"letter {sorted(letter)} not over declared propositions")
+            if letter not in number:
+                raise ValueError(f"letter {sorted(letter)} is not in the alphabet")
 
     def text(self) -> str:
         return "".join(map(letter_text, self.prefix)) + ";" + "".join(map(letter_text, self.period))
@@ -405,30 +410,29 @@ class Lassos(Sequence[LassoWord]):
     """A suite of lassos packed into one int per row.
 
     Lasso i takes the bits ``[off_i, off_i + |u|+|v|)``, its position j the
-    bit ``off_i + j``.  ``rows`` maps each letter that occurs to the int
-    with a bit wherever it occurs, and ``starts`` has the bit of every
-    lasso's position 0.  The last position of a lasso steps back to its
-    cut, v - 1 bits lower for a period of length v; that distance depends on
-    the period length only, so lassos of every shape share one int, with a
-    cut mask and a last mask per period length (``next`` and ``step``).
+    bit ``off_i + j``.  ``rows[i]`` has a bit wherever letter number i of
+    the alphabet occurs (0 for a letter that does not), and ``starts`` has
+    the bit of every lasso's position 0.  The last position of a lasso
+    steps back to its cut, v - 1 bits lower for a period of length v; that
+    distance depends on the period length only, so lassos of every shape
+    share one int, with a cut mask and a last mask per period length
+    (``next`` and ``step``).
 
     The suite is a read-only sequence in its given order; each ``LassoWord``
     is built only when it is accessed.
     """
 
-    def __init__(self, alphabet: Alphabet, letters: tuple[frozenset[str], ...],
-                 words: list[tuple[str, str]]):
+    def __init__(self, alphabet: Alphabet, words: list[tuple[str, str]]):
         """``words`` spell each lasso's (prefix, period) with ``chr(i)`` for
-        ``letters[i]``."""
+        letter number i."""
         self.alphabet = alphabet
-        self._letters = letters
         self._words = words
         # backwards, so that the first position of the first lasso is bit 0
         spelled = "".join(itertools.chain.from_iterable(words))[::-1]
         self.full = (1 << len(spelled)) - 1
-        n = len(letters)
-        self.rows = {x: _bits(spelled, _one_hot(n, k))
-                     for k, x in enumerate(letters) if chr(k) in spelled}
+        n = len(alphabet.letters)
+        self.rows = tuple(_bits(spelled, _one_hot(n, k)) if chr(k) in spelled else 0
+                          for k in range(n))
         prefix_lens = list(map(len, map(itemgetter(0), words)))
         period_lens = list(map(len, map(itemgetter(1), words)))
         periods = sorted(set(period_lens))
@@ -455,13 +459,13 @@ class Lassos(Sequence[LassoWord]):
     @staticmethod
     def of(words: Sequence[LassoWord]) -> "Lassos":
         """The given lassos, over the alphabet of the first, in order."""
-        code: dict[frozenset[str], str] = {}
+        alphabet = words[0].alphabet
+        number = alphabet.number
 
         def spell(xs: tuple[frozenset[str], ...]) -> str:
-            return "".join([code.setdefault(x, chr(len(code))) for x in xs])
+            return "".join([chr(number[x]) for x in xs])
 
-        spelled = [(spell(w.prefix), spell(w.period)) for w in words]
-        return Lassos(words[0].alphabet, tuple(code), spelled)
+        return Lassos(alphabet, [(spell(w.prefix), spell(w.period)) for w in words])
 
     def __len__(self) -> int:
         return len(self._words)
@@ -470,7 +474,7 @@ class Lassos(Sequence[LassoWord]):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         u, v = self._words[i]
-        letters = self._letters
+        letters = self.alphabet.letters
         return LassoWord(self.alphabet, tuple(letters[ord(c)] for c in u),
                          tuple(letters[ord(c)] for c in v))
 
@@ -518,7 +522,7 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
     for plen in range(prefix_bound + 1):
         for pref in map("".join, itertools.product(chars, repeat=plen)):
             words += zip(itertools.repeat(pref), after[pref[-1]] if pref else periods)
-    return Lassos(alphabet, alphabet.letters, words)
+    return Lassos(alphabet, words)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +543,7 @@ def eval_lassos(f: Formula, lassos: Lassos) -> int:
     for kind, kids, name in f.program:
         if kind == ATOM:
             row = 0
-            for x, r in lassos.rows.items():
+            for x, r in zip(lassos.alphabet.letters, lassos.rows):
                 if name in x:
                     row |= r
         elif kind == AND:

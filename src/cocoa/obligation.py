@@ -17,7 +17,6 @@ as far as its emptiness checks reach.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from ._graph import lasso_letters, tarjan_sccs
@@ -32,8 +31,8 @@ class ObligationGraph:
     """NBW over (S, O) vertices, pairs of state masks with O subset of S;
     accepting iff O is empty.
 
-    ``edges[vid][i]`` holds the successors of vertex ``vid`` on the i-th
-    letter of the alphabet.
+    ``edges[vid][i]`` holds the successors of vertex ``vid`` on letter
+    number i of the alphabet.
     """
 
     alphabet: Alphabet
@@ -45,13 +44,6 @@ class ObligationGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @functools.cached_property
-    def _letter_number(self) -> dict[frozenset[str], int]:
-        return {x: i for i, x in enumerate(self.alphabet.letters)}
-
-    def succ(self, vid: int, letter: frozenset[str]) -> tuple[int, ...]:
-        return self.edges[vid][self._letter_number[letter]]
 
 
 def minimal_models(clauses) -> tuple[int, ...]:
@@ -293,10 +285,9 @@ def obligation_to_dot(g: ObligationGraph) -> str:
                                  " ".join(map(str, mask_states(O))))
         lines.append(f'  v{vid} [shape={shape} label="{label}"];')
     lines.append(f"  init [shape=point]; init -> v{g.initial};")
-    for vid in range(g.n_vertices):
-        for x in g.alphabet.letters:
-            for dst in g.succ(vid, x):
-                lab = letter_text(x)
-                lines.append(f'  v{vid} -> v{dst} [label="{lab}"];')
+    for vid, row in enumerate(g.edges):
+        for x, dsts in zip(g.alphabet.letters, row):
+            for dst in dsts:
+                lines.append(f'  v{vid} -> v{dst} [label="{letter_text(x)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ with each graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -75,11 +74,6 @@ def _initial_winners(a: Awa, w: LassoWord) -> int:
 def _holds(label: Label, win0: int) -> bool:
     # every union keeps a state whose language contains the lasso
     return all(u & win0 for u in label.unions)
-
-
-def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
-    """Membership of a lasso in the label's language."""
-    return _holds(label, _initial_winners(a, w))
 
 
 # --- label equivalence -------------------------------------------------------
@@ -200,12 +194,15 @@ def suffix_label(label: Label, x: frozenset[str], a: Awa) -> Label:
 @dataclass(frozen=True, eq=False)
 class Sltm:
     """Canonical suffix-language tracking machine with dual vertex-set
-    labelings (complement graph and positive graph) and suffix labels."""
+    labelings (complement graph and positive graph) and suffix labels.
+
+    ``delta[s][i]`` is the successor of state s on letter number i; the
+    machine is complete."""
 
     alphabet: Alphabet
     n_states: int
     initial: int
-    delta: dict[tuple[int, frozenset[str]], int]
+    delta: tuple[tuple[int, ...], ...]
     vertex_sets_neg: tuple[frozenset[int], ...]
     vertex_sets_pos: tuple[frozenset[int], ...]
     labels: tuple[Label, ...]
@@ -271,7 +268,6 @@ def build_canonical_sltm(
     state_of: dict[frozenset[int], int] = {}
     by_label: dict[Label, int] = {}
     buckets: dict[tuple[bool, ...], list[int]] = {}
-    frontier: deque[int] = deque()
 
     def refine(label: Label, sig: tuple[bool, ...], sid: int) -> tuple[bool, ...]:
         # one more battery lasso, told apart by the label and state sid: one
@@ -305,7 +301,6 @@ def build_canonical_sltm(
                     rep_labels.append(label)
                     sigs.append(sig)
                     buckets[sig] = [sid]
-                    frontier.append(sid)
                     break
                 if equivalent(label, rep_labels[bucket[0]]):
                     sid = bucket[0]
@@ -315,12 +310,14 @@ def build_canonical_sltm(
         state_of[vs] = sid
         return sid
 
+    # states are numbered as they are found and expanded in id order, one
+    # row each
     initial = classify(frozenset({g_neg.initial}))
-    delta: dict[tuple[int, frozenset[str]], int] = {}
-    while frontier:
-        sid = frontier.popleft()
-        for x in letters:
-            delta[(sid, x)] = classify(frozenset(d for v in reps[sid] for d in g_neg.succ(v, x)))
+    delta: list[tuple[int, ...]] = []
+    while len(delta) < len(reps):
+        rows = [g_neg.edges[v] for v in reps[len(delta)]]
+        delta.append(tuple(classify(frozenset(d for dsts in per_letter for d in dsts))
+                           for per_letter in zip(*rows)))
     n_states = len(reps)
 
     def sweep(graph: ObligationGraph) -> tuple[frozenset[int], ...]:
@@ -330,9 +327,8 @@ def build_canonical_sltm(
         todo = [(initial, graph.initial)]
         while todo:
             sid, v = todo.pop()
-            for x in letters:
-                sid2 = delta[(sid, x)]
-                for v2 in graph.succ(v, x):
+            for sid2, dsts in zip(delta[sid], graph.edges[v]):
+                for v2 in dsts:
                     if v2 not in sets[sid2]:
                         sets[sid2].add(v2)
                         todo.append((sid2, v2))
@@ -343,8 +339,7 @@ def build_canonical_sltm(
 
     if check_single_step:
         for sid in range(n_states):
-            for x in letters:
-                succ = delta[(sid, x)]
+            for x, succ in zip(letters, delta[sid]):
                 expect = suffix_label(labels[sid], x, a)
                 if not equivalent(labels[succ], expect):
                     raise AssertionError(
@@ -355,7 +350,7 @@ def build_canonical_sltm(
         alphabet=a.alphabet,
         n_states=n_states,
         initial=initial,
-        delta=delta,
+        delta=tuple(delta),
         vertex_sets_neg=vsets_neg,
         vertex_sets_pos=sweep(g_pos),
         labels=labels,
@@ -378,23 +373,17 @@ def sltm_to_json(m: Sltm) -> dict:
         "labels": [[list(mask_states(u)) for u in label.unions] for label in m.labels],
         "vertex_sets_neg": [sorted(s) for s in m.vertex_sets_neg],
         "vertex_sets_pos": [sorted(s) for s in m.vertex_sets_pos],
-        "delta": [
-            [m.delta[(s, x)] for x in m.alphabet.letters] for s in range(m.n_states)
-        ],
+        "delta": [list(row) for row in m.delta],
     }
 
 
 def sltm_from_json(data: dict) -> Sltm:
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
-    delta = {}
-    for s, row in enumerate(data["delta"]):
-        for li, dst in enumerate(row):
-            delta[(s, alphabet.letters[li])] = dst
     return Sltm(
         alphabet=alphabet,
         n_states=data["states"],
         initial=data["initial"],
-        delta=delta,
+        delta=tuple(map(tuple, data["delta"])),
         vertex_sets_neg=tuple(frozenset(s) for s in data["vertex_sets_neg"]),
         vertex_sets_pos=tuple(frozenset(s) for s in data["vertex_sets_pos"]),
         labels=tuple(Label.make([state_mask(u) for u in ls]) for ls in data["labels"]),
@@ -408,8 +397,8 @@ def sltm_to_dot(m: Sltm) -> str:
     for s in range(m.n_states):
         lines.append(f'  s{s} [shape=circle label="s{s}\\nl{s}"];')
     lines.append(f"  init [shape=point]; init -> s{m.initial};")
-    for s in range(m.n_states):
-        for x in m.alphabet.letters:
-            lines.append(f'  s{s} -> s{m.delta[(s, x)]} [label="{letter_text(x)}"];')
+    for s, row in enumerate(m.delta):
+        for x, s2 in zip(m.alphabet.letters, row):
+            lines.append(f'  s{s} -> s{s2} [label="{letter_text(x)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-the lasso position helpers, the test-only NFW membership oracle, the
-reference lasso evaluator, the per-lasso reference verifier, the reference
-game solver, the reference lasso enumeration, the frozenset references for
-subsumption and the breakpoint kernel, and the eager reference emptiness
-check."""
+the lasso position helpers, the test-only lasso membership checks of an
+AWA, a label, an NFW and an HD-NCW, the reference lasso evaluator, the
+per-lasso reference verifier, the reference game solver, the reference
+lasso enumeration, the frozenset references for subsumption and the
+breakpoint kernel, and the eager reference emptiness check."""
 
 from __future__ import annotations
 
@@ -14,19 +14,22 @@ import pytest
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, Formula, LassoWord, always, atom, conj, disj, enumerate_lassos,
-    eventually, neg, nxt, release, until,
+    Alphabet, Formula, LassoWord, Lassos, always, atom, conj, disj,
+    enumerate_lassos, eventually, neg, nxt, release, until,
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
     UNTIL,
 )
 from cocoa._graph import cyclic_sccs, lasso_letters
-from cocoa.awa import Awa, Pcnf, _edge_lists, _scc_ranks, mask_states, state_mask
-from cocoa.chain import Cocoa, VerifyReport
-from cocoa.floating import Dfw, Nfw
+from cocoa.awa import (
+    Awa, Pcnf, _edge_lists, _scc_ranks, mask_states, state_mask,
+    winning_state_positions,
+)
+from cocoa.chain import Cocoa, HdNcw, VerifyReport
+from cocoa.floating import Dfw, Nfw, det_edges, reach_rows, survival_rows
 from cocoa.obligation import ObligationGraph, miyano_hayashi
-from cocoa.sltm import Sltm
+from cocoa.sltm import Label, Sltm, _holds, _initial_winners
 
 
 def random_nnf(rng: random.Random, size: int, aps):
@@ -183,8 +186,30 @@ def prepend(w: LassoWord, prefix) -> LassoWord:
 def sltm_state_after(m: Sltm, word) -> int:
     state = m.initial
     for x in word:
-        state = m.delta[(state, x)]
+        state = m.delta[state][m.alphabet.number[x]]
     return state
+
+
+def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:
+    """True iff the acceptor wins the word-checking game on the lasso."""
+    q0 = a.initial if start is None else start
+    return bool(winning_state_positions(a, w)[q0] & 1)
+
+
+def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:
+    """Membership of a lasso in the label's language."""
+    return _holds(label, _initial_winners(a, w))
+
+
+def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
+    """Co-Buchi lasso membership: a reachable product node from which the
+    deterministic accepting sub-relation runs forever."""
+    lassos = Lassos.of([w])
+    rejecting = ((q, i, q2) for q, row in enumerate(c.rej)
+                 for i, dsts in enumerate(row) for q2 in dsts)
+    reach = reach_rows(c.initial, itertools.chain(rejecting, det_edges(c.acc)), lassos)
+    return any(row & reach.get(q, 0)
+               for q, row in survival_rows(det_edges(c.acc), lassos).items())
 
 
 def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
@@ -192,13 +217,14 @@ def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
 
     A node (state, lasso position) survives when some successor survives;
     the word is accepted when a jump-in hits a surviving node."""
+    number = w.alphabet.number
     nodes = {(q, j) for q in range(n.n_states) for j in range(n_positions(w))}
     changed = True
     while changed:
         changed = False
         for (q, j) in sorted(nodes):
             nxt_j = next_pos(w, j)
-            if not any((q2, nxt_j) in nodes for q2 in n.succ(q, letter_at(w, j))):
+            if not any((q2, nxt_j) in nodes for q2 in n.trans[q][number[letter_at(w, j)]]):
                 nodes.discard((q, j))
                 changed = True
     horizon = cut(w) + (m.n_states + 1) * len(w.period)
@@ -208,7 +234,7 @@ def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
         for q in range(n.n_states):
             if n.label[q] == s and (q, j) in nodes:
                 return True
-        s = m.delta[(s, letter_at(w, j))]
+        s = m.delta[s][number[letter_at(w, j)]]
     return False
 
 
@@ -283,16 +309,18 @@ def reference_eval_lasso(f: Formula, w: LassoWord) -> bool:
     return ev(f)[0]
 
 
-def reference_run_survives(trans: dict, w: LassoWord):
+def reference_run_survives(trans, w: LassoWord):
     """Deterministic-run survival on the lasso's positions, the reference
     for ``floating.survival_rows``.
 
     Returns ``survives(q, j)``: whether the partial deterministic transition
-    function ``trans`` (keyed by (state, letter)) runs forever from state q
-    at lasso position j.  A run either dies or repeats a (state, position)
-    pair, and every pair it passes shares its verdict, which is memoized.
+    function ``trans`` (``trans[q][i]`` a state or None, by the letter
+    numbers of the lasso's alphabet) runs forever from state q at lasso
+    position j.  A run either dies or repeats a (state, position) pair, and
+    every pair it passes shares its verdict, which is memoized.
     """
-    at, nxt = letters(w), next_positions(w)
+    at = [w.alphabet.number[x] for x in letters(w)]
+    nxt = next_positions(w)
     memo: dict[tuple[int, int], bool] = {}
 
     def survives(q: int, j: int) -> bool:
@@ -305,7 +333,7 @@ def reference_run_survives(trans: dict, w: LassoWord):
                 break
             memo[key] = True
             path.append(key)
-            q = trans.get((q, at[j]))
+            q = trans[q][at[j]]
             if q is None:
                 val = False
                 break
@@ -326,7 +354,8 @@ def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
     if d.n_states == 0:
         return False
     survives = reference_run_survives(d.trans, w)
-    at, nxt = letters(w), next_positions(w)
+    at = [w.alphabet.number[x] for x in letters(w)]
+    nxt = next_positions(w)
     seen: set[tuple[int, int]] = set()
     s, j = m.initial, 0
     while (s, j) not in seen:
@@ -334,7 +363,7 @@ def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
         for q in d.by_label.get(s, ()):
             if survives(q, j):
                 return True
-        s = m.delta[(s, at[j])]
+        s = m.delta[s][at[j]]
         j = nxt[j]
     return False
 
@@ -531,7 +560,8 @@ def reference_nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
     found = lasso_letters(
         g.initial, {target: members},
-        lambda vid: ((x, v2) for x in g.alphabet.letters for v2 in g.succ(vid, x)))
+        lambda vid: ((x, v2) for x, dsts in zip(g.alphabet.letters, g.edges[vid])
+                     for v2 in dsts))
     if found is None:
         raise AssertionError("no lasso through an accepting cyclic vertex")
     return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, accepts_lasso, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    Alphabet, dualize, enumerate_lassos, eval_lasso, from_ltl,
     lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
     parse_ltl, to_nnf, winning_state_positions,
 )
@@ -26,7 +26,7 @@ from cocoa.formula import (
 )
 
 from conftest import (
-    AB, ab_lassos, build_fig1, formula_corpus, lassos_up_to, letter_at,
+    AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
     reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
     reference_winning_state_positions, row_pairs,
 )

@@ -10,14 +10,16 @@ import cocoa.floating
 import cocoa.formula
 from cocoa import (
     Alphabet, ChainConfig, Cocoa, LassoWord, ResourceLimit, build_chain,
-    build_chain_for_formula, chain_from_json, chain_to_json, dfw_accepts_lasso,
-    dfw_accepts_lassos, dfw_to_hd_ncw, drop_accepting_transition, eval_lassos,
-    from_ltl, level_to_hoa, lower_bound_alphabet, lower_bound_family,
-    natural_color, ncw_accepts_lasso, parse_lasso, parse_ltl, to_nnf,
-    verify_chain,
+    build_chain_for_formula, chain_from_json, chain_to_json, det_edges,
+    dfw_accepts_lasso, dfw_accepts_lassos, dfw_to_hd_ncw,
+    drop_accepting_transition, eval_lassos, from_ltl, level_to_hoa,
+    lower_bound_alphabet, lower_bound_family, natural_color, parse_lasso,
+    parse_ltl, to_nnf, verify_chain,
 )
 
-from conftest import formula_corpus, lassos_up_to, reference_verify_chain
+from conftest import (
+    formula_corpus, lassos_up_to, ncw_accepts_lasso, reference_verify_chain,
+)
 from test_chain_bytes import workloads
 from test_tracing_hooks import counting_calls
 
@@ -86,14 +88,29 @@ def test_trivial_language_chains():
         assert natural_color(chain, w) == 1
 
 
+def test_dfw_accepts_lassos_rejects_other_letter_numbers(golden_chains):
+    # the same letters listed in another order would read every row wrongly
+    chain, _f = golden_chains["GF a -> GF b"]
+    d = chain.levels[0][0]
+    alpha = chain.alphabet
+    reordered = Alphabet(alpha.aps, alpha.letters[::-1])
+    lassos = lassos_up_to(reordered, 1, 2)
+    with pytest.raises(ValueError, match="number their letters differently"):
+        dfw_accepts_lassos(d, chain.sltm, lassos)
+    same = lassos_up_to(Alphabet(alpha.aps, alpha.letters), 1, 2)
+    assert dfw_accepts_lassos(d, chain.sltm, same) == \
+        dfw_accepts_lassos(d, chain.sltm, lassos_up_to(alpha, 1, 2))
+
+
 def test_hdncw_structure(golden_chains):
     chain, _f = golden_chains["FG a"]
     for d, c in chain.levels:
-        assert len(c.acc) == len(d.trans)
+        assert len(list(det_edges(c.acc))) == len(list(det_edges(d.trans)))
         # accepting sub-relation is deterministic by type; check the keys
         # mirror the DFW transitions exactly
         off = chain.sltm.n_states
-        assert {(q - off, x) for (q, x) in c.acc} == set(d.trans)
+        assert {(q - off, i) for q, i, _ in det_edges(c.acc)} == \
+            {(q, i) for q, i, _ in det_edges(d.trans)}
         assert c.initial == chain.sltm.initial
 
 
@@ -102,9 +119,9 @@ def test_hdncw_empty_dfw():
     m = chain.sltm
     from cocoa.floating import Dfw
 
-    empty = Dfw(alphabet=chain.alphabet, n_states=0, label=(), trans={}, origin=())
+    empty = Dfw(alphabet=chain.alphabet, n_states=0, label=(), trans=(), origin=())
     c = dfw_to_hd_ncw(empty, m)
-    assert c.n_states == m.n_states and not c.acc
+    assert c.n_states == m.n_states and not any(det_edges(c.acc))
     for w in lassos_up_to(chain.alphabet, 1, 2):
         assert ncw_accepts_lasso(c, w) is False
 
@@ -171,7 +188,7 @@ def test_verify_matches_reference_on_corpus_and_mutants():
     for f, aps in formula_corpus(30, seed=31):
         chain, _f = build(str(f), aps)
         assert assert_verify_matches_reference(chain, f, 2, 3)["ok"], f
-        if chain.k and chain.levels[-1][0].trans:
+        if chain.k and any(det_edges(chain.levels[-1][0].trans)):
             report = assert_verify_matches_reference(drop_accepting_transition(chain), f, 2, 3)
             caught += report["counterexamples"] > 0
     assert caught >= 3

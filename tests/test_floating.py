@@ -8,8 +8,8 @@ import textwrap
 
 import cocoa
 from cocoa import (
-    Alphabet, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
-    is_empty_dfw, level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
+    Alphabet, det_edges, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
+    level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
 )
 from cocoa.sltm import build_canonical_sltm
 
@@ -34,7 +34,7 @@ def levels_with_intermediates(m, count):
         det = determinize(nfw, m)
         mind = minimize_dfw(det, m)
         out.append((nfw, det, mind))
-        if is_empty_dfw(mind):
+        if mind.n_states == 0:
             break
         prev = mind
     return out
@@ -44,7 +44,7 @@ def test_universal_single_state_sltm():
     _a, m = setup_pipeline("FG a", ["a"])
     f0 = universal_dfw(m)
     assert f0.n_states == 1
-    assert len(f0.trans) == len(m.alphabet.letters)  # total self-loops
+    assert len(list(det_edges(f0.trans))) == len(m.alphabet.letters)  # total self-loops
 
 
 def test_universal_accepts_everything():
@@ -59,12 +59,13 @@ def test_label_consistency_everywhere():
     for text, aps in [("G a", ["a"]), ("GF a -> GF b", ["a", "b"])]:
         _a, m = setup_pipeline(text, aps)
         for nfw, det, mind in levels_with_intermediates(m, 4):
-            for (q, x), dsts in nfw.trans.items():
-                for q2 in dsts:
-                    assert nfw.label[q2] == m.delta[(nfw.label[q], x)]
+            for q, row in enumerate(nfw.trans):
+                for i, dsts in enumerate(row):
+                    for q2 in dsts:
+                        assert nfw.label[q2] == m.delta[nfw.label[q]][i]
             for d in (det, mind):
-                for (q, x), q2 in d.trans.items():
-                    assert d.label[q2] == m.delta[(d.label[q], x)]
+                for q, i, q2 in det_edges(d.trans):
+                    assert d.label[q2] == m.delta[d.label[q]][i]
 
 
 def test_nfw_transient_free():
@@ -73,8 +74,9 @@ def test_nfw_transient_free():
         _a, m = setup_pipeline(text, aps)
         for nfw, _det, _mind in levels_with_intermediates(m, 4):
             succ = [set() for _ in range(nfw.n_states)]
-            for (q, _x), dsts in nfw.trans.items():
-                succ[q].update(dsts)
+            for q, row in enumerate(nfw.trans):
+                for dsts in row:
+                    succ[q].update(dsts)
             # every state lies on a cycle: nonempty successor chain that
             # revisits, and every transition stays inside one component
             from cocoa._graph import scc_ids, tarjan_sccs
@@ -111,7 +113,7 @@ def test_level_one_empty_for_tautology():
     _a, m = setup_pipeline("a | !a", ["a"])
     nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
     assert nfw.n_states == 0
-    assert is_empty_dfw(minimize_dfw(determinize(nfw, m), m))
+    assert minimize_dfw(determinize(nfw, m), m).n_states == 0
 
 
 def test_determinize_preserves_language():
@@ -169,7 +171,7 @@ def test_empty_dfw_rejects():
     _a, m = setup_pipeline("a | !a", ["a"])
     nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
     d = minimize_dfw(determinize(nfw, m), m)
-    assert is_empty_dfw(d)
+    assert d.n_states == 0
     for w in lassos_up_to(m.alphabet, 1, 2):
         assert dfw_accepts_lasso(d, m, w) is False
 
@@ -183,7 +185,7 @@ def test_monotone_levels_on_corpus():
         prev = universal_dfw(m)
         for ell in range(1, 7):
             d = minimize_dfw(determinize(level_product(prev, m, ell, m.g_neg, m.g_pos), m), m)
-            if is_empty_dfw(d):
+            if d.n_states == 0:
                 break
             chain.append(d)
             prev = d
@@ -198,15 +200,15 @@ def reachable_transitions(d, m, prefix) -> frozenset:
     s = m.initial
     alive: set[int] = set(d.by_label.get(s, ()))
     for x in prefix:
-        s = m.delta[(s, x)]
-        alive = {d.trans[(q, x)] for q in alive if (q, x) in d.trans}
+        i = m.alphabet.number[x]
+        s = m.delta[s][i]
+        alive = {d.trans[q][i] for q in alive if d.trans[q][i] is not None}
         alive.update(d.by_label.get(s, ()))
     out = set()
     for q in alive:
-        for x in d.alphabet.letters:
-            dst = d.trans.get((q, x))
+        for i, dst in enumerate(d.trans[q]):
             if dst is not None:
-                out.add((q, x, dst))
+                out.add((q, i, dst))
     return frozenset(out)
 
 
@@ -238,7 +240,7 @@ def test_label_check_fires_under_optimize():
         m = build_canonical_sltm(from_ltl(to_nnf(parse_ltl("G a", ["a"])), alpha))
         # one state labeled with the initial SLTM state, looping on every
         # letter, although the letter {} leaves that SLTM state
-        loops = {(0, x): 0 for x in alpha.letters}
+        loops = ((0,) * len(alpha.letters),)
         bad = Dfw(alpha, 1, (m.initial,), loops, ((None, frozenset()),))
         try:
             _check_label_consistency(bad, m)

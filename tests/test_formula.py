@@ -214,6 +214,17 @@ def test_lasso_period_required():
         LassoWord(alpha, (), ())
 
 
+def test_lasso_letters_must_be_in_the_alphabet():
+    # the restricted alphabet has the singletons only: {} and {a1 b1} are
+    # over declared propositions but are no letters
+    alpha = lower_bound_alphabet(1, restricted=True)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        parse_lasso(";{}", alpha)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        LassoWord(alpha, (frozenset({"a1", "b1"}),), (frozenset({"#"}),))
+    assert parse_lasso("{a1};{#}", alpha).period == (frozenset({"#"}),)
+
+
 def test_canonical_lasso_folds_duplicates():
     a = frozenset({"a"})
     b = frozenset()

@@ -8,7 +8,7 @@ import pytest
 
 from cocoa import (
     Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl,
-    label_accepts_lasso, label_of, labels_equivalent, lower_bound_alphabet,
+    label_of, labels_equivalent, lower_bound_alphabet,
     lower_bound_family, miyano_hayashi, parse_ltl, to_nnf,
 )
 import cocoa.sltm
@@ -23,8 +23,8 @@ from cocoa.sltm import (
 )
 
 from conftest import (
-    formula_corpus, lassos_up_to, prefixes_up_to, prepend, reference_is_empty,
-    sltm_state_after,
+    formula_corpus, label_accepts_lasso, lassos_up_to, prefixes_up_to, prepend,
+    reference_is_empty, sltm_state_after,
 )
 
 
@@ -182,7 +182,7 @@ def test_suffix_label_semantics(fig1, ab_alphabet):
 def test_sltm_fg_a_single_state():
     _a, m = build("FG a", ["a"])
     assert m.n_states == 1
-    assert m.delta[(0, frozenset())] == 0
+    assert m.delta[0][m.alphabet.number[frozenset()]] == 0
 
 
 def test_sltm_prefix_independent_disjunction():
@@ -246,8 +246,8 @@ def test_sltm_p1_eq1_witness_replay():
         frontier = deque([start])
         while frontier:
             vsets = frontier.popleft()
-            for x in m.alphabet.letters:
-                nxt = tuple(frozenset(d for v in vs for d in g.succ(v, x))
+            for i, x in enumerate(m.alphabet.letters):
+                nxt = tuple(frozenset(d for v in vs for d in g.edges[v][i])
                             for g, vs in zip(graphs, vsets))
                 if nxt not in witness:
                     witness[nxt] = witness[vsets] + (x,)
@@ -270,7 +270,7 @@ def test_sltm_p2_prefix_images_contained():
             for p in prefixes_up_to(m.alphabet, 3):
                 vs = {graph.initial}
                 for x in p:
-                    vs = {d for v in vs for d in graph.succ(v, x)}
+                    vs = {d for v in vs for d in graph.edges[v][m.alphabet.number[x]]}
                 s = sltm_state_after(m, p)
                 assert vs <= vsets[s]
 
@@ -283,8 +283,9 @@ def test_sltm_p4_vertex_set_step():
                 target = s
                 vs = set(m.vertex_sets_neg[s])
                 for x in p:
-                    target = m.delta[(target, x)]
-                    vs = {d for v in vs for d in m.g_neg.succ(v, x)}
+                    i = m.alphabet.number[x]
+                    target = m.delta[target][i]
+                    vs = {d for v in vs for d in m.g_neg.edges[v][i]}
                 assert vs <= m.vertex_sets_neg[target]
 
 
@@ -339,8 +340,8 @@ def _member_labels_by_state(m):
     todo = [start]
     while todo:
         vs, s = todo.pop()
-        for x in m.alphabet.letters:
-            nxt = (frozenset(d for v in vs for d in g.succ(v, x)), m.delta[(s, x)])
+        for i in range(len(m.alphabet.letters)):
+            nxt = (frozenset(d for v in vs for d in g.edges[v][i]), m.delta[s][i])
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
