@@ -2,7 +2,7 @@
 with a brute-force lasso-word oracle for differential verification."""
 
 from .awa import (
-    Awa, NotNnf, NotWeak, Pcnf, awa_to_dot, dualize, from_ltl,
+    Awa, NotNnf, NotWeak, awa_to_dot, dualize, from_ltl,
     winning_state_positions,
 )
 from .chain import (

@@ -1,4 +1,4 @@
-"""Weak alternating Buchi automata with PCNF transition formulas.
+"""Weak alternating Buchi automata with positive CNF transition formulas.
 
 Covers construction from LTL (one state per subformula, expansion laws),
 dualization (complement), weakness checking, and acceptance of lassos by
@@ -32,16 +32,17 @@ class NotWeak(Exception):
         super().__init__(f"mixed SCC {sorted(scc)}")
 
 
-# --- state sets and clause-set (CNF) utilities ------------------------------
+# --- state sets and CNF utilities -------------------------------------------
 #
 # A set of states is an int mask with one bit per state, so a subset test is
-# ``k & s == k``.  A clause set is a frozenset of clause masks read as a
-# conjunction of disjunctions; the empty set is TRUE and {0} is FALSE.
-# Subsumption keeps only minimal clauses, which also normalizes the
-# constants.
+# ``k & s == k``.  A CNF is a tuple of clause masks read as a conjunction of
+# disjunctions; the empty tuple is TRUE and (0,) is FALSE.  ``cnf_and`` and
+# ``cnf_or`` keep only the minimal clauses, which also normalizes the
+# constants.  A transition formula is a CNF in canonical order
+# (``minimal_sets``) that is neither constant nor holds the empty clause.
 
-CNF_TRUE: frozenset[int] = frozenset()
-CNF_FALSE: frozenset[int] = frozenset({0})
+CNF_TRUE: tuple[int, ...] = ()
+CNF_FALSE: tuple[int, ...] = (0,)
 
 
 def state_mask(states) -> int:
@@ -94,67 +95,41 @@ def minimal_sets(masks) -> tuple[int, ...]:
     return tuple(sorted(minimal_masks(masks), key=canon_key))
 
 
-def cnf_subsume(clauses) -> frozenset[int]:
-    return frozenset(minimal_masks(clauses))
+def cnf_and(*parts) -> tuple[int, ...]:
+    return minimal_masks(c for p in parts for c in p)
 
 
-def cnf_and(*parts) -> frozenset[int]:
-    merged: set[int] = set()
-    for p in parts:
-        merged |= p
-    return cnf_subsume(merged)
+def cnf_or(a, b) -> tuple[int, ...]:
+    return minimal_masks(c1 | c2 for c1 in a for c2 in b)
 
 
-def cnf_or(a, b) -> frozenset[int]:
-    return cnf_subsume({c1 | c2 for c1 in a for c2 in b})
-
-
-@dataclass(frozen=True)
-class Pcnf:
-    """Positive CNF over state ids: non-empty clause list, no empty clause,
-    each clause a state mask."""
-
-    clauses: tuple[int, ...]
-
-    @staticmethod
-    def make(clauses) -> "Pcnf":
-        canon = minimal_sets(clauses)
-        if not canon or 0 in canon:
-            raise ValueError("PCNF cannot express true or false")
-        return Pcnf(canon)
-
-    def states(self) -> int:
-        out = 0
-        for c in self.clauses:
-            out |= c
-        return out
-
-
-def finalize_pcnf(cnf, top: int, bottom: int) -> Pcnf:
-    """Map the clause-set constants onto the designated sink states."""
+def finalize_pcnf(cnf, top: int, bottom: int) -> tuple[int, ...]:
+    """Map the CNF constants onto the designated sink states."""
     if not cnf:
-        return Pcnf.make([1 << top])
+        return (1 << top,)
     if 0 in cnf:
-        return Pcnf.make([1 << bottom])
-    return Pcnf.make(cnf)
+        return (1 << bottom,)
+    return minimal_sets(cnf)
 
 
 @dataclass(frozen=True, eq=False)
 class Awa:
     """Weak alternating Buchi automaton.
 
-    ``delta`` is total over states x letters; ``rank`` witnesses weakness
-    (ranks never increase along transitions and rank-equal states agree on
-    acceptance); ``top``/``bottom`` are the accepting/rejecting sinks used
-    for constant transition formulas.  ``winning_state_positions`` solves
-    its game one rank group at a time and is only correct when ``rank``
-    meets this invariant, which ``validate`` checks.
+    ``delta[q][i]`` is the transition formula of state q on letter number i
+    of the alphabet: a CNF of clause masks in canonical order, never
+    constant.  ``rank`` witnesses weakness (ranks never increase along
+    transitions and rank-equal states agree on acceptance); ``top``/
+    ``bottom`` are the accepting/rejecting sinks that stand for the
+    constant formulas.  ``winning_state_positions`` solves its game one
+    rank group at a time and is only correct when ``rank`` meets this
+    invariant, which ``validate`` checks.
     """
 
     alphabet: Alphabet
     n_states: int
     initial: int
-    delta: dict[tuple[int, frozenset[str]], Pcnf]
+    delta: tuple[tuple[tuple[int, ...], ...], ...]
     accepting: frozenset[int]
     rank: tuple[int, ...]
     top: int
@@ -164,11 +139,13 @@ class Awa:
     def validate(self) -> None:
         if self.top not in self.accepting or self.bottom in self.accepting:
             raise AssertionError("top must be accepting and bottom rejecting")
-        for q in range(self.n_states):
-            for x in self.alphabet.letters:
-                for q2 in mask_states(self.delta[(q, x)].states()):
-                    if self.rank[q2] > self.rank[q]:
-                        raise AssertionError(f"rank increases along {q} -> {q2}")
+        for q, row in enumerate(self.delta):
+            if any(not p or 0 in p for p in row):
+                raise AssertionError(f"state {q} has a constant transition formula")
+        for q, succ in enumerate(_edge_lists(self.delta)):
+            for q2 in succ:
+                if self.rank[q2] > self.rank[q]:
+                    raise AssertionError(f"rank increases along {q} -> {q2}")
         by_rank: dict[int, set[bool]] = {}
         for q in range(self.n_states):
             by_rank.setdefault(self.rank[q], set()).add(q in self.accepting)
@@ -182,13 +159,14 @@ class Awa:
         return dualize(self)
 
 
-def _edge_lists(n_states, alphabet, delta) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(n_states)]
-    for q in range(n_states):
+def _edge_lists(delta) -> list[list[int]]:
+    succ: list[list[int]] = []
+    for row in delta:
         seen = 0
-        for x in alphabet.letters:
-            seen |= delta[(q, x)].states()
-        succ[q] = list(mask_states(seen))
+        for p in row:
+            for c in p:
+                seen |= c
+        succ.append(list(mask_states(seen)))
     return succ
 
 
@@ -234,8 +212,8 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
         if k == OR:
             return cnf_or(exp(g.args[0], x), exp(g.args[1], x))
         if k == NEXT:
-            return frozenset({1 << ids[g.args[0]]})
-        own = frozenset({1 << ids[g]})
+            return (1 << ids[g.args[0]],)
+        own = (1 << ids[g],)
         if k == UNTIL:
             return cnf_or(exp(g.args[1], x), cnf_and(exp(g.args[0], x), own))
         if k == RELEASE:
@@ -246,35 +224,28 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
             return cnf_and(exp(g.args[0], x), own)
         raise ValueError(f"unexpected node kind {k!r}")
 
-    delta: dict[tuple[int, frozenset[str]], Pcnf] = {}
-    for g in subs:
-        q = ids[g]
-        for x in alphabet.letters:
-            delta[(q, x)] = finalize_pcnf(exp(g, x), top, bottom)
-    for x in alphabet.letters:
-        delta[(top, x)] = Pcnf.make([1 << top])
-        delta[(bottom, x)] = Pcnf.make([1 << bottom])
+    delta = tuple(tuple(finalize_pcnf(exp(g, x), top, bottom) for x in alphabet.letters)
+                  for g in subs)
+    delta += (((1 << top,),) * len(alphabet.letters),
+              ((1 << bottom,),) * len(alphabet.letters))
 
     accepting = frozenset(
         {ids[g] for g in subs if g.kind not in (UNTIL, FINALLY)} | {top})
-    n_states = n + 2
-    succ = _edge_lists(n_states, alphabet, delta)
-    rank = tuple(_scc_ranks(n_states, succ, accepting))
-    return Awa(alphabet, n_states, ids[f], delta, accepting, rank, top, bottom, names)
-
-
-def _dual_pcnf(p: Pcnf) -> Pcnf:
-    # swap and/or: fold the clauses as unit-clause conjunctions through OR
-    acc = CNF_FALSE
-    for clause in p.clauses:
-        acc = cnf_or(acc, frozenset(1 << q for q in mask_states(clause)))
-    return Pcnf.make(acc)
+    rank = tuple(_scc_ranks(n + 2, _edge_lists(delta), accepting))
+    return Awa(alphabet, n + 2, ids[f], delta, accepting, rank, top, bottom, names)
 
 
 def dualize(a: Awa) -> Awa:
     """Complement: swap and/or in every transition formula, complement the
-    accepting set, and swap the roles of the sinks."""
-    delta = {key: _dual_pcnf(p) for key, p in a.delta.items()}
+    accepting set, and swap the roles of the sinks.
+
+    Read as a DNF, the clauses of a positive CNF have as CNF their minimal
+    hitting sets, which is the swapped formula in canonical order.
+    """
+    # looked up at call time, where the benchmark tracer hooks it
+    from .obligation import minimal_models
+
+    delta = tuple(tuple(minimal_models(p) for p in row) for row in a.delta)
     accepting = frozenset(set(range(a.n_states)) - set(a.accepting))
     return Awa(a.alphabet, a.n_states, a.initial, delta, accepting, a.rank,
                a.bottom, a.top, a.state_names)
@@ -295,7 +266,12 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
     stays in one group forever is won exactly when the group is accepting,
     so an accepting group is a greatest fixpoint (from all ones) and a
     rejecting group a least fixpoint (from zero).
+
+    The lasso's letter numbers must be the automaton's: raises ValueError
+    when the two alphabets list their letters differently.
     """
+    if w.alphabet.letters != a.alphabet.letters:
+        raise ValueError("the lasso and the automaton number their letters differently")
     lassos = Lassos.of([w])
     full = lassos.full
     groups: dict[int, list[int]] = {}
@@ -310,8 +286,8 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
         moves = []
         for q in group:
             win[q] = pre[q] = start
-            moves.append((q, [(m, [mask_states(c) for c in a.delta[(q, x)].clauses])
-                              for x, m in zip(w.alphabet.letters, lassos.rows) if m]))
+            moves.append((q, [(m, [mask_states(c) for c in p])
+                              for p, m in zip(a.delta[q], lassos.rows) if m]))
         changed = True
         while changed:
             changed = False
@@ -345,39 +321,33 @@ def awa_to_dot(a: Awa) -> str:
     lines.append(f"  init [shape=point]; init -> q{a.initial};")
     aux = 0
     for q in range(a.n_states):
-        for x in a.alphabet.letters:
-            p = a.delta[(q, x)]
+        for x, p in zip(a.alphabet.letters, a.delta[q]):
             lab = letter_text(x).replace('"', "'")
-            if len(p.clauses) == 1 and p.clauses[0].bit_count() == 1:
-                (dst,) = mask_states(p.clauses[0])
-                lines.append(f'  q{q} -> q{dst} [label="{lab}"];')
+            if len(p) == 1 and p[0].bit_count() == 1:
+                lines.append(f'  q{q} -> q{p[0].bit_length() - 1} [label="{lab}"];')
                 continue
-            if len(p.clauses) == 1:
-                srcs = [f"q{q}"]
-            else:
-                cnode = f"c{aux}"
+            if len(p) == 1:
+                # single non-unit clause
+                dnode = f"d{aux}"
                 aux += 1
-                lines.append(f'  {cnode} [shape=box label="&" width=0.15 height=0.15];')
-                lines.append(f'  q{q} -> {cnode} [label="{lab}"];')
-                srcs = []
-                for clause in p.clauses:
-                    if clause.bit_count() == 1:
-                        (dst,) = mask_states(clause)
-                        lines.append(f"  {cnode} -> q{dst};")
-                    else:
-                        dnode = f"d{aux}"
-                        aux += 1
-                        lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
-                        lines.append(f"  {cnode} -> {dnode};")
-                        for dst in mask_states(clause):
-                            lines.append(f"  {dnode} -> q{dst};")
+                lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
+                lines.append(f'  q{q} -> {dnode} [label="{lab}"];')
+                for dst in mask_states(p[0]):
+                    lines.append(f"  {dnode} -> q{dst};")
                 continue
-            # single non-unit clause
-            dnode = f"d{aux}"
+            cnode = f"c{aux}"
             aux += 1
-            lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
-            lines.append(f'  {srcs[0]} -> {dnode} [label="{lab}"];')
-            for dst in mask_states(p.clauses[0]):
-                lines.append(f"  {dnode} -> q{dst};")
+            lines.append(f'  {cnode} [shape=box label="&" width=0.15 height=0.15];')
+            lines.append(f'  q{q} -> {cnode} [label="{lab}"];')
+            for clause in p:
+                if clause.bit_count() == 1:
+                    lines.append(f"  {cnode} -> q{clause.bit_length() - 1};")
+                else:
+                    dnode = f"d{aux}"
+                    aux += 1
+                    lines.append(f'  {dnode} [shape=diamond label="" width=0.15 height=0.15];')
+                    lines.append(f"  {cnode} -> {dnode};")
+                    for dst in mask_states(clause):
+                        lines.append(f"  {dnode} -> q{dst};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -278,19 +278,28 @@ def chain_to_json(chain: Cocoa) -> dict:
 
 
 def chain_from_json(data: dict) -> Cocoa:
+    """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
+    not a chain dump or a state or letter number is out of range."""
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
     m = sltm_from_json(data["sltm"])
     levels = []
     for lvl in data["levels"]:
-        trans = [[None] * len(alphabet.letters) for _ in range(lvl["states"])]
+        n, k = lvl["states"], len(alphabet.letters)
+        label = tuple(lvl["f"])
+        if len(label) != n or not all(0 <= s < m.n_states for s in label):
+            raise ValueError(f"level labels {list(label)} do not give one of "
+                             f"{m.n_states} SLTM states to each of {n} states")
+        trans = [[None] * k for _ in range(n)]
         for q, i, dst in lvl["delta"]:
+            if not (0 <= q < n and 0 <= i < k and 0 <= dst < n):
+                raise ValueError(f"level transition {[q, i, dst]} is out of range")
             trans[q][i] = dst
         d = Dfw(
             alphabet=alphabet,
-            n_states=lvl["states"],
-            label=tuple(lvl["f"]),
+            n_states=n,
+            label=label,
             trans=tuple(map(tuple, trans)),
             origin=tuple((p, frozenset(vs)) for p, vs in lvl["origin"]),
         )

@@ -38,8 +38,6 @@ class Nfw:
     label: tuple[int, ...]
     trans: tuple[tuple[tuple[int, ...], ...], ...]
     origin: tuple[tuple[int, int], ...]
-    prev_size: int
-    graph_size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +82,8 @@ def _check_label_consistency(aut: Nfw | Dfw, m: Sltm) -> None:
 
 def universal_dfw(m: Sltm) -> Dfw:
     """Minimal DFW for the universal language: the recurrent part of the
-    SLTM itself, labeled by the identity."""
+    SLTM itself, labeled by the identity.  No two states share a label, so
+    Moore refinement would merge none."""
     d = Dfw(
         alphabet=m.alphabet,
         n_states=m.n_states,
@@ -93,7 +92,6 @@ def universal_dfw(m: Sltm) -> Dfw:
         origin=tuple((None, frozenset()) for _ in range(m.n_states)),
     )
     d = _strip_transient(d)
-    d = minimize_dfw(d, m)
     _check_label_consistency(d, m)
     return d
 
@@ -160,8 +158,6 @@ def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
             tuple(tuple(remap[d] for d in dsts if comp[d] == comp[q]) for dsts in trans[q])
             for q in keep),
         origin=tuple(states[q] for q in keep),
-        prev_size=prev.n_states,
-        graph_size=g.n_vertices,
     )
     _check_label_consistency(nfw, m)
     return nfw
@@ -206,10 +202,6 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
                     out.add(v2)
             row.append(intern((p2, frozenset(out))) if out else None)
         trans.append(tuple(row))
-
-    bound = n.prev_size ** 2 * (2 ** n.graph_size) * max(n.graph_size, 1)
-    if len(states) > bound:
-        raise AssertionError(f"determinization exceeded the size bound {bound}")
 
     d = Dfw(
         alphabet=m.alphabet,

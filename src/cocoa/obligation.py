@@ -70,21 +70,22 @@ class Breakpoint:
     """Breakpoint successors (Miyano and Hayashi, 1984) of (S, O) pairs of
     state masks.
 
-    ``delta`` maps (state, letter) to the clause masks of the transition
-    formula and ``accepting`` is the mask of accepting states.  A pair
-    holding one of the ``bottoms`` (rejecting sinks) carries no accepted
-    run and is dropped; the ``tops`` (accepting sinks, so never in O)
-    impose nothing and are stripped from S.
+    ``delta[q][i]`` holds the clause masks of the transition formula of
+    state q on letter number i, as in ``Awa.delta``, and ``accepting`` is
+    the mask of accepting states.  A pair holding one of the ``bottoms``
+    (rejecting sinks) carries no accepted run and is dropped; the ``tops``
+    (accepting sinks, so never in O) impose nothing and are stripped from
+    S.
 
     The minimal models of a conjunction are the minimal unions of one
     minimal model per conjunct.  So the models of a state set on a letter
     are folded state by state: those of the set without its lowest state,
     joined with those of that state.  Both are cached per instance, keyed
-    by letter and mask; a single state's models come from
+    by letter number and mask; a single state's models come from
     ``minimal_models``.  Pairs are pruned packed into one int each.
     """
 
-    def __init__(self, delta: dict[tuple[int, frozenset[str]], tuple[int, ...]],
+    def __init__(self, delta: tuple[tuple[tuple[int, ...], ...], ...],
                  accepting: int, tops: int, bottoms: int):
         self.delta = delta
         self.accepting = accepting
@@ -92,16 +93,14 @@ class Breakpoint:
         self.bottoms = bottoms
         # a pair (S, O) packs into one int, S << width | O, so that one
         # mask test decides componentwise inclusion
-        self.width = max(q for q, _x in delta) + 1
-        # per letter: state mask -> its minimal models
-        self._models: dict[frozenset[str], dict[int, tuple[int, ...]]] = {}
+        self.width = len(delta)
+        # per letter number: state mask -> its minimal models
+        self._models: list[dict[int, tuple[int, ...]]] = [{0: (0,)} for _ in delta[0]]
 
-    def models(self, states: int, x: frozenset[str]) -> tuple[int, ...]:
-        """Minimal models of the members' transition formulas on x, taken
-        together."""
-        memo = self._models.get(x)
-        if memo is None:
-            memo = self._models[x] = {0: (0,)}
+    def models(self, states: int, i: int) -> tuple[int, ...]:
+        """Minimal models of the members' transition formulas on letter
+        number i, taken together."""
+        memo = self._models[i]
         got = memo.get(states)
         if got is not None:
             return got
@@ -117,34 +116,30 @@ class Breakpoint:
         for low in reversed(peeled):
             mine = memo.get(low)
             if mine is None:
-                mine = memo[low] = minimal_models(self.delta[(low.bit_length() - 1, x)])
+                mine = memo[low] = minimal_models(self.delta[low.bit_length() - 1][i])
             rest |= low
             got = memo[rest] = minimal_masks(r | m for r in got for m in mine)
         return got
 
-    def successors(self, S: int, O: int, x: frozenset[str]) -> list[tuple[int, int]]:
+    def successors(self, S: int, O: int, i: int) -> list[tuple[int, int]]:
         w = self.width
         free = ~self.accepting
         if not O:
-            return self._pruned({sm << w | (sm & free) for sm in self.models(S, x)})
+            return self._pruned({sm << w | (sm & free) for sm in self.models(S, i)})
         # The new state set joins a minimal model of the obligations with
         # one of the other states; the new obligations are the former's
         # non-accepting states.  Pairing each model of the whole set with
         # each model of the obligations gives pairs that each contain one
         # of these, so the minimal pairs kept are the same.
-        rest = self.models(S & ~O, x)
+        rest = self.models(S & ~O, i)
         return self._pruned({(so | sr) << w | (so & free)
-                             for so in self.models(O, x) for sr in rest})
-
-    def prune(self, pairs) -> list[tuple[int, int]]:
-        """Apply the sinks, then keep the componentwise-minimal pairs (a
-        smaller state set and obligation set accept every word the bigger
-        pair does), sorted by their sorted members."""
-        w = self.width
-        return self._pruned({s << w | o for s, o in pairs})
+                             for so in self.models(O, i) for sr in rest})
 
     def _pruned(self, packed: set[int]) -> list[tuple[int, int]]:
-        # ``prune`` on pairs packed as S << width | O
+        """Apply the sinks to pairs packed as S << width | O, then keep the
+        componentwise-minimal pairs (a smaller state set and obligation set
+        accept every word the bigger pair does), sorted by their sorted
+        members."""
         w = self.width
         bottoms = self.bottoms << w
         keep = ~(self.tops << w)
@@ -161,11 +156,12 @@ class BreakpointGraph:
     demand.
 
     ``intern`` numbers a pair on first sight.  ``row(vid)`` expands a
-    vertex once, interning its successors per letter and, within a letter,
-    in kernel order; a graph expanded in id order from vertex 0 is thus
-    numbered breadth first.  ``nonempty_from`` settles an emptiness verdict
-    per vertex, component by component, so repeated queries on one graph
-    reuse each other's work; ``accepted_lasso`` reads a witness off them.
+    vertex once, interning its successors per letter number and, within a
+    letter, in kernel order; a graph expanded in id order from vertex 0 is
+    thus numbered breadth first.  ``nonempty_from`` settles an emptiness
+    verdict per vertex, component by component, so repeated queries on one
+    graph reuse each other's work; ``accepted_lasso`` reads a witness off
+    them, spelled with ``letters``.
     """
 
     def __init__(self, kernel: Breakpoint, letters: tuple[frozenset[str], ...]):
@@ -197,8 +193,8 @@ class BreakpointGraph:
         if got is None:
             S, O = self.pairs[vid]
             got = self.rows[vid] = tuple(
-                tuple(self.intern(v) for v in self.kernel.successors(S, O, x))
-                for x in self.letters)
+                tuple(self.intern(v) for v in self.kernel.successors(S, O, i))
+                for i in range(len(self.letters)))
         return got
 
     def _succ(self, vid: int) -> list[int]:
@@ -264,8 +260,7 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     steps vertex sets of this graph.
     """
     acc = state_mask(a.accepting)
-    delta = {key: p.clauses for key, p in a.delta.items()}
-    graph = BreakpointGraph(Breakpoint(delta, acc, 0, 0), a.alphabet.letters)
+    graph = BreakpointGraph(Breakpoint(a.delta, acc, 0, 0), a.alphabet.letters)
     init = 1 << a.initial
     graph.intern((init, init & ~acc))
     vid = 0

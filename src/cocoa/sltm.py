@@ -95,11 +95,9 @@ class LanguageOracle(BreakpointGraph):
 
     def __init__(self, a: Awa, a_dual: Awa):
         n = a.n_states
-        delta = {key: p.clauses for key, p in a.delta.items()}
-        for (q, x), p in a_dual.delta.items():
-            delta[(n + q, x)] = tuple(c << n for c in p.clauses)
+        dual = tuple(tuple(tuple(c << n for c in p) for p in row) for row in a_dual.delta)
         super().__init__(Breakpoint(
-            delta,
+            a.delta + dual,
             accepting=state_mask(a.accepting) | state_mask(a_dual.accepting) << n,
             tops=1 << a.top | 1 << (n + a_dual.top),
             bottoms=1 << a.bottom | 1 << (n + a_dual.bottom)), a.alphabet.letters)
@@ -122,12 +120,15 @@ class LanguageOracle(BreakpointGraph):
             self.label_models[pos] = models
         n = self.a.n_states
         duals = [u << n for u in neg.unions]
-        free = ~self.kernel.accepting
+        k = self.kernel
         roots = set()
         for m in models:
             for d in duals:
-                for v in self.kernel.prune([(m | d, (m | d) & free)]):
-                    roots.add(self.intern(v))
+                # the sinks: a rejecting one drops the pair, accepting ones
+                # are stripped from the state set
+                s = m | d
+                if not s & k.bottoms:
+                    roots.add(self.intern((s & ~k.tops, s & ~k.accepting)))
         return sorted(roots)
 
 
@@ -173,13 +174,14 @@ def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoW
     raise ValueError("the labels are equivalent")
 
 
-def suffix_label(label: Label, x: frozenset[str], a: Awa) -> Label:
-    """The label denoting the suffix of the label's language after letter x."""
+def suffix_label(label: Label, i: int, a: Awa) -> Label:
+    """The label denoting the suffix of the label's language after letter
+    number i of the automaton's alphabet."""
     cnf = CNF_TRUE
     for u in label.unions:
         part = CNF_FALSE
         for q in mask_states(u):
-            part = cnf_or(part, a.delta[(q, x)].clauses)
+            part = cnf_or(part, a.delta[q][i])
         cnf = cnf_and(cnf, part)
     if not cnf:
         return Label.make([])
@@ -208,7 +210,6 @@ class Sltm:
     labels: tuple[Label, ...]
     g_neg: ObligationGraph | None = None
     g_pos: ObligationGraph | None = None
-    source: Awa | None = None
 
 
 def build_canonical_sltm(
@@ -242,7 +243,6 @@ def build_canonical_sltm(
         g_neg = miyano_hayashi(a.dual)
     if g_pos is None:
         g_pos = miyano_hayashi(a)
-    letters = a.alphabet.letters
 
     # cheap pre-partition: membership bits over a battery of lassos that
     # starts empty and gains, per inequivalent pair met, a lasso telling
@@ -339,12 +339,12 @@ def build_canonical_sltm(
 
     if check_single_step:
         for sid in range(n_states):
-            for x, succ in zip(letters, delta[sid]):
-                expect = suffix_label(labels[sid], x, a)
+            for i, succ in enumerate(delta[sid]):
+                expect = suffix_label(labels[sid], i, a)
                 if not equivalent(labels[succ], expect):
                     raise AssertionError(
                         f"single-step condition violated: label of state {succ} "
-                        f"is not the suffix of state {sid} on {sorted(x)}")
+                        f"is not the suffix of state {sid} on {sorted(a.alphabet.letters[i])}")
 
     return Sltm(
         alphabet=a.alphabet,
@@ -356,7 +356,6 @@ def build_canonical_sltm(
         labels=labels,
         g_neg=g_neg,
         g_pos=g_pos,
-        source=a,
     )
 
 
@@ -378,12 +377,26 @@ def sltm_to_json(m: Sltm) -> dict:
 
 
 def sltm_from_json(data: dict) -> Sltm:
+    """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
+    state or letter number is out of range."""
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    n = data["states"]
+    delta = tuple(map(tuple, data["delta"]))
+    if not 0 <= data["initial"] < n:
+        raise ValueError(f"initial state {data['initial']} is not one of {n} states")
+    if len(delta) != n:
+        raise ValueError(f"{len(delta)} transition rows for {n} states")
+    for row in delta:
+        if len(row) != len(alphabet.letters):
+            raise ValueError(f"a row of {len(row)} successors for "
+                             f"{len(alphabet.letters)} letters")
+        if not all(0 <= s < n for s in row):
+            raise ValueError(f"a successor in {list(row)} is not one of {n} states")
     return Sltm(
         alphabet=alphabet,
-        n_states=data["states"],
+        n_states=n,
         initial=data["initial"],
-        delta=tuple(map(tuple, data["delta"])),
+        delta=delta,
         vertex_sets_neg=tuple(frozenset(s) for s in data["vertex_sets_neg"]),
         vertex_sets_pos=tuple(frozenset(s) for s in data["vertex_sets_pos"]),
         labels=tuple(Label.make([state_mask(u) for u in ls]) for ls in data["labels"]),

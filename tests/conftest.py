@@ -2,8 +2,8 @@
 the lasso position helpers, the test-only lasso membership checks of an
 AWA, a label, an NFW and an HD-NCW, the reference lasso evaluator, the
 per-lasso reference verifier, the reference game solver, the reference
-lasso enumeration, the frozenset references for subsumption and the
-breakpoint kernel, and the eager reference emptiness check."""
+lasso enumeration, the frozenset references for subsumption, dualization
+and the breakpoint kernel, and the eager reference emptiness check."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from cocoa.formula import (
 )
 from cocoa._graph import cyclic_sccs, lasso_letters
 from cocoa.awa import (
-    Awa, Pcnf, _edge_lists, _scc_ranks, mask_states, state_mask,
+    Awa, _edge_lists, _scc_ranks, mask_states, minimal_sets, state_mask,
     winning_state_positions,
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
@@ -64,26 +64,30 @@ def build_fig1() -> Awa:
     I0, F0, F1, F2, G0, G1, G2, TOP, BOT = range(9)
 
     def c(*clauses):
-        return Pcnf.make([state_mask(cl) for cl in clauses])
+        return minimal_sets(state_mask(cl) for cl in clauses)
 
-    delta = {}
-    for x in alphabet.letters:
-        has_a = "a" in x
-        has_b = "b" in x
-        delta[(I0, x)] = c({F0, G0})
-        delta[(F0, x)] = c({F0, F1})
-        delta[(F1, x)] = c({F1, F2}) if has_a else c({F2})
-        delta[(F2, x)] = c({F2})
-        delta[(G0, x)] = c({G0}, {G1})
-        delta[(G1, x)] = c({G2}) if has_b else c({G1})
-        delta[(G2, x)] = c({G2})
-        delta[(TOP, x)] = c({TOP})
-        delta[(BOT, x)] = c({BOT})
+    def row(formula):
+        # one transition formula per letter, from whether a and b hold
+        return tuple(formula("a" in x, "b" in x) for x in alphabet.letters)
+
+    delta = (
+        row(lambda a, b: c({F0, G0})),                    # I0
+        row(lambda a, b: c({F0, F1})),                    # F0
+        row(lambda a, b: c({F1, F2}) if a else c({F2})),  # F1
+        row(lambda a, b: c({F2})),                        # F2
+        row(lambda a, b: c({G0}, {G1})),                  # G0
+        row(lambda a, b: c({G2}) if b else c({G1})),      # G1
+        row(lambda a, b: c({G2})),                        # G2
+        row(lambda a, b: c({TOP})),                       # TOP
+        row(lambda a, b: c({BOT})),                       # BOT
+    )
     accepting = frozenset({F1, G0, G2, TOP})
-    succ = _edge_lists(9, alphabet, delta)
+    succ = _edge_lists(delta)
     rank = tuple(_scc_ranks(9, succ, accepting))
     names = ("i0", "f0", "f1", "f2", "g0", "g1", "g2", "TOP", "BOT")
-    return Awa(alphabet, 9, I0, delta, accepting, rank, TOP, BOT, names)
+    a = Awa(alphabet, 9, I0, delta, accepting, rank, TOP, BOT, names)
+    a.validate()  # no constant formula
+    return a
 
 
 @pytest.fixture(scope="session")
@@ -413,7 +417,7 @@ def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, in
     recurrence/attractor fixpoint applies.
     """
     n = n_positions(w)
-    at = letters(w)
+    at = [w.alphabet.number[x] for x in letters(w)]
     nxt = next_positions(w)
 
     # node ids: state nodes q*n + i (rejector to move), then clause nodes
@@ -425,7 +429,7 @@ def reference_winning_state_positions(a: Awa, w: LassoWord) -> set[tuple[int, in
     for q in range(a.n_states):
         for i in range(n):
             outs = []
-            for clause in a.delta[(q, at[i])].clauses:
+            for clause in a.delta[q][at[i]]:
                 key = (clause, i)
                 cid = clause_ids.get(key)
                 if cid is None:
@@ -481,6 +485,16 @@ def reference_minimal_sets(sets) -> tuple[frozenset[int], ...]:
     return tuple(kept)
 
 
+def reference_dual(formula) -> tuple[int, ...]:
+    """The dual of a positive CNF of clause masks, in canonical order: the
+    clauses, each read as a conjunction of unit clauses, folded through OR
+    on frozensets; the reference for ``awa.dualize``."""
+    acc: set[frozenset[int]] = {frozenset()}  # FALSE, the empty clause
+    for clause in formula:
+        acc = set(reference_minimal_sets(c | {q} for c in acc for q in mask_states(clause)))
+    return tuple(state_mask(c) for c in reference_minimal_sets(acc))
+
+
 def reference_minimal_models(clauses) -> tuple[frozenset[int], ...]:
     """Minimal hitting sets of frozenset clauses by branching on the states
     of the first clause left unhit, in canonical order; the reference for
@@ -506,27 +520,27 @@ class ReferenceBreakpoint:
     It takes the kernel's arguments, state masks, and works on frozensets
     from there on."""
 
-    def __init__(self, delta: dict, accepting: int, tops: int, bottoms: int):
+    def __init__(self, delta, accepting: int, tops: int, bottoms: int):
         def states(m: int) -> frozenset[int]:
             return frozenset(mask_states(m))
 
-        self.delta = {key: [states(c) for c in clauses] for key, clauses in delta.items()}
+        self.delta = [[[states(c) for c in p] for p in row] for row in delta]
         self.accepting = states(accepting)
         self.tops = states(tops)
         self.bottoms = states(bottoms)
 
-    def _models(self, states: frozenset[int], x: frozenset[str]) -> tuple[frozenset[int], ...]:
+    def _models(self, states: frozenset[int], i: int) -> tuple[frozenset[int], ...]:
         merged: set[frozenset[int]] = set()
         for q in states:
-            merged.update(self.delta[(q, x)])
+            merged.update(self.delta[q][i])
         return reference_minimal_models(merged)
 
-    def successors(self, S: frozenset[int], O: frozenset[int], x: frozenset[str]):
+    def successors(self, S: frozenset[int], O: frozenset[int], i: int):
         acc = self.accepting
-        ms = self._models(S, x)
+        ms = self._models(S, i)
         if not O:
             return self.prune({(sm, sm - acc) for sm in ms})
-        mo = self._models(O, x)
+        mo = self._models(O, i)
         return self.prune({(sm | so, so - acc) for sm in ms for so in mo})
 
     def prune(self, pairs):

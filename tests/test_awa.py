@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl,
     lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
     parse_ltl, to_nnf, winning_state_positions,
 )
 import cocoa
 from cocoa.awa import (
-    Awa, NotNnf, NotWeak, Pcnf, _edge_lists, _scc_ranks, awa_to_dot,
-    from_ltl as _from_ltl, mask_states, minimal_sets, state_mask,
+    CNF_FALSE, CNF_TRUE, Awa, NotNnf, NotWeak, _edge_lists, _scc_ranks,
+    awa_to_dot, finalize_pcnf, from_ltl as _from_ltl, mask_states,
+    minimal_sets, state_mask,
 )
 from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
@@ -27,18 +28,27 @@ from cocoa.formula import (
 
 from conftest import (
     AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
-    reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
+    reference_dual, reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
     reference_winning_state_positions, row_pairs,
 )
 
 
 def test_pcnf_canonical_form():
-    p = Pcnf.make([state_mask({1, 2}), state_mask({1}), state_mask({2, 1})])
-    assert p.clauses == (state_mask({1}),)  # superset clauses pruned
-    with pytest.raises(ValueError):
-        Pcnf.make([])
-    with pytest.raises(ValueError):
-        Pcnf.make([0])
+    p = finalize_pcnf([state_mask({1, 2}), state_mask({1}), state_mask({2, 1})], 5, 6)
+    assert p == (state_mask({1}),)  # superset clauses pruned
+    # the constants, which no transition formula may be, go to the sinks
+    assert finalize_pcnf(CNF_TRUE, 5, 6) == (1 << 5,)
+    assert finalize_pcnf(CNF_FALSE, 5, 6) == (1 << 6,)
+    assert finalize_pcnf([state_mask({1}), 0], 5, 6) == (1 << 6,)
+
+
+def test_validate_rejects_constant_formulas(fig1):
+    # TRUE (no clause) and any CNF holding the empty clause are constants
+    for constant in (CNF_TRUE, CNF_FALSE, (0, state_mask({1}))):
+        delta = list(fig1.delta)
+        delta[1] = (constant,) + delta[1][1:]
+        with pytest.raises(AssertionError):
+            dataclasses.replace(fig1, delta=tuple(delta)).validate()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -97,7 +107,7 @@ def test_fig1_branch_languages(fig1, ab_alphabet):
 
 def check_weak(a: Awa) -> dict[int, int]:
     """Recompute the weakness witness; raises NotWeak on a mixed SCC."""
-    succ = _edge_lists(a.n_states, a.alphabet, a.delta)
+    succ = _edge_lists(a.delta)
     ranks = _scc_ranks(a.n_states, succ, a.accepting)
     return dict(enumerate(ranks))
 
@@ -111,10 +121,10 @@ def test_check_weak_fig1_ranks(fig1):
 def test_check_weak_rejects_mixed_scc(ab_alphabet):
     fig = build_fig1()
     # force a two-state cycle with one accepting and one rejecting state
-    delta = dict(fig.delta)
-    for x in ab_alphabet.letters:
-        delta[(1, x)] = Pcnf.make([1 << 2])
-        delta[(2, x)] = Pcnf.make([1 << 1])
+    delta = list(fig.delta)
+    delta[1] = ((1 << 2,),) * len(ab_alphabet.letters)
+    delta[2] = ((1 << 1,),) * len(ab_alphabet.letters)
+    delta = tuple(delta)
     broken = Awa(fig.alphabet, fig.n_states, fig.initial, delta, fig.accepting,
                  fig.rank, fig.top, fig.bottom, fig.state_names)
     with pytest.raises(NotWeak):
@@ -137,8 +147,17 @@ def test_dualize_involution(fig1):
     dd = dualize(dualize(fig1))
     assert dd.accepting == fig1.accepting
     assert dd.top == fig1.top and dd.bottom == fig1.bottom
-    for key, p in fig1.delta.items():
-        assert dd.delta[key].clauses == p.clauses
+    assert dd.delta == fig1.delta
+
+
+def test_dualize_matches_frozenset_fold():
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(40, seed=16)]
+    inputs += [(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=r))
+               for n in (1, 2) for r in (True, False)]
+    for f, alpha in inputs:
+        a = from_ltl(f, alpha)
+        assert dualize(a).delta == tuple(tuple(reference_dual(p) for p in row)
+                                         for row in a.delta), f
 
 
 def test_dualize_complements_on_lassos(ab_alphabet):
@@ -193,6 +212,15 @@ def test_winning_positions_match_reference_on_lower_bound_battery():
                 reference_winning_state_positions(b, w), w.text()
 
 
+def test_winning_positions_reject_renumbered_letters(fig1):
+    # the lasso's letter numbers index the transition rows
+    w = parse_lasso(";{a}", fig1.alphabet)
+    renumbered = Alphabet(fig1.alphabet.aps, fig1.alphabet.letters[::-1])
+    winning_state_positions(fig1, w)
+    with pytest.raises(ValueError):
+        winning_state_positions(fig1, LassoWord(renumbered, w.prefix, w.period))
+
+
 def test_winning_positions_of_fig1_match_reference(fig1):
     for b in (fig1, dualize(fig1)):
         for w in lassos_up_to(fig1.alphabet, 1, 3):
@@ -203,7 +231,7 @@ def test_winning_positions_of_fig1_match_reference(fig1):
 def coarse_rank(a):
     """A valid weakness witness with fewer groups than one per SCC: 2 * (the
     most acceptance changes on a path from the state) + acceptance."""
-    succ = _edge_lists(a.n_states, a.alphabet, a.delta)
+    succ = _edge_lists(a.delta)
     groups: dict[int, list[int]] = {}
     for q in range(a.n_states):
         groups.setdefault(a.rank[q], []).append(q)

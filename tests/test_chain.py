@@ -274,6 +274,47 @@ def test_chain_json_roundtrip(golden_chains):
             assert natural_color(loaded, w) == natural_color(chain, w)
 
 
+def _set(path, value):
+    """An edit of a chain dump: the entry at ``path`` (keys and indices)
+    set to ``value``."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+# edits of the FG a dump that number a state or letter out of range: its
+# SLTM has 1 state, 2 letters; level 1 has 2 states
+BAD_NUMBERS = {
+    "level transition letter -1": _set(("levels", 0, "delta", 0), [0, -1, 0]),
+    "level transition letter 2": _set(("levels", 0, "delta", 0), [0, 2, 0]),
+    "level transition successor 7": _set(("levels", 0, "delta", 0), [0, 0, 7]),
+    "level transition successor -1": _set(("levels", 0, "delta", 0), [0, 0, -1]),
+    "level transition source 2": _set(("levels", 0, "delta", 0), [2, 0, 0]),
+    "level label -1": _set(("levels", 0, "f"), [0, -1]),
+    "level label 1": _set(("levels", 0, "f"), [0, 1]),
+    "level labels short": _set(("levels", 0, "f"), [0]),
+    "SLTM successor -1": _set(("sltm", "delta", 0), [-1, 0]),
+    "SLTM successor 1": _set(("sltm", "delta", 0), [0, 1]),
+    "SLTM row short": _set(("sltm", "delta", 0), [0]),
+    "SLTM rows extra": _set(("sltm", "delta"), [[0, 0], [0, 0]]),
+    "SLTM initial 1": _set(("sltm", "initial"), 1),
+    "SLTM initial -1": _set(("sltm", "initial"), -1),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_chain_from_json_rejects_numbers_out_of_range(golden_chains, edit):
+    chain, _f = golden_chains["FG a"]
+    data = chain_to_json(chain)
+    chain_from_json(json.loads(json.dumps(data)))
+    edit(data)
+    with pytest.raises(ValueError):
+        chain_from_json(data)
+
+
 def test_hoa_roundtrips_through_json(golden_chains):
     for text, _aps, _levels in GOLDEN:
         chain, _f = golden_chains[text]

@@ -1,7 +1,8 @@
 """The text exports stay fixed: HOA, DOT and the mutant's JSON of a few
-golden chains are hashed and compared with stored digests.  The digests
-were measured on an earlier internal transition format, so they also show
-that no export depends on how transitions are stored."""
+golden chains, and the DOT of their automata and duals, are hashed and
+compared with stored digests.  The digests were measured on earlier
+internal transition formats, so they also show that no export depends on
+how transitions are stored."""
 
 import hashlib
 import json
@@ -9,7 +10,7 @@ import json
 import pytest
 
 from cocoa import (
-    Alphabet, build_chain, chain_to_json, drop_accepting_transition, from_ltl,
+    Alphabet, awa_to_dot, build_chain, chain_to_json, drop_accepting_transition, from_ltl,
     level_to_hoa, obligation_to_dot, parse_ltl, to_nnf,
 )
 from cocoa.floating import dfw_to_dot
@@ -23,6 +24,7 @@ GOLDEN = [
         "sltm_dot": "9c2b0c03d51f23225161d494ce35251f22df49a67a91203f0931148e122383ec",
         "obligation_dot": "739053fc97c0737c9fa644f2dc0649f1da81359ef62938f5fdfc0cf21097f466",
         "mutant_json": "6854a65357105828e3bd860a956f7225d17450dced8d5477fe196cceebe12feb",
+        "awa_dot": "22b91d0e9a4a04f10f9ff48007f1cd46c087ebb23ab0901f9c91bcf2e6cbfa62",
     }),
     ("FG a", ["a"], {
         "hoa": "08c34cf0567c5c0a9fd5cb480818b8a838bf717bbccc45e34b9ba534c176a487",
@@ -30,6 +32,7 @@ GOLDEN = [
         "sltm_dot": "37069941987dc53c174a0862dc4ee83fcf31a126089574f2275ba858263f912c",
         "obligation_dot": "11b8783ba27d17f2dc493389ede6b3092abe6c59e0b8678e1d99e976802a73a5",
         "mutant_json": "690cc5469d245497deaadfe93dcbd5d358ea1a68015775444fedd202a198fb58",
+        "awa_dot": "13b0794f6375d221ec7ac53848af3fc524bdc0ccc5f21205b71a447564afa612",
     }),
     ("a U b", ["a", "b"], {
         "hoa": "4c59c617e7921e66e7edb7b9e76438d0e3ada5b1dabe7e76393d79df64d53fb6",
@@ -37,6 +40,7 @@ GOLDEN = [
         "sltm_dot": "3262a449e58356615070e13cbc68751ae579522fda426cc5fa3e71369ea3a228",
         "obligation_dot": "1c1b5c03215f7380895517b6bb6339211df51518cb81b4c0c3b9d4971d67273d",
         "mutant_json": "7ada8afa5dcbbf268087c897cbb189b68b97aa225af4bb8344251c873da1a29d",
+        "awa_dot": "b2dbce350383882d7e96d9ad872afa5c51234488a530d5b3755d17f4d0c2ba32",
     }),
     ("GF a -> GF b", ["a", "b"], {
         "hoa": "6bba90dc3fdade8d56541418931e08cae47e9555625de5307af5c219dfa19b60",
@@ -44,6 +48,7 @@ GOLDEN = [
         "sltm_dot": "63cc4f289ea204485d6c564a87569a09d45bc510cbad25f37be2a3f5200f03e4",
         "obligation_dot": "242ad01f7b14bb4ff3ce74c70db79faee70d1bcaf826255eb1929f25f47fd3d8",
         "mutant_json": "b58091d9e142d45f6ba5e99d4788126e8e06bb6cadfaa4804259600d03eafc43",
+        "awa_dot": "5e1c9d120bd3b81187583463bee1fb32f357962b3f5153df7d502f4e8948bb50",
     }),
     ("GF a -> (GF b & FG c)", ["a", "b", "c"], {
         "hoa": "6144b8c1b3079ee62f2a1e65d72cae250480ca12dafc9efb2a4e36a67cf7ca83",
@@ -51,13 +56,15 @@ GOLDEN = [
         "sltm_dot": "65d9ba44db0b2321a6a3d7fda7c5a29d61c07d090434b45b5026d3b12e902c40",
         "obligation_dot": "4fb675ef377fd87a7c4169fa6912dc704955baeb2d6301f452e9267520391d57",
         "mutant_json": "b0a38fd34ae2345b548884d81cee5bcc8158f225aba8cbb181aa5e7e28ccf221",
+        "awa_dot": "081dc7ca5d6a7000ea927e6bb4599c7f1ffdfee3a3fbb9de6c4b9734662a8a9d",
     }),
 ]
 
 
 def export_texts(text: str, aps: list[str]) -> dict[str, str]:
     f = parse_ltl(text, aps)
-    chain = build_chain(from_ltl(to_nnf(f), Alphabet.from_aps(aps)), formula=f)
+    a = from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+    chain = build_chain(a, formula=f)
     m = chain.sltm
     return {
         "hoa": "".join(level_to_hoa(chain, i) for i in range(1, chain.k + 1)),
@@ -67,6 +74,7 @@ def export_texts(text: str, aps: list[str]) -> dict[str, str]:
         "obligation_dot": obligation_to_dot(m.g_neg) + obligation_to_dot(m.g_pos),
         "mutant_json": json.dumps(chain_to_json(drop_accepting_transition(chain)),
                                   sort_keys=True),
+        "awa_dot": awa_to_dot(a) + awa_to_dot(a.dual),
     }
 
 

@@ -132,11 +132,19 @@ def test_determinize_empty_is_empty():
 
 
 def test_determinize_size_bound():
+    # a DFW state is a previous state p with a set V of the level graph's
+    # vertices, all inside the vertex set of p's SLTM state; so the keys,
+    # and with them the states, are bounded
     for text, aps in [("FG a", ["a"]), ("GF a -> GF b", ["a", "b"])]:
         _a, m = setup_pipeline(text, aps)
-        for nfw, det, _mind in levels_with_intermediates(m, 4):
-            bound = nfw.prev_size ** 2 * 2 ** nfw.graph_size * max(nfw.graph_size, 1)
+        prev = universal_dfw(m)
+        for ell, (_nfw, det, mind) in enumerate(levels_with_intermediates(m, 4), start=1):
+            g, vsets = (m.g_neg, m.vertex_sets_neg) if ell % 2 else (m.g_pos, m.vertex_sets_pos)
+            for p, vs in det.origin:
+                assert vs and vs <= vsets[prev.label[p]]
+            bound = prev.n_states ** 2 * 2 ** g.n_vertices * max(g.n_vertices, 1)
             assert det.n_states <= bound
+            prev = mind
 
 
 def test_minimize_idempotent_and_preserving():

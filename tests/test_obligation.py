@@ -57,8 +57,7 @@ def sink_explorer(b: Awa) -> BreakpointGraph:
     rejecting sink dropped, the accepting sink stripped from state sets),
     unexpanded, its initial pair interned as vertex 0."""
     acc = state_mask(b.accepting)
-    kernel = Breakpoint({k: p.clauses for k, p in b.delta.items()},
-                        acc, 1 << b.top, 1 << b.bottom)
+    kernel = Breakpoint(b.delta, acc, 1 << b.top, 1 << b.bottom)
     g = BreakpointGraph(kernel, b.alphabet.letters)
     init = 1 << b.initial
     g.intern((init, init & ~acc))
@@ -113,19 +112,18 @@ def test_breakpoint_successors_match_reference():
             for sinks in (False, True):
                 tops = 1 << b.top if sinks else 0
                 bottoms = 1 << b.bottom if sinks else 0
-                args = ({k: p.clauses for k, p in b.delta.items()},
-                        state_mask(b.accepting), tops, bottoms)
+                args = (b.delta, state_mask(b.accepting), tops, bottoms)
                 ref = ReferenceBreakpoint(*args)
                 kernel = Breakpoint(*args)
                 g = expanded(sink_explorer(b), alpha) if sinks else miyano_hayashi(b)
                 as_sets = [(frozenset(mask_states(s)), frozenset(mask_states(o)))
                            for s, o in g.vertices]
                 for vid, (S, O) in enumerate(g.vertices):
-                    for x, dsts in zip(alpha.letters, g.edges[vid]):
-                        want = ref.successors(*as_sets[vid], x)
-                        got = kernel.successors(S, O, x)
+                    for i, dsts in enumerate(g.edges[vid]):
+                        want = ref.successors(*as_sets[vid], i)
+                        got = kernel.successors(S, O, i)
                         assert [(frozenset(mask_states(s)), frozenset(mask_states(o)))
-                                for s, o in got] == want, (f, S, O, x)
+                                for s, o in got] == want, (f, S, O, i)
                         assert [as_sets[d] for d in dsts] == want
                         checked += 1
     assert checked > 2000
@@ -187,9 +185,10 @@ def test_fg_a_members_and_non_members():
 def test_purely_nondeterministic_keeps_singletons():
     alpha = Alphabet.from_aps(["a"])
     a = from_ltl(to_nnf(parse_ltl("F a", ["a"])), alpha)
-    for q in range(a.n_states):
-        for x in alpha.letters:
-            assert len(a.delta[(q, x)].clauses) == 1
+    for row in a.delta:
+        assert len(row) == len(alpha.letters)
+        for p in row:
+            assert len(p) == 1
     g = miyano_hayashi(a)
     for (S, _O) in g.vertices:
         assert S.bit_count() == 1

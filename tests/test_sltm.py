@@ -13,8 +13,8 @@ from cocoa import (
 )
 import cocoa.sltm
 from cocoa.awa import (
-    Awa, CNF_FALSE, Pcnf, _edge_lists, _scc_ranks, cnf_and, cnf_subsume,
-    finalize_pcnf, mask_states, state_mask,
+    Awa, CNF_FALSE, _edge_lists, _scc_ranks, cnf_and, finalize_pcnf,
+    mask_states, minimal_masks, minimal_sets, state_mask,
 )
 from cocoa.sltm import (
     IncompatibleAutomata, Label, LanguageOracle, build_canonical_sltm,
@@ -106,40 +106,40 @@ def difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
     bottom = off_a + a.bottom
     d_bottom = off_d + a_dual.bottom
 
-    delta: dict[tuple[int, frozenset[str]], Pcnf] = {}
+    # one row per state, over the letters of a's alphabet and then eps
+    delta: list[tuple[tuple[int, ...], ...]] = [()] * n_states
     for q in range(n):
-        for x in a.alphabet.letters:
-            delta[(off_a + q, x)] = Pcnf.make(sh_a(a.delta[(q, x)].clauses))
-            delta[(off_d + q, x)] = Pcnf.make(sh_d(a_dual.delta[(q, x)].clauses))
-        if q == a.top:
-            delta[(off_a + q, eps)] = Pcnf.make([1 << top])
-        else:
-            delta[(off_a + q, eps)] = Pcnf.make([1 << bottom])
-        delta[(off_d + q, eps)] = Pcnf.make([1 << d_bottom])
+        delta[off_a + q] = tuple(minimal_sets(sh_a(p)) for p in a.delta[q]) \
+            + (((1 << top if q == a.top else 1 << bottom),),)
+        delta[off_d + q] = tuple(minimal_sets(sh_d(p)) for p in a_dual.delta[q]) \
+            + ((1 << d_bottom,),)
     for k, u in enumerate(neg.unions):
-        for x in a.alphabet.letters:
+        row = []
+        for i in range(len(a.alphabet.letters)):
             merged: set[int] = set()
             for q in mask_states(u):
-                merged.update(sh_d(a_dual.delta[(q, x)].clauses))
-            delta[(t_ids[k], x)] = Pcnf.make(cnf_subsume(merged))
-        delta[(t_ids[k], eps)] = Pcnf.make([1 << d_bottom])
+                merged.update(sh_d(a_dual.delta[q][i]))
+            row.append(minimal_sets(merged))
+        delta[t_ids[k]] = tuple(row) + ((1 << d_bottom,),)
 
     # iota: the difference formula on eps, dead otherwise
     cnf = cnf_and(
-        cnf_subsume({u << off_a for u in pos.unions}),
-        CNF_FALSE if not neg.unions else cnf_subsume({state_mask(t_ids.values())}),
+        minimal_masks({u << off_a for u in pos.unions}),
+        CNF_FALSE if not neg.unions else minimal_masks({state_mask(t_ids.values())}),
     )
-    delta[(iota, eps)] = finalize_pcnf(cnf, top, bottom)
-    for x in a.alphabet.letters:
-        delta[(iota, x)] = Pcnf.make([1 << bottom])
+    delta[iota] = ((1 << bottom,),) * len(a.alphabet.letters) \
+        + (finalize_pcnf(cnf, top, bottom),)
+    delta = tuple(delta)
 
     accepting = frozenset(
         {off_a + q for q in a.accepting} | {off_d + q for q in a_dual.accepting})
-    succ = _edge_lists(n_states, alphabet, delta)
+    succ = _edge_lists(delta)
     rank = tuple(_scc_ranks(n_states, succ, accepting))
     names = ("iota",) + a.state_names + tuple("~" + s for s in a_dual.state_names) \
         + tuple(f"t{k}" for k in range(len(neg.unions)))
-    return Awa(alphabet, n_states, iota, delta, accepting, rank, top, bottom, names)
+    out = Awa(alphabet, n_states, iota, delta, accepting, rank, top, bottom, names)
+    out.validate()  # no constant formula
+    return out
 
 
 def test_labels_equivalent_matches_reference_encoding(fig1):
@@ -173,8 +173,9 @@ def test_suffix_label_semantics(fig1, ab_alphabet):
     # after a letter without a it is empty
     l = Label.make([1 << 2])
     oracle = LanguageOracle(fig1, dualize(fig1))
-    with_a = suffix_label(l, frozenset({"a"}), fig1)
-    without_a = suffix_label(l, frozenset(), fig1)
+    number = fig1.alphabet.number
+    with_a = suffix_label(l, number[frozenset({"a"})], fig1)
+    without_a = suffix_label(l, number[frozenset()], fig1)
     assert labels_equivalent(with_a, l, oracle) is True
     assert labels_equivalent(without_a, Label.make([1 << 3]), oracle) is True
 
@@ -357,10 +358,11 @@ def _corpus_labels():
     those labels in a fixed order."""
     for f, aps in formula_corpus(8, seed=3):
         alpha = Alphabet.from_aps(aps)
-        m = build_canonical_sltm(from_ltl(to_nnf(f), alpha))
+        a = from_ltl(to_nnf(f), alpha)
+        m = build_canonical_sltm(a)
         groups = _member_labels_by_state(m)
         labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
-        yield f, m.source, LanguageOracle(m.source, m.source.dual), groups, labels
+        yield f, a, LanguageOracle(a, a.dual), groups, labels
 
 
 def test_labels_equivalent_agrees_with_lasso_membership():
