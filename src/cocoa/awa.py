@@ -142,6 +142,8 @@ class Awa:
         for q, row in enumerate(self.delta):
             if any(not p or 0 in p for p in row):
                 raise AssertionError(f"state {q} has a constant transition formula")
+            if any(p != minimal_sets(p) for p in row):
+                raise AssertionError(f"state {q} has a transition formula out of canonical form")
         for q, succ in enumerate(_edge_lists(self.delta)):
             for q2 in succ:
                 if self.rank[q2] > self.rank[q]:
@@ -155,7 +157,7 @@ class Awa:
 
     @functools.cached_property
     def dual(self) -> "Awa":
-        """The complement automaton, built once per automaton."""
+        """The complement automaton, built once; ``a.dual.dual is a``."""
         return dualize(self)
 
 
@@ -240,15 +242,19 @@ def dualize(a: Awa) -> Awa:
     accepting set, and swap the roles of the sinks.
 
     Read as a DNF, the clauses of a positive CNF have as CNF their minimal
-    hitting sets, which is the swapped formula in canonical order.
+    hitting sets: the swapped formula in canonical order, and the minimal
+    models the breakpoint kernels read.  A canonical CNF H is an antichain,
+    so Tr(Tr(H)) = H (Eiter and Gottlob, 1995): the result's ``dual`` is ``a``.
     """
     # looked up at call time, where the benchmark tracer hooks it
     from .obligation import minimal_models
 
     delta = tuple(tuple(minimal_models(p) for p in row) for row in a.delta)
     accepting = frozenset(set(range(a.n_states)) - set(a.accepting))
-    return Awa(a.alphabet, a.n_states, a.initial, delta, accepting, a.rank,
-               a.bottom, a.top, a.state_names)
+    d = Awa(a.alphabet, a.n_states, a.initial, delta, accepting, a.rank,
+            a.bottom, a.top, a.state_names)
+    d.__dict__["dual"] = a
+    return d
 
 
 # --- word-checking game on lassos ------------------------------------------

@@ -105,7 +105,9 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
                 formula: Formula | None = None) -> Cocoa:
     """Run the whole pipeline: obligation graphs, canonical SLTM, universal
     automaton, then per-level product/determinize/minimize/convert until a
-    level comes out empty."""
+    level comes out empty.  Raises AssertionError when the automaton fails
+    ``Awa.validate``."""
+    a.validate()
     cfg = config or ChainConfig()
     t0 = time.monotonic()
 
@@ -279,13 +281,17 @@ def chain_to_json(chain: Cocoa) -> dict:
 
 def chain_from_json(data: dict) -> Cocoa:
     """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
-    not a chain dump or a state or letter number is out of range."""
+    not a chain dump, a state or letter number is out of range, a level
+    transition disagrees with the SLTM labels, or a level origin does not
+    pair a state of the previous level carrying the same label with
+    vertices of that label's set in the level's obligation graph."""
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
     m = sltm_from_json(data["sltm"])
     levels = []
-    for lvl in data["levels"]:
+    prev = universal_dfw(m)
+    for ell, lvl in enumerate(data["levels"], start=1):
         n, k = lvl["states"], len(alphabet.letters)
         label = tuple(lvl["f"])
         if len(label) != n or not all(0 <= s < m.n_states for s in label):
@@ -295,15 +301,27 @@ def chain_from_json(data: dict) -> Cocoa:
         for q, i, dst in lvl["delta"]:
             if not (0 <= q < n and 0 <= i < k and 0 <= dst < n):
                 raise ValueError(f"level transition {[q, i, dst]} is out of range")
+            if label[dst] != m.delta[label[q]][i]:
+                raise ValueError(f"level transition {[q, i, dst]} disagrees with the SLTM labels")
             trans[q][i] = dst
+        vsets = m.vertex_sets_neg if ell % 2 == 1 else m.vertex_sets_pos
+        origin = tuple((p, frozenset(vs)) for p, vs in lvl["origin"])
+        if len(origin) != n:
+            raise ValueError(f"{len(origin)} level origins for {n} states")
+        for q, (p, vs) in enumerate(origin):
+            if not (isinstance(p, int) and 0 <= p < prev.n_states
+                    and prev.label[p] == label[q] and vs and vs <= vsets[label[q]]):
+                raise ValueError(f"level origin {[p, sorted(vs)]} of state {q} does not "
+                                 f"match level {ell - 1} and the SLTM vertex sets")
         d = Dfw(
             alphabet=alphabet,
             n_states=n,
             label=label,
             trans=tuple(map(tuple, trans)),
-            origin=tuple((p, frozenset(vs)) for p, vs in lvl["origin"]),
+            origin=origin,
         )
         levels.append((d, dfw_to_hd_ncw(d, m)))
+        prev = d
     formula = None
     if data.get("formula"):
         from .formula import parse_ltl

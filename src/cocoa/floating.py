@@ -179,12 +179,10 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
             states.append(key)
         return got
 
-    members_of: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for q in range(n.n_states):
-        p, v = n.origin[q]
-        members_of.setdefault((p, frozenset({v})), []).append(q)
-    for key in sorted(members_of, key=lambda k: (k[0], tuple(sorted(k[1])))):
-        intern(key)
+    # the product numbers its (p, v) pairs by p, then by v, and pruning
+    # keeps that order
+    for p, v in n.origin:
+        intern((p, frozenset({v})))
 
     nfw_by_pv = {n.origin[q]: q for q in range(n.n_states)}
     while len(trans) < len(states):
@@ -206,8 +204,7 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
     d = Dfw(
         alphabet=m.alphabet,
         n_states=len(states),
-        label=tuple(
-            n.label[nfw_by_pv[(p, min(vs))]] if vs else 0 for (p, vs) in states),
+        label=tuple(n.label[nfw_by_pv[(p, min(vs))]] for (p, vs) in states),
         trans=tuple(trans),
         origin=tuple((p, vs) for (p, vs) in states),
     )

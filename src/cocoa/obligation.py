@@ -6,8 +6,8 @@ A state set is an int mask with one bit per state, as in the automaton's
 transition formulas, so a subset test is ``k & s == k``; an
 ``ObligationGraph`` keeps the kernel's (S, O) mask pairs as its vertices.
 The minimal models of a state set's transition formulas are folded from
-those of each member state, one state at a time, so no clause set is ever
-merged and searched as a whole.
+the members' rows of the dual automaton, one state at a time, so no clause
+set is ever merged and searched as a whole.
 
 One explorer, ``BreakpointGraph``, interns the pairs and expands their
 successor rows.  ``miyano_hayashi`` expands it whole and freezes it into an
@@ -70,32 +70,32 @@ class Breakpoint:
     """Breakpoint successors (Miyano and Hayashi, 1984) of (S, O) pairs of
     state masks.
 
-    ``delta[q][i]`` holds the clause masks of the transition formula of
-    state q on letter number i, as in ``Awa.delta``, and ``accepting`` is
-    the mask of accepting states.  A pair holding one of the ``bottoms``
-    (rejecting sinks) carries no accepted run and is dropped; the ``tops``
-    (accepting sinks, so never in O) impose nothing and are stripped from
-    S.
+    The model table ``models[q][i]`` holds the minimal models of state q's
+    formula on letter number i (``a.dual.delta`` for an automaton ``a``),
+    and ``accepting`` is the mask of accepting states.  A pair holding one
+    of the ``bottoms`` (rejecting sinks) carries no accepted run and is
+    dropped; the ``tops`` (accepting sinks, so never in O) impose nothing
+    and are stripped from S.
 
     The minimal models of a conjunction are the minimal unions of one
     minimal model per conjunct.  So the models of a state set on a letter
     are folded state by state: those of the set without its lowest state,
-    joined with those of that state.  Both are cached per instance, keyed
-    by letter number and mask; a single state's models come from
-    ``minimal_models``.  Pairs are pruned packed into one int each.
+    joined with that state's row of the table.  The folds are cached per
+    instance, keyed by letter number and mask.  Pairs are pruned packed
+    into one int each.
     """
 
-    def __init__(self, delta: tuple[tuple[tuple[int, ...], ...], ...],
+    def __init__(self, models: tuple[tuple[tuple[int, ...], ...], ...],
                  accepting: int, tops: int, bottoms: int):
-        self.delta = delta
+        self.table = models
         self.accepting = accepting
         self.tops = tops
         self.bottoms = bottoms
         # a pair (S, O) packs into one int, S << width | O, so that one
         # mask test decides componentwise inclusion
-        self.width = len(delta)
+        self.width = len(models)
         # per letter number: state mask -> its minimal models
-        self._models: list[dict[int, tuple[int, ...]]] = [{0: (0,)} for _ in delta[0]]
+        self._models: list[dict[int, tuple[int, ...]]] = [{0: (0,)} for _ in models[0]]
 
     def models(self, states: int, i: int) -> tuple[int, ...]:
         """Minimal models of the members' transition formulas on letter
@@ -114,9 +114,7 @@ class Breakpoint:
             rest ^= low
         got = memo[rest]
         for low in reversed(peeled):
-            mine = memo.get(low)
-            if mine is None:
-                mine = memo[low] = minimal_models(self.delta[low.bit_length() - 1][i])
+            mine = self.table[low.bit_length() - 1][i]
             rest |= low
             got = memo[rest] = minimal_masks(r | m for r in got for m in mine)
         return got
@@ -160,8 +158,8 @@ class BreakpointGraph:
     letter, in kernel order; a graph expanded in id order from vertex 0 is
     thus numbered breadth first.  ``nonempty_from`` settles an emptiness
     verdict per vertex, component by component, so repeated queries on one
-    graph reuse each other's work; ``accepted_lasso`` reads a witness off
-    them, spelled with ``letters``.
+    graph reuse each other's work, and keeps the lasso ``targets`` it meets;
+    ``accepted_lasso`` reads a witness off them, spelled with ``letters``.
     """
 
     def __init__(self, kernel: Breakpoint, letters: tuple[frozenset[str], ...]):
@@ -175,6 +173,8 @@ class BreakpointGraph:
         self.rows: list[tuple[tuple[int, ...], ...] | None] = []
         self.succs: list[list[int] | None] = []
         self.verdict: list[bool | None] = []
+        # each vertex owing nothing on a cycle, mapped to its component
+        self.targets: dict[int, set[int]] = {}
 
     def intern(self, v: tuple[int, int]) -> int:
         got = self.ids.get(v)
@@ -222,6 +222,7 @@ class BreakpointGraph:
                         good = True
             if internal and any(not self.pairs[w][1] for w in comp):
                 good = True
+                self.targets.update((w, members) for w in comp if not self.pairs[w][1])
             for w in comp:
                 self.verdict[w] = good
         return any(self.verdict[r] for r in roots)
@@ -231,20 +232,13 @@ class BreakpointGraph:
         ``nonempty_from`` found nonempty.
 
         Only vertices with a true verdict are walked; all of them are
-        expanded and settled.  Every such component either is cyclic with
-        a vertex owing nothing, or leads to one that is, so the nearest of
-        those vertices closes the lasso.
+        expanded and settled.  A component shares one verdict, so every
+        true one either is cyclic with a vertex owing nothing, one of the
+        ``targets``, or leads to one that is; the nearest target closes
+        the lasso inside its component.
         """
-        def good_succ(v: int) -> list[int]:
-            return [s for s in self._succ(v) if self.verdict[s]]
-
         root = next(r for r in roots if self.verdict[r])
-        targets: dict[int, set[int]] = {}
-        for comp in tarjan_sccs([root], good_succ):
-            inside = set(comp)
-            if any(s in inside for w in comp for s in good_succ(w)):
-                targets.update((w, inside) for w in comp if not self.pairs[w][1])
-        found = lasso_letters(root, targets, lambda v: (
+        found = lasso_letters(root, self.targets, lambda v: (
             (x, d) for x, dsts in zip(self.letters, self.row(v)) for d in dsts
             if self.verdict[d]))
         if found is None:
@@ -260,7 +254,7 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     steps vertex sets of this graph.
     """
     acc = state_mask(a.accepting)
-    graph = BreakpointGraph(Breakpoint(a.delta, acc, 0, 0), a.alphabet.letters)
+    graph = BreakpointGraph(Breakpoint(a.dual.delta, acc, 0, 0), a.alphabet.letters)
     init = 1 << a.initial
     graph.intern((init, init & ~acc))
     vid = 0

@@ -88,19 +88,20 @@ class LanguageOracle(BreakpointGraph):
     """Emptiness of label differences, on the breakpoint graph over an
     automaton and its dual; one per build.
 
-    Dual state q is bit n + q.  The language of a vertex is the
-    intersection of its member state languages, so per-vertex verdicts are
-    a property of the graph and are shared by every query on it.
+    Dual state q is bit n + q; its model table row is the automaton's row q
+    shifted by n.  The language of a vertex is the intersection of its
+    member state languages, so per-vertex verdicts are a property of the
+    graph and are shared by every query on it.
     """
 
-    def __init__(self, a: Awa, a_dual: Awa):
+    def __init__(self, a: Awa):
         n = a.n_states
-        dual = tuple(tuple(tuple(c << n for c in p) for p in row) for row in a_dual.delta)
+        shifted = tuple(tuple(tuple(m << n for m in p) for p in row) for row in a.delta)
         super().__init__(Breakpoint(
-            a.delta + dual,
-            accepting=state_mask(a.accepting) | state_mask(a_dual.accepting) << n,
-            tops=1 << a.top | 1 << (n + a_dual.top),
-            bottoms=1 << a.bottom | 1 << (n + a_dual.bottom)), a.alphabet.letters)
+            a.dual.delta + shifted,
+            accepting=state_mask(a.accepting) | state_mask(a.dual.accepting) << n,
+            tops=1 << a.top | 1 << (n + a.dual.top),
+            bottoms=1 << a.bottom | 1 << (n + a.dual.bottom)), a.alphabet.letters)
         self.a = a
         # the minimal models of each positive label's unions, as masks
         self.label_models: dict[Label, tuple[int, ...]] = {}
@@ -249,7 +250,7 @@ def build_canonical_sltm(
     # the two apart; equivalent labels always share a signature.  Each
     # state keeps its signature, so a new lasso costs one bit per state.
     winners: list[int] = []
-    oracle = LanguageOracle(a, a.dual)
+    oracle = LanguageOracle(a)
     equiv_cache: dict[tuple[Label, Label], bool] = {}
 
     def equivalent(l1: Label, l2: Label) -> bool:

@@ -3,7 +3,8 @@ the lasso position helpers, the test-only lasso membership checks of an
 AWA, a label, an NFW and an HD-NCW, the reference lasso evaluator, the
 per-lasso reference verifier, the reference game solver, the reference
 lasso enumeration, the frozenset references for subsumption, dualization
-and the breakpoint kernel, and the eager reference emptiness check."""
+and the breakpoint kernel, the eager reference emptiness check, and the
+two-pass reference for accepted lassos."""
 
 from __future__ import annotations
 
@@ -21,14 +22,14 @@ from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
     UNTIL,
 )
-from cocoa._graph import cyclic_sccs, lasso_letters
+from cocoa._graph import cyclic_sccs, lasso_letters, tarjan_sccs
 from cocoa.awa import (
     Awa, _edge_lists, _scc_ranks, mask_states, minimal_sets, state_mask,
     winning_state_positions,
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
 from cocoa.floating import Dfw, Nfw, det_edges, reach_rows, survival_rows
-from cocoa.obligation import ObligationGraph, miyano_hayashi
+from cocoa.obligation import BreakpointGraph, ObligationGraph, miyano_hayashi
 from cocoa.sltm import Label, Sltm, _holds, _initial_winners
 
 
@@ -579,6 +580,29 @@ def reference_nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     if found is None:
         raise AssertionError("no lasso through an accepting cyclic vertex")
     return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))
+
+
+def reference_accepted_lasso(graph: BreakpointGraph, roots: list[int]) -> tuple[list, list]:
+    """Prefix and cycle letters of an accepted lasso from the first root
+    that ``nonempty_from`` found nonempty, from a second search of its own:
+    the components of the vertices with a true verdict reachable from that
+    root, and in each cyclic one the vertices owing nothing as targets.
+    The reference for ``obligation.BreakpointGraph.accepted_lasso``."""
+    def good_succ(v: int) -> list[int]:
+        return [s for s in graph._succ(v) if graph.verdict[s]]
+
+    root = next(r for r in roots if graph.verdict[r])
+    targets: dict[int, set[int]] = {}
+    for comp in tarjan_sccs([root], good_succ):
+        inside = set(comp)
+        if any(s in inside for w in comp for s in good_succ(w)):
+            targets.update((w, inside) for w in comp if not graph.pairs[w][1])
+    found = lasso_letters(root, targets, lambda v: (
+        (x, d) for x, dsts in zip(graph.letters, graph.row(v)) for d in dsts
+        if graph.verdict[d]))
+    if found is None:
+        raise AssertionError("no accepted lasso from a nonempty root")
+    return found
 
 
 def reference_is_empty(a: Awa) -> bool:

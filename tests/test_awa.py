@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    Alphabet, LassoWord, build_chain, dualize, enumerate_lassos, eval_lasso, from_ltl,
     lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
     parse_ltl, to_nnf, winning_state_positions,
 )
@@ -25,6 +25,7 @@ from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
     atom, subformulas,
 )
+from cocoa.obligation import minimal_models
 
 from conftest import (
     AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
@@ -143,21 +144,42 @@ def test_check_weak_never_errors_on_corpus():
         check_weak(from_ltl(to_nnf(f), alpha))
 
 
-def test_dualize_involution(fig1):
-    dd = dualize(dualize(fig1))
-    assert dd.accepting == fig1.accepting
-    assert dd.top == fig1.top and dd.bottom == fig1.bottom
-    assert dd.delta == fig1.delta
+def duality_inputs() -> list[Awa]:
+    """Automata from a formula corpus, the lower-bound family at n=1,2 over
+    both alphabets, and the hand-built fig1."""
+    inputs = [from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+              for f, aps in formula_corpus(40, seed=16)]
+    inputs += [from_ltl(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=r))
+               for n in (1, 2) for r in (True, False)]
+    return inputs + [build_fig1()]
+
+
+def test_dualize_involution():
+    # a dual built twice is the automaton again, field by field, and the
+    # cached dual of the dual is the automaton itself
+    for a in duality_inputs():
+        dd = dualize(dualize(a))
+        for field in dataclasses.fields(Awa):
+            assert getattr(dd, field.name) == getattr(a, field.name), field.name
+        assert a.dual.dual is a
+        assert dualize(a).dual is a
+
+
+def test_dual_rows_are_minimal_models():
+    # the breakpoint kernels read the dual's rows as the minimal models of
+    # the automaton's formulas, and the automaton's rows as those of the
+    # dual's
+    for a in duality_inputs():
+        for row, dual_row in zip(a.delta, a.dual.delta):
+            for p, dp in zip(row, dual_row):
+                assert dp == minimal_models(p)
+                assert minimal_models(dp) == p
 
 
 def test_dualize_matches_frozenset_fold():
-    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(40, seed=16)]
-    inputs += [(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=r))
-               for n in (1, 2) for r in (True, False)]
-    for f, alpha in inputs:
-        a = from_ltl(f, alpha)
+    for a in duality_inputs():
         assert dualize(a).delta == tuple(tuple(reference_dual(p) for p in row)
-                                         for row in a.delta), f
+                                         for row in a.delta), a.state_names[a.initial]
 
 
 def test_dualize_complements_on_lassos(ab_alphabet):
@@ -323,8 +345,29 @@ def test_validate_rejects_bad_ranks(fig1):
     rising[0] = min(rising) - 1  # below the states it moves to
     mixed = [0] * fig1.n_states  # accepting and rejecting states share rank 0
     for rank in (rising, mixed):
+        bad = dataclasses.replace(fig1, rank=tuple(rank))
         with pytest.raises(AssertionError):
-            dataclasses.replace(fig1, rank=tuple(rank)).validate()
+            bad.validate()
+        with pytest.raises(AssertionError):
+            build_chain(bad)
+
+
+def test_validate_rejects_formulas_out_of_canonical_form(fig1):
+    # dualizing is an involution only on canonical formulas: a subsumed
+    # clause added to i0's formula on the first letter, and g0's two
+    # clauses swapped
+    i0, g0 = 0, 4
+    subsumed = fig1.delta[i0][0] + (fig1.delta[i0][0][0] | 1 << 2,)
+    swapped = fig1.delta[g0][0][::-1]
+    assert minimal_sets(subsumed) != subsumed and minimal_sets(swapped) != swapped
+    for q, p in ((i0, subsumed), (g0, swapped)):
+        delta = list(fig1.delta)
+        delta[q] = (p,) + delta[q][1:]
+        bad = dataclasses.replace(fig1, delta=tuple(delta))
+        with pytest.raises(AssertionError, match="canonical form"):
+            bad.validate()
+        with pytest.raises(AssertionError, match="canonical form"):
+            build_chain(bad)
 
 
 def test_validate_fires_under_optimize():

@@ -315,6 +315,45 @@ def test_chain_from_json_rejects_numbers_out_of_range(golden_chains, edit):
         chain_from_json(data)
 
 
+# edits that keep every number in range but contradict the SLTM: G a has
+# SLTM states 0 (live) and 1 (empty) with vertex sets [0] and [1] in both
+# graphs, and one level-1 state labelled 1 with origin [1, [1]]; the second
+# level of FG a reads the positive graph, whose one vertex set is [0, 1, 2]
+# against [0, 1, 2, 3] in the complement graph
+BAD_LEVELS = {
+    "G a level label 0": ("G a", _set(("levels", 0, "f"), [0])),
+    "G a origin [99, [1234]]": ("G a", _set(("levels", 0, "origin", 0), [99, [1234]])),
+    "G a origin of another label": ("G a", _set(("levels", 0, "origin", 0), [0, [1]])),
+    "G a origin without vertices": ("G a", _set(("levels", 0, "origin", 0), [1, []])),
+    "G a origin vertex of another label": ("G a", _set(("levels", 0, "origin", 0), [1, [0]])),
+    "G a origins short": ("G a", _set(("levels", 0, "origin"), [])),
+    "FG a level 2 origin vertex of the complement graph":
+        ("FG a", _set(("levels", 1, "origin", 0), [1, [3]])),
+}
+
+
+@pytest.mark.parametrize("text,edit", BAD_LEVELS.values(), ids=BAD_LEVELS)
+def test_chain_from_json_rejects_levels_that_contradict_the_sltm(golden_chains, text, edit):
+    chain, _f = golden_chains[text]
+    data = chain_to_json(chain)
+    chain_from_json(json.loads(json.dumps(data)))
+    edit(data)
+    with pytest.raises(ValueError):
+        chain_from_json(data)
+
+
+def test_chain_from_json_accepts_built_chains():
+    # every level origin the construction writes passes the load checks
+    inputs = [(str(f), aps) for f, aps in formula_corpus(20, seed=35)]
+    origins = 0
+    for text, aps in inputs + workloads.RABIN_FORMULAS:
+        chain, _f = build(text, aps)
+        blob = json.dumps(chain_to_json(chain), sort_keys=True)
+        assert json.dumps(chain_to_json(chain_from_json(json.loads(blob))), sort_keys=True) == blob
+        origins += sum(d.n_states for d, _c in chain.levels)
+    assert origins > 50
+
+
 def test_hoa_roundtrips_through_json(golden_chains):
     for text, _aps, _levels in GOLDEN:
         chain, _f = golden_chains[text]

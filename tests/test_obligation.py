@@ -5,6 +5,7 @@ against the eager one."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocoa.obligation
 from cocoa import (
     Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso,
     from_ltl, lower_bound_alphabet, lower_bound_family, miyano_hayashi,
@@ -20,6 +21,7 @@ from conftest import (
     ReferenceBreakpoint, accepts_lasso, formula_corpus, lassos_up_to, letter_at, n_positions,
     next_pos, reference_minimal_models, reference_nonempty_witness, succ_lists,
 )
+from test_tracing_hooks import counting_calls
 
 
 def reachable(succ, starts) -> set[int]:
@@ -57,7 +59,7 @@ def sink_explorer(b: Awa) -> BreakpointGraph:
     rejecting sink dropped, the accepting sink stripped from state sets),
     unexpanded, its initial pair interned as vertex 0."""
     acc = state_mask(b.accepting)
-    kernel = Breakpoint(b.delta, acc, 1 << b.top, 1 << b.bottom)
+    kernel = Breakpoint(b.dual.delta, acc, 1 << b.top, 1 << b.bottom)
     g = BreakpointGraph(kernel, b.alphabet.letters)
     init = 1 << b.initial
     g.intern((init, init & ~acc))
@@ -112,9 +114,9 @@ def test_breakpoint_successors_match_reference():
             for sinks in (False, True):
                 tops = 1 << b.top if sinks else 0
                 bottoms = 1 << b.bottom if sinks else 0
-                args = (b.delta, state_mask(b.accepting), tops, bottoms)
-                ref = ReferenceBreakpoint(*args)
-                kernel = Breakpoint(*args)
+                args = (state_mask(b.accepting), tops, bottoms)
+                ref = ReferenceBreakpoint(b.delta, *args)
+                kernel = Breakpoint(b.dual.delta, *args)
                 g = expanded(sink_explorer(b), alpha) if sinks else miyano_hayashi(b)
                 as_sets = [(frozenset(mask_states(s)), frozenset(mask_states(o)))
                            for s, o in g.vertices]
@@ -127,6 +129,19 @@ def test_breakpoint_successors_match_reference():
                         assert [as_sets[d] for d in dsts] == want
                         checked += 1
     assert checked > 2000
+
+
+def test_breakpoint_kernels_read_the_dual_rows():
+    # once an automaton's dual exists, neither graph solves a clause list
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    for f, alpha in inputs:
+        a = from_ltl(f, alpha)
+        a.dual  # dualizing is where the minimal models are solved
+        with counting_calls({"minimal_models": cocoa.obligation.minimal_models}) as calls:
+            miyano_hayashi(a)
+            miyano_hayashi(a.dual)
+        assert calls == {"minimal_models": 0}, f
 
 
 def test_vertices_pair_invariants(fig1):

@@ -24,7 +24,7 @@ from cocoa.sltm import (
 
 from conftest import (
     formula_corpus, label_accepts_lasso, lassos_up_to, prefixes_up_to, prepend,
-    reference_is_empty, sltm_state_after,
+    reference_accepted_lasso, reference_is_empty, sltm_state_after,
 )
 
 
@@ -52,13 +52,13 @@ def test_label_of_merges_shared_state_sets(fig1):
 
 
 def test_labels_equivalent_reflexive(fig1):
-    oracle = LanguageOracle(fig1, dualize(fig1))
+    oracle = LanguageOracle(fig1)
     l = Label.make([state_mask({1, 2})])
     assert labels_equivalent(l, l, oracle) is True
 
 
 def test_labels_equivalent_fig1_branch_states(fig1):
-    oracle = LanguageOracle(fig1, dualize(fig1))
+    oracle = LanguageOracle(fig1)
     f1_label = Label.make([1 << 2])   # G a branch state
     f2_label = Label.make([1 << 3])   # empty-language state
     assert labels_equivalent(f1_label, f2_label, oracle) is False
@@ -68,7 +68,7 @@ def test_labels_equivalent_fig1_branch_states(fig1):
 
 
 def test_labels_equivalent_rejects_foreign_states(fig1):
-    oracle = LanguageOracle(fig1, dualize(fig1))
+    oracle = LanguageOracle(fig1)
     with pytest.raises(IncompatibleAutomata):
         labels_equivalent(Label.make([1 << 99]), Label.make([]), oracle)
 
@@ -154,7 +154,7 @@ def test_labels_equivalent_matches_reference_encoding(fig1):
         Label.make([1 << 1, 1 << 4]),
         Label.make([1 << 0]),
     ]
-    oracle = LanguageOracle(fig1, d)
+    oracle = LanguageOracle(fig1)
     for l1, l2 in itertools.combinations(candidates, 2):
         ref = (reference_is_empty(difference_automaton(l1, l2, fig1, d))
                and reference_is_empty(difference_automaton(l2, l1, fig1, d)))
@@ -172,7 +172,7 @@ def test_suffix_label_semantics(fig1, ab_alphabet):
     # suffix of L(f1) = G a after reading a letter with a is G a again,
     # after a letter without a it is empty
     l = Label.make([1 << 2])
-    oracle = LanguageOracle(fig1, dualize(fig1))
+    oracle = LanguageOracle(fig1)
     number = fig1.alphabet.number
     with_a = suffix_label(l, number[frozenset({"a"})], fig1)
     without_a = suffix_label(l, number[frozenset()], fig1)
@@ -227,7 +227,7 @@ def test_sltm_p3_pairwise_nonequivalent():
     for text, aps in [("G a", ["a"]), ("GF a -> GF b", ["a", "b"]),
                       ("a U b", ["a", "b"]), ("X a | G b", ["a", "b"])]:
         a, m = build(text, aps)
-        oracle = LanguageOracle(a, dualize(a))
+        oracle = LanguageOracle(a)
         for s1 in range(m.n_states):
             for s2 in range(s1 + 1, m.n_states):
                 assert labels_equivalent(m.labels[s1], m.labels[s2], oracle) is False
@@ -362,7 +362,7 @@ def _corpus_labels():
         m = build_canonical_sltm(a)
         groups = _member_labels_by_state(m)
         labels = sorted(set().union(*groups.values()), key=lambda l: repr(l.unions))
-        yield f, a, LanguageOracle(a, a.dual), groups, labels
+        yield f, a, LanguageOracle(a), groups, labels
 
 
 def test_labels_equivalent_agrees_with_lasso_membership():
@@ -424,6 +424,26 @@ def test_distinguishing_lasso_separates_labels(lower_bound_queries):
             assert label_accepts_lasso(l1, a, w) != label_accepts_lasso(l2, a, w), (l1, l2, w)
             separated += 1
     assert separated and raised
+
+
+def test_accepted_lasso_matches_two_pass_reference(lower_bound_queries):
+    # the lasso read off the targets the emptiness check kept is the one a
+    # second search over the true verdicts finds, on every nonempty
+    # difference half of the corpus label pairs and of the inequivalent
+    # pairs met while lower_bound_family(1) is built
+    pairs = [(oracle, l1, l2)
+             for _f, _a, oracle, _groups, labels in _corpus_labels()
+             for l1, l2 in itertools.combinations(labels, 2)]
+    queries, _m = lower_bound_queries
+    pairs += [(oracle, l1, l2) for oracle, l1, l2, equivalent in queries if not equivalent]
+    compared = 0
+    for oracle, l1, l2 in pairs:
+        for pos, neg in ((l1, l2), (l2, l1)):
+            roots = oracle.difference_roots(pos, neg)
+            if oracle.nonempty_from(roots):
+                assert oracle.accepted_lasso(roots) == reference_accepted_lasso(oracle, roots)
+                compared += 1
+    assert compared > 50
 
 
 def test_lower_bound_sltm_makes_few_false_equivalence_queries(lower_bound_queries):

@@ -12,7 +12,7 @@ import cocoa.awa
 import cocoa.chain
 import cocoa.obligation
 import cocoa.sltm
-from cocoa import Alphabet, dualize, parse_ltl, to_nnf
+from cocoa import Alphabet, parse_ltl, to_nnf
 from cocoa.sltm import Label, LanguageOracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,7 +57,7 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
         cocoa.chain.build_chain(a, formula=f)
         assert cocoa.sltm.labels_equivalent(
             Label.make([1 << b.initial]), Label.make([1 << b.top]),
-            LanguageOracle(b, dualize(b))) is False
+            LanguageOracle(b)) is False
     traced = {name: tracer.calls[name][0] for name in originals}
     assert traced["obligation.minimal_models"] > 0
     assert traced["sltm.labels_equivalent"] > 1
