@@ -137,6 +137,15 @@ class Awa:
     state_names: tuple[str, ...]
 
     def validate(self) -> None:
+        n, k = self.n_states, len(self.alphabet.letters)
+        if len(self.delta) != n or any(len(row) != k for row in self.delta):
+            raise AssertionError(f"delta needs {n} rows of {k} formulas, one per letter")
+        if not all(0 <= q < n for q in (self.initial, self.top, self.bottom)):
+            raise AssertionError(f"initial, top and bottom must be states below {n}")
+        if len(self.rank) != n:
+            raise AssertionError(f"{len(self.rank)} ranks for {n} states")
+        if any(c >> n for row in self.delta for p in row for c in p):
+            raise AssertionError(f"a clause names a state beyond the {n} states")
         if self.top not in self.accepting or self.bottom in self.accepting:
             raise AssertionError("top must be accepting and bottom rejecting")
         for q, row in enumerate(self.delta):

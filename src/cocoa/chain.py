@@ -10,19 +10,19 @@ on bounded lassos.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .awa import Awa, from_ltl
 from .floating import (
-    Dfw, det_edges, determinize, dfw_accepts_lasso, dfw_accepts_lassos,
-    level_product, minimize_dfw, universal_dfw,
+    Dfw, det_edges, determinize, dfw_accepts_lassos, level_product,
+    minimize_dfw, universal_dfw,
 )
 from .formula import (
-    Alphabet, Formula, LassoWord, enumerate_lassos, eval_lassos, to_nnf,
+    Alphabet, Formula, LassoWord, Lassos, enumerate_lassos, eval_lassos, to_nnf,
 )
-# verify_chain decides whole suites; perfbench/tracing.py still wraps the
-# one-lasso oracle at this name
+# verify_chain and natural_color decide packed suites; perfbench/tracing.py
+# still wraps the one-lasso oracles at these names
+from .floating import dfw_accepts_lasso  # noqa: F401
 from .formula import eval_lasso  # noqa: F401
 from .obligation import miyano_hayashi
 from .sltm import Sltm, build_canonical_sltm, sltm_from_json, sltm_to_json
@@ -162,10 +162,12 @@ def build_chain_for_formula(f: Formula, alphabet: Alphabet | None = None,
 
 
 def natural_color(chain: Cocoa, w: LassoWord) -> int:
-    """Maximal level accepting the word, 0 if none (evaluated on the DFWs)."""
+    """Maximal level accepting the word, 0 if none (evaluated on the DFWs,
+    with the word packed once)."""
+    lassos = Lassos.of([w])
     color = 0
     for i, (dfw, _ncw) in enumerate(chain.levels, start=1):
-        if dfw_accepts_lasso(dfw, chain.sltm, w):
+        if dfw_accepts_lassos(dfw, chain.sltm, lassos):
             color = i
     return color
 
@@ -210,7 +212,7 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     oracle's members, and each level's accepted words ``A_i``.  The parity
     of the natural color is folded level by level, the last accepting level
     deciding; monotonicity fails where ``A_(i+1) & ~A_i`` is set.  Only the
-    first counterexample, the lowest mismatch bit, is built as a word.
+    first counterexample in suite order is built as a word.
     """
     t0 = time.monotonic()
     lassos = enumerate_lassos(chain.alphabet, prefix_bound, period_bound)
@@ -224,8 +226,8 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
                           counterexamples=mismatch.bit_count())
     report.monotonicity_ok = not any(hi & ~lo for lo, hi in zip(accepted, accepted[1:]))
     if mismatch:
-        first = mismatch & -mismatch
-        w = lassos[bisect_left(lassos.offsets, first.bit_length() - 1)]
+        off, w = lassos.first(mismatch)
+        first = 1 << off
         report.first_counterexample = {
             "lasso": w.text(),
             "natural_color": max((i for i, a in enumerate(accepted, start=1) if a & first),

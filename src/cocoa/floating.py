@@ -9,7 +9,7 @@ membership.  Transitions are rows indexed by letter number, as in the SLTM
 and the obligation graphs.
 
 Lasso membership runs on a packed suite (``formula.Lassos``: one int per
-row, one bit per position of every lasso): run survival is a greatest and
+row, one bit per word): run survival is a greatest and backward
 reachability a least fixpoint with one row per state, so a few big-int
 operations per automaton edge decide the whole suite.
 """
@@ -264,58 +264,53 @@ def _grouped(edges, lassos: Lassos) -> dict[int, dict[int, int]]:
     return out
 
 
+def _fixpoint(out: dict[int, dict[int, int]], lassos: Lassos, rows: dict[int, int],
+              base: dict[int, int]) -> dict[int, int]:
+    """Iterate ``rows[q] = base[q] | OR_(q2) out[q][q2] & X rows[q2]`` from
+    the given rows until nothing changes.  A worklist recomputes only the
+    predecessors of a state whose row changed."""
+    preds: dict[int, list[int]] = {}
+    for q, by_dst in out.items():
+        for q2 in by_dst:
+            preds.setdefault(q2, []).append(q)
+    ahead = {q: lassos.next(row) for q, row in rows.items()}
+    todo = list(out)
+    while todo:
+        q = todo.pop()
+        row = base.get(q, 0)
+        for q2, mask in out[q].items():
+            row |= mask & ahead.get(q2, 0)
+        if row != rows.get(q, 0):
+            rows[q] = row
+            ahead[q] = lassos.next(row)
+            todo += preds.get(q, ())
+    return rows
+
+
 def survival_rows(edges, lassos: Lassos) -> dict[int, int]:
     """Deterministic-run survival on a packed suite.
 
     ``edges`` gives the (state, letter number, successor) triples of a
     partial deterministic transition function (``det_edges``).  Bit p of
-    ``surv[q]`` is set when it runs forever from q at the position of bit
-    p: the greatest fixpoint of ``surv[q] = OR_i row_i & X surv[trans[q][i]]``,
-    from all ones.  A worklist recomputes only the predecessors of a state
-    whose row shrank; a state left out survives nowhere.
+    ``surv[q]`` is set when it runs forever from q on the word of bit p:
+    the greatest fixpoint of ``surv[q] = OR_i row_i & X surv[trans[q][i]]``,
+    from all ones.  A state left out survives nowhere.
     """
     out = _grouped(edges, lassos)
-    preds: dict[int, list[int]] = {}
-    for q, by_dst in out.items():
-        for q2 in by_dst:
-            preds.setdefault(q2, []).append(q)
-    surv = dict.fromkeys(out, lassos.full)
-    ahead = dict.fromkeys(out, lassos.full)  # X surv[q]; X keeps all ones
-    todo = list(out)
-    while todo:
-        q = todo.pop()
-        row = 0
-        for q2, mask in out[q].items():
-            row |= mask & ahead.get(q2, 0)
-        if row != surv[q]:
-            surv[q] = row
-            ahead[q] = lassos.next(row)
-            todo += preds.get(q, ())
-    return surv
+    return _fixpoint(out, lassos, dict.fromkeys(out, lassos.full), {})
 
 
-def reach_rows(initial: int, edges, lassos: Lassos) -> dict[int, int]:
-    """The positions at which some run from ``initial`` at the start of a
-    lasso can be in each state.
+def reach_back_rows(edges, lassos: Lassos, base: dict[int, int]) -> dict[int, int]:
+    """The words from which some run reaches ``base``.
 
     ``edges`` gives (state, letter number, successor) triples.  Bit p of
-    ``reach[q]`` is set when a run is in q at the position of bit p: the
-    least fixpoint from the start bits through ``Lassos.step``, with a
-    worklist of the states whose row grew.
+    ``reach[q]`` is set when some run from q on the word of bit p is, after
+    some number of letters, in a state q2 on a word whose bit is set in
+    ``base[q2]``: the least fixpoint of
+    ``reach[q] = base[q] | OR_i row_i & X reach[q2]`` over the edges
+    (q, i, q2), from ``base``.
     """
-    out = _grouped(edges, lassos)
-    reach = {initial: lassos.starts}
-    todo = [initial]
-    while todo:
-        q = todo.pop()
-        here = reach[q]
-        for q2, mask in out.get(q, {}).items():
-            there = reach.get(q2, 0)
-            grown = there | lassos.step(here & mask)
-            if grown != there:
-                reach[q2] = grown
-                todo.append(q2)
-    return reach
+    return _fixpoint(_grouped(edges, lassos), lassos, dict(base), base)
 
 
 def dfw_accepts_lassos(d: Dfw, m: Sltm, lassos: Lassos) -> int:
@@ -323,22 +318,26 @@ def dfw_accepts_lassos(d: Dfw, m: Sltm, lassos: Lassos) -> int:
     that the floating automaton accepts.
 
     A jump-in at some moment enters a DFW state labeled with the SLTM state
-    at that moment, at the moment's lasso position, and is accepted when
-    the DFW run from there survives (``survival_rows``).  ``reach_rows``
-    over the SLTM gives the (SLTM state, position) pairs the word passes,
-    so a lasso is accepted when F(reach & surv) holds at its start.
+    at that moment, on the word left at that moment, and is accepted when
+    the DFW run from there survives (``survival_rows``).  So ``hit[s]``,
+    the words on which some DFW state labeled s survives, is the target,
+    and acceptance is a backward fixpoint over the SLTM: ``acc[s]`` is the
+    least fixpoint of ``acc[s] = hit[s] | OR_i row_i & X acc[delta(s, i)]``
+    (``reach_back_rows``), and a lasso is accepted when its start bit is
+    in ``acc[m.initial]``.  Every row is a set of words, not of positions
+    along one lasso, so it stays exact where lassos share their suffixes.
 
     The suite's letter numbers must be the machine's: raises ValueError
     when the two alphabets list their letters differently.
     """
     if lassos.alphabet.letters != m.alphabet.letters:
         raise ValueError("the lassos and the machine number their letters differently")
-    surv = survival_rows(det_edges(d.trans), lassos)
-    reach = reach_rows(m.initial, det_edges(m.delta), lassos)
-    hit = 0
-    for q, row in surv.items():
-        hit |= row & reach.get(d.label[q], 0)
-    return lassos.until(lassos.full, hit) & lassos.starts
+    hit: dict[int, int] = {}
+    for q, row in survival_rows(det_edges(d.trans), lassos).items():
+        s = d.label[q]
+        hit[s] = hit.get(s, 0) | row
+    acc = reach_back_rows(det_edges(m.delta), lassos, hit)
+    return acc.get(m.initial, 0) & lassos.starts
 
 
 def dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:

@@ -3,21 +3,20 @@
 The fixpoint evaluator in this module is the ground truth: every automaton
 construction in the package is ultimately checked against ``eval_lassos`` on
 ultimately-periodic words.  A suite of lassos is packed into ``Lassos``: one
-Python int per row, with one bit for each position of every lasso in the
-suite, each lasso on its own run of bits.  Each formula is compiled once
-into a children-first program over its distinct subformulas, and the
-program runs on those rows: a few big-int operations per subformula decide
-the whole suite at once.
+Python int per row, with one bit per word, either each position of each
+lasso or, in an enumerated suite, each lasso, whose suffix is another
+lasso's bit.  Each formula is compiled once into a children-first program
+over its distinct subformulas, and the program runs on those rows: a few
+big-int operations per subformula decide the whole suite at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 ATOM = "atom"
 NOT = "not"
@@ -395,101 +394,117 @@ def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
     return LassoWord(alphabet, prefix, period)
 
 
-def _bits(backwards: str, table: str) -> int:
-    """The int whose bit i is ``table[ord(c)]``, a "0" or a "1", for the
-    character c at ``backwards[-1 - i]``."""
-    return int(backwards.translate(table) or "0", 2)
-
-
-def _one_hot(size: int, k: int) -> str:
-    """A ``_bits`` table of ``size`` entries with a "1" at entry k only."""
-    return "0" * k + "1" + "0" * (size - k - 1)
-
-
 class Lassos(Sequence[LassoWord]):
     """A suite of lassos packed into one int per row.
 
-    Lasso i takes the bits ``[off_i, off_i + |u|+|v|)``, its position j the
-    bit ``off_i + j``.  ``rows[i]`` has a bit wherever letter number i of
-    the alphabet occurs (0 for a letter that does not), and ``starts`` has
-    the bit of every lasso's position 0.  The last position of a lasso
-    steps back to its cut, v - 1 bits lower for a period of length v; that
-    distance depends on the period length only, so lassos of every shape
-    share one int, with a cut mask and a last mask per period length
-    (``next`` and ``step``).
+    Each bit stands for one ultimately periodic word.  ``rows[i]`` has the
+    bits of the words that start with letter number i, and ``starts`` has
+    one bit per lasso of the suite.  ``next`` maps a row to the row of
+    the words one letter later: bit p of ``next(row)`` is the bit of row
+    at the word that follows p, its suffix after the first letter.  That
+    is ``(row >> 1) & inner`` for the bits whose suffix sits one bit
+    higher, plus ``(row & source) << shift`` for each of a few moves.
+    Every bit of the int is a word and its suffix is another bit, so the
+    fixpoints of ``until`` and of the automata decide every bit exactly.
 
-    The suite is a read-only sequence in its given order; each ``LassoWord``
-    is built only when it is accessed.
+    Two layouts fill these fields:
+
+    * ``Lassos.of``: lasso i on its own bits ``[off_i, off_i + |u|+|v|)``,
+      its position j at bit ``off_i + j``.  The last position steps back to
+      its cut, v - 1 bits lower for a period of length v, so there is one
+      move per period length: the cut mask, shifted by v - 1.
+    * ``enumerate_lassos``: one bit per lasso, suffixes shared; see there.
+
+    The suite is a read-only sequence in its given order.  The order and
+    each lasso's bit (``offsets``) are spelled out only when they are read,
+    or by ``first`` up to the lasso it finds, and each ``LassoWord`` only
+    when it is accessed.
     """
 
-    def __init__(self, alphabet: Alphabet, words: list[tuple[str, str]]):
-        """``words`` spell each lasso's (prefix, period) with ``chr(i)`` for
-        letter number i."""
+    def __init__(self, alphabet: Alphabet, full: int, rows: tuple[int, ...], starts: int,
+                 inner: int, moves: tuple[tuple[int, int], ...],
+                 order: Callable[[], Iterator[tuple[int, str, str]]]):
+        """``order()`` yields every lasso as (start bit, prefix, period) in
+        suite order, spelled with ``chr(i)`` for letter number i."""
         self.alphabet = alphabet
-        self._words = words
-        # backwards, so that the first position of the first lasso is bit 0
-        spelled = "".join(itertools.chain.from_iterable(words))[::-1]
-        self.full = (1 << len(spelled)) - 1
-        n = len(alphabet.letters)
-        self.rows = tuple(_bits(spelled, _one_hot(n, k)) if chr(k) in spelled else 0
-                          for k in range(n))
-        prefix_lens = list(map(len, map(itemgetter(0), words)))
-        period_lens = list(map(len, map(itemgetter(1), words)))
-        periods = sorted(set(period_lens))
-        # chr(v) at the cut of a lasso whose period has length v, chr(0) elsewhere
-        cut_of = {(p, v): "\0" * p + chr(v) + "\0" * (v - 1)
-                  for p in set(prefix_lens) for v in periods}
-        cuts = "".join(map(cut_of.__getitem__, zip(prefix_lens, period_lens)))[::-1]
-        self._cuts = tuple((v - 1, _bits(cuts, _one_hot(periods[-1] + 1, v))) for v in periods)
-        # the last position lies v - 1 bits above the cut, and the next
-        # lasso starts one bit above that
-        self._lasts = tuple((shift, cut << shift) for shift, cut in self._cuts)
-        last = 0
-        for _shift, mask in self._lasts:
-            last |= mask
-        self._inner = self.full ^ last
-        self.starts = ((last << 1) | 1) & self.full
+        self.full = full
+        self.rows = rows
+        self.starts = starts
+        self.inner = inner
+        self.moves = moves
+        self._order = order
+
+    @cached_property
+    def _suite(self) -> list[tuple[int, str, str]]:
+        return list(self._order())
 
     @cached_property
     def offsets(self) -> list[int]:
-        """The bit of each lasso's position 0, in suite order."""
-        return list(itertools.accumulate(
-            (len(u) + len(v) for u, v in self._words), initial=0))[:-1]
+        """The start bit of each lasso, in suite order."""
+        return [off for off, _u, _v in self._suite]
 
     @staticmethod
     def of(words: Sequence[LassoWord]) -> "Lassos":
-        """The given lassos, over the alphabet of the first, in order."""
+        """The given lassos, over the alphabet of the first, in order, each
+        on its own run of bits."""
         alphabet = words[0].alphabet
         number = alphabet.number
+        rows = [0] * len(alphabet.letters)
+        cuts: dict[int, int] = {}
+        starts = last = pos = 0
+        offsets = []
+        for w in words:
+            starts |= 1 << pos
+            offsets.append(pos)
+            for x in w.prefix:
+                rows[number[x]] |= 1 << pos
+                pos += 1
+            cuts[len(w.period)] = cuts.get(len(w.period), 0) | 1 << pos
+            for x in w.period:
+                rows[number[x]] |= 1 << pos
+                pos += 1
+            last |= 1 << (pos - 1)
+        full = (1 << pos) - 1
+        # the last position lies v - 1 bits above its cut
+        moves = tuple((cuts[v], v - 1) for v in sorted(cuts))
 
-        def spell(xs: tuple[frozenset[str], ...]) -> str:
-            return "".join([chr(number[x]) for x in xs])
+        def order() -> Iterator[tuple[int, str, str]]:
+            def spell(xs: tuple[frozenset[str], ...]) -> str:
+                return "".join([chr(number[x]) for x in xs])
 
-        return Lassos(alphabet, [(spell(w.prefix), spell(w.period)) for w in words])
+            return ((off, spell(w.prefix), spell(w.period)) for off, w in zip(offsets, words))
+
+        return Lassos(alphabet, full, tuple(rows), starts, full ^ last, moves, order)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self.starts.bit_count()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        u, v = self._words[i]
+        _off, u, v = self._suite[i]
+        return self._word(u, v)
+
+    def _word(self, u: str, v: str) -> LassoWord:
         letters = self.alphabet.letters
         return LassoWord(self.alphabet, tuple(letters[ord(c)] for c in u),
                          tuple(letters[ord(c)] for c in v))
 
-    def next(self, row: int) -> int:
-        """X: bit p is set when ``row`` has the bit of the position after p."""
-        out = (row >> 1) & self._inner
-        for shift, cut in self._cuts:
-            out |= (row & cut) << shift
-        return out
+    def first(self, mask: int) -> tuple[int, LassoWord]:
+        """The start bit and the word of the first lasso in suite order
+        whose start bit is set in ``mask``; raises ValueError when there is
+        none."""
+        bits = format(mask, "b")[::-1]  # bits[p] is bit p, read in O(1)
+        for off, u, v in self._order():
+            if off < len(bits) and bits[off] == "1":
+                return off, self._word(u, v)
+        raise ValueError("no start bit of the suite is set in the mask")
 
-    def step(self, row: int) -> int:
-        """The positions that follow the positions in ``row``."""
-        out = (row & self._inner) << 1
-        for shift, last in self._lasts:
-            out |= (row & last) >> shift
+    def next(self, row: int) -> int:
+        """X: bit p is set when ``row`` has the bit of the word after p."""
+        out = (row >> 1) & self.inner
+        for source, shift in self.moves:
+            out |= (row & source) << shift
         return out
 
     def until(self, a: int, b: int) -> int:
@@ -502,6 +517,20 @@ class Lassos(Sequence[LassoWord]):
             row = grown
 
 
+def _lyndon_words(n: int, max_len: int) -> Iterator[list[int]]:
+    """The Lyndon words of length <= max_len over letters 0..n-1, in
+    lexicographic order (Duval, J. Algorithms 1983)."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield w
+        m = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) - m])
+        while w and w[-1] == n - 1:
+            w.pop()
+
+
 def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -> Lassos:
     """All distinct lassos with |u| <= prefix_bound and |v| <= period_bound.
 
@@ -509,20 +538,83 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
     and the prefix does not end with the period's last letter (else the
     period could be rolled back into the prefix).  Words come ordered by
     prefix length, prefix, period length and period.
+
+    The suite is suffix-closed: dropping the first letter of a lasso gives
+    another lasso of the suite.  So each lasso is one bit, and its suffix
+    is another lasso's bit.  The bits are laid out in levels by prefix
+    length p:
+
+    * Level 0 holds v^omega for every primitive period v, grouped as
+      necklace cycles: a Lyndon word, then its rotations.  The suffix of a
+      rotation is the next rotation, one bit higher, and the last one wraps
+      back to the first: one move per cycle length.
+    * Level p holds n copies of level p - 1 for n letters.  Copy x holds
+      x.w for every word w of level p - 1, in the same order, so the
+      suffixes of a level are the level below at a constant shift per
+      copy: one move per copy.
+
+    A word x.v^omega with x the last letter of v is not in normal form
+    (it is v'^omega for a rotation v' of v).  It stays as a bit, so that
+    the copies are uniform, but ``starts`` leaves it out.  Each bit is
+    still its own word, so every row is exact there too.
     """
-    chars = [chr(i) for i in range(len(alphabet.letters))]
-    periods = []
-    for vlen in range(1, period_bound + 1):
-        for per in map("".join, itertools.product(chars, repeat=vlen)):
-            if all(per != per[:d] * (vlen // d) for d in range(1, vlen) if vlen % d == 0):
-                periods.append(per)
-    # the periods that may follow a prefix ending in each letter
-    after = {c: [per for per in periods if per[-1] != c] for c in chars}
-    words = []
-    for plen in range(prefix_bound + 1):
-        for pref in map("".join, itertools.product(chars, repeat=plen)):
-            words += zip(itertools.repeat(pref), after[pref[-1]] if pref else periods)
-    return Lassos(alphabet, words)
+    n = len(alphabet.letters)
+    rows = [0] * n
+    ends = [0] * n  # the level-0 words whose period ends with each letter
+    cycles = []
+    wraps: dict[int, int] = {}  # the first bit of each cycle, by length
+    inner = pos = 0
+    for lyndon in _lyndon_words(n, period_bound):
+        size = len(lyndon)
+        wraps[size] = wraps.get(size, 0) | 1 << pos
+        # rotation k, at bit pos, starts with lyndon[k] and ends with lyndon[k - 1]
+        for k, x in enumerate(lyndon):
+            bit = 1 << pos
+            rows[x] |= bit
+            ends[lyndon[k - 1]] |= bit
+            pos += 1
+        inner |= ((1 << (size - 1)) - 1) << (pos - size)
+        cycles.append(tuple(lyndon))
+    moves = [(wraps[size], size - 1) for size in sorted(wraps)]
+    size0 = width = pos  # the bits of level 0; width is that of the level below
+    level = (1 << width) - 1  # the mask of the level below
+    starts = level
+    base = width
+    for p in range(1, prefix_bound + 1):
+        ones = (1 << width) - 1
+        for x in range(n):
+            copy = base + x * width
+            rows[x] |= ones << copy
+            shift = (x + 1) * width  # from w up to x.w
+            moves.append((level, shift))
+            if p == 1:
+                # x.v^omega is a lasso unless v ends with x
+                starts |= (level ^ ends[x]) << copy
+            else:
+                starts |= (starts & level) << shift
+        level = ((1 << (n * width)) - 1) << base
+        base += n * width
+        width *= n
+
+    def order() -> Iterator[tuple[int, str, str]]:
+        at = {}  # the bit of each period
+        pos = 0
+        for lyndon in cycles:
+            for k in range(len(lyndon)):
+                at["".join(map(chr, lyndon[k:] + lyndon[:k]))] = pos
+                pos += 1
+        periods = sorted(at, key=lambda v: (len(v), v))
+        chars = [chr(i) for i in range(n)]
+        base = 0
+        for plen in range(prefix_bound + 1):
+            for k, pref in enumerate(map("".join, itertools.product(chars, repeat=plen))):
+                block = base + k * size0
+                for v in periods:
+                    if not pref or v[-1] != pref[-1]:
+                        yield block + at[v], pref, v
+            base += n ** plen * size0
+
+    return Lassos(alphabet, (1 << base) - 1, tuple(rows), starts, inner, tuple(moves), order)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 the lasso position helpers, the test-only lasso membership checks of an
 AWA, a label, an NFW and an HD-NCW, the reference lasso evaluator, the
 per-lasso reference verifier, the reference game solver, the reference
-lasso enumeration, the frozenset references for subsumption, dualization
-and the breakpoint kernel, the eager reference emptiness check, and the
-two-pass reference for accepted lassos."""
+lasso enumeration, the string packer and the forward DFW acceptance that
+``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset references
+for subsumption, dualization and the breakpoint kernel, the eager
+reference emptiness check, and the two-pass reference for accepted
+lassos."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from cocoa.awa import (
     winning_state_positions,
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
-from cocoa.floating import Dfw, Nfw, det_edges, reach_rows, survival_rows
+from cocoa.floating import Dfw, Nfw, det_edges, reach_back_rows, survival_rows
 from cocoa.obligation import BreakpointGraph, ObligationGraph, miyano_hayashi
 from cocoa.sltm import Label, Sltm, _holds, _initial_winners
 
@@ -212,9 +214,9 @@ def ncw_accepts_lasso(c: HdNcw, w: LassoWord) -> bool:
     lassos = Lassos.of([w])
     rejecting = ((q, i, q2) for q, row in enumerate(c.rej)
                  for i, dsts in enumerate(row) for q2 in dsts)
-    reach = reach_rows(c.initial, itertools.chain(rejecting, det_edges(c.acc)), lassos)
-    return any(row & reach.get(q, 0)
-               for q, row in survival_rows(det_edges(c.acc), lassos).items())
+    surv = survival_rows(det_edges(c.acc), lassos)
+    reach = reach_back_rows(itertools.chain(rejecting, det_edges(c.acc)), lassos, surv)
+    return bool(reach.get(c.initial, 0) & lassos.starts)
 
 
 def nfw_accepts_lasso(n: Nfw, m: Sltm, w: LassoWord) -> bool:
@@ -371,6 +373,67 @@ def reference_dfw_accepts_lasso(d: Dfw, m: Sltm, w: LassoWord) -> bool:
         s = m.delta[s][at[j]]
         j = nxt[j]
     return False
+
+
+def reference_pack(words: list[LassoWord]) -> tuple:
+    """The string packer that ``Lassos.of`` replaced, the reference for its
+    fields: (full, rows, starts, inner, moves).  Each lasso's letters are
+    spelled backwards as ``chr(i)`` for letter number i, and a row is read
+    off with ``str.translate`` and ``int(..., 2)``."""
+    number = words[0].alphabet.number
+    n = len(words[0].alphabet.letters)
+
+    def bits(backwards: str, size: int, k: int) -> int:
+        return int(backwards.translate("0" * k + "1" + "0" * (size - k - 1)) or "0", 2)
+
+    def spell(xs) -> str:
+        return "".join(chr(number[x]) for x in xs)
+
+    spelled = [(spell(w.prefix), spell(w.period)) for w in words]
+    backwards = "".join(itertools.chain.from_iterable(spelled))[::-1]
+    full = (1 << len(backwards)) - 1
+    rows = tuple(bits(backwards, n, k) if chr(k) in backwards else 0 for k in range(n))
+    periods = sorted({len(v) for _u, v in spelled})
+    # chr(v) at the cut of a lasso whose period has length v, chr(0) elsewhere
+    cuts = "".join("\0" * len(u) + chr(len(v)) + "\0" * (len(v) - 1) for u, v in spelled)[::-1]
+    moves = tuple((bits(cuts, periods[-1] + 1, v), v - 1) for v in periods)
+    last = 0
+    for cut, shift in moves:
+        last |= cut << shift
+    return full, rows, ((last << 1) | 1) & full, full ^ last, moves
+
+
+def reference_dfw_accepts_lassos(d: Dfw, m: Sltm, lassos: Lassos) -> int:
+    """Jump-in acceptance the forward way, the reference for
+    ``floating.dfw_accepts_lassos`` on suites packed by ``Lassos.of``.
+
+    The positions at which the SLTM run from the start of each lasso is in
+    each state are a least fixpoint from the start bits through the step
+    to the next position; a lasso is accepted when F(reach & surv) holds at
+    its start.  This needs every lasso on positions of its own: on a suite
+    that shares suffixes, one bit would hold the runs of several lassos."""
+    def step(row: int) -> int:
+        out = (row & lassos.inner) << 1
+        for cut, shift in lassos.moves:
+            out |= (row & (cut << shift)) >> shift
+        return out
+
+    reach = {m.initial: lassos.starts}
+    todo = [m.initial]
+    while todo:
+        s = todo.pop()
+        for s2, letter in zip(m.delta[s], lassos.rows):
+            if s2 is None:
+                continue
+            there = reach.get(s2, 0)
+            grown = there | step(reach[s] & letter)
+            if grown != there:
+                reach[s2] = grown
+                todo.append(s2)
+    hit = 0
+    for q, row in survival_rows(det_edges(d.trans), lassos).items():
+        hit |= row & reach.get(d.label[q], 0)
+    return lassos.until(lassos.full, hit) & lassos.starts
 
 
 def reference_verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,

@@ -52,6 +52,22 @@ def test_validate_rejects_constant_formulas(fig1):
             dataclasses.replace(fig1, delta=tuple(delta)).validate()
 
 
+def test_validate_rejects_bad_shapes(fig1):
+    # a row one letter short, an initial state that does not exist, and a
+    # clause naming state 9 of 9: each failed only later with IndexError
+    short = list(fig1.delta)
+    short[1] = short[1][:-1]
+    beyond = list(fig1.delta)
+    beyond[1] = ((fig1.delta[1][0][0] | 1 << fig1.n_states,),) + beyond[1][1:]
+    for bad in (dataclasses.replace(fig1, delta=tuple(short)),
+                dataclasses.replace(fig1, initial=42),
+                dataclasses.replace(fig1, delta=tuple(beyond))):
+        with pytest.raises(AssertionError):
+            bad.validate()
+        with pytest.raises(AssertionError):
+            build_chain(bad)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(st.frozensets(st.integers(0, 7)), max_size=10))
 def test_minimal_sets_match_reference(family):

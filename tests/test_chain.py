@@ -2,6 +2,7 @@
 colors, differential verification, and the serialization round-trips."""
 
 import json
+import random
 
 import pytest
 
@@ -9,16 +10,17 @@ import cocoa.awa
 import cocoa.floating
 import cocoa.formula
 from cocoa import (
-    Alphabet, ChainConfig, Cocoa, LassoWord, ResourceLimit, build_chain,
+    Alphabet, ChainConfig, Cocoa, LassoWord, Lassos, ResourceLimit, build_chain,
     build_chain_for_formula, chain_from_json, chain_to_json, det_edges,
     dfw_accepts_lasso, dfw_accepts_lassos, dfw_to_hd_ncw,
-    drop_accepting_transition, eval_lassos, from_ltl, level_to_hoa,
+    drop_accepting_transition, enumerate_lassos, eval_lassos, from_ltl, level_to_hoa,
     lower_bound_alphabet, lower_bound_family, natural_color, parse_lasso,
     parse_ltl, to_nnf, verify_chain,
 )
 
 from conftest import (
-    formula_corpus, lassos_up_to, ncw_accepts_lasso, reference_verify_chain,
+    formula_corpus, lassos_up_to, ncw_accepts_lasso, reference_dfw_accepts_lassos,
+    reference_verify_chain,
 )
 from test_chain_bytes import workloads
 from test_tracing_hooks import counting_calls
@@ -100,6 +102,38 @@ def test_dfw_accepts_lassos_rejects_other_letter_numbers(golden_chains):
     same = lassos_up_to(Alphabet(alpha.aps, alpha.letters), 1, 2)
     assert dfw_accepts_lassos(d, chain.sltm, same) == \
         dfw_accepts_lassos(d, chain.sltm, lassos_up_to(alpha, 1, 2))
+
+
+def golden_and_mutants(golden_chains):
+    for text, _aps, _levels in GOLDEN:
+        chain, _f = golden_chains[text]
+        yield text, chain
+        yield text + " (mutant)", drop_accepting_transition(chain)
+
+
+def test_dfw_accepts_lassos_matches_forward_reference(golden_chains):
+    # on suites where each lasso has positions of its own, the backward
+    # fixpoint agrees with the forward walk it replaced
+    rng = random.Random(5)
+    for text, chain in golden_and_mutants(golden_chains):
+        words = list(lassos_up_to(chain.alphabet, 1, 2))
+        for lassos in [Lassos.of(words)] + [Lassos.of(rng.choices(words, k=12))
+                                             for _ in range(4)]:
+            for d, _ in chain.levels:
+                assert dfw_accepts_lassos(d, chain.sltm, lassos) == \
+                    reference_dfw_accepts_lassos(d, chain.sltm, lassos), text
+
+
+def test_dfw_accepts_lassos_on_shared_suffixes(golden_chains):
+    # every lasso of an enumerated suite, whose bits share suffixes, is
+    # accepted exactly when it is accepted on its own
+    for text, chain in golden_and_mutants(golden_chains):
+        bounds = (2, 3) if len(chain.alphabet.letters) <= 4 else (1, 2)
+        lassos = enumerate_lassos(chain.alphabet, *bounds)
+        for d, _ in chain.levels:
+            got = dfw_accepts_lassos(d, chain.sltm, lassos)
+            assert [bool(got >> off & 1) for off in lassos.offsets] == \
+                [dfw_accepts_lasso(d, chain.sltm, w) for w in lassos], text
 
 
 def test_hdncw_structure(golden_chains):

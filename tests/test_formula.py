@@ -19,7 +19,7 @@ from cocoa.formula import (
 
 from conftest import (
     AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to, letter_at,
-    reference_enumerate_lassos, reference_eval_lasso,
+    reference_enumerate_lassos, reference_eval_lasso, reference_pack,
 )
 
 
@@ -188,6 +188,58 @@ def test_eval_lassos_matches_reference_bit_for_bit(f, words):
     want = sum(1 << off for off, w in zip(lassos.offsets, words) if reference_eval_lasso(f, w))
     assert got == want
     assert [lassos[i] for i in range(len(words))] == words
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_short_lassos, min_size=1, max_size=8))
+def test_lassos_of_packs_like_the_string_packer(words):
+    lassos = Lassos.of(words)
+    assert (lassos.full, lassos.rows, lassos.starts, lassos.inner, lassos.moves) == \
+        reference_pack(words)
+
+
+# one letter (a restricted alphabet), two letters and four letters
+_SUITE_ALPHABETS = [Alphabet.restricted(["a"], [{"a"}]), Alphabet.from_aps(["a"]), AB]
+
+
+def suffix_of(w: LassoWord) -> tuple[tuple, tuple]:
+    """The normal form of the word after the first letter of a lasso."""
+    if w.prefix:
+        return canonical_lasso(w.prefix[1:], w.period)
+    return canonical_lasso((), w.period[1:] + w.period[:1])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(_SUITE_ALPHABETS), st.integers(0, 3), st.integers(1, 3), _formulas,
+       st.randoms(use_true_random=False))
+def test_enumerated_suite_shares_suffixes(alpha, prefix_bound, period_bound, f, rng):
+    lassos = enumerate_lassos(alpha, prefix_bound, period_bound)
+    words = list(lassos)
+    offsets = lassos.offsets
+    assert len(lassos) == len(words) == len(offsets) == len(set(offsets))
+    assert lassos.starts == sum(1 << off for off in offsets)
+    at = {(w.prefix, w.period): off for w, off in zip(words, offsets)}
+    for w, off in zip(words, offsets):
+        assert lassos.next(1 << at[suffix_of(w)]) >> off & 1, w.text()
+    # the same lassos each on their own bits, in the layout that
+    # test_eval_lassos_matches_reference_bit_for_bit checks
+    alone = Lassos.of(words)
+    got, want = eval_lassos(f, lassos), eval_lassos(f, alone)
+    assert [got >> off & 1 for off in offsets] == [want >> off & 1 for off in alone.offsets]
+    assert got & ~lassos.starts == 0
+    for i in rng.sample(range(len(words)), min(20, len(words))):
+        assert bool(got >> offsets[i] & 1) == reference_eval_lasso(f, words[i])
+    chosen = rng.sample(range(len(words)), min(3, len(words)))
+    assert lassos.first(sum(1 << offsets[i] for i in chosen)) == \
+        (offsets[min(chosen)], words[min(chosen)])
+    with pytest.raises(ValueError):
+        lassos.first(lassos.full ^ lassos.starts)
+
+
+def test_enumerated_suite_size():
+    # one bit per lasso plus the non-normal x.v^omega kept for uniform copies
+    assert enumerate_lassos(AB, 2, 3).full.bit_length() <= 1596
+    assert enumerate_lassos(Alphabet.from_aps(["a", "b", "c"]), 2, 3).full.bit_length() <= 41464
 
 
 def test_lasso_parse_and_text():

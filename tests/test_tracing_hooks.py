@@ -35,7 +35,8 @@ def counting_calls(fns: dict):
         sys.setprofile(None)
 
 
-def test_tracer_hooks_see_the_calls(monkeypatch):
+def installed_tracer(monkeypatch):
+    """The benchmark's tracer, installed until the end of the test."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import WRAPPED, Tracer
 
@@ -44,10 +45,15 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
         assert callable(getattr(mod, attr, None)), f"{module}.{attr} no longer resolves"
         # registers the original so that it is put back after the test
         monkeypatch.setattr(mod, attr, getattr(mod, attr))
-    originals = {"obligation.minimal_models": cocoa.obligation.minimal_models,
-                 "sltm.labels_equivalent": cocoa.sltm.labels_equivalent}
     tracer = Tracer()
     tracer.install()
+    return tracer
+
+
+def test_tracer_hooks_see_the_calls(monkeypatch):
+    originals = {"obligation.minimal_models": cocoa.obligation.minimal_models,
+                 "sltm.labels_equivalent": cocoa.sltm.labels_equivalent}
+    tracer = installed_tracer(monkeypatch)
 
     f = parse_ltl("G (a -> F b)", ["a", "b"])
     a = cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"]))
@@ -63,3 +69,18 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
     assert traced["sltm.labels_equivalent"] > 1
     assert tracer.calls["awa.winning_state_positions"][0] > 0
     assert traced == actual
+
+
+def test_tracer_sees_one_suite_per_verify(monkeypatch):
+    # formula.enumerate_lassos_s reads the suite build at the name
+    # cocoa.chain.enumerate_lassos, below the chain.verify_chain span
+    f = parse_ltl("GF a -> GF b", ["a", "b"])
+    a = cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"]))
+    chain = cocoa.chain.build_chain(a, formula=f)
+    tracer = installed_tracer(monkeypatch)
+    assert cocoa.chain.verify_chain(chain, f, 2, 3).ok
+    assert tracer.calls["formula.enumerate_lassos"][0] == 1
+    names = [span[0] for span in tracer.spans]
+    assert names.count("chain.verify_chain") == 1
+    suite = tracer.spans[names.index("formula.enumerate_lassos")]
+    assert tracer.spans[suite[3]][0] == "chain.verify_chain"
