@@ -25,7 +25,7 @@ from .formula import (
 from .floating import dfw_accepts_lasso  # noqa: F401
 from .formula import eval_lasso  # noqa: F401
 from .obligation import miyano_hayashi
-from .sltm import Sltm, build_canonical_sltm, sltm_from_json, sltm_to_json
+from .sltm import Sltm, build_canonical_sltm, require_keys, sltm_from_json, sltm_to_json
 
 
 # a guard against a level loop that never comes out empty
@@ -121,8 +121,7 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
     checkpoint(g_neg.n_vertices, "complement obligation graph")
     g_pos = miyano_hayashi(a)
     checkpoint(g_pos.n_vertices, "obligation graph")
-    m = build_canonical_sltm(a, g_neg=g_neg, g_pos=g_pos,
-                             check_single_step=cfg.check_single_step)
+    m = build_canonical_sltm(a, g_neg, g_pos, check_single_step=cfg.check_single_step)
     checkpoint(m.n_states, "suffix-language tracking machine")
 
     levels: list[tuple[Dfw, HdNcw]] = []
@@ -131,7 +130,7 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
     while True:
         if ell > MAX_LEVELS:
             raise ResourceLimit(f"more than {MAX_LEVELS} levels", levels)
-        nfw = level_product(prev, m, ell, g_neg, g_pos)
+        nfw = level_product(prev, m, ell)
         checkpoint(nfw.n_states, f"level {ell} product", levels)
         d = determinize(nfw, m)
         checkpoint(d.n_states, f"level {ell} determinization", levels)
@@ -216,7 +215,7 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     """
     t0 = time.monotonic()
     lassos = enumerate_lassos(chain.alphabet, prefix_bound, period_bound)
-    member = eval_lassos(to_nnf(f), lassos)
+    member = eval_lassos(f, lassos)
     accepted = [dfw_accepts_lassos(d, chain.sltm, lassos) for d, _ in chain.levels]
     even = lassos.starts
     for i, a in enumerate(accepted, start=1):
@@ -283,17 +282,25 @@ def chain_to_json(chain: Cocoa) -> dict:
 
 def chain_from_json(data: dict) -> Cocoa:
     """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
-    not a chain dump, a state or letter number is out of range, a level
-    transition disagrees with the SLTM labels, or a level origin does not
+    not a chain dump, a key is missing, ``k`` is not the number of levels,
+    the SLTM (``sltm_from_json``) is malformed or has another alphabet, a
+    state or letter number is out of range, a level transition is given
+    twice or disagrees with the SLTM labels, or a level origin does not
     pair a state of the previous level carrying the same label with
     vertices of that label's set in the level's obligation graph."""
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
-    alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    require_keys(data, "aps", "letters", "k", "sltm", "levels")
+    if data["k"] != len(data["levels"]):
+        raise ValueError(f"k is {data['k']} for {len(data['levels'])} levels")
     m = sltm_from_json(data["sltm"])
+    alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    if alphabet != m.alphabet:
+        raise ValueError("the chain and its SLTM have different alphabets")
     levels = []
     prev = universal_dfw(m)
     for ell, lvl in enumerate(data["levels"], start=1):
+        require_keys(lvl, "states", "f", "origin", "delta")
         n, k = lvl["states"], len(alphabet.letters)
         label = tuple(lvl["f"])
         if len(label) != n or not all(0 <= s < m.n_states for s in label):
@@ -305,8 +312,10 @@ def chain_from_json(data: dict) -> Cocoa:
                 raise ValueError(f"level transition {[q, i, dst]} is out of range")
             if label[dst] != m.delta[label[q]][i]:
                 raise ValueError(f"level transition {[q, i, dst]} disagrees with the SLTM labels")
+            if trans[q][i] is not None:
+                raise ValueError(f"level transition {[q, i]} is given twice")
             trans[q][i] = dst
-        vsets = m.vertex_sets_neg if ell % 2 == 1 else m.vertex_sets_pos
+        _g, vsets = m.side(ell)
         origin = tuple((p, frozenset(vs)) for p, vs in lvl["origin"])
         if len(origin) != n:
             raise ValueError(f"{len(origin)} level origins for {n} states")

@@ -22,7 +22,6 @@ from typing import Iterator
 
 from ._graph import cyclic_sccs
 from .formula import Alphabet, LassoWord, Lassos, letter_text
-from .obligation import ObligationGraph
 from .sltm import Sltm
 
 Payload = tuple[int | None, frozenset[int]]
@@ -113,15 +112,13 @@ def _strip_transient(d: Dfw) -> Dfw:
     )
 
 
-def level_product(prev: Dfw, m: Sltm, ell: int, g_neg: ObligationGraph,
-                  g_pos: ObligationGraph) -> Nfw:
+def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
     """Unabridged product of the previous level with the obligation graph of
-    the level's polarity, then pruning: transient parts removed and only
-    SCCs containing an accepting graph vertex kept."""
+    the level's polarity (``Sltm.side``), then pruning: transient parts
+    removed and only SCCs containing an accepting graph vertex kept."""
     if ell < 1:
         raise ValueError("levels start at 1")
-    g = g_neg if ell % 2 == 1 else g_pos
-    vsets = m.vertex_sets_neg if ell % 2 == 1 else m.vertex_sets_pos
+    g, vsets = m.side(ell)
 
     ids: dict[tuple[int, int], int] = {}
     states: list[tuple[int, int]] = []

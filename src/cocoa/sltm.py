@@ -10,8 +10,9 @@ merges each successor set into the state of an equivalent label, decided
 with an alternating-automaton emptiness check.  Each build owns one
 ``LanguageOracle``: the breakpoint graph over the automaton and its dual,
 explored only as far as the checks reach, whose emptiness verdicts every
-check of that build shares.  Candidate states are bucketed by signature,
-the label's membership of each lasso in a battery that starts empty; every
+check of that build shares.  A candidate is checked only against the state
+of its signature, the label's membership of each lasso in a battery that
+starts empty; each signature names at most one state, and every
 inequivalent pair the check meets adds a lasso that tells the two apart,
 read off the nonempty half of their difference.
 Both vertex sets of a state then come from a product sweep of the machine
@@ -28,7 +29,7 @@ from .awa import (
     state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
-from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi
+from .obligation import Breakpoint, BreakpointGraph, ObligationGraph
 
 
 class IncompatibleAutomata(Exception):
@@ -77,11 +78,6 @@ def _holds(label: Label, win0: int) -> bool:
 
 
 # --- label equivalence -------------------------------------------------------
-
-
-def _syntactic_subset(l1: Label, l2: Label) -> bool:
-    # every union of l2 weakens some union of l1, hence [[l1]] within [[l2]]
-    return all(any(u1 & u2 == u1 for u1 in l1.unions) for u2 in l2.unions)
 
 
 class LanguageOracle(BreakpointGraph):
@@ -146,13 +142,11 @@ def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
 
     Both halves of the symmetric difference are tested for emptiness on the
     oracle's breakpoint graph over the automaton and its dual (the
-    alternating encoding of (l1 and not l2) or (l2 and not l1)); syntactic
-    containment both ways short-cuts the check.
+    alternating encoding of (l1 and not l2) or (l2 and not l1)).  Labels are
+    canonical, so equal ones short-cut the check.
     """
     _check_states((l1, l2), oracle.a)
     if l1 == l2:
-        return True
-    if _syntactic_subset(l1, l2) and _syntactic_subset(l2, l1):
         return True
     if oracle.nonempty_from(oracle.difference_roots(l1, l2)):
         return False
@@ -212,43 +206,42 @@ class Sltm:
     g_neg: ObligationGraph | None = None
     g_pos: ObligationGraph | None = None
 
+    def side(self, ell: int) -> tuple[ObligationGraph | None, tuple[frozenset[int], ...]]:
+        """The obligation graph of level ell's polarity and the vertex sets
+        in it: the complement graph on odd levels, the positive one on even
+        levels."""
+        if ell % 2 == 1:
+            return self.g_neg, self.vertex_sets_neg
+        return self.g_pos, self.vertex_sets_pos
 
-def build_canonical_sltm(
-    a: Awa,
-    g_neg: ObligationGraph | None = None,
-    g_pos: ObligationGraph | None = None,
-    check_single_step: bool = True,
-) -> Sltm:
-    """Subset construction over the complement obligation graph that keeps
-    one state per label-equivalence class.
+
+def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
+                         check_single_step: bool = True) -> Sltm:
+    """Subset construction over the complement obligation graph ``g_neg``
+    that keeps one state per label-equivalence class.
 
     Each state keeps the first vertex set that reached it as its
     representative.  The machine is Moore in its labels, so stepping the
     representative gives the successor class of every member; each
     successor set joins the class of an equivalent label or starts a new
-    one.  Only states whose signature matches are checked for
+    one.  Each signature names at most one state, the only one checked for
     equivalence; each check that fails adds its distinguishing lasso to
-    the signature battery and re-buckets the states, so no pair is
-    rejected twice.  Representatives are pairwise inequivalent and
-    equivalent labels share every signature, so the class found does not
-    depend on the battery.  Breadth-first order numbers states by their
-    shortlex-least access words.  Each state's vertex sets, in both
-    graphs, are the vertices reachable together with it: a product sweep
-    of the finished machine with each graph.
+    the signature battery, so no pair is rejected twice.  Representatives
+    are pairwise inequivalent and equivalent labels share every signature,
+    so the class found does not depend on the battery.  Breadth-first
+    order numbers states by their shortlex-least access words.  Each
+    state's vertex sets, in both graphs, are the vertices reachable
+    together with it: a product sweep of the finished machine with each
+    graph.
 
     ``check_single_step`` additionally asserts, per canonical transition,
     that the successor's label is equivalent to the suffix of the source
     label (the single-step soundness condition of the construction).
     """
-    if g_neg is None:
-        g_neg = miyano_hayashi(a.dual)
-    if g_pos is None:
-        g_pos = miyano_hayashi(a)
-
     # cheap pre-partition: membership bits over a battery of lassos that
     # starts empty and gains, per inequivalent pair met, a lasso telling
-    # the two apart; equivalent labels always share a signature.  Each
-    # state keeps its signature, so a new lasso costs one bit per state.
+    # the two apart; equivalent labels always share a signature.  A new
+    # lasso costs one bit per state's signature.
     winners: list[int] = []
     oracle = LanguageOracle(a)
     equiv_cache: dict[tuple[Label, Label], bool] = {}
@@ -265,49 +258,31 @@ def build_canonical_sltm(
 
     reps: list[frozenset[int]] = []
     rep_labels: list[Label] = []
-    sigs: list[tuple[bool, ...]] = []
     state_of: dict[frozenset[int], int] = {}
-    by_label: dict[Label, int] = {}
-    buckets: dict[tuple[bool, ...], list[int]] = {}
-
-    def refine(label: Label, sig: tuple[bool, ...], sid: int) -> tuple[bool, ...]:
-        # one more battery lasso, told apart by the label and state sid: one
-        # more bit per state's signature and on the label's, which is returned
-        win = _initial_winners(a, distinguishing_lasso(label, rep_labels[sid], oracle))
-        winners.append(win)
-        buckets.clear()
-        for s, l in enumerate(rep_labels):
-            sigs[s] += (_holds(l, win),)
-            buckets.setdefault(sigs[s], []).append(s)
-        sig += (_holds(label, win),)
-        if sig[-1] == sigs[sid][-1]:
-            raise AssertionError("a distinguishing lasso is in both labels or in neither")
-        return sig
+    by_sig: dict[tuple[bool, ...], int] = {}
 
     def classify(vs: frozenset[int]) -> int:
+        nonlocal by_sig
         sid = state_of.get(vs)
         if sid is not None:
             return sid
         label = label_of(vs, g_neg)
-        sid = by_label.get(label)
+        # the state whose label is equivalent; a state rejected adds a
+        # battery lasso, one more bit on every signature, that tells it and
+        # the label apart
+        sig = tuple(_holds(label, win) for win in winners)
+        while (sid := by_sig.get(sig)) is not None and not equivalent(label, rep_labels[sid]):
+            win = _initial_winners(a, distinguishing_lasso(label, rep_labels[sid], oracle))
+            if _holds(label, win) == _holds(rep_labels[sid], win):
+                raise AssertionError("a distinguishing lasso is in both labels or in neither")
+            winners.append(win)
+            by_sig = {sg + (_holds(rep_labels[s], win),): s for sg, s in by_sig.items()}
+            sig += (_holds(label, win),)
         if sid is None:
-            # the state whose label is equivalent; every candidate rejected
-            # refines the signatures, which moves the label out of its bucket
-            sig = tuple(_holds(label, win) for win in winners)
-            while True:
-                bucket = buckets.get(sig)
-                if not bucket:
-                    sid = len(reps)
-                    reps.append(vs)
-                    rep_labels.append(label)
-                    sigs.append(sig)
-                    buckets[sig] = [sid]
-                    break
-                if equivalent(label, rep_labels[bucket[0]]):
-                    sid = bucket[0]
-                    break
-                sig = refine(label, sig, bucket[0])
-            by_label[label] = sid
+            sid = len(reps)
+            reps.append(vs)
+            rep_labels.append(label)
+            by_sig[sig] = sid
         state_of[vs] = sid
         return sid
 
@@ -377,11 +352,29 @@ def sltm_to_json(m: Sltm) -> dict:
     }
 
 
+def require_keys(data: dict, *keys: str) -> None:
+    """Raise ValueError unless a dump has every one of the keys."""
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"the dump has no {', '.join(missing)}")
+
+
 def sltm_from_json(data: dict) -> Sltm:
     """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
+    key is missing, a letter is listed twice or uses undeclared
+    propositions, the labels or vertex sets are not one per state, or a
     state or letter number is out of range."""
+    require_keys(data, "aps", "letters", "states", "initial", "labels",
+                 "vertex_sets_neg", "vertex_sets_pos", "delta")
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    if len(set(alphabet.letters)) != len(alphabet.letters):
+        raise ValueError(f"a letter is listed twice in {data['letters']}")
+    if not all(x <= set(alphabet.aps) for x in alphabet.letters):
+        raise ValueError(f"a letter of {data['letters']} uses undeclared propositions")
     n = data["states"]
+    for key in ("labels", "vertex_sets_neg", "vertex_sets_pos"):
+        if len(data[key]) != n:
+            raise ValueError(f"{len(data[key])} {key} for {n} states")
     delta = tuple(map(tuple, data["delta"]))
     if not 0 <= data["initial"] < n:
         raise ValueError(f"initial state {data['initial']} is not one of {n} states")

@@ -1,12 +1,12 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-the lasso position helpers, the test-only lasso membership checks of an
-AWA, a label, an NFW and an HD-NCW, the reference lasso evaluator, the
-per-lasso reference verifier, the reference game solver, the reference
-lasso enumeration, the string packer and the forward DFW acceptance that
-``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset references
-for subsumption, dualization and the breakpoint kernel, the eager
-reference emptiness check, and the two-pass reference for accepted
-lassos."""
+the SLTM builder over both obligation graphs, the lasso position helpers,
+the test-only lasso membership checks of an AWA, a label, an NFW and an
+HD-NCW, the reference lasso evaluator, the per-lasso reference verifier,
+the reference game solver, the reference lasso enumeration, the string
+packer and the forward DFW acceptance that ``Lassos.of`` and
+``dfw_accepts_lassos`` replaced, the frozenset references for
+subsumption, dualization and the breakpoint kernel, the eager reference
+emptiness check, and the two-pass reference for accepted lassos."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from cocoa.awa import (
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
 from cocoa.floating import Dfw, Nfw, det_edges, reach_back_rows, survival_rows
 from cocoa.obligation import BreakpointGraph, ObligationGraph, miyano_hayashi
-from cocoa.sltm import Label, Sltm, _holds, _initial_winners
+from cocoa.sltm import Label, Sltm, _holds, _initial_winners, build_canonical_sltm
 
 
 def random_nnf(rng: random.Random, size: int, aps):
@@ -195,6 +195,11 @@ def sltm_state_after(m: Sltm, word) -> int:
     for x in word:
         state = m.delta[state][m.alphabet.number[x]]
     return state
+
+
+def build_sltm(a: Awa, **kw) -> Sltm:
+    """The canonical SLTM of an automaton over both its obligation graphs."""
+    return build_canonical_sltm(a, miyano_hayashi(a.dual), miyano_hayashi(a), **kw)
 
 
 def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:

@@ -258,7 +258,8 @@ def test_verify_matches_reference_on_swapped_levels(golden_chains):
 def test_verify_chain_builds_no_words_but_its_counterexample():
     fns = {"LassoWord": LassoWord.__post_init__,
            "eval_lasso": cocoa.formula.eval_lasso,
-           "dfw_accepts_lasso": cocoa.floating.dfw_accepts_lasso}
+           "dfw_accepts_lasso": cocoa.floating.dfw_accepts_lasso,
+           "to_nnf": cocoa.formula.to_nnf}
     for f, aps in formula_corpus(10, seed=31):
         chain, _f = build(str(f), aps)
         if not chain.k:
@@ -266,11 +267,13 @@ def test_verify_chain_builds_no_words_but_its_counterexample():
         with counting_calls(fns) as calls:
             report = verify_chain(chain, f, 2, 3)
         assert report.ok
-        assert calls == {"LassoWord": 0, "eval_lasso": 0, "dfw_accepts_lasso": 0}
+        assert calls == {"LassoWord": 0, "eval_lasso": 0, "dfw_accepts_lasso": 0,
+                         "to_nnf": 0}
         with counting_calls(fns) as calls:
             report = verify_chain(drop_accepting_transition(chain), f, 2, 3)
         if report.counterexamples:
-            assert calls == {"LassoWord": 1, "eval_lasso": 0, "dfw_accepts_lasso": 0}
+            assert calls == {"LassoWord": 1, "eval_lasso": 0, "dfw_accepts_lasso": 0,
+                             "to_nnf": 0}
             return
     raise AssertionError("no mutant of the corpus had a counterexample")
 
@@ -339,14 +342,66 @@ BAD_NUMBERS = {
 }
 
 
-@pytest.mark.parametrize("edit", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
-def test_chain_from_json_rejects_numbers_out_of_range(golden_chains, edit):
-    chain, _f = golden_chains["FG a"]
+def assert_edit_rejected(chain, edit):
+    """The chain's dump loads, and raises ValueError once edited."""
     data = chain_to_json(chain)
     chain_from_json(json.loads(json.dumps(data)))
     edit(data)
     with pytest.raises(ValueError):
         chain_from_json(data)
+
+
+@pytest.mark.parametrize("edit", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_chain_from_json_rejects_numbers_out_of_range(golden_chains, edit):
+    assert_edit_rejected(golden_chains["FG a"][0], edit)
+
+
+def _drop(path):
+    """An edit of a chain dump: the entry at ``path`` removed."""
+    def edit(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        del data[last]
+    return edit
+
+
+def _both(*edits):
+    """The edits of a chain dump, one after another."""
+    def edit(data):
+        for e in edits:
+            e(data)
+    return edit
+
+
+# malformed edits of the FG a dump: its SLTM has 1 state and the letters
+# [] and [a]; level 1 has the transitions [0, 0, 0], [1, 0, 1], [1, 1, 1]
+BAD_DUMPS = {
+    "level transition given twice": _set(("levels", 0, "delta"),
+                                         [[0, 0, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1]]),
+    "SLTM aps differ": _set(("sltm", "aps"), ["a", "b"]),
+    "SLTM letters differ": _set(("sltm", "letters"), [["a"], []]),
+    "duplicate letters": _both(_set(("letters",), [[], []]),
+                               _set(("sltm", "letters"), [[], []])),
+    "undeclared letter": _both(_set(("letters",), [[], ["b"]]),
+                               _set(("sltm", "letters"), [[], ["b"]])),
+    "SLTM labels short": _set(("sltm", "labels"), []),
+    "SLTM labels extra": _set(("sltm", "labels"), [[[1]], [[1]]]),
+    "SLTM vertex_sets_neg empty": _set(("sltm", "vertex_sets_neg"), []),
+    "SLTM vertex_sets_pos extra": _set(("sltm", "vertex_sets_pos"), [[0, 1, 2], [0]]),
+    "k 1": _set(("k",), 1),
+    "k 3": _set(("k",), 3),
+    "no aps": _drop(("aps",)),
+    "no sltm": _drop(("sltm",)),
+    "no k": _drop(("k",)),
+    "no SLTM labels": _drop(("sltm", "labels")),
+    "no level delta": _drop(("levels", 0, "delta")),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_DUMPS.values(), ids=BAD_DUMPS)
+def test_chain_from_json_rejects_malformed_dumps(golden_chains, edit):
+    assert_edit_rejected(golden_chains["FG a"][0], edit)
 
 
 # edits that keep every number in range but contradict the SLTM: G a has
@@ -368,12 +423,7 @@ BAD_LEVELS = {
 
 @pytest.mark.parametrize("text,edit", BAD_LEVELS.values(), ids=BAD_LEVELS)
 def test_chain_from_json_rejects_levels_that_contradict_the_sltm(golden_chains, text, edit):
-    chain, _f = golden_chains[text]
-    data = chain_to_json(chain)
-    chain_from_json(json.loads(json.dumps(data)))
-    edit(data)
-    with pytest.raises(ValueError):
-        chain_from_json(data)
+    assert_edit_rejected(golden_chains[text][0], edit)
 
 
 def test_chain_from_json_accepts_built_chains():

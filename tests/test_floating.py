@@ -11,18 +11,17 @@ from cocoa import (
     Alphabet, det_edges, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
     level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
 )
-from cocoa.sltm import build_canonical_sltm
 
 from conftest import (
-    formula_corpus, lassos_up_to, nfw_accepts_lasso, prefixes_up_to,
-    sltm_state_after,
+    build_sltm, formula_corpus, lassos_up_to, nfw_accepts_lasso,
+    prefixes_up_to, sltm_state_after,
 )
 
 
 def setup_pipeline(text, aps):
     alpha = Alphabet.from_aps(aps)
     a = from_ltl(to_nnf(parse_ltl(text, aps)), alpha)
-    m = build_canonical_sltm(a)
+    m = build_sltm(a)
     return a, m
 
 
@@ -30,7 +29,7 @@ def levels_with_intermediates(m, count):
     prev = universal_dfw(m)
     out = []
     for ell in range(1, count + 1):
-        nfw = level_product(prev, m, ell, m.g_neg, m.g_pos)
+        nfw = level_product(prev, m, ell)
         det = determinize(nfw, m)
         mind = minimize_dfw(det, m)
         out.append((nfw, det, mind))
@@ -96,14 +95,14 @@ def test_level_one_languages_from_examples():
     # the first level of a safety property is the co-safety complement;
     # for a prefix-independent one it is universal
     a, m = setup_pipeline("G a", ["a"])
-    nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
+    nfw = level_product(universal_dfw(m), m, 1)
     d = minimize_dfw(determinize(nfw, m), m)
     oracle = to_nnf(parse_ltl("F !a", ["a"]))
     for w in lassos_up_to(m.alphabet, 2, 3):
         assert dfw_accepts_lasso(d, m, w) == eval_lasso(oracle, w)
 
     _a2, m2 = setup_pipeline("FG a", ["a"])
-    nfw2 = level_product(universal_dfw(m2), m2, 1, m2.g_neg, m2.g_pos)
+    nfw2 = level_product(universal_dfw(m2), m2, 1)
     d2 = minimize_dfw(determinize(nfw2, m2), m2)
     for w in lassos_up_to(m2.alphabet, 2, 3):
         assert dfw_accepts_lasso(d2, m2, w) is True
@@ -111,7 +110,7 @@ def test_level_one_languages_from_examples():
 
 def test_level_one_empty_for_tautology():
     _a, m = setup_pipeline("a | !a", ["a"])
-    nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
+    nfw = level_product(universal_dfw(m), m, 1)
     assert nfw.n_states == 0
     assert minimize_dfw(determinize(nfw, m), m).n_states == 0
 
@@ -126,7 +125,7 @@ def test_determinize_preserves_language():
 
 def test_determinize_empty_is_empty():
     _a, m = setup_pipeline("a | !a", ["a"])
-    nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
+    nfw = level_product(universal_dfw(m), m, 1)
     det = determinize(nfw, m)
     assert det.n_states == 0
 
@@ -177,7 +176,7 @@ def test_dfw_accepts_examples():
 
 def test_empty_dfw_rejects():
     _a, m = setup_pipeline("a | !a", ["a"])
-    nfw = level_product(universal_dfw(m), m, 1, m.g_neg, m.g_pos)
+    nfw = level_product(universal_dfw(m), m, 1)
     d = minimize_dfw(determinize(nfw, m), m)
     assert d.n_states == 0
     for w in lassos_up_to(m.alphabet, 1, 2):
@@ -188,11 +187,11 @@ def test_monotone_levels_on_corpus():
     for f, aps in formula_corpus(15, seed=61):
         alpha = Alphabet.from_aps(aps)
         a = from_ltl(to_nnf(f), alpha)
-        m = build_canonical_sltm(a)
+        m = build_sltm(a)
         chain = []
         prev = universal_dfw(m)
         for ell in range(1, 7):
-            d = minimize_dfw(determinize(level_product(prev, m, ell, m.g_neg, m.g_pos), m), m)
+            d = minimize_dfw(determinize(level_product(prev, m, ell), m), m)
             if d.n_states == 0:
                 break
             chain.append(d)
@@ -240,12 +239,12 @@ def test_label_check_fires_under_optimize():
         import sys
         from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
         from cocoa.floating import Dfw, _check_label_consistency
-        from cocoa.sltm import build_canonical_sltm
+        from conftest import build_sltm
 
         if sys.flags.optimize != 1:
             sys.exit(2)
         alpha = Alphabet.from_aps(["a"])
-        m = build_canonical_sltm(from_ltl(to_nnf(parse_ltl("G a", ["a"])), alpha))
+        m = build_sltm(from_ltl(to_nnf(parse_ltl("G a", ["a"])), alpha))
         # one state labeled with the initial SLTM state, looping on every
         # letter, although the letter {} leaves that SLTM state
         loops = ((0,) * len(alpha.letters),)
@@ -257,7 +256,8 @@ def test_label_check_fires_under_optimize():
         sys.exit(1)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cocoa.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
