@@ -2,11 +2,11 @@
 
 Covers construction from LTL (one state per subformula, expansion laws),
 dualization (complement), weakness checking, and acceptance of lassos by
-the word-checking game.  Weakness lets the game be solved one rank group at
-a time, sinks first (Muller, Saoudi and Schupp, 1986): an accepting group is
-a greatest fixpoint and a rejecting group a least fixpoint, iterated on bit
-rows with one bit per lasso position.  Emptiness is decided on the
-breakpoint graph (``obligation.BreakpointGraph``).
+the word-checking game.  Weakness lets the game be solved one strongly
+connected component at a time, sinks first (Muller, Saoudi and Schupp,
+1986): an accepting component is a greatest fixpoint and a rejecting one a
+least fixpoint, iterated on bit rows with one bit per lasso position.
+Emptiness is decided on the breakpoint graph (``obligation.BreakpointGraph``).
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ from .formula import (
 
 class NotNnf(Exception):
     pass
-
-
-class NotWeak(Exception):
-    """Some strongly connected component mixes accepting and rejecting states."""
-
-    def __init__(self, scc):
-        super().__init__(f"mixed SCC {sorted(scc)}")
 
 
 # --- state sets and CNF utilities -------------------------------------------
@@ -118,51 +111,57 @@ class Awa:
 
     ``delta[q][i]`` is the transition formula of state q on letter number i
     of the alphabet: a CNF of clause masks in canonical order, never
-    constant.  ``rank`` witnesses weakness (ranks never increase along
-    transitions and rank-equal states agree on acceptance); ``top``/
-    ``bottom`` are the accepting/rejecting sinks that stand for the
-    constant formulas.  ``winning_state_positions`` solves its game one
-    rank group at a time and is only correct when ``rank`` meets this
-    invariant, which ``validate`` checks.
+    constant; the states are the rows.  ``top``/``bottom`` are the
+    accepting/rejecting sinks that stand for the constant formulas.  The
+    automaton is weak when no strongly connected component (``components``)
+    mixes accepting and rejecting states, which ``validate`` checks and
+    ``winning_state_positions`` relies on.
     """
 
     alphabet: Alphabet
-    n_states: int
     initial: int
     delta: tuple[tuple[tuple[int, ...], ...], ...]
     accepting: frozenset[int]
-    rank: tuple[int, ...]
     top: int
     bottom: int
     state_names: tuple[str, ...]
 
+    @property
+    def n_states(self) -> int:
+        return len(self.delta)
+
     def validate(self) -> None:
         n, k = self.n_states, len(self.alphabet.letters)
-        if len(self.delta) != n or any(len(row) != k for row in self.delta):
+        if any(len(row) != k for row in self.delta):
             raise AssertionError(f"delta needs {n} rows of {k} formulas, one per letter")
         if not all(0 <= q < n for q in (self.initial, self.top, self.bottom)):
             raise AssertionError(f"initial, top and bottom must be states below {n}")
-        if len(self.rank) != n:
-            raise AssertionError(f"{len(self.rank)} ranks for {n} states")
+        if not all(0 <= q < n for q in self.accepting):
+            raise AssertionError(f"accepting states must be states below {n}")
+        if len(self.state_names) != n:
+            raise AssertionError(f"{len(self.state_names)} state names for {n} states")
         if any(c >> n for row in self.delta for p in row for c in p):
             raise AssertionError(f"a clause names a state beyond the {n} states")
         if self.top not in self.accepting or self.bottom in self.accepting:
             raise AssertionError("top must be accepting and bottom rejecting")
+        for s in (self.top, self.bottom):
+            if any(p != (1 << s,) for p in self.delta[s]):
+                raise AssertionError(f"sink {s} must move to itself on every letter")
         for q, row in enumerate(self.delta):
             if any(not p or 0 in p for p in row):
                 raise AssertionError(f"state {q} has a constant transition formula")
             if any(p != minimal_sets(p) for p in row):
                 raise AssertionError(f"state {q} has a transition formula out of canonical form")
-        for q, succ in enumerate(_edge_lists(self.delta)):
-            for q2 in succ:
-                if self.rank[q2] > self.rank[q]:
-                    raise AssertionError(f"rank increases along {q} -> {q2}")
-        by_rank: dict[int, set[bool]] = {}
-        for q in range(self.n_states):
-            by_rank.setdefault(self.rank[q], set()).add(q in self.accepting)
-        for r, flags in by_rank.items():
-            if len(flags) > 1:
-                raise AssertionError(f"rank {r} mixes accepting and rejecting states")
+        for comp in self.components:
+            if len({q in self.accepting for q in comp}) > 1:
+                raise AssertionError(f"component {list(comp)} mixes accepting and rejecting states")
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The strongly connected components of the state graph, each after
+        every component it reaches (sinks first), members sorted."""
+        succ = _edge_lists(self.delta)
+        return tuple(tuple(c) for c in tarjan_sccs(range(self.n_states), succ.__getitem__))
 
     @functools.cached_property
     def dual(self) -> "Awa":
@@ -179,19 +178,6 @@ def _edge_lists(delta) -> list[list[int]]:
                 seen |= c
         succ.append(list(mask_states(seen)))
     return succ
-
-
-def _scc_ranks(n_states, succ, accepting) -> list[int]:
-    """Distinct rank per SCC, increasing against edge direction; homogeneity
-    of each SCC is checked and violations reported via NotWeak."""
-    rank = [0] * n_states
-    for k, comp in enumerate(tarjan_sccs(range(n_states), succ.__getitem__)):
-        flags = {q in accepting for q in comp}
-        if len(flags) > 1:
-            raise NotWeak(comp)
-        for q in comp:
-            rank[q] = k
-    return rank
 
 
 def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
@@ -242,8 +228,7 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
 
     accepting = frozenset(
         {ids[g] for g in subs if g.kind not in (UNTIL, FINALLY)} | {top})
-    rank = tuple(_scc_ranks(n + 2, _edge_lists(delta), accepting))
-    return Awa(alphabet, n + 2, ids[f], delta, accepting, rank, top, bottom, names)
+    return Awa(alphabet, ids[f], delta, accepting, top, bottom, names)
 
 
 def dualize(a: Awa) -> Awa:
@@ -260,8 +245,7 @@ def dualize(a: Awa) -> Awa:
 
     delta = tuple(tuple(minimal_models(p) for p in row) for row in a.delta)
     accepting = frozenset(set(range(a.n_states)) - set(a.accepting))
-    d = Awa(a.alphabet, a.n_states, a.initial, delta, accepting, a.rank,
-            a.bottom, a.top, a.state_names)
+    d = Awa(a.alphabet, a.initial, delta, accepting, a.bottom, a.top, a.state_names)
     d.__dict__["dual"] = a
     return d
 
@@ -275,12 +259,12 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
     Returns one bit row per state: bit i is set when the acceptor wins from
     the state at lasso position i.  The rejector picks a clause of the
     transition formula, the acceptor a state inside it.  ``pre`` is the X
-    shift of the lasso as a one-lasso ``Lassos`` suite.  Rank
-    groups are solved in increasing order (sinks first), against the
-    transitions: successors of a lower rank are already final.  A play that
-    stays in one group forever is won exactly when the group is accepting,
-    so an accepting group is a greatest fixpoint (from all ones) and a
-    rejecting group a least fixpoint (from zero).
+    shift of the lasso as a one-lasso ``Lassos`` suite.  The components
+    are solved in ``Awa.components`` order (sinks first), against the
+    transitions: successors outside a component are already final.  A play
+    that stays in one component forever is won exactly when the component
+    is accepting, so an accepting component is a greatest fixpoint (from
+    all ones) and a rejecting one a least fixpoint (from zero).
 
     The lasso's letter numbers must be the automaton's: raises ValueError
     when the two alphabets list their letters differently.
@@ -289,17 +273,12 @@ def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
         raise ValueError("the lasso and the automaton number their letters differently")
     lassos = Lassos.of([w])
     full = lassos.full
-    groups: dict[int, list[int]] = {}
-    for q in range(a.n_states):
-        groups.setdefault(a.rank[q], []).append(q)
-
     win = [0] * a.n_states
     pre = [0] * a.n_states  # pre[q] bit i: q wins at the successor of i
-    for r in sorted(groups):
-        group = groups[r]
-        start = full if group[0] in a.accepting else 0
+    for comp in a.components:
+        start = full if comp[0] in a.accepting else 0
         moves = []
-        for q in group:
+        for q in comp:
             win[q] = pre[q] = start
             moves.append((q, [(m, [mask_states(c) for c in p])
                               for p, m in zip(a.delta[q], lassos.rows) if m]))

@@ -285,9 +285,10 @@ def chain_from_json(data: dict) -> Cocoa:
     not a chain dump, a key is missing, ``k`` is not the number of levels,
     the SLTM (``sltm_from_json``) is malformed or has another alphabet, a
     state or letter number is out of range, a level transition is given
-    twice or disagrees with the SLTM labels, or a level origin does not
+    twice or disagrees with the SLTM labels, a level origin does not
     pair a state of the previous level carrying the same label with
-    vertices of that label's set in the level's obligation graph."""
+    vertices of that label's set in the level's obligation graph, or the
+    formula does not parse over the chain's propositions."""
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     require_keys(data, "aps", "letters", "k", "sltm", "levels")
@@ -335,9 +336,12 @@ def chain_from_json(data: dict) -> Cocoa:
         prev = d
     formula = None
     if data.get("formula"):
-        from .formula import parse_ltl
+        from .formula import InvalidParameter, ParseError, parse_ltl
 
-        formula = parse_ltl(data["formula"], data["aps"])
+        try:
+            formula = parse_ltl(data["formula"], data["aps"])
+        except (ParseError, InvalidParameter) as exc:
+            raise ValueError(f"formula {data['formula']!r} does not parse: {exc}") from exc
     return Cocoa(alphabet=alphabet, sltm=m, levels=tuple(levels),
                  formula=formula, awa=None)
 

@@ -161,14 +161,17 @@ def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
 
 
 def determinize(n: Nfw, m: Sltm) -> Dfw:
-    """Per-state subset construction, with subsets collapsed to a previous
-    DFW state plus a set of graph vertices, and duplicates shared.  States
-    are numbered as they are found and expanded in id order, one row each."""
-    ids: dict[tuple[int, frozenset[int]], int] = {}
-    states: list[tuple[int, frozenset[int]]] = []
+    """Per-state subset construction: a DFW state is a set of NFW states,
+    and its row is the union of its members' rows.  The previous level is
+    deterministic, so the members share one previous state and the set
+    stands for that state plus a set of graph vertices.  States are
+    numbered as they are found, the singletons first in NFW order, and
+    expanded in id order, one row each."""
+    ids: dict[frozenset[int], int] = {}
+    states: list[frozenset[int]] = []
     trans: list[tuple[int | None, ...]] = []
 
-    def intern(key: tuple[int, frozenset[int]]) -> int:
+    def intern(key: frozenset[int]) -> int:
         got = ids.get(key)
         if got is None:
             got = len(states)
@@ -176,34 +179,23 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
             states.append(key)
         return got
 
-    # the product numbers its (p, v) pairs by p, then by v, and pruning
-    # keeps that order
-    for p, v in n.origin:
-        intern((p, frozenset({v})))
+    for q in range(n.n_states):
+        intern(frozenset({q}))
 
-    nfw_by_pv = {n.origin[q]: q for q in range(n.n_states)}
     while len(trans) < len(states):
-        p, vs = states[len(trans)]
-        rows = [n.trans[nfw_by_pv[(p, v)]] for v in sorted(vs)]
         row = []
-        for per_letter in zip(*rows):
-            # the previous level is deterministic, so every successor
-            # shares one previous state p2
-            p2 = None
-            out: set[int] = set()
-            for dsts in per_letter:
-                for q2 in dsts:
-                    p2, v2 = n.origin[q2]
-                    out.add(v2)
-            row.append(intern((p2, frozenset(out))) if out else None)
+        for per_letter in zip(*(n.trans[q] for q in states[len(trans)])):
+            out = frozenset(q2 for dsts in per_letter for q2 in dsts)
+            row.append(intern(out) if out else None)
         trans.append(tuple(row))
 
     d = Dfw(
         alphabet=m.alphabet,
         n_states=len(states),
-        label=tuple(n.label[nfw_by_pv[(p, min(vs))]] for (p, vs) in states),
+        label=tuple(n.label[min(key)] for key in states),
         trans=tuple(trans),
-        origin=tuple((p, vs) for (p, vs) in states),
+        origin=tuple((n.origin[min(key)][0], frozenset(n.origin[q][1] for q in key))
+                     for key in states),
     )
     _check_label_consistency(d, m)
     return d

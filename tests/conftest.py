@@ -1,12 +1,13 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-the SLTM builder over both obligation graphs, the lasso position helpers,
-the test-only lasso membership checks of an AWA, a label, an NFW and an
-HD-NCW, the reference lasso evaluator, the per-lasso reference verifier,
-the reference game solver, the reference lasso enumeration, the string
-packer and the forward DFW acceptance that ``Lassos.of`` and
-``dfw_accepts_lassos`` replaced, the frozenset references for
-subsumption, dualization and the breakpoint kernel, the eager reference
-emptiness check, and the two-pass reference for accepted lassos."""
+random weak automata, the SLTM builder over both obligation graphs, the
+lasso position helpers, the test-only lasso membership checks of an AWA,
+a label, an NFW and an HD-NCW, the reference lasso evaluator, the
+per-lasso reference verifier, the reference game solver, the reference
+lasso enumeration, the string packer and the forward DFW acceptance that
+``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
+references for subsumption, dualization and the breakpoint kernel, the
+eager reference emptiness check, and the two-pass reference for accepted
+lassos."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from cocoa.formula import (
 )
 from cocoa._graph import cyclic_sccs, lasso_letters, tarjan_sccs
 from cocoa.awa import (
-    Awa, _edge_lists, _scc_ranks, mask_states, minimal_sets, state_mask,
+    Awa, mask_states, minimal_sets, state_mask,
     winning_state_positions,
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
@@ -85,10 +86,8 @@ def build_fig1() -> Awa:
         row(lambda a, b: c({BOT})),                       # BOT
     )
     accepting = frozenset({F1, G0, G2, TOP})
-    succ = _edge_lists(delta)
-    rank = tuple(_scc_ranks(9, succ, accepting))
     names = ("i0", "f0", "f1", "f2", "g0", "g1", "g2", "TOP", "BOT")
-    a = Awa(alphabet, 9, I0, delta, accepting, rank, TOP, BOT, names)
+    a = Awa(alphabet, I0, delta, accepting, TOP, BOT, names)
     a.validate()  # no constant formula
     return a
 
@@ -114,6 +113,36 @@ _ab_letters = st.sampled_from(AB.letters)
 ab_lassos = st.builds(
     lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
     st.lists(_ab_letters, max_size=4), st.lists(_ab_letters, min_size=1, max_size=5))
+
+
+@st.composite
+def weak_awas(draw) -> Awa:
+    """Random weak automata over 1-2 propositions: 2-5 states in ordered
+    blocks of one acceptance flag each, moving only inside their own block,
+    to an earlier block or to the sinks, so that components may hold
+    several states and never mix acceptance.  The last state is initial,
+    since it may reach every block."""
+    alphabet = Alphabet.from_aps(["a", "b"][:draw(st.integers(1, 2))])
+    n = draw(st.integers(2, 5))
+    top, bottom = n, n + 1
+    starts = [True] + draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    accepting, block_end = {top}, [n] * n
+    for q in range(n):
+        first = max(p for p in range(q + 1) if starts[p])
+        if flags[first]:
+            accepting.add(q)
+        block_end[q] = next((p for p in range(q + 1, n) if starts[p]), n)
+    delta = []
+    for q in range(n):
+        targets = list(range(block_end[q])) + [top, bottom]
+        clauses = st.lists(st.frozensets(st.sampled_from(targets), min_size=1, max_size=3),
+                           min_size=1, max_size=3)
+        delta.append(tuple(minimal_sets(map(state_mask, draw(clauses)))
+                           for _ in alphabet.letters))
+    delta += [((1 << s,),) * len(alphabet.letters) for s in (top, bottom)]
+    names = tuple(f"q{q}" for q in range(n)) + ("TOP", "BOT")
+    return Awa(alphabet, n - 1, tuple(delta), frozenset(accepting), top, bottom, names)
 
 
 def letters(w: LassoWord) -> tuple[frozenset[str], ...]:

@@ -17,9 +17,8 @@ from cocoa import (
 )
 import cocoa
 from cocoa.awa import (
-    CNF_FALSE, CNF_TRUE, Awa, NotNnf, NotWeak, _edge_lists, _scc_ranks,
-    awa_to_dot, finalize_pcnf, from_ltl as _from_ltl, mask_states,
-    minimal_sets, state_mask,
+    CNF_FALSE, CNF_TRUE, Awa, NotNnf, awa_to_dot, finalize_pcnf, from_ltl as _from_ltl,
+    mask_states, minimal_sets, state_mask,
 )
 from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
@@ -30,7 +29,7 @@ from cocoa.obligation import minimal_models
 from conftest import (
     AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
     reference_dual, reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
-    reference_winning_state_positions, row_pairs,
+    reference_winning_state_positions, row_pairs, weak_awas,
 )
 
 
@@ -53,15 +52,18 @@ def test_validate_rejects_constant_formulas(fig1):
 
 
 def test_validate_rejects_bad_shapes(fig1):
-    # a row one letter short, an initial state that does not exist, and a
-    # clause naming state 9 of 9: each failed only later with IndexError
+    # a row one letter short, an initial state that does not exist, a
+    # clause naming state 9 of 9, an accepting state -1 and one state name
+    # short: each failed only later with IndexError or ValueError
     short = list(fig1.delta)
     short[1] = short[1][:-1]
     beyond = list(fig1.delta)
     beyond[1] = ((fig1.delta[1][0][0] | 1 << fig1.n_states,),) + beyond[1][1:]
     for bad in (dataclasses.replace(fig1, delta=tuple(short)),
                 dataclasses.replace(fig1, initial=42),
-                dataclasses.replace(fig1, delta=tuple(beyond))):
+                dataclasses.replace(fig1, delta=tuple(beyond)),
+                dataclasses.replace(fig1, accepting=fig1.accepting | {-1}),
+                dataclasses.replace(fig1, state_names=fig1.state_names[:-1])):
         with pytest.raises(AssertionError):
             bad.validate()
         with pytest.raises(AssertionError):
@@ -122,42 +124,53 @@ def test_fig1_branch_languages(fig1, ab_alphabet):
         assert accepts_lasso(fig1, w, start=6) is True   # g2 is universal
 
 
-def check_weak(a: Awa) -> dict[int, int]:
-    """Recompute the weakness witness; raises NotWeak on a mixed SCC."""
-    succ = _edge_lists(a.delta)
-    ranks = _scc_ranks(a.n_states, succ, a.accepting)
-    return dict(enumerate(ranks))
+def component_index(a: Awa) -> dict[int, int]:
+    """The position of each state's component in ``a.components``."""
+    return {q: k for k, comp in enumerate(a.components) for q in comp}
 
 
 def test_check_weak_fig1_ranks(fig1):
-    ranks = check_weak(fig1)
-    assert ranks[3] < ranks[2] < ranks[1] < ranks[0]  # f2 < f1 < f0 < i0
-    assert ranks[6] < ranks[5] < ranks[4]             # g2 < g1 < g0
+    # sinks first: each component comes after every component it reaches
+    order = component_index(fig1)
+    assert order[3] < order[2] < order[1] < order[0]  # f2 < f1 < f0 < i0
+    assert order[6] < order[5] < order[4]             # g2 < g1 < g0
 
 
-def test_check_weak_rejects_mixed_scc(ab_alphabet):
-    fig = build_fig1()
-    # force a two-state cycle with one accepting and one rejecting state
-    delta = list(fig.delta)
-    delta[1] = ((1 << 2,),) * len(ab_alphabet.letters)
-    delta[2] = ((1 << 1,),) * len(ab_alphabet.letters)
-    delta = tuple(delta)
-    broken = Awa(fig.alphabet, fig.n_states, fig.initial, delta, fig.accepting,
-                 fig.rank, fig.top, fig.bottom, fig.state_names)
-    with pytest.raises(NotWeak):
-        check_weak(broken)
+def test_check_weak_rejects_mixed_scc(fig1):
+    # a two-state cycle through f0 (rejecting) and f1 (accepting)
+    delta = list(fig1.delta)
+    delta[1] = ((1 << 2,),) * len(fig1.alphabet.letters)
+    delta[2] = ((1 << 1,),) * len(fig1.alphabet.letters)
+    broken = dataclasses.replace(fig1, delta=tuple(delta))
+    assert (1, 2) in broken.components
+    with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
+        broken.validate()
+    with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
+        build_chain(broken)
 
 
 def test_check_weak_single_accepting_loop(a_alphabet):
     a = from_ltl(to_nnf(parse_ltl("G a", ["a"])), a_alphabet)
-    ranks = check_weak(a)
-    assert set(ranks) == set(range(a.n_states))
+    assert sorted(a.components) == [(q,) for q in range(a.n_states)]
 
 
 def test_check_weak_never_errors_on_corpus():
     for f, aps in formula_corpus(30, seed=8):
         alpha = Alphabet.from_aps(aps)
-        check_weak(from_ltl(to_nnf(f), alpha))
+        from_ltl(to_nnf(f), alpha).validate()
+
+
+def test_from_ltl_components_are_singletons():
+    # every transition of from_ltl goes to the state itself or to a strict
+    # subformula, so no component can mix accepting and rejecting states
+    inputs = [from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+              for f, aps in formula_corpus(100, seed=17, max_size=8)]
+    inputs += [from_ltl(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n))
+               for n in (1, 2, 3)]
+    for a in inputs:
+        for b in (a, a.dual):
+            assert all(len(comp) == 1 for comp in b.components), b.state_names[b.initial]
+            assert sorted(q for (q,) in b.components) == list(range(b.n_states))
 
 
 def duality_inputs() -> list[Awa]:
@@ -266,39 +279,6 @@ def test_winning_positions_of_fig1_match_reference(fig1):
                 reference_winning_state_positions(b, w)
 
 
-def coarse_rank(a):
-    """A valid weakness witness with fewer groups than one per SCC: 2 * (the
-    most acceptance changes on a path from the state) + acceptance."""
-    succ = _edge_lists(a.delta)
-    groups: dict[int, list[int]] = {}
-    for q in range(a.n_states):
-        groups.setdefault(a.rank[q], []).append(q)
-    level = [0] * a.n_states
-    for r in sorted(groups):
-        acc = groups[r][0] in a.accepting
-        deepest = max((level[q2] + (acc != (q2 in a.accepting))
-                       for q in groups[r] for q2 in succ[q] if a.rank[q2] < r),
-                      default=0)
-        for q in groups[r]:
-            level[q] = deepest
-    return tuple(2 * level[q] + (q in a.accepting) for q in range(a.n_states))
-
-
-def test_winning_positions_with_coarse_rank_groups():
-    # a rank group may hold several SCCs; only the weakness invariant counts
-    merged = 0
-    for f, aps in formula_corpus(25, seed=15):
-        alpha = Alphabet.from_aps(aps)
-        a = from_ltl(to_nnf(f), alpha)
-        for b in (a, dualize(a)):
-            coarse = dataclasses.replace(b, rank=coarse_rank(b))
-            coarse.validate()
-            merged += len(set(coarse.rank)) < len(set(b.rank))
-            for w in lassos_up_to(alpha, 1, 3):
-                assert winning_state_positions(coarse, w) == winning_state_positions(b, w)
-    assert merged
-
-
 _nnf_formulas = st.recursive(
     st.sampled_from([atom("a"), atom("b"), neg(atom("a")), neg(atom("b")), LTRUE, LFALSE]),
     lambda sub: st.one_of(
@@ -317,6 +297,16 @@ def test_winning_positions_match_reference_on_random_inputs(f, w):
     a = from_ltl(f, AB)
     for b in (a, dualize(a)):
         assert row_pairs(winning_state_positions(b, w)) == reference_winning_state_positions(b, w)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weak_awas())
+def test_winning_positions_match_reference_on_weak_automata(a):
+    # components of several states, each solved as one fixpoint
+    for b in (a, a.dual):
+        for w in lassos_up_to(a.alphabet, 1, 2):
+            assert row_pairs(winning_state_positions(b, w)) == \
+                reference_winning_state_positions(b, w), w.text()
 
 
 def test_is_empty_contradiction(a_alphabet):
@@ -356,16 +346,31 @@ def test_validate_invariants_on_corpus():
         dualize(a).validate()
 
 
-def test_validate_rejects_bad_ranks(fig1):
-    rising = list(fig1.rank)
-    rising[0] = min(rising) - 1  # below the states it moves to
-    mixed = [0] * fig1.n_states  # accepting and rejecting states share rank 0
-    for rank in (rising, mixed):
-        bad = dataclasses.replace(fig1, rank=tuple(rank))
-        with pytest.raises(AssertionError):
-            bad.validate()
-        with pytest.raises(AssertionError):
-            build_chain(bad)
+SINK_FORMULAS = ("G a | F b", "FG a | GF b", "a U G b", "G (a | X b)")
+
+
+def moved_sinks() -> list[Awa]:
+    """Automata of SINK_FORMULAS with ``top`` moved to another accepting
+    state or ``bottom`` to another rejecting state, none of them a sink."""
+    out = []
+    for text in SINK_FORMULAS:
+        a = from_ltl(to_nnf(parse_ltl(text, ["a", "b"])), AB)
+        out += [dataclasses.replace(a, top=q) for q in sorted(a.accepting - {a.top})]
+        out += [dataclasses.replace(a, bottom=q) for q in range(a.n_states)
+                if q not in a.accepting and q != a.bottom]
+    return out
+
+
+def test_validate_rejects_tops_and_bottoms_that_are_not_sinks():
+    # the language oracle strips tops from its state sets and drops the
+    # pairs that hold a bottom, which is sound only for real sinks
+    bad = moved_sinks()
+    assert len(bad) == 21
+    for b in bad:
+        with pytest.raises(AssertionError, match="sink"):
+            b.validate()
+        with pytest.raises(AssertionError, match="sink"):
+            build_chain(b)
 
 
 def test_validate_rejects_formulas_out_of_canonical_form(fig1):
@@ -387,20 +392,26 @@ def test_validate_rejects_formulas_out_of_canonical_form(fig1):
 
 
 def test_validate_fires_under_optimize():
-    # `python -O` strips assert statements; the rank check must not be one
+    # `python -O` strips assert statements; the weakness check must not be one
     code = textwrap.dedent("""
         import dataclasses
         import sys
         from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
+        from cocoa.formula import subformulas
 
         if sys.flags.optimize != 1:
             sys.exit(2)
-        a = from_ltl(to_nnf(parse_ltl("F G a", ["a"])), Alphabet.from_aps(["a"]))
-        bad = dataclasses.replace(a, rank=(0,) * a.n_states)
+        f = to_nnf(parse_ltl("F G a", ["a"]))
+        a = from_ltl(f, Alphabet.from_aps(["a"]))
+        # G a (accepting) moves back to F G a (rejecting) on every letter
+        subs = subformulas(f)
+        delta = list(a.delta)
+        delta[subs.index(f.args[0])] = ((1 << subs.index(f),),) * len(delta[0])
+        bad = dataclasses.replace(a, delta=tuple(delta))
         try:
             bad.validate()
-        except AssertionError:
-            sys.exit(0)
+        except AssertionError as exc:
+            sys.exit(0 if "mixes accepting and rejecting" in str(exc) else 3)
         sys.exit(1)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cocoa.__file__)))

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, target
 
 import cocoa.awa
 import cocoa.floating
@@ -19,8 +20,8 @@ from cocoa import (
 )
 
 from conftest import (
-    formula_corpus, lassos_up_to, ncw_accepts_lasso, reference_dfw_accepts_lassos,
-    reference_verify_chain,
+    accepts_lasso, formula_corpus, lassos_up_to, ncw_accepts_lasso,
+    reference_dfw_accepts_lassos, reference_verify_chain, weak_awas,
 )
 from test_chain_bytes import workloads
 from test_tracing_hooks import counting_calls
@@ -396,6 +397,9 @@ BAD_DUMPS = {
     "no k": _drop(("k",)),
     "no SLTM labels": _drop(("sltm", "labels")),
     "no level delta": _drop(("levels", 0, "delta")),
+    "formula cut short": _set(("formula",), "G a &"),
+    "formula with an undeclared atom": _set(("formula",), "G c"),
+    "formula with an open parenthesis": _set(("formula",), "G (a"),
 }
 
 
@@ -436,6 +440,23 @@ def test_chain_from_json_accepts_built_chains():
         assert json.dumps(chain_to_json(chain_from_json(json.loads(blob))), sort_keys=True) == blob
         origins += sum(d.n_states for d, _c in chain.levels)
     assert origins > 50
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(weak_awas())
+def test_chains_of_random_weak_automata(a):
+    # hand-built automata, with components of several states: the chain is
+    # max-even sound against the automaton's game and monotone, and its
+    # dump loads back unchanged
+    a.validate()
+    chain = build_chain(a)
+    target(chain.k)
+    for w in lassos_up_to(a.alphabet, 1, 3):
+        acc = [dfw_accepts_lasso(d, chain.sltm, w) for d, _ in chain.levels]
+        assert acc == sorted(acc, reverse=True), w.text()
+        assert (sum(acc) % 2 == 0) == accepts_lasso(a, w), w.text()
+    blob = json.dumps(chain_to_json(chain), sort_keys=True)
+    assert json.dumps(chain_to_json(chain_from_json(json.loads(blob))), sort_keys=True) == blob
 
 
 def test_hoa_roundtrips_through_json(golden_chains):

@@ -15,7 +15,7 @@ from cocoa import (
 )
 import cocoa.sltm
 from cocoa.awa import (
-    Awa, CNF_FALSE, _edge_lists, _scc_ranks, cnf_and, finalize_pcnf,
+    Awa, CNF_FALSE, cnf_and, finalize_pcnf,
     mask_states, minimal_masks, minimal_sets, state_mask,
 )
 from cocoa.sltm import (
@@ -153,11 +153,9 @@ def difference_automaton(pos: Label, neg: Label, a: Awa, a_dual: Awa) -> Awa:
 
     accepting = frozenset(
         {off_a + q for q in a.accepting} | {off_d + q for q in a_dual.accepting})
-    succ = _edge_lists(delta)
-    rank = tuple(_scc_ranks(n_states, succ, accepting))
     names = ("iota",) + a.state_names + tuple("~" + s for s in a_dual.state_names) \
         + tuple(f"t{k}" for k in range(len(neg.unions)))
-    out = Awa(alphabet, n_states, iota, delta, accepting, rank, top, bottom, names)
+    out = Awa(alphabet, iota, delta, accepting, top, bottom, names)
     out.validate()  # no constant formula
     return out
 
