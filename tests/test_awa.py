@@ -149,6 +149,27 @@ def test_check_weak_rejects_mixed_scc(fig1):
         build_chain(broken)
 
 
+def test_validate_rejects_bad_ranks(fig1):
+    # a rank order exists exactly when no component mixes acceptance: an
+    # edge from g2 back up to i0 closes the cycle i0 -> g0 -> g1 -> g2 -> i0
+    # through rejecting i0 and g1 and accepting g0 and g2
+    i0, g1, g2 = 0, 5, 6
+    delta = list(fig1.delta)
+    delta[g2] = ((1 << i0,),) * len(fig1.alphabet.letters)
+    rising = dataclasses.replace(fig1, delta=tuple(delta))
+    assert (0, 4, 5, 6) in rising.components
+    # the same cycle with every member accepting is weak again ...
+    uniform = dataclasses.replace(rising, accepting=rising.accepting | {i0, g1})
+    uniform.validate()
+    # ... until one member leaves the accepting set
+    mixed = dataclasses.replace(uniform, accepting=uniform.accepting - {g1})
+    for bad in (rising, mixed):
+        with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
+            bad.validate()
+        with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
+            build_chain(bad)
+
+
 def test_check_weak_single_accepting_loop(a_alphabet):
     a = from_ltl(to_nnf(parse_ltl("G a", ["a"])), a_alphabet)
     assert sorted(a.components) == [(q,) for q in range(a.n_states)]
