@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from ._graph import tarjan_sccs
 from .formula import (
-    AND, ATOM, FALSE, FINALLY, GLOBALLY, NEXT, NOT, OR, RELEASE, TRUE, UNTIL,
-    Alphabet, Formula, LassoWord, Lassos, letter_text, render, subformulas,
+    AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
+    UNTIL, Alphabet, Formula, LassoWord, Lassos, letter_text, program_texts,
 )
 
 
@@ -182,53 +182,54 @@ def _edge_lists(delta) -> list[list[int]]:
 
 def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
     """Closure construction: one state per subformula, LTL expansion laws as
-    transition formulas, constants routed through the sink states."""
-    subs = subformulas(f)
-    for g in subs:
-        if g.kind == "implies":
+    transition formulas, constants routed through the sink states.  State q
+    is entry q of ``f.program``, so the formula itself is the last before
+    the sinks."""
+    program = f.program
+    for kind, kids, _name in program:
+        if kind == IMPLIES:
             raise NotNnf("implication must be eliminated before construction")
-        if g.kind == NOT and g.args[0].kind != ATOM:
+        if kind == NOT and program[kids[0]][0] != ATOM:
             raise NotNnf("negation below non-atom; convert to NNF first")
-    ids = {g: i for i, g in enumerate(subs)}
-    n = len(subs)
+    n = len(program)
     top, bottom = n, n + 1
-    names = tuple(render(g) for g in subs) + ("TOP", "BOT")
+    names = tuple(program_texts(program)) + ("TOP", "BOT")
 
-    def exp(g: Formula, x: frozenset[str]):
-        k = g.kind
+    def exp(q: int, x: frozenset[str]):
+        k, kids, name = program[q]
         if k == ATOM:
-            return CNF_TRUE if g.name in x else CNF_FALSE
+            return CNF_TRUE if name in x else CNF_FALSE
         if k == NOT:
-            return CNF_FALSE if g.args[0].name in x else CNF_TRUE
+            return CNF_FALSE if program[kids[0]][2] in x else CNF_TRUE
         if k == TRUE:
             return CNF_TRUE
         if k == FALSE:
             return CNF_FALSE
         if k == AND:
-            return cnf_and(exp(g.args[0], x), exp(g.args[1], x))
+            return cnf_and(exp(kids[0], x), exp(kids[1], x))
         if k == OR:
-            return cnf_or(exp(g.args[0], x), exp(g.args[1], x))
+            return cnf_or(exp(kids[0], x), exp(kids[1], x))
         if k == NEXT:
-            return (1 << ids[g.args[0]],)
-        own = (1 << ids[g],)
+            return (1 << kids[0],)
+        own = (1 << q,)
         if k == UNTIL:
-            return cnf_or(exp(g.args[1], x), cnf_and(exp(g.args[0], x), own))
+            return cnf_or(exp(kids[1], x), cnf_and(exp(kids[0], x), own))
         if k == RELEASE:
-            return cnf_and(exp(g.args[1], x), cnf_or(exp(g.args[0], x), own))
+            return cnf_and(exp(kids[1], x), cnf_or(exp(kids[0], x), own))
         if k == FINALLY:
-            return cnf_or(exp(g.args[0], x), own)
+            return cnf_or(exp(kids[0], x), own)
         if k == GLOBALLY:
-            return cnf_and(exp(g.args[0], x), own)
+            return cnf_and(exp(kids[0], x), own)
         raise ValueError(f"unexpected node kind {k!r}")
 
-    delta = tuple(tuple(finalize_pcnf(exp(g, x), top, bottom) for x in alphabet.letters)
-                  for g in subs)
+    delta = tuple(tuple(finalize_pcnf(exp(q, x), top, bottom) for x in alphabet.letters)
+                  for q in range(n))
     delta += (((1 << top,),) * len(alphabet.letters),
               ((1 << bottom,),) * len(alphabet.letters))
 
     accepting = frozenset(
-        {ids[g] for g in subs if g.kind not in (UNTIL, FINALLY)} | {top})
-    return Awa(alphabet, ids[f], delta, accepting, top, bottom, names)
+        {q for q, (k, _kids, _name) in enumerate(program) if k not in (UNTIL, FINALLY)} | {top})
+    return Awa(alphabet, n - 1, delta, accepting, top, bottom, names)
 
 
 def dualize(a: Awa) -> Awa:

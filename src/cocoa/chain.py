@@ -55,16 +55,13 @@ class HdNcw:
     successor of q on letter number i or None, and ``rej[q][i]`` the
     rejecting successors."""
 
-    alphabet: Alphabet
-    n_sltm: int
-    n_dfw: int
     initial: int
     acc: tuple[tuple[int | None, ...], ...]
     rej: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def n_states(self) -> int:
-        return self.n_sltm + self.n_dfw
+        return len(self.acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +87,6 @@ def dfw_to_hd_ncw(d: Dfw, m: Sltm) -> HdNcw:
     committed = {s: tuple(off + q for q in qs) for s, qs in d.by_label.items()}
     waiting = (None,) * len(m.alphabet.letters)
     return HdNcw(
-        alphabet=m.alphabet,
-        n_sltm=m.n_states,
-        n_dfw=d.n_states,
         initial=m.initial,
         acc=(waiting,) * off + tuple(
             tuple(None if dst is None else off + dst for dst in row) for row in d.trans),
@@ -249,8 +243,7 @@ def drop_accepting_transition(chain: Cocoa) -> Cocoa:
     q, i, _dst = first
     trans = list(d.trans)
     trans[q] = trans[q][:i] + (None,) + trans[q][i + 1:]
-    mutated = Dfw(alphabet=d.alphabet, n_states=d.n_states, label=d.label,
-                  trans=tuple(trans), origin=d.origin)
+    mutated = Dfw(label=d.label, trans=tuple(trans), origin=d.origin)
     levels = chain.levels[:-1] + ((mutated, dfw_to_hd_ncw(mutated, chain.sltm)),)
     return Cocoa(alphabet=chain.alphabet, sltm=chain.sltm, levels=levels,
                  formula=chain.formula, awa=chain.awa)
@@ -325,13 +318,7 @@ def chain_from_json(data: dict) -> Cocoa:
                     and prev.label[p] == label[q] and vs and vs <= vsets[label[q]]):
                 raise ValueError(f"level origin {[p, sorted(vs)]} of state {q} does not "
                                  f"match level {ell - 1} and the SLTM vertex sets")
-        d = Dfw(
-            alphabet=alphabet,
-            n_states=n,
-            label=label,
-            trans=tuple(map(tuple, trans)),
-            origin=origin,
-        )
+        d = Dfw(label=label, trans=tuple(map(tuple, trans)), origin=origin)
         levels.append((d, dfw_to_hd_ncw(d, m)))
         prev = d
     formula = None
@@ -357,8 +344,11 @@ def _letter_expr(letter: frozenset[str], aps: tuple[str, ...]) -> str:
 
 def level_to_hoa(chain: Cocoa, level: int) -> str:
     """HOA v1 text for one level's HD-NCW; rejecting transitions carry
-    acceptance set {0} under `Acceptance: 1 Fin(0)`."""
-    d, c = chain.levels[level - 1]
+    acceptance set {0} under `Acceptance: 1 Fin(0)`.  Raises ValueError
+    unless ``1 <= level <= chain.k``."""
+    if not 1 <= level <= chain.k:
+        raise ValueError(f"level {level} is not one of the chain's levels 1..{chain.k}")
+    c = chain.levels[level - 1][1]
     aps = chain.alphabet.aps
     lines = [
         "HOA: v1",

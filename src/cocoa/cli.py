@@ -40,9 +40,12 @@ def _scan_aps(text: str) -> list[str]:
 def _build(args: argparse.Namespace) -> Cocoa:
     given = [s.strip() for s in args.aps.split(",") if s.strip()] if args.aps else None
     aps = given or _scan_aps(args.formula) or ["a"]
-    f = parse_ltl(args.formula, aps)
+    try:
+        alphabet = Alphabet.from_aps(aps)
+    except ValueError as exc:
+        raise InvalidParameter(str(exc)) from exc
     return build_chain_for_formula(
-        f, Alphabet.from_aps(aps),
+        parse_ltl(args.formula, aps), alphabet,
         ChainConfig(max_states=args.max_states, timeout_s=args.timeout_s))
 
 

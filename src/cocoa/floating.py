@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterator
 
 from ._graph import cyclic_sccs
-from .formula import Alphabet, LassoWord, Lassos, letter_text
+from .formula import LassoWord, Lassos, letter_text
 from .sltm import Sltm
 
 Payload = tuple[int | None, frozenset[int]]
@@ -32,11 +32,13 @@ class Nfw:
     """Nondeterministic floating automaton (product shape, cycle-pruned);
     ``trans[q][i]`` holds the successors of q on letter number i."""
 
-    alphabet: Alphabet
-    n_states: int
     label: tuple[int, ...]
     trans: tuple[tuple[tuple[int, ...], ...], ...]
     origin: tuple[tuple[int, int], ...]
+
+    @property
+    def n_states(self) -> int:
+        return len(self.trans)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +46,13 @@ class Dfw:
     """Deterministic floating automaton with a partial transition function:
     ``trans[q][i]`` is the successor of q on letter number i, or None."""
 
-    alphabet: Alphabet
-    n_states: int
     label: tuple[int, ...]
     trans: tuple[tuple[int | None, ...], ...]
     origin: tuple[Payload, ...]
+
+    @property
+    def n_states(self) -> int:
+        return len(self.trans)
 
     @cached_property
     def by_label(self) -> dict[int, tuple[int, ...]]:
@@ -84,8 +88,6 @@ def universal_dfw(m: Sltm) -> Dfw:
     SLTM itself, labeled by the identity.  No two states share a label, so
     Moore refinement would merge none."""
     d = Dfw(
-        alphabet=m.alphabet,
-        n_states=m.n_states,
         label=tuple(range(m.n_states)),
         trans=m.delta,
         origin=tuple((None, frozenset()) for _ in range(m.n_states)),
@@ -104,8 +106,6 @@ def _strip_transient(d: Dfw) -> Dfw:
               for q2 in d.trans[q])
         for q in keep)
     return Dfw(
-        alphabet=d.alphabet,
-        n_states=len(keep),
         label=tuple(d.label[q] for q in keep),
         trans=trans,
         origin=tuple(d.origin[q] for q in keep),
@@ -148,8 +148,6 @@ def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
     keep = [q for q in range(len(states)) if comp[q] in accepting_comps]
     remap = {old: new for new, old in enumerate(keep)}
     nfw = Nfw(
-        alphabet=m.alphabet,
-        n_states=len(keep),
         label=tuple(prev.label[states[q][0]] for q in keep),
         trans=tuple(
             tuple(tuple(remap[d] for d in dsts if comp[d] == comp[q]) for dsts in trans[q])
@@ -190,8 +188,6 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
         trans.append(tuple(row))
 
     d = Dfw(
-        alphabet=m.alphabet,
-        n_states=len(states),
         label=tuple(n.label[min(key)] for key in states),
         trans=tuple(trans),
         origin=tuple((n.origin[min(key)][0], frozenset(n.origin[q][1] for q in key))
@@ -229,8 +225,6 @@ def minimize_dfw(d: Dfw, m: Sltm) -> Dfw:
         if rep[block[q]] == -1:
             rep[block[q]] = q
     merged = Dfw(
-        alphabet=d.alphabet,
-        n_states=n_classes,
         label=tuple(d.label[q] for q in rep),
         trans=tuple(moved(d.trans[q]) for q in rep),
         origin=tuple(d.origin[q] for q in rep),
@@ -340,7 +334,7 @@ def dfw_to_dot(d: Dfw, m: Sltm, name: str = "dfw") -> str:
         prev, vs = d.origin[q]
         label = f"q{q}\\nf=s{d.label[q]}\\n({prev},{sorted(vs)})"
         lines.append(f'  q{q} [shape=circle label="{label}"];')
-    letters = d.alphabet.letters
+    letters = m.alphabet.letters
     for q, i, dst in det_edges(d.trans):
         lines.append(f'  q{q} -> q{dst} [label="{letter_text(letters[i])}"];')
     lines.append("}")

@@ -146,53 +146,33 @@ def always(f: Formula) -> Formula:
     return Formula(GLOBALLY, (f,))
 
 
+_PREFIX_TEXT = {NOT: "!", NEXT: "X ", FINALLY: "F ", GLOBALLY: "G "}
+_INFIX_TEXT = {AND: "&", OR: "|", IMPLIES: "->", UNTIL: "U", RELEASE: "R"}
+
+
+def program_texts(program) -> list[str]:
+    """The text of each entry of a compiled ``Formula.program``, children
+    first; the last is the text of the whole formula."""
+    texts: list[str] = []
+    for kind, kids, name in program:
+        if kind == ATOM:
+            text = name or "?"
+        elif kind in (TRUE, FALSE):
+            text = kind
+        elif kind in _PREFIX_TEXT:
+            text = _PREFIX_TEXT[kind] + texts[kids[0]]
+        else:
+            text = f"({texts[kids[0]]} {_INFIX_TEXT[kind]} {texts[kids[1]]})"
+        texts.append(text)
+    return texts
+
+
 def render(f: Formula) -> str:
-    k = f.kind
-    if k == ATOM:
-        return f.name or "?"
-    if k == TRUE:
-        return "true"
-    if k == FALSE:
-        return "false"
-    if k == NOT:
-        return "!" + render(f.args[0])
-    if k == NEXT:
-        return "X " + render(f.args[0])
-    if k == FINALLY:
-        return "F " + render(f.args[0])
-    if k == GLOBALLY:
-        return "G " + render(f.args[0])
-    op = {AND: "&", OR: "|", IMPLIES: "->", UNTIL: "U", RELEASE: "R"}[k]
-    return f"({render(f.args[0])} {op} {render(f.args[1])})"
-
-
-def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subformulas, children before parents, in syntax order."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        for c in g.args:
-            walk(c)
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-
-    walk(f)
-    return out
+    return program_texts(f.program)[-1]
 
 
 def atom_names(f: Formula) -> list[str]:
-    names = {g.name for g in subformulas(f) if g.kind == ATOM and g.name}
-    return sorted(names)
-
-
-def _s_not(f: Formula) -> Formula:
-    if f.kind == TRUE:
-        return LFALSE
-    if f.kind == FALSE:
-        return LTRUE
-    return Formula(NOT, (f,))
+    return sorted({name for kind, _kids, name in f.program if kind == ATOM and name})
 
 
 def _s_and(a: Formula, b: Formula) -> Formula:
@@ -215,22 +195,10 @@ def _s_or(a: Formula, b: Formula) -> Formula:
     return Formula(OR, (a, b))
 
 
-def _s_next(a: Formula) -> Formula:
+def _s_unary(kind: str, a: Formula) -> Formula:
     if a.kind in (TRUE, FALSE):
         return a
-    return Formula(NEXT, (a,))
-
-
-def _s_finally(a: Formula) -> Formula:
-    if a.kind in (TRUE, FALSE):
-        return a
-    return Formula(FINALLY, (a,))
-
-
-def _s_globally(a: Formula) -> Formula:
-    if a.kind in (TRUE, FALSE):
-        return a
-    return Formula(GLOBALLY, (a,))
+    return Formula(kind, (a,))
 
 
 def _s_until(a: Formula, b: Formula) -> Formula:
@@ -260,7 +228,7 @@ def to_nnf(f: Formula) -> Formula:
     def go(g: Formula, negd: bool) -> Formula:
         k = g.kind
         if k == ATOM:
-            return _s_not(g) if negd else g
+            return Formula(NOT, (g,)) if negd else g
         if k == TRUE:
             return LFALSE if negd else LTRUE
         if k == FALSE:
@@ -277,11 +245,11 @@ def to_nnf(f: Formula) -> Formula:
             l, r = (go(x, negd) for x in g.args)
             return _s_and(l, r) if negd else _s_or(l, r)
         if k == NEXT:
-            return _s_next(go(g.args[0], negd))
+            return _s_unary(NEXT, go(g.args[0], negd))
         if k == FINALLY:
-            return _s_globally(go(g.args[0], True)) if negd else _s_finally(go(g.args[0], False))
+            return _s_unary(GLOBALLY if negd else FINALLY, go(g.args[0], negd))
         if k == GLOBALLY:
-            return _s_finally(go(g.args[0], True)) if negd else _s_globally(go(g.args[0], False))
+            return _s_unary(FINALLY if negd else GLOBALLY, go(g.args[0], negd))
         if k == UNTIL:
             a, b = g.args
             if negd:
@@ -315,7 +283,7 @@ class Alphabet:
 
     @staticmethod
     def from_aps(aps) -> "Alphabet":
-        aps = tuple(aps)
+        aps = _distinct(aps)
         letters = []
         for r in range(len(aps) + 1):
             for combo in itertools.combinations(sorted(aps), r):
@@ -325,7 +293,7 @@ class Alphabet:
 
     @staticmethod
     def restricted(aps, letters) -> "Alphabet":
-        aps = tuple(aps)
+        aps = _distinct(aps)
         apset = set(aps)
         norm = sorted({frozenset(l) for l in letters}, key=lambda l: tuple(sorted(l)))
         for l in norm:
@@ -334,6 +302,14 @@ class Alphabet:
         if not norm:
             raise ValueError("alphabet needs at least one letter")
         return Alphabet(aps, tuple(norm))
+
+
+def _distinct(aps) -> tuple[str, ...]:
+    """The propositions as a tuple; raises ValueError when one is repeated."""
+    aps = tuple(aps)
+    if len(set(aps)) != len(aps):
+        raise ValueError(f"a proposition is listed twice in {list(aps)}")
+    return aps
 
 
 def letter_text(letter: frozenset[str]) -> str:
@@ -557,7 +533,12 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
     (it is v'^omega for a rotation v' of v).  It stays as a bit, so that
     the copies are uniform, but ``starts`` leaves it out.  Each bit is
     still its own word, so every row is exact there too.
+
+    Raises ValueError when ``prefix_bound < 0`` or ``period_bound < 1``.
     """
+    if prefix_bound < 0 or period_bound < 1:
+        raise ValueError(f"lasso bounds need prefix >= 0 and period >= 1, "
+                         f"not {prefix_bound} and {period_bound}")
     n = len(alphabet.letters)
     rows = [0] * n
     ends = [0] * n  # the level-0 words whose period ends with each letter

@@ -197,7 +197,6 @@ class Sltm:
     machine is complete."""
 
     alphabet: Alphabet
-    n_states: int
     initial: int
     delta: tuple[tuple[int, ...], ...]
     vertex_sets_neg: tuple[frozenset[int], ...]
@@ -205,6 +204,10 @@ class Sltm:
     labels: tuple[Label, ...]
     g_neg: ObligationGraph | None = None
     g_pos: ObligationGraph | None = None
+
+    @property
+    def n_states(self) -> int:
+        return len(self.delta)
 
     def side(self, ell: int) -> tuple[ObligationGraph | None, tuple[frozenset[int], ...]]:
         """The obligation graph of level ell's polarity and the vertex sets
@@ -294,11 +297,10 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
         rows = [g_neg.edges[v] for v in reps[len(delta)]]
         delta.append(tuple(classify(frozenset(d for dsts in per_letter for d in dsts))
                            for per_letter in zip(*rows)))
-    n_states = len(reps)
 
     def sweep(graph: ObligationGraph) -> tuple[frozenset[int], ...]:
         # vertices reachable together with each state, from the two initials
-        sets: list[set[int]] = [set() for _ in range(n_states)]
+        sets: list[set[int]] = [set() for _ in delta]
         sets[initial].add(graph.initial)
         todo = [(initial, graph.initial)]
         while todo:
@@ -314,8 +316,8 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     labels = tuple(label_of(vs, g_neg) for vs in vsets_neg)
 
     if check_single_step:
-        for sid in range(n_states):
-            for i, succ in enumerate(delta[sid]):
+        for sid, row in enumerate(delta):
+            for i, succ in enumerate(row):
                 expect = suffix_label(labels[sid], i, a)
                 if not equivalent(labels[succ], expect):
                     raise AssertionError(
@@ -324,7 +326,6 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
 
     return Sltm(
         alphabet=a.alphabet,
-        n_states=n_states,
         initial=initial,
         delta=tuple(delta),
         vertex_sets_neg=vsets_neg,
@@ -361,12 +362,14 @@ def require_keys(data: dict, *keys: str) -> None:
 
 def sltm_from_json(data: dict) -> Sltm:
     """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
-    key is missing, a letter is listed twice or uses undeclared
-    propositions, the labels or vertex sets are not one per state, or a
-    state or letter number is out of range."""
+    key is missing, a proposition or a letter is listed twice, a letter
+    uses undeclared propositions, the labels or vertex sets are not one per
+    state, or a state or letter number is out of range."""
     require_keys(data, "aps", "letters", "states", "initial", "labels",
                  "vertex_sets_neg", "vertex_sets_pos", "delta")
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    if len(set(alphabet.aps)) != len(alphabet.aps):
+        raise ValueError(f"a proposition is listed twice in {data['aps']}")
     if len(set(alphabet.letters)) != len(alphabet.letters):
         raise ValueError(f"a letter is listed twice in {data['letters']}")
     if not all(x <= set(alphabet.aps) for x in alphabet.letters):
@@ -388,7 +391,6 @@ def sltm_from_json(data: dict) -> Sltm:
             raise ValueError(f"a successor in {list(row)} is not one of {n} states")
     return Sltm(
         alphabet=alphabet,
-        n_states=n,
         initial=data["initial"],
         delta=delta,
         vertex_sets_neg=tuple(frozenset(s) for s in data["vertex_sets_neg"]),

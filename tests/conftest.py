@@ -1,9 +1,10 @@
 """Shared fixtures: the worked-example automaton, random formula corpus,
-random weak automata, the SLTM builder over both obligation graphs, the
-lasso position helpers, the test-only lasso membership checks of an AWA,
-a label, an NFW and an HD-NCW, the reference lasso evaluator, the
-per-lasso reference verifier, the reference game solver, the reference
-lasso enumeration, the string packer and the forward DFW acceptance that
+the tree-walk list of subformulas, random weak automata, the SLTM builder
+over both obligation graphs, the lasso position helpers, the test-only
+lasso membership checks of an AWA, a label, an NFW and an HD-NCW, the
+reference lasso evaluator, the per-lasso reference verifier, the reference
+game solver, the reference lasso enumeration, the string packer and the
+forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
 eager reference emptiness check, and the two-pass reference for accepted
@@ -49,6 +50,24 @@ def random_nnf(rng: random.Random, size: int, aps):
     left = random_nnf(rng, left_size, aps)
     right = random_nnf(rng, size - 1 - left_size, aps)
     return {"U": until, "R": release, "&": conj, "|": disj}[kind](left, right)
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """All distinct subformulas, children before parents, in syntax order:
+    the tree-walk reference for the numbering of ``Formula.program``, and
+    so of the states of ``awa.from_ltl``."""
+    seen: set[Formula] = set()
+    out: list[Formula] = []
+
+    def walk(g: Formula) -> None:
+        for c in g.args:
+            walk(c)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+
+    walk(f)
+    return out
 
 
 def formula_corpus(count: int, seed: int = 20240601, max_size: int = 6):

@@ -22,14 +22,14 @@ from cocoa.awa import (
 )
 from cocoa.formula import (
     AND, FINALLY, GLOBALLY, LFALSE, LTRUE, NEXT, OR, RELEASE, UNTIL, Formula,
-    atom, subformulas,
+    atom,
 )
 from cocoa.obligation import minimal_models
 
 from conftest import (
     AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
     reference_dual, reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
-    reference_winning_state_positions, row_pairs, weak_awas,
+    reference_winning_state_positions, row_pairs, subformulas, weak_awas,
 )
 
 
@@ -266,6 +266,21 @@ def test_game_agrees_with_oracle_on_corpus():
             assert accepts_lasso(a, w) == eval_lasso(nnf, w), (f, w.text())
 
 
+def test_every_state_language_is_its_subformula():
+    # state q of from_ltl is entry q of the formula's program: the q-th
+    # subformula of the tree walk, by name and by language
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(40)]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1)))
+    for f, alpha in inputs:
+        a = from_ltl(f, alpha)
+        subs = subformulas(f)
+        assert a.state_names[:-2] == tuple(str(g) for g in subs)
+        for w in lassos_up_to(alpha, 1, 2):
+            win = winning_state_positions(a, w)
+            for q, g in enumerate(subs):
+                assert bool(win[q] & 1) == eval_lasso(g, w), (str(g), w.text())
+
+
 def test_winning_positions_match_reference_on_corpus():
     for f, aps in formula_corpus(10, seed=14):
         alpha = Alphabet.from_aps(aps)
@@ -418,16 +433,14 @@ def test_validate_fires_under_optimize():
         import dataclasses
         import sys
         from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
-        from cocoa.formula import subformulas
 
         if sys.flags.optimize != 1:
             sys.exit(2)
-        f = to_nnf(parse_ltl("F G a", ["a"]))
-        a = from_ltl(f, Alphabet.from_aps(["a"]))
+        a = from_ltl(to_nnf(parse_ltl("F G a", ["a"])), Alphabet.from_aps(["a"]))
         # G a (accepting) moves back to F G a (rejecting) on every letter
-        subs = subformulas(f)
+        names = a.state_names
         delta = list(a.delta)
-        delta[subs.index(f.args[0])] = ((1 << subs.index(f),),) * len(delta[0])
+        delta[names.index("G a")] = ((1 << names.index("F G a"),),) * len(delta[0])
         bad = dataclasses.replace(a, delta=tuple(delta))
         try:
             bad.validate()

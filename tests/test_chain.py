@@ -154,7 +154,7 @@ def test_hdncw_empty_dfw():
     m = chain.sltm
     from cocoa.floating import Dfw
 
-    empty = Dfw(alphabet=chain.alphabet, n_states=0, label=(), trans=(), origin=())
+    empty = Dfw(label=(), trans=(), origin=())
     c = dfw_to_hd_ncw(empty, m)
     assert c.n_states == m.n_states and not any(det_edges(c.acc))
     for w in lassos_up_to(chain.alphabet, 1, 2):
@@ -192,6 +192,13 @@ def test_verify_chain_examples(golden_chains):
         report = verify_chain(chain, f, 2, 3)
         assert report.ok, (text, report.first_counterexample)
         assert report.lassos > 0
+
+
+def test_verify_chain_rejects_out_of_range_bounds(golden_chains):
+    chain, f = golden_chains["FG a"]
+    for bounds in ((2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="lasso bounds"):
+            verify_chain(chain, f, *bounds)
 
 
 def test_verify_chain_true():
@@ -384,6 +391,7 @@ BAD_DUMPS = {
     "SLTM letters differ": _set(("sltm", "letters"), [["a"], []]),
     "duplicate letters": _both(_set(("letters",), [[], []]),
                                _set(("sltm", "letters"), [[], []])),
+    "duplicate aps": _both(_set(("aps",), ["a", "a"]), _set(("sltm", "aps"), ["a", "a"])),
     "undeclared letter": _both(_set(("letters",), [[], ["b"]]),
                                _set(("sltm", "letters"), [[], ["b"]])),
     "SLTM labels short": _set(("sltm", "labels"), []),
@@ -474,6 +482,13 @@ def test_hoa_shape(golden_chains):
     assert "Acceptance: 1 Fin(0)" in hoa
     assert hoa.count("State:") == chain.levels[0][1].n_states
     assert "{0}" in hoa  # rejecting transitions are marked
+
+
+def test_hoa_rejects_levels_outside_the_chain(golden_chains):
+    chain, _f = golden_chains["G a"]
+    for level in (0, -1, chain.k + 1):
+        with pytest.raises(ValueError, match="not one of the chain's levels"):
+            level_to_hoa(chain, level)
 
 
 def test_bench_family_smoke():

@@ -33,6 +33,14 @@ def test_translate_parse_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_repeated_aps(tmp_path, capsys):
+    code, _out, err = run(capsys, "translate", "G a", "--aps", "a,a", "--out", str(tmp_path))
+    assert code == 2 and "listed twice" in err
+    assert not (tmp_path / "chain.json").exists()
+    code, _out, err = run(capsys, "verify", "FG a", "--aps", "a,a")
+    assert code == 2 and "listed twice" in err
+
+
 def test_translate_resource_cap(tmp_path, capsys):
     code, _out, err = run(capsys, "translate", "GF a -> GF b",
                           "--out", str(tmp_path), "--max-states", "2")

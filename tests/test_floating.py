@@ -248,7 +248,7 @@ def test_label_check_fires_under_optimize():
         # one state labeled with the initial SLTM state, looping on every
         # letter, although the letter {} leaves that SLTM state
         loops = ((0,) * len(alpha.letters),)
-        bad = Dfw(alpha, 1, (m.initial,), loops, ((None, frozenset()),))
+        bad = Dfw((m.initial,), loops, ((None, frozenset()),))
         try:
             _check_label_consistency(bad, m)
         except AssertionError:

@@ -14,12 +14,12 @@ from cocoa import (
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
-    RELEASE, TRUE, UNTIL, subformulas,
+    RELEASE, TRUE, UNTIL,
 )
 
 from conftest import (
     AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to, letter_at,
-    reference_enumerate_lassos, reference_eval_lasso, reference_pack,
+    reference_enumerate_lassos, reference_eval_lasso, reference_pack, subformulas,
 )
 
 
@@ -240,6 +240,21 @@ def test_enumerated_suite_size():
     # one bit per lasso plus the non-normal x.v^omega kept for uniform copies
     assert enumerate_lassos(AB, 2, 3).full.bit_length() <= 1596
     assert enumerate_lassos(Alphabet.from_aps(["a", "b", "c"]), 2, 3).full.bit_length() <= 41464
+
+
+def test_repeated_propositions_are_rejected():
+    with pytest.raises(ValueError, match="listed twice"):
+        Alphabet.from_aps(["a", "a"])
+    with pytest.raises(ValueError, match="listed twice"):
+        Alphabet.restricted(["a", "b", "a"], [frozenset({"a"})])
+
+
+def test_enumerate_lassos_rejects_out_of_range_bounds():
+    alpha = Alphabet.from_aps(["a"])
+    for bounds in ((1, 0), (-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="lasso bounds"):
+            enumerate_lassos(alpha, *bounds)
+    assert len(enumerate_lassos(alpha, 0, 1)) == 2
 
 
 def test_lasso_parse_and_text():
