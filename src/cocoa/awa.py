@@ -72,8 +72,11 @@ def canon_key(m: int) -> tuple[int, str]:
 def minimal_masks(masks) -> tuple[int, ...]:
     """The inclusion-minimal members of a collection of masks, without
     duplicates, smallest first."""
+    distinct = set(masks)
+    if len(distinct) < 2:
+        return tuple(distinct)
     kept: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count):
+    for m in sorted(distinct, key=int.bit_count):
         for k in kept:
             if k & m == k:
                 break

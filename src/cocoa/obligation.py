@@ -10,20 +10,30 @@ the members' rows of the dual automaton, one state at a time, so no clause
 set is ever merged and searched as a whole.
 
 One explorer, ``BreakpointGraph``, interns the pairs and expands their
-successor rows.  ``miyano_hayashi`` expands it whole and freezes it into an
-``ObligationGraph``; the tracking machine's language oracle expands it only
-as far as its emptiness checks reach.
+successor rows, sharing one tuple among equal successor entries.
+``miyano_hayashi`` expands it over one kernel, whose breakpoint resets when
+O is empty, and freezes it into an ``ObligationGraph``.  The tracking
+machine's language oracle expands it only as far as its emptiness checks
+reach, over the disjoint union of an automaton and its dual: one kernel
+per half, joined only by the reset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from ._graph import lasso_letters, tarjan_sccs
 from .awa import Awa, canon_key, mask_states, member_order, minimal_masks, state_mask
 from .formula import Alphabet, letter_text
 
 Vertex = tuple[int, int]
+
+
+def pair_order(v: Vertex) -> tuple[str, str]:
+    """The order of (S, O) pairs within a successor list: by the sorted
+    members of S, then of O."""
+    return member_order(v[0]), member_order(v[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +129,19 @@ class Breakpoint:
             got = memo[rest] = minimal_masks(r | m for r in got for m in mine)
         return got
 
-    def successors(self, S: int, O: int, i: int) -> list[tuple[int, int]]:
+    def successors(self, S: int, O: int, i: int, reset: bool) -> list[Vertex]:
+        """The successors of (S, O) on letter number i, pruned and sorted.
+
+        With ``reset`` the breakpoint is passed: each minimal model of S is
+        a successor state set, and its non-accepting states the new
+        obligations.  Otherwise the obligations O are carried on; an empty
+        O has the single model 0, so its successors owe nothing.  A graph
+        over one kernel resets when O is empty; a kernel for one half of a
+        disjoint union resets when the O of every half is.
+        """
         w = self.width
         free = ~self.accepting
-        if not O:
+        if reset:
             return self._pruned({sm << w | (sm & free) for sm in self.models(S, i)})
         # The new state set joins a minimal model of the obligations with
         # one of the other states; the new obligations are the former's
@@ -133,7 +152,12 @@ class Breakpoint:
         return self._pruned({(so | sr) << w | (so & free)
                              for so in self.models(O, i) for sr in rest})
 
-    def _pruned(self, packed: set[int]) -> list[tuple[int, int]]:
+    def row(self, S: int, O: int) -> list[list[Vertex]]:
+        """The successors of (S, O) on each letter number, resetting when O
+        is empty: the rows of a Miyano-Hayashi graph."""
+        return [self.successors(S, O, i, not O) for i in range(len(self._models))]
+
+    def _pruned(self, packed: set[int]) -> list[Vertex]:
         """Apply the sinks to pairs packed as S << width | O, then keep the
         componentwise-minimal pairs (a smaller state set and obligation set
         accept every word the bigger pair does), sorted by their sorted
@@ -145,25 +169,29 @@ class Breakpoint:
         low = (1 << w) - 1
         out = [(p >> w, p & low) for p in kept]
         if len(out) > 1:
-            out.sort(key=lambda v: (member_order(v[0]), member_order(v[1])))
+            out.sort(key=pair_order)
         return out
 
 
 class BreakpointGraph:
-    """The graph of a breakpoint kernel over (S, O) mask pairs, explored on
-    demand.
+    """The graph of breakpoint successors over (S, O) mask pairs, explored
+    on demand.
 
-    ``intern`` numbers a pair on first sight.  ``row(vid)`` expands a
-    vertex once, interning its successors per letter number and, within a
-    letter, in kernel order; a graph expanded in id order from vertex 0 is
-    thus numbered breadth first.  ``nonempty_from`` settles an emptiness
-    verdict per vertex, component by component, so repeated queries on one
-    graph reuse each other's work, and keeps the lasso ``targets`` it meets;
+    ``expand(S, O)`` gives a pair's successors, one list per letter number
+    (a kernel's ``Breakpoint.row`` for a Miyano-Hayashi graph).  ``intern``
+    numbers a pair on first sight.  ``row(vid)`` expands a vertex once,
+    interning its successors per letter number and, within a letter, in
+    the order given; a graph expanded in id order from vertex 0 is thus
+    numbered breadth first.  Equal successor tuples, in any row, are one
+    object.  ``nonempty_from`` settles an emptiness verdict per vertex,
+    component by component, so repeated queries on one graph reuse each
+    other's work, and keeps the lasso ``targets`` it meets;
     ``accepted_lasso`` reads a witness off them, spelled with ``letters``.
     """
 
-    def __init__(self, kernel: Breakpoint, letters: tuple[frozenset[str], ...]):
-        self.kernel = kernel
+    def __init__(self, expand: Callable[[int, int], Iterable[Iterable[Vertex]]],
+                 letters: tuple[frozenset[str], ...]):
+        self.expand = expand
         self.letters = letters
         self.ids: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
@@ -175,6 +203,8 @@ class BreakpointGraph:
         self.verdict: list[bool | None] = []
         # each vertex owing nothing on a cycle, mapped to its component
         self.targets: dict[int, set[int]] = {}
+        # one object per distinct successor tuple
+        self.entries: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def intern(self, v: tuple[int, int]) -> int:
         got = self.ids.get(v)
@@ -191,10 +221,12 @@ class BreakpointGraph:
         """The successor ids of a vertex, one tuple per letter."""
         got = self.rows[vid]
         if got is None:
-            S, O = self.pairs[vid]
-            got = self.rows[vid] = tuple(
-                tuple(self.intern(v) for v in self.kernel.successors(S, O, i))
-                for i in range(len(self.letters)))
+            shared = self.entries
+            row = []
+            for vs in self.expand(*self.pairs[vid]):
+                t = tuple(map(self.intern, vs))
+                row.append(shared.setdefault(t, t))
+            got = self.rows[vid] = tuple(row)
         return got
 
     def _succ(self, vid: int) -> list[int]:
@@ -254,7 +286,7 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     steps vertex sets of this graph.
     """
     acc = state_mask(a.accepting)
-    graph = BreakpointGraph(Breakpoint(a.dual.delta, acc, 0, 0), a.alphabet.letters)
+    graph = BreakpointGraph(Breakpoint(a.dual.delta, acc, 0, 0).row, a.alphabet.letters)
     init = 1 << a.initial
     graph.intern((init, init & ~acc))
     vid = 0

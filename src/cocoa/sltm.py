@@ -8,13 +8,15 @@ explored over label-equivalence classes only: a subset construction over
 the complement graph steps one representative vertex set per state and
 merges each successor set into the state of an equivalent label, decided
 with an alternating-automaton emptiness check.  Each build owns one
-``LanguageOracle``: the breakpoint graph over the automaton and its dual,
-explored only as far as the checks reach, whose emptiness verdicts every
-check of that build shares.  A candidate is checked only against the state
-of its signature, the label's membership of each lasso in a battery that
-starts empty; each signature names at most one state, and every
-inequivalent pair the check meets adds a lasso that tells the two apart,
-read off the nonempty half of their difference.
+``LanguageOracle``: the breakpoint graph over the disjoint union of the
+automaton and its dual, explored only as far as the checks reach, whose
+emptiness verdicts every check of that build shares.  Its rows are
+products of the two halves' rows, which it computes once each.  A
+candidate is checked only against the state of its signature, the label's
+membership of each lasso in a battery that starts empty; each signature
+names at most one state, and every inequivalent pair the check meets adds
+a lasso that tells the two apart, read off the nonempty half of their
+difference.
 Both vertex sets of a state then come from a product sweep of the machine
 with each graph.
 """
@@ -29,7 +31,7 @@ from .awa import (
     state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
-from .obligation import Breakpoint, BreakpointGraph, ObligationGraph
+from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, Vertex, pair_order
 
 
 class IncompatibleAutomata(Exception):
@@ -81,60 +83,103 @@ def _holds(label: Label, win0: int) -> bool:
 
 
 class LanguageOracle(BreakpointGraph):
-    """Emptiness of label differences, on the breakpoint graph over an
-    automaton and its dual; one per build.
+    """Emptiness of label differences, on the breakpoint graph over the
+    disjoint union of an automaton and its dual; one per build.
 
-    Dual state q is bit n + q; its model table row is the automaton's row q
-    shifted by n.  The language of a vertex is the intersection of its
-    member state languages, so per-vertex verdicts are a property of the
-    graph and are shared by every query on it.
+    State q of the automaton is bit q of a vertex's masks, and state q of
+    the dual bit n + q.  The two halves share no state, so a vertex's
+    successors on a letter are the products of each half's successors: the
+    minimal models, the sinks and the componentwise-minimal pairs all
+    factor.  Only the breakpoint is joint: it resets both halves when
+    neither owes an obligation.  Each half has its own kernel, the
+    automaton's reading its models from the dual's rows and the dual's from
+    the automaton's, and ``half_rows`` keeps every half's successors on all
+    letters, keyed by (half, S part, O part, reset); a row is the product
+    of two of them, sorted as one kernel over both halves would sort it.
+
+    The language of a vertex is the intersection of its member state
+    languages, so per-vertex verdicts are a property of the graph and are
+    shared by every query on it.
     """
 
     def __init__(self, a: Awa):
-        n = a.n_states
-        shifted = tuple(tuple(tuple(m << n for m in p) for p in row) for row in a.delta)
-        super().__init__(Breakpoint(
-            a.dual.delta + shifted,
-            accepting=state_mask(a.accepting) | state_mask(a.dual.accepting) << n,
-            tops=1 << a.top | 1 << (n + a.dual.top),
-            bottoms=1 << a.bottom | 1 << (n + a.dual.bottom)), a.alphabet.letters)
+        super().__init__(self._product_row, a.alphabet.letters)
         self.a = a
+        d = a.dual
+        self.halves = (
+            Breakpoint(d.delta, state_mask(a.accepting), 1 << a.top, 1 << a.bottom),
+            Breakpoint(a.delta, state_mask(d.accepting), 1 << d.top, 1 << d.bottom))
+        # per half, S part, O part and reset: the successors on each
+        # letter number, the dual's already shifted into the high bits
+        self.half_rows: dict[tuple[int, int, int, bool], list[list[Vertex]]] = {}
         # the minimal models of each positive label's unions, as masks
         self.label_models: dict[Label, tuple[int, ...]] = {}
 
+    def _half_row(self, key: tuple[int, int, int, bool]) -> list[list[Vertex]]:
+        got = self.half_rows.get(key)
+        if got is None:
+            half, S, O, reset = key
+            k = self.halves[half]
+            got = [k.successors(S, O, i, reset) for i in range(len(self.letters))]
+            if half:
+                n = self.a.n_states
+                got = [[(s << n, o << n) for s, o in succ] for succ in got]
+            self.half_rows[key] = got
+        return got
+
+    def _product_row(self, S: int, O: int) -> list[list[Vertex]]:
+        n = self.a.n_states
+        low = (1 << n) - 1
+        reset = not O
+        row = []
+        for los, his in zip(self._half_row((0, S & low, O & low, reset)),
+                            self._half_row((1, S >> n, O >> n, reset))):
+            pairs = [(sl | sh, ol | oh) for sl, ol in los for sh, oh in his]
+            # pair_order compares sorted member tuples, and every low member
+            # is below every high one: pairs sharing their one low part
+            # compare as their high parts do, which the dual's kernel has
+            # sorted already.  Several low parts interleave, so sort.
+            if len(los) > 1:
+                pairs.sort(key=pair_order)
+            row.append(pairs)
+        return row
+
+    def _unions(self, label: Label) -> tuple[int, ...]:
+        for u in label.unions:
+            if u >> self.a.n_states:
+                raise IncompatibleAutomata(
+                    f"label references unknown state {u.bit_length() - 1}")
+        return label.unions
+
     def difference_roots(self, pos: Label, neg: Label) -> list[int]:
-        """Initial vertices for [[pos]] minus [[neg]].
+        """Initial vertices for [[pos]] minus [[neg]]; raises
+        IncompatibleAutomata when a label names a state the automaton does
+        not have.
 
         The negated unions enter as fresh atoms in one extra clause, so the
         minimal models are those of pos's unions, each with one neg union;
-        that union expands into its dual states.
+        that union expands into its dual states.  The sinks apply per half:
+        a rejecting one drops the pair, accepting ones are stripped from
+        the state set.
         """
         from .obligation import minimal_models
 
+        negs = self._unions(neg)
         models = self.label_models.get(pos)
         if models is None:
-            models = minimal_models(pos.unions)
+            models = minimal_models(self._unions(pos))
             self.label_models[pos] = models
         n = self.a.n_states
-        duals = [u << n for u in neg.unions]
-        k = self.kernel
+        lo, hi = self.halves
+        duals = [((u & ~hi.tops) << n, (u & ~hi.accepting) << n)
+                 for u in negs if not u & hi.bottoms]
         roots = set()
         for m in models:
-            for d in duals:
-                # the sinks: a rejecting one drops the pair, accepting ones
-                # are stripped from the state set
-                s = m | d
-                if not s & k.bottoms:
-                    roots.add(self.intern((s & ~k.tops, s & ~k.accepting)))
+            if not m & lo.bottoms:
+                s, o = m & ~lo.tops, m & ~lo.accepting
+                for ds, do in duals:
+                    roots.add(self.intern((s | ds, o | do)))
         return sorted(roots)
-
-
-def _check_states(labels: Iterable[Label], a: Awa) -> None:
-    for l in labels:
-        for u in l.unions:
-            if u >> a.n_states:
-                raise IncompatibleAutomata(
-                    f"label references unknown state {u.bit_length() - 1}")
 
 
 def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
@@ -142,12 +187,8 @@ def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
 
     Both halves of the symmetric difference are tested for emptiness on the
     oracle's breakpoint graph over the automaton and its dual (the
-    alternating encoding of (l1 and not l2) or (l2 and not l1)).  Labels are
-    canonical, so equal ones short-cut the check.
+    alternating encoding of (l1 and not l2) or (l2 and not l1)).
     """
-    _check_states((l1, l2), oracle.a)
-    if l1 == l2:
-        return True
     if oracle.nonempty_from(oracle.difference_roots(l1, l2)):
         return False
     return not oracle.nonempty_from(oracle.difference_roots(l2, l1))
@@ -160,7 +201,6 @@ def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoW
     oracle, whose verdicts ``labels_equivalent`` has usually settled
     already.  Raises ValueError when the labels are equivalent.
     """
-    _check_states((l1, l2), oracle.a)
     for pos, neg in ((l1, l2), (l2, l1)):
         roots = oracle.difference_roots(pos, neg)
         if oracle.nonempty_from(roots):

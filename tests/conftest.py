@@ -7,7 +7,8 @@ game solver, the reference lasso enumeration, the string packer and the
 forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
-eager reference emptiness check, and the two-pass reference for accepted
+one-kernel reference for the language oracle's rows, the eager reference
+emptiness check, and the two-pass reference for accepted
 lassos."""
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from cocoa.awa import (
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
 from cocoa.floating import Dfw, Nfw, det_edges, reach_back_rows, survival_rows
-from cocoa.obligation import BreakpointGraph, ObligationGraph, miyano_hayashi
+from cocoa.obligation import Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi
 from cocoa.sltm import Label, Sltm, _holds, _initial_winners, build_canonical_sltm
 
 
@@ -671,6 +672,22 @@ class ReferenceBreakpoint:
             if not any(s2 <= s and o2 <= o for (s2, o2) in kept):
                 kept.append((s, o))
         return sorted(kept, key=lambda v: (tuple(sorted(v[0])), tuple(sorted(v[1]))))
+
+
+def reference_oracle_kernel(a: Awa) -> Breakpoint:
+    """One breakpoint kernel over the disjoint union of an automaton and its
+    dual, the reference for the rows of ``sltm.LanguageOracle``: dual
+    state q is bit n + q, and its model row is the automaton's row q
+    shifted by n.  A row of the oracle is its successors with the reset
+    taken when O is empty."""
+    n = a.n_states
+    d = a.dual
+    shifted = tuple(tuple(tuple(m << n for m in p) for p in row) for row in a.delta)
+    return Breakpoint(
+        d.delta + shifted,
+        accepting=state_mask(a.accepting) | state_mask(d.accepting) << n,
+        tops=1 << a.top | 1 << (n + d.top),
+        bottoms=1 << a.bottom | 1 << (n + d.bottom))
 
 
 def succ_lists(g: ObligationGraph) -> list[list[int]]:

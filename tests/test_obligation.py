@@ -60,7 +60,7 @@ def sink_explorer(b: Awa) -> BreakpointGraph:
     unexpanded, its initial pair interned as vertex 0."""
     acc = state_mask(b.accepting)
     kernel = Breakpoint(b.dual.delta, acc, 1 << b.top, 1 << b.bottom)
-    g = BreakpointGraph(kernel, b.alphabet.letters)
+    g = BreakpointGraph(kernel.row, b.alphabet.letters)
     init = 1 << b.initial
     g.intern((init, init & ~acc))
     return g
@@ -123,12 +123,32 @@ def test_breakpoint_successors_match_reference():
                 for vid, (S, O) in enumerate(g.vertices):
                     for i, dsts in enumerate(g.edges[vid]):
                         want = ref.successors(*as_sets[vid], i)
-                        got = kernel.successors(S, O, i)
+                        got = kernel.successors(S, O, i, not O)
                         assert [(frozenset(mask_states(s)), frozenset(mask_states(o)))
                                 for s, o in got] == want, (f, S, O, i)
                         assert [as_sets[d] for d in dsts] == want
                         checked += 1
     assert checked > 2000
+
+
+def test_equal_successor_entries_are_one_object():
+    # the rows of a graph hold one tuple per distinct successor entry, and
+    # equal rows built afresh from the kernel, entry by entry
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    shared = 0
+    for f, alpha in inputs:
+        a = from_ltl(f, alpha)
+        for b in (a, a.dual):
+            g = miyano_hayashi(b)
+            entries = [dsts for row in g.edges for dsts in row]
+            assert len({id(dsts) for dsts in entries}) == len(set(entries)), f
+            shared += len(entries) - len(set(entries))
+            ids = {v: vid for vid, v in enumerate(g.vertices)}
+            kernel = Breakpoint(b.dual.delta, state_mask(b.accepting), 0, 0)
+            assert g.edges == tuple(tuple(tuple(ids[v] for v in vs) for vs in kernel.row(S, O))
+                                    for S, O in g.vertices), f
+    assert shared > 1000
 
 
 def test_breakpoint_kernels_read_the_dual_rows():

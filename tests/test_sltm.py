@@ -25,8 +25,10 @@ from cocoa.sltm import (
 
 from conftest import (
     build_sltm, formula_corpus, label_accepts_lasso, lassos_up_to,
-    prefixes_up_to, prepend, reference_accepted_lasso, reference_is_empty, sltm_state_after,
+    prefixes_up_to, prepend, reference_accepted_lasso, reference_is_empty,
+    reference_oracle_kernel, sltm_state_after, weak_awas,
 )
+from test_chain_bytes import workloads
 
 
 def build(text, aps, **kw):
@@ -91,6 +93,26 @@ def test_labels_equivalent_rejects_foreign_states(fig1):
     oracle = LanguageOracle(fig1)
     with pytest.raises(IncompatibleAutomata):
         labels_equivalent(Label.make([1 << 99]), Label.make([]), oracle)
+
+
+def test_oracle_rejects_labels_over_dual_states():
+    # bit n + 1 is a dual state inside the oracle's own masks; a label
+    # naming it, on either side of a difference or on both sides of an
+    # equivalence, is foreign to the automaton
+    alpha = Alphabet.from_aps(["a"])
+    a = from_ltl(to_nnf(parse_ltl("FG a", ["a"])), alpha)
+    assert a.n_states == 5
+    oracle = LanguageOracle(a)
+    foreign, own = Label.make([1 << 6]), Label.make([1])
+    for pos, neg in ((foreign, own), (own, foreign), (foreign, foreign)):
+        with pytest.raises(IncompatibleAutomata, match="unknown state 6"):
+            oracle.difference_roots(pos, neg)
+    for l1, l2 in ((foreign, foreign), (own, foreign)):
+        with pytest.raises(IncompatibleAutomata):
+            labels_equivalent(l1, l2, oracle)
+        with pytest.raises(IncompatibleAutomata):
+            distinguishing_lasso(l1, l2, oracle)
+    assert oracle.pairs == []
 
 
 EPS_AP = "<eps>"
@@ -473,3 +495,75 @@ def test_lower_bound_sltm_makes_few_false_equivalence_queries(lower_bound_querie
     assert m.n_states == 13
     assert len(queries) <= 32
     assert sum(not got for *_pair, got in queries) <= 20
+
+
+def build_oracle(a: Awa) -> LanguageOracle:
+    """The language oracle of the automaton's SLTM build, as the build
+    left it."""
+    made = []
+
+    class Recording(LanguageOracle):
+        def __init__(self, a: Awa):
+            super().__init__(a)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocoa.sltm, "LanguageOracle", Recording)
+        build_sltm(a)
+    (oracle,) = made
+    return oracle
+
+
+def rows_match_reference(oracle: LanguageOracle) -> int:
+    """Check every row the oracle expanded against the one kernel over
+    both halves, letter by letter; the number of rows checked."""
+    kernel = reference_oracle_kernel(oracle.a)
+    checked = 0
+    for vid, row in enumerate(oracle.rows):
+        if row is not None:
+            S, O = oracle.pairs[vid]
+            for i, dsts in enumerate(row):
+                assert [oracle.pairs[d] for d in dsts] == kernel.successors(S, O, i, not O), \
+                    (vid, S, O, i)
+            checked += 1
+    return checked
+
+
+STREETT_2 = ("(GF a1 -> GF b1) & (GF a2 -> GF b2)", ["a1", "b1", "a2", "b2"])
+
+
+def test_oracle_rows_match_one_kernel_over_both_halves():
+    # the factored rows (each half's successors from its own kernel, joined
+    # by the reset) name the successors of one kernel over the disjoint
+    # union, in its order, on every vertex the builds expand
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(60, seed=5)]
+    inputs += [(to_nnf(parse_ltl(text, aps)), Alphabet.from_aps(aps))
+               for text, aps in workloads.RABIN_FORMULAS + [STREETT_2]]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    checked = 0
+    for f, alpha in inputs:
+        checked += rows_match_reference(build_oracle(from_ltl(f, alpha)))
+    assert checked > 2000
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_oracle_rows_match_one_kernel_on_weak_automata(a):
+    # besides the build's queries, one per pair of single states, so that
+    # the difference roots hold obligations in both halves
+    oracle = build_oracle(a)
+    singles = [Label.make([1 << q]) for q in range(a.n_states)]
+    for l1, l2 in itertools.combinations(singles, 2):
+        labels_equivalent(l1, l2, oracle)
+    assert rows_match_reference(oracle)
+
+
+def test_lower_bound_oracle_reuses_half_rows(lower_bound_queries):
+    # the n=1 build expands about a thousand oracle vertices from a few
+    # dozen distinct rows of each half; computing a kernel row per vertex
+    # instead would fail here
+    queries, _m = lower_bound_queries
+    oracle = queries[0][0]
+    expanded = sum(row is not None for row in oracle.rows)
+    assert expanded > 900
+    assert len(oracle.half_rows) <= 110
