@@ -59,26 +59,25 @@ def tarjan_sccs(roots: Iterable[int], succ: Callable[[int], Iterable[int]],
                     yield sorted(comp)
 
 
-def scc_ids(n: int, sccs: Iterable[list[int]]) -> list[int]:
-    ids = [-1] * n
-    for k, comp in enumerate(sccs):
-        for v in comp:
-            ids[v] = k
-    return ids
-
-
-def cyclic_sccs(succ: Sequence[Sequence[int]]) -> list[int]:
+def cyclic_sccs(succ: Sequence[Sequence[int]], marked: Iterable[int] | None = None) -> list[int]:
     """Component id of every vertex that lies on a cycle, -1 for the
-    transient rest, on a graph given by its successor lists.
+    transient rest, on a graph given by its successor lists.  With
+    ``marked``, only the cyclic components holding a marked vertex keep
+    their ids.
 
     A component is cyclic when it has an internal edge (a self-loop
-    counts).  Two vertices share a cycle exactly when their ids are equal
-    and not -1.
+    counts).  Two vertices share a kept component exactly when their ids
+    are equal and not -1.
     """
     n = len(succ)
-    comp = scc_ids(n, tarjan_sccs(range(n), succ.__getitem__))
-    cyclic = {comp[v] for v in range(n) for w in succ[v] if comp[w] == comp[v]}
-    return [c if c in cyclic else -1 for c in comp]
+    comp = [-1] * n
+    for k, members in enumerate(tarjan_sccs(range(n), succ.__getitem__)):
+        for v in members:
+            comp[v] = k
+    keep = {comp[v] for v in range(n) for w in succ[v] if comp[w] == comp[v]}
+    if marked is not None:
+        keep &= {comp[v] for v in marked}
+    return [c if c in keep else -1 for c in comp]
 
 
 def lasso_letters(src: int, targets: dict[int, Container[int]],

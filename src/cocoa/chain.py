@@ -144,14 +144,9 @@ def build_chain_for_formula(f: Formula, alphabet: Alphabet | None = None,
                             config: ChainConfig | None = None) -> Cocoa:
     from .formula import atom_names
 
-    nnf = to_nnf(f)
     if alphabet is None:
-        names = atom_names(nnf) or atom_names(f)
-        if not names:
-            names = ["a"]
-        alphabet = Alphabet.from_aps(names)
-    a = from_ltl(nnf, alphabet)
-    return build_chain(a, config=config, formula=f)
+        alphabet = Alphabet.from_aps(atom_names(f) or ["a"])
+    return build_chain(from_ltl(to_nnf(f), alphabet), config=config, formula=f)
 
 
 def natural_color(chain: Cocoa, w: LassoWord) -> int:

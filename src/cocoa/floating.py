@@ -142,10 +142,9 @@ def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
             row.append(tuple(sorted(dsts)))
         trans.append(row)
 
-    comp = cyclic_sccs([sorted({d for dsts in row for d in dsts}) for row in trans])
-    accepting_comps = {comp[q] for q in range(len(states))
-                       if states[q][1] in g.accepting} - {-1}
-    keep = [q for q in range(len(states)) if comp[q] in accepting_comps]
+    comp = cyclic_sccs([sorted({d for dsts in row for d in dsts}) for row in trans],
+                       (q for q, (_p, v) in enumerate(states) if not g.vertices[v][1]))
+    keep = [q for q in range(len(states)) if comp[q] >= 0]
     remap = {old: new for new, old in enumerate(keep)}
     nfw = Nfw(
         label=tuple(prev.label[states[q][0]] for q in keep),

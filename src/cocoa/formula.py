@@ -70,9 +70,6 @@ class Formula:
     def __str__(self) -> str:
         return render(self)
 
-    def size(self) -> int:
-        return 1 + sum(a.size() for a in self.args)
-
     @cached_property
     def program(self) -> tuple[tuple[str, tuple[int, ...], str | None], ...]:
         """The distinct subformulas as ``(kind, child indices, name)``,
@@ -455,9 +452,7 @@ class Lassos(Sequence[LassoWord]):
     def __len__(self) -> int:
         return self.starts.bit_count()
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> LassoWord:
         _off, u, v = self._suite[i]
         return self._word(u, v)
 

@@ -39,7 +39,7 @@ def pair_order(v: Vertex) -> tuple[str, str]:
 @dataclass(frozen=True, eq=False)
 class ObligationGraph:
     """NBW over (S, O) vertices, pairs of state masks with O subset of S;
-    accepting iff O is empty.
+    vertex 0 is initial, and a vertex is accepting iff its O is empty.
 
     ``edges[vid][i]`` holds the successors of vertex ``vid`` on letter
     number i of the alphabet.
@@ -47,9 +47,7 @@ class ObligationGraph:
 
     alphabet: Alphabet
     vertices: tuple[Vertex, ...]
-    initial: int
     edges: tuple[tuple[tuple[int, ...], ...], ...]
-    accepting: frozenset[int]
 
     @property
     def n_vertices(self) -> int:
@@ -293,19 +291,17 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     while vid < len(graph.pairs):
         graph.row(vid)
         vid += 1
-    pairs = graph.pairs
-    accepting = frozenset(i for i, (_s, o) in enumerate(pairs) if not o)
-    return ObligationGraph(a.alphabet, tuple(pairs), 0, tuple(graph.rows), accepting)
+    return ObligationGraph(a.alphabet, tuple(graph.pairs), tuple(graph.rows))
 
 
 def obligation_to_dot(g: ObligationGraph) -> str:
     lines = ["digraph obligation {", "  rankdir=LR;"]
     for vid, (S, O) in enumerate(g.vertices):
-        shape = "doublecircle" if vid in g.accepting else "circle"
+        shape = "circle" if O else "doublecircle"
         label = "{%s} | {%s}" % (" ".join(map(str, mask_states(S))),
                                  " ".join(map(str, mask_states(O))))
         lines.append(f'  v{vid} [shape={shape} label="{label}"];')
-    lines.append(f"  init [shape=point]; init -> v{g.initial};")
+    lines.append("  init [shape=point]; init -> v0;")
     for vid, row in enumerate(g.edges):
         for x, dsts in zip(g.alphabet.letters, row):
             for dst in dsts:

@@ -6,11 +6,13 @@ vertex sets (one for the complement graph, one for the positive graph) plus
 a suffix-language label in intersection-of-unions form.  The machine is
 explored over label-equivalence classes only: a subset construction over
 the complement graph steps one representative vertex set per state and
-merges each successor set into the state of an equivalent label, decided
-with an alternating-automaton emptiness check.  Each build owns one
-``LanguageOracle``: the breakpoint graph over the disjoint union of the
-automaton and its dual, explored only as far as the checks reach, whose
-emptiness verdicts every check of that build shares.  Its rows are
+classifies each successor set by its label.  One map from labels to states
+answers every label met before; a new label joins the state of an
+equivalent label, decided with an alternating-automaton emptiness check,
+or starts a new state.  Each build owns one ``LanguageOracle``: the
+breakpoint graph over the disjoint union of the automaton and its dual,
+explored only as far as the checks reach, whose emptiness verdicts every
+check of that build shares.  Its rows are
 products of the two halves' rows, which it computes once each.  A
 candidate is checked only against the state of its signature, the label's
 membership of each lasso in a battery that starts empty; each signature
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .awa import (
-    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, mask_states, minimal_sets,
-    state_mask, winning_state_positions,
+    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
+    minimal_sets, state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord
 from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, Vertex, pair_order
@@ -218,11 +220,7 @@ def suffix_label(label: Label, i: int, a: Awa) -> Label:
         for q in mask_states(u):
             part = cnf_or(part, a.delta[q][i])
         cnf = cnf_and(cnf, part)
-    if not cnf:
-        return Label.make([])
-    if 0 in cnf:
-        return Label.make([1 << a.bottom])
-    return Label.make(cnf)
+    return Label(finalize_pcnf(cnf, a.top, a.bottom))
 
 
 # --- the machine -------------------------------------------------------------
@@ -266,20 +264,22 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     Each state keeps the first vertex set that reached it as its
     representative.  The machine is Moore in its labels, so stepping the
     representative gives the successor class of every member; each
-    successor set joins the class of an equivalent label or starts a new
-    one.  Each signature names at most one state, the only one checked for
-    equivalence; each check that fails adds its distinguishing lasso to
-    the signature battery, so no pair is rejected twice.  Representatives
-    are pairwise inequivalent and equivalent labels share every signature,
-    so the class found does not depend on the battery.  Breadth-first
-    order numbers states by their shortlex-least access words.  Each
-    state's vertex sets, in both graphs, are the vertices reachable
-    together with it: a product sweep of the finished machine with each
-    graph.
+    successor set is classified by its label.  One map from labels to
+    states answers a label met before.  A new label joins the class of an
+    equivalent label or starts a new one: each signature names at most one
+    state, the only one checked for equivalence; each check that fails
+    adds its distinguishing lasso to the signature battery, so no pair is
+    rejected twice.  Representatives are pairwise inequivalent and
+    equivalent labels share every signature, so the class found does not
+    depend on the battery.  Breadth-first order numbers states by their
+    shortlex-least access words.  Each state's vertex sets, in both
+    graphs, are the vertices reachable together with it: a product sweep
+    of the finished machine with each graph.
 
     ``check_single_step`` additionally asserts, per canonical transition,
-    that the successor's label is equivalent to the suffix of the source
-    label (the single-step soundness condition of the construction).
+    that the suffix of the source state's label on the letter classifies
+    as the successor (the single-step soundness condition of the
+    construction), through the same map with each final label added.
     """
     # cheap pre-partition: membership bits over a battery of lassos that
     # starts empty and gains, per inequivalent pair met, a lasso telling
@@ -287,34 +287,22 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     # lasso costs one bit per state's signature.
     winners: list[int] = []
     oracle = LanguageOracle(a)
-    equiv_cache: dict[tuple[Label, Label], bool] = {}
-
-    def equivalent(l1: Label, l2: Label) -> bool:
-        if l1 == l2:
-            return True
-        key = (l1, l2) if l1.unions < l2.unions else (l2, l1)
-        got = equiv_cache.get(key)
-        if got is None:
-            got = labels_equivalent(l1, l2, oracle)
-            equiv_cache[key] = got
-        return got
-
-    reps: list[frozenset[int]] = []
+    reps: list[set[int] | None] = []
     rep_labels: list[Label] = []
-    state_of: dict[frozenset[int], int] = {}
     by_sig: dict[tuple[bool, ...], int] = {}
+    state_of: dict[Label, int] = {}
 
-    def classify(vs: frozenset[int]) -> int:
+    def classify(label: Label, vs: set[int] | None = None) -> int:
+        # the state of the label's language; a new one keeps vs
         nonlocal by_sig
-        sid = state_of.get(vs)
+        sid = state_of.get(label)
         if sid is not None:
             return sid
-        label = label_of(vs, g_neg)
-        # the state whose label is equivalent; a state rejected adds a
-        # battery lasso, one more bit on every signature, that tells it and
-        # the label apart
+        # a state rejected adds a battery lasso, one more bit on every
+        # signature, that tells it and the label apart
         sig = tuple(_holds(label, win) for win in winners)
-        while (sid := by_sig.get(sig)) is not None and not equivalent(label, rep_labels[sid]):
+        while (sid := by_sig.get(sig)) is not None and not labels_equivalent(
+                label, rep_labels[sid], oracle):
             win = _initial_winners(a, distinguishing_lasso(label, rep_labels[sid], oracle))
             if _holds(label, win) == _holds(rep_labels[sid], win):
                 raise AssertionError("a distinguishing lasso is in both labels or in neither")
@@ -326,23 +314,23 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
             reps.append(vs)
             rep_labels.append(label)
             by_sig[sig] = sid
-        state_of[vs] = sid
+        state_of[label] = sid
         return sid
 
     # states are numbered as they are found and expanded in id order, one
     # row each
-    initial = classify(frozenset({g_neg.initial}))
+    initial = classify(label_of([0], g_neg), {0})
     delta: list[tuple[int, ...]] = []
     while len(delta) < len(reps):
         rows = [g_neg.edges[v] for v in reps[len(delta)]]
-        delta.append(tuple(classify(frozenset(d for dsts in per_letter for d in dsts))
-                           for per_letter in zip(*rows)))
+        sets = [{d for dsts in per_letter for d in dsts} for per_letter in zip(*rows)]
+        delta.append(tuple(classify(label_of(vs, g_neg), vs) for vs in sets))
 
     def sweep(graph: ObligationGraph) -> tuple[frozenset[int], ...]:
         # vertices reachable together with each state, from the two initials
         sets: list[set[int]] = [set() for _ in delta]
-        sets[initial].add(graph.initial)
-        todo = [(initial, graph.initial)]
+        sets[initial].add(0)
+        todo = [(initial, 0)]
         while todo:
             sid, v = todo.pop()
             for sid2, dsts in zip(delta[sid], graph.edges[v]):
@@ -356,10 +344,11 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     labels = tuple(label_of(vs, g_neg) for vs in vsets_neg)
 
     if check_single_step:
+        # each state's final label names it too
+        state_of.update((label, sid) for sid, label in enumerate(labels))
         for sid, row in enumerate(delta):
             for i, succ in enumerate(row):
-                expect = suffix_label(labels[sid], i, a)
-                if not equivalent(labels[succ], expect):
+                if classify(suffix_label(labels[sid], i, a)) != succ:
                     raise AssertionError(
                         f"single-step condition violated: label of state {succ} "
                         f"is not the suffix of state {sid} on {sorted(a.alphabet.letters[i])}")

@@ -71,6 +71,12 @@ def subformulas(f: Formula) -> list[Formula]:
     return out
 
 
+def formula_size(f: Formula) -> int:
+    """The number of nodes of the syntax tree, shared subtrees counted at
+    each use."""
+    return 1 + sum(formula_size(a) for a in f.args)
+
+
 def formula_corpus(count: int, seed: int = 20240601, max_size: int = 6):
     rng = random.Random(seed)
     out = []
@@ -701,13 +707,13 @@ def reference_nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     vertex on a cycle.  The reference for the lazy emptiness check of
     ``obligation.BreakpointGraph``."""
     comp = cyclic_sccs(succ_lists(g))
-    targets = sorted(v for v in g.accepting if comp[v] >= 0)
+    targets = [v for v, (_s, o) in enumerate(g.vertices) if not o and comp[v] >= 0]
     if not targets:
         return None
     target = targets[0]
     members = {v for v in range(g.n_vertices) if comp[v] == comp[target]}
     found = lasso_letters(
-        g.initial, {target: members},
+        0, {target: members},
         lambda vid: ((x, v2) for x, dsts in zip(g.alphabet.letters, g.edges[vid])
                      for v2 in dsts))
     if found is None:

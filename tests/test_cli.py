@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cocoa import build_chain_for_formula, parse_ltl
 from cocoa.cli import main
 
 
@@ -25,6 +26,18 @@ def test_translate_example_four(tmp_path, capsys):
                           "--out", str(tmp_path), "--json")
     assert code == 0
     assert json.loads(out)["k"] == 4
+
+
+def test_translate_and_library_pick_one_alphabet(tmp_path, capsys):
+    # the negation normal form folds "b | true" away; both still build over
+    # every proposition the formula names
+    text = "a & (b | true)"
+    code, _out, _err = run(capsys, "translate", text, "--out", str(tmp_path))
+    assert code == 0
+    data = json.loads((tmp_path / "chain.json").read_text())
+    chain = build_chain_for_formula(parse_ltl(text, ["a", "b"]))
+    assert data["aps"] == list(chain.alphabet.aps) == ["a", "b"]
+    assert len(data["letters"]) == len(chain.alphabet.letters) == 4
 
 
 def test_translate_parse_error(tmp_path, capsys):

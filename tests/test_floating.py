@@ -11,6 +11,7 @@ from cocoa import (
     Alphabet, det_edges, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
     level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
 )
+from cocoa._graph import cyclic_sccs
 
 from conftest import (
     build_sltm, formula_corpus, lassos_up_to, nfw_accepts_lasso,
@@ -72,23 +73,24 @@ def test_nfw_transient_free():
                       ("FG a", ["a"])]:
         _a, m = setup_pipeline(text, aps)
         for nfw, _det, _mind in levels_with_intermediates(m, 4):
-            succ = [set() for _ in range(nfw.n_states)]
-            for q, row in enumerate(nfw.trans):
-                for dsts in row:
-                    succ[q].update(dsts)
-            # every state lies on a cycle: nonempty successor chain that
-            # revisits, and every transition stays inside one component
-            from cocoa._graph import scc_ids, tarjan_sccs
-
-            sccs = tarjan_sccs(range(nfw.n_states), [sorted(s) for s in succ].__getitem__)
-            comp = scc_ids(nfw.n_states, sccs)
-            cyclic = set()
+            succ = [sorted({d for dsts in row for d in dsts}) for row in nfw.trans]
+            # every state lies on a cycle, and every transition stays
+            # inside one component
+            comp = cyclic_sccs(succ)
             for q in range(nfw.n_states):
+                assert comp[q] >= 0
                 for s in succ[q]:
                     assert comp[s] == comp[q]
-                    cyclic.add(comp[q])
-            for q in range(nfw.n_states):
-                assert comp[q] in cyclic
+
+
+def test_cyclic_sccs_keeps_marked_components():
+    # 0 -> 1 -> 0 and the self-loop 3 are cyclic, 2 and 4 transient; the
+    # components are numbered sinks first: {4}, {3}, {2}, {0, 1}
+    succ = [[1], [0, 2], [3], [3, 4], []]
+    assert cyclic_sccs(succ) == [3, 3, -1, 1, -1]
+    assert cyclic_sccs(succ, [3]) == [-1, -1, -1, 1, -1]
+    assert cyclic_sccs(succ, [1, 4]) == [3, 3, -1, -1, -1]
+    assert cyclic_sccs(succ, []) == [-1] * 5
 
 
 def test_level_one_languages_from_examples():

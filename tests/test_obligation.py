@@ -49,9 +49,9 @@ def nbw_accepts_lasso(g: ObligationGraph, w: LassoWord) -> bool:
     for vid in range(g.n_vertices):
         for i in range(n):
             succ[node(vid, i)] = [node(v2, next_pos(w, i)) for v2 in g.edges[vid][at[i]]]
-    reach = reachable(succ, [node(g.initial, 0)])
+    reach = reachable(succ, [node(0, 0)])
     comp = cyclic_sccs(succ)
-    return any(comp[nd] >= 0 and nd // n in g.accepting for nd in reach)
+    return any(comp[nd] >= 0 and not g.vertices[nd // n][1] for nd in reach)
 
 
 def sink_explorer(b: Awa) -> BreakpointGraph:
@@ -73,8 +73,7 @@ def expanded(g: BreakpointGraph, alphabet: Alphabet) -> ObligationGraph:
     while vid < len(g.pairs):
         g.row(vid)
         vid += 1
-    accepting = frozenset(i for i, (_s, o) in enumerate(g.pairs) if not o)
-    return ObligationGraph(alphabet, tuple(g.pairs), 0, tuple(g.rows), accepting)
+    return ObligationGraph(alphabet, tuple(g.pairs), tuple(g.rows))
 
 
 def test_minimal_models_basic():
@@ -170,9 +169,7 @@ def test_vertices_pair_invariants(fig1):
         assert O & S == O
         assert S  # never empty
     init = 1 << fig1.initial
-    assert g.vertices[g.initial] == (init, init & ~state_mask(fig1.accepting))
-    assert g.accepting == frozenset(
-        i for i, (_s, o) in enumerate(g.vertices) if not o)
+    assert g.vertices[0] == (init, init & ~state_mask(fig1.accepting))
 
 
 def test_vertex_count_bound(fig1):
@@ -186,7 +183,7 @@ def test_tautology_dual_has_no_accepting_cycle():
     g = miyano_hayashi(dualize(a))
     succ = succ_lists(g)
     # no accepting vertex reachable from itself
-    for v in g.accepting:
+    for v in (v for v, (_s, o) in enumerate(g.vertices) if not o):
         seen, todo = set(), [v]
         while todo:
             u = todo.pop()

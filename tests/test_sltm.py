@@ -282,7 +282,7 @@ def test_sltm_p1_eq1_witness_replay():
                       ("GF a -> (GF b & FG c)", ["a", "b", "c"])]:
         a, m = build(text, aps)
         graphs = (m.g_neg, m.g_pos)
-        start = tuple(frozenset({g.initial}) for g in graphs)
+        start = (frozenset({0}), frozenset({0}))
         witness = {start: ()}
         frontier = deque([start])
         while frontier:
@@ -309,7 +309,7 @@ def test_sltm_p2_prefix_images_contained():
         for graph, vsets in ((m.g_neg, m.vertex_sets_neg),
                              (m.g_pos, m.vertex_sets_pos)):
             for p in prefixes_up_to(m.alphabet, 3):
-                vs = {graph.initial}
+                vs = {0}
                 for x in p:
                     vs = {d for v in vs for d in graph.edges[v][m.alphabet.number[x]]}
                 s = sltm_state_after(m, p)
@@ -354,6 +354,25 @@ def test_sltm_single_step_check_runs_on_corpus():
         build_sltm(a, check_single_step=True)
 
 
+def test_single_step_check_fires(monkeypatch):
+    # a suffix label naming the empty language, on a transition whose
+    # successor's language is not empty, classifies as another state
+    a, m = build("G a", ["a"])
+    s, i = m.initial, m.alphabet.number[frozenset({"a"})]
+    succ = m.delta[s][i]
+    assert any(label_accepts_lasso(m.labels[succ], a, w) for w in lassos_up_to(m.alphabet, 1, 1))
+    original = cocoa.sltm.suffix_label
+
+    def wrong(label, j, b):
+        if (label, j) == (m.labels[s], i):
+            return Label.make([1 << b.bottom])
+        return original(label, j, b)
+
+    monkeypatch.setattr(cocoa.sltm, "suffix_label", wrong)
+    with pytest.raises(AssertionError, match="single-step condition violated"):
+        build_sltm(a, check_single_step=True)
+
+
 def test_sltm_json_roundtrip():
     _a, m = build("GF a -> GF b", ["a", "b"])
     data = sltm_to_json(m)
@@ -376,7 +395,7 @@ def _member_labels_by_state(m):
     complement graph reaches, grouped by the SLTM state it reaches with,
     together with that state's own label."""
     g = m.g_neg
-    start = (frozenset({g.initial}), m.initial)
+    start = (frozenset({0}), m.initial)
     seen = {start}
     todo = [start]
     while todo:
@@ -495,6 +514,29 @@ def test_lower_bound_sltm_makes_few_false_equivalence_queries(lower_bound_querie
     assert m.n_states == 13
     assert len(queries) <= 32
     assert sum(not got for *_pair, got in queries) <= 20
+
+
+def test_corpus_sltm_equivalence_queries(monkeypatch):
+    # the benchmark corpus with the translate settings: one map from
+    # labels to states answers every label met before, in the exploration
+    # and in the single-step check, which asked 425 queries when vertex
+    # sets and label pairs were looked up apart
+    queries = 0
+    original = cocoa.sltm.labels_equivalent
+
+    def counting(l1, l2, oracle):
+        nonlocal queries
+        queries += 1
+        return original(l1, l2, oracle)
+
+    monkeypatch.setattr(cocoa.sltm, "labels_equivalent", counting)
+    items = workloads.corpus_items(workloads.CORPUS_SEED)
+    assert len(items) == 154
+    for item in items:
+        alpha = Alphabet.from_aps(item["aps"])
+        build_sltm(from_ltl(to_nnf(parse_ltl(item["text"], item["aps"])), alpha),
+                   check_single_step=True)
+    assert queries <= 359
 
 
 def build_oracle(a: Awa) -> LanguageOracle:

@@ -12,7 +12,7 @@ import cocoa.awa
 import cocoa.chain
 import cocoa.obligation
 import cocoa.sltm
-from cocoa import Alphabet, parse_ltl, to_nnf
+from cocoa import Alphabet, ChainConfig, parse_ltl, to_nnf
 from cocoa.sltm import Label, LanguageOracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,21 +52,30 @@ def installed_tracer(monkeypatch):
 
 def test_tracer_hooks_see_the_calls(monkeypatch):
     originals = {"obligation.minimal_models": cocoa.obligation.minimal_models,
-                 "sltm.labels_equivalent": cocoa.sltm.labels_equivalent}
+                 "sltm.labels_equivalent": cocoa.sltm.labels_equivalent,
+                 "sltm.suffix_label": cocoa.sltm.suffix_label}
+    automata = []
+    for text in ("G (a -> F b)", "GF a -> GF b"):
+        f = parse_ltl(text, ["a", "b"])
+        automata.append((cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"])), f))
+    with counting_calls(originals) as unchecked:
+        for a, f in automata:
+            cocoa.chain.build_chain(a, config=ChainConfig(check_single_step=False), formula=f)
     tracer = installed_tracer(monkeypatch)
 
-    f = parse_ltl("G (a -> F b)", ["a", "b"])
-    a = cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"]))
-    # a direct query on a fresh oracle, besides those of the build
+    # a direct query on a fresh oracle, besides those of the builds
     b = cocoa.awa.from_ltl(to_nnf(parse_ltl("F a", ["a"])), Alphabet.from_aps(["a"]))
     with counting_calls(originals) as actual:
-        cocoa.chain.build_chain(a, formula=f)
+        for a, f in automata:
+            cocoa.chain.build_chain(a, config=ChainConfig(check_single_step=True), formula=f)
         assert cocoa.sltm.labels_equivalent(
             Label.make([1 << b.initial]), Label.make([1 << b.top]),
             LanguageOracle(b)) is False
     traced = {name: tracer.calls[name][0] for name in originals}
     assert traced["obligation.minimal_models"] > 0
-    assert traced["sltm.labels_equivalent"] > 1
+    # the single-step check queries the oracle beyond the exploration
+    assert traced["sltm.labels_equivalent"] > unchecked["sltm.labels_equivalent"] + 1
+    assert traced["sltm.suffix_label"] > 0
     assert tracer.calls["awa.winning_state_positions"][0] > 0
     assert traced == actual
 
