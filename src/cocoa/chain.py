@@ -10,7 +10,7 @@ on bounded lassos.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .awa import Awa, from_ltl
 from .floating import (
@@ -176,17 +176,7 @@ class VerifyReport:
         return self.counterexamples == 0 and self.monotonicity_ok
 
     def to_json(self) -> dict:
-        return {
-            "formula": self.formula,
-            "prefix_bound": self.prefix_bound,
-            "period_bound": self.period_bound,
-            "lassos": self.lassos,
-            "counterexamples": self.counterexamples,
-            "first_counterexample": self.first_counterexample,
-            "monotonicity_ok": self.monotonicity_ok,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3), "ok": self.ok}
 
 
 def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
@@ -271,12 +261,13 @@ def chain_to_json(chain: Cocoa) -> dict:
 def chain_from_json(data: dict) -> Cocoa:
     """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
     not a chain dump, a key is missing, ``k`` is not the number of levels,
-    the SLTM (``sltm_from_json``) is malformed or has another alphabet, a
-    state or letter number is out of range, a level transition is given
-    twice or disagrees with the SLTM labels, a level origin does not
-    pair a state of the previous level carrying the same label with
-    vertices of that label's set in the level's obligation graph, or the
-    formula does not parse over the chain's propositions."""
+    the alphabet breaks a rule of ``formula.Alphabet``, the SLTM
+    (``sltm_from_json``) is malformed or has another alphabet, a state or
+    letter number is out of range, a level transition is given twice or
+    disagrees with the SLTM labels, a level origin does not pair a state
+    of the previous level carrying the same label with vertices of that
+    label's set in the level's obligation graph, or the formula does not
+    parse over the chain's propositions."""
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     require_keys(data, "aps", "letters", "k", "sltm", "levels")

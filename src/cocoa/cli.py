@@ -20,26 +20,15 @@ from .chain import (
 from .floating import dfw_to_dot
 from .formula import (
     Alphabet, InvalidParameter, ParseError, lower_bound_alphabet,
-    lower_bound_family, parse_lasso, parse_ltl,
+    lower_bound_family, parse_lasso, parse_ltl, scan_aps,
 )
 from .obligation import obligation_to_dot
 from .sltm import sltm_to_dot
 
-_IDENT = __import__("re").compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_RESERVED = {"X", "F", "G", "U", "R", "true", "false"}
-
-
-def _scan_aps(text: str) -> list[str]:
-    names = {m.group(0) for m in _IDENT.finditer(text)} - _RESERVED
-    # stacked unary operators like "FG" lex as identifiers; a proposition
-    # spelled only with operator letters needs an explicit --aps
-    names = {n for n in names if not set(n) <= set("XFG")}
-    return sorted(names)
-
 
 def _build(args: argparse.Namespace) -> Cocoa:
     given = [s.strip() for s in args.aps.split(",") if s.strip()] if args.aps else None
-    aps = given or _scan_aps(args.formula) or ["a"]
+    aps = given or scan_aps(args.formula) or ["a"]
     try:
         alphabet = Alphabet.from_aps(aps)
     except ValueError as exc:

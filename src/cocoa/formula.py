@@ -13,6 +13,7 @@ big-int operations per subformula decide the whole suite at once.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -30,9 +31,6 @@ UNTIL = "until"
 RELEASE = "release"
 FINALLY = "finally"
 GLOBALLY = "globally"
-
-_UNARY = {NOT, NEXT, FINALLY, GLOBALLY}
-_BINARY = {AND, OR, IMPLIES, UNTIL, RELEASE}
 
 
 class ParseError(Exception):
@@ -268,10 +266,28 @@ def to_nnf(f: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Atomic propositions plus the letter universe (sets of propositions)."""
+    """Atomic propositions plus the letter universe (sets of propositions).
+
+    Every table of the translation is indexed by letter number, so an
+    alphabet checks its four rules when it is made and raises ValueError
+    otherwise: no proposition is listed twice, there is at least one
+    letter, no letter is listed twice, and no letter holds a proposition
+    that is not declared."""
 
     aps: tuple[str, ...]
     letters: tuple[frozenset[str], ...]
+
+    def __post_init__(self):
+        apset = set(self.aps)
+        if len(apset) != len(self.aps):
+            raise ValueError(f"a proposition is listed twice in {list(self.aps)}")
+        if not self.letters:
+            raise ValueError("alphabet needs at least one letter")
+        if len(self.number) != len(self.letters):
+            raise ValueError(f"a letter is listed twice in {[sorted(l) for l in self.letters]}")
+        for l in self.letters:
+            if not l <= apset:
+                raise ValueError(f"letter {sorted(l)} uses undeclared propositions")
 
     @cached_property
     def number(self) -> dict[frozenset[str], int]:
@@ -280,33 +296,16 @@ class Alphabet:
 
     @staticmethod
     def from_aps(aps) -> "Alphabet":
-        aps = _distinct(aps)
-        letters = []
-        for r in range(len(aps) + 1):
-            for combo in itertools.combinations(sorted(aps), r):
-                letters.append(frozenset(combo))
-        letters.sort(key=lambda l: tuple(sorted(l)))
-        return Alphabet(aps, tuple(letters))
+        """Every set of the propositions is a letter."""
+        aps = tuple(aps)
+        return Alphabet.restricted(aps, itertools.chain.from_iterable(
+            itertools.combinations(aps, r) for r in range(len(aps) + 1)))
 
     @staticmethod
     def restricted(aps, letters) -> "Alphabet":
-        aps = _distinct(aps)
-        apset = set(aps)
+        """The given letters, each once, ordered by their sorted propositions."""
         norm = sorted({frozenset(l) for l in letters}, key=lambda l: tuple(sorted(l)))
-        for l in norm:
-            if not l <= apset:
-                raise ValueError(f"letter {sorted(l)} uses undeclared propositions")
-        if not norm:
-            raise ValueError("alphabet needs at least one letter")
-        return Alphabet(aps, tuple(norm))
-
-
-def _distinct(aps) -> tuple[str, ...]:
-    """The propositions as a tuple; raises ValueError when one is repeated."""
-    aps = tuple(aps)
-    if len(set(aps)) != len(aps):
-        raise ValueError(f"a proposition is listed twice in {list(aps)}")
-    return aps
+        return Alphabet(tuple(aps), tuple(norm))
 
 
 def letter_text(letter: frozenset[str]) -> str:
@@ -453,7 +452,7 @@ class Lassos(Sequence[LassoWord]):
         return self.starts.bit_count()
 
     def __getitem__(self, i: int) -> LassoWord:
-        _off, u, v = self._suite[i]
+        _off, u, v = self._suite[operator.index(i)]
         return self._word(u, v)
 
     def _word(self, u: str, v: str) -> LassoWord:
@@ -651,8 +650,19 @@ def eval_lasso(f: Formula, w: LassoWord) -> bool:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"\s*(->|[!&|()]|[A-Za-z_][A-Za-z_0-9]*)")
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN_RE = re.compile(rf"\s*(->|[!&|()]|{_IDENT})")
 _KEYWORD_UNARY = {"X": NEXT, "F": FINALLY, "G": GLOBALLY}
+# the grammar's keywords and the node kind each stands for
+_KEYWORDS = {**_KEYWORD_UNARY, "U": UNTIL, "R": RELEASE, "true": TRUE, "false": FALSE}
+
+
+def scan_aps(text: str) -> list[str]:
+    """The propositions a formula's text names, sorted: its identifiers
+    other than keywords and stacked unary operators.  A proposition
+    spelled only with the letters X, F and G must be declared."""
+    return sorted({name for name in re.findall(_IDENT, text)
+                   if name not in _KEYWORDS and not set(name) <= set(_KEYWORD_UNARY)})
 
 
 class _Tokens:
@@ -692,12 +702,10 @@ def parse_ltl(text: str, aps) -> Formula:
         raise InvalidParameter("the set of atomic propositions must be non-empty")
     apset = set(aps)
     toks = _Tokens(text)
-    # split identifiers made purely of unary operator letters, so that
-    # "FG a" and "GF b" read as two stacked operators
+    # split stacked unary operators, so that "FG a" reads as F G a
     split: list[tuple[str, int]] = []
     for tok, pos in toks.items:
-        if (tok not in apset and tok not in ("true", "false", "U", "R")
-                and len(tok) > 1 and set(tok) <= set("XFG")):
+        if tok not in apset and set(tok) <= set(_KEYWORD_UNARY):
             split.extend((ch, pos + k) for k, ch in enumerate(tok))
         else:
             split.append((tok, pos))
@@ -733,10 +741,9 @@ def parse_ltl(text: str, aps) -> Formula:
     def p_until() -> Formula:
         left = p_unary()
         tok, _ = toks.peek()
-        if tok in ("U", "R"):
+        if _KEYWORDS.get(tok) in (UNTIL, RELEASE):
             toks.take()
-            right = p_until()
-            return Formula(UNTIL if tok == "U" else RELEASE, (left, right))
+            return Formula(_KEYWORDS[tok], (left, p_until()))
         return left
 
     def p_unary() -> Formula:
@@ -755,13 +762,12 @@ def parse_ltl(text: str, aps) -> Formula:
             inner = p_implies()
             expect(")")
             return inner
-        if tok == "true":
-            return LTRUE
-        if tok == "false":
-            return LFALSE
+        kind = _KEYWORDS.get(tok)
+        if kind in (TRUE, FALSE):
+            return Formula(kind)
+        if kind:
+            raise ParseError(pos, f"operator {tok!r} in atom position")
         if tok and tok[0].isalpha() or tok.startswith("_"):
-            if tok in ("U", "R") or tok in _KEYWORD_UNARY:
-                raise ParseError(pos, f"operator {tok!r} in atom position")
             if tok not in apset:
                 raise UnknownAtom(pos, tok)
             return atom(tok)

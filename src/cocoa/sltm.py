@@ -391,18 +391,12 @@ def require_keys(data: dict, *keys: str) -> None:
 
 def sltm_from_json(data: dict) -> Sltm:
     """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
-    key is missing, a proposition or a letter is listed twice, a letter
-    uses undeclared propositions, the labels or vertex sets are not one per
-    state, or a state or letter number is out of range."""
+    key is missing, the propositions and letters break a rule of
+    ``formula.Alphabet``, the labels or vertex sets are not one per state,
+    or a state or letter number is out of range."""
     require_keys(data, "aps", "letters", "states", "initial", "labels",
                  "vertex_sets_neg", "vertex_sets_pos", "delta")
     alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
-    if len(set(alphabet.aps)) != len(alphabet.aps):
-        raise ValueError(f"a proposition is listed twice in {data['aps']}")
-    if len(set(alphabet.letters)) != len(alphabet.letters):
-        raise ValueError(f"a letter is listed twice in {data['letters']}")
-    if not all(x <= set(alphabet.aps) for x in alphabet.letters):
-        raise ValueError(f"a letter of {data['letters']} uses undeclared propositions")
     n = data["states"]
     for key in ("labels", "vertex_sets_neg", "vertex_sets_pos"):
         if len(data[key]) != n:

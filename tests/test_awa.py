@@ -54,7 +54,8 @@ def test_validate_rejects_constant_formulas(fig1):
 def test_validate_rejects_bad_shapes(fig1):
     # a row one letter short, an initial state that does not exist, a
     # clause naming state 9 of 9, an accepting state -1 and one state name
-    # short: each failed only later with IndexError or ValueError
+    # short: each failed only later with IndexError or ValueError; then a
+    # rejecting top and an accepting bottom
     short = list(fig1.delta)
     short[1] = short[1][:-1]
     beyond = list(fig1.delta)
@@ -63,7 +64,9 @@ def test_validate_rejects_bad_shapes(fig1):
                 dataclasses.replace(fig1, initial=42),
                 dataclasses.replace(fig1, delta=tuple(beyond)),
                 dataclasses.replace(fig1, accepting=fig1.accepting | {-1}),
-                dataclasses.replace(fig1, state_names=fig1.state_names[:-1])):
+                dataclasses.replace(fig1, state_names=fig1.state_names[:-1]),
+                dataclasses.replace(fig1, accepting=fig1.accepting - {fig1.top}),
+                dataclasses.replace(fig1, accepting=fig1.accepting | {fig1.bottom})):
         with pytest.raises(AssertionError):
             bad.validate()
         with pytest.raises(AssertionError):

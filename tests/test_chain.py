@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 import cocoa.awa
 import cocoa.floating
@@ -18,6 +19,8 @@ from cocoa import (
     lower_bound_alphabet, lower_bound_family, natural_color, parse_lasso,
     parse_ltl, to_nnf, verify_chain,
 )
+from cocoa.awa import Awa, mask_states, minimal_sets, state_mask
+from cocoa.formula import LFALSE
 
 from conftest import (
     accepts_lasso, formula_corpus, lassos_up_to, ncw_accepts_lasso,
@@ -400,6 +403,7 @@ BAD_DUMPS = {
     "SLTM vertex_sets_pos extra": _set(("sltm", "vertex_sets_pos"), [[0, 1, 2], [0]]),
     "k 1": _set(("k",), 1),
     "k 3": _set(("k",), 3),
+    "no format": _drop(("format",)),
     "no aps": _drop(("aps",)),
     "no sltm": _drop(("sltm",)),
     "no k": _drop(("k",)),
@@ -467,6 +471,42 @@ def test_chains_of_random_weak_automata(a):
     assert json.dumps(chain_to_json(chain_from_json(json.loads(blob))), sort_keys=True) == blob
 
 
+def renumbered(a: Awa, perm: list[int]) -> Awa:
+    """The automaton with state q renamed ``perm[q]``, its transition
+    formulas kept canonical."""
+    def moved(p):
+        return minimal_sets(state_mask(perm[s] for s in mask_states(c)) for c in p)
+
+    delta, names = [None] * a.n_states, [None] * a.n_states
+    for q, row in enumerate(a.delta):
+        delta[perm[q]] = tuple(map(moved, row))
+        names[perm[q]] = a.state_names[q]
+    return Awa(a.alphabet, perm[a.initial], tuple(delta),
+               frozenset(perm[q] for q in a.accepting), perm[a.top], perm[a.bottom],
+               tuple(names))
+
+
+def _corpus_awa(item):
+    f, aps = item
+    return from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(weak_awas(), st.sampled_from(formula_corpus(40, seed=47)).map(_corpus_awa)),
+       st.data())
+def test_chains_do_not_depend_on_state_numbering(a, data):
+    # the chain is canonical: renaming the states of the automaton changes
+    # no size and no level's language
+    b = renumbered(a, data.draw(st.permutations(range(a.n_states))))
+    b.validate()
+    ca, cb = build_chain(a), build_chain(b)
+    assert (cb.sltm.n_states, cb.k) == (ca.sltm.n_states, ca.k)
+    assert [d.n_states for d, _ in cb.levels] == [d.n_states for d, _ in ca.levels]
+    lassos = enumerate_lassos(a.alphabet, 2, 2)
+    assert [dfw_accepts_lassos(d, cb.sltm, lassos) for d, _ in cb.levels] == \
+        [dfw_accepts_lassos(d, ca.sltm, lassos) for d, _ in ca.levels]
+
+
 def test_hoa_roundtrips_through_json(golden_chains):
     for text, _aps, _levels in GOLDEN:
         chain, _f = golden_chains[text]
@@ -482,6 +522,15 @@ def test_hoa_shape(golden_chains):
     assert "Acceptance: 1 Fin(0)" in hoa
     assert hoa.count("State:") == chain.levels[0][1].n_states
     assert "{0}" in hoa  # rejecting transitions are marked
+
+
+def test_hoa_over_no_propositions():
+    # the one letter of an empty proposition set is the label t
+    chain = build_chain_for_formula(LFALSE, Alphabet.from_aps([]))
+    assert chain.k == 1
+    body = level_to_hoa(chain, 1).split("--BODY--\n")[1]
+    assert body == ("State: 0\n[t] 0 {0}\n[t] 1 {0}\n"
+                    "State: 1\n[t] 1\n[t] 1 {0}\n--END--\n")
 
 
 def test_hoa_rejects_levels_outside_the_chain(golden_chains):

@@ -15,7 +15,7 @@ from cocoa import (
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
-    RELEASE, TRUE, UNTIL,
+    RELEASE, TRUE, UNTIL, atom_names, scan_aps,
 )
 
 from conftest import (
@@ -89,6 +89,22 @@ def test_nnf_until_duality():
 def test_nnf_idempotent_on_nnf_input():
     f = parse_ltl("F !a", ["a"])
     assert to_nnf(f) == f
+
+
+def test_nnf_folds_constants():
+    for text, want in (("true U a", "F a"), ("false R a", "G a"), ("a U false", "false"),
+                       ("X true", "true"), ("false | a", "a"), ("!true", "false"),
+                       ("a & false", "false"), ("true & a", "a"), ("a & true", "a"),
+                       ("a | true", "true"), ("a | false", "a"), ("false U a", "a"),
+                       ("a R true", "true"), ("true R a", "a"), ("!(a U false)", "true"),
+                       ("G !false", "true"), ("F false", "false")):
+        assert to_nnf(parse_ltl(text, ["a"])) == parse_ltl(want, ["a"]), text
+
+
+def test_scan_aps_skips_keywords_and_stacked_operators():
+    text = "GF a -> (b U XX c_1) & FGX true | d R false"
+    assert scan_aps(text) == ["a", "b", "c_1", "d"]
+    assert atom_names(parse_ltl(text, scan_aps(text))) == scan_aps(text)
 
 
 def test_nnf_invariants_on_corpus():
@@ -175,6 +191,19 @@ def test_eval_matches_reference_on_random_inputs(f, w):
     assert eval_lasso(f, w) == reference_eval_lasso(f, w)
 
 
+_AB_SUITE = enumerate_lassos(AB, 2, 3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_formulas)
+def test_nnf_of_formulas_with_constants(f):
+    # constants fold away unless the whole formula is one, and the
+    # language stays the same
+    nnf = to_nnf(f)
+    assert is_nnf(nnf)
+    assert eval_lassos(nnf, _AB_SUITE) == eval_lassos(f, _AB_SUITE)
+
+
 # batches that mix period lengths 1-3, so that the per-length wraps meet
 _short_lassos = st.builds(
     lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
@@ -249,6 +278,31 @@ def test_repeated_propositions_are_rejected():
         Alphabet.from_aps(["a", "a"])
     with pytest.raises(ValueError, match="listed twice"):
         Alphabet.restricted(["a", "b", "a"], [frozenset({"a"})])
+
+
+def test_alphabet_rules_hold_however_it_is_made():
+    # made directly, as the dump loaders make it, or through restricted
+    a, b = frozenset({"a"}), frozenset({"b"})
+    for aps, letters, message in ((("a", "a"), (a,), "proposition is listed twice"),
+                                  (("a",), (), "at least one letter"),
+                                  (("a",), (a, a), "letter is listed twice"),
+                                  (("a",), (a, b), "undeclared propositions")):
+        with pytest.raises(ValueError, match=message):
+            Alphabet(aps, letters)
+    with pytest.raises(ValueError, match="at least one letter"):
+        Alphabet.restricted(["a"], [])
+    with pytest.raises(ValueError, match="undeclared propositions"):
+        Alphabet.restricted(["a"], [a, b])
+    assert Alphabet.restricted(["a"], [a, a, frozenset()]) == Alphabet.from_aps(["a"])
+    assert Alphabet.from_aps(["b", "a"]).letters == (frozenset(), a, frozenset("ab"), b)
+
+
+def test_lassos_take_int_indices_only():
+    lassos = enumerate_lassos(Alphabet.from_aps(["a"]), 1, 2)
+    for bad in (slice(0, 2), slice(0, 3)):
+        with pytest.raises(TypeError):
+            lassos[bad]
+    assert lassos[-1] == lassos[len(lassos) - 1] == list(lassos)[-1]
 
 
 def test_enumerate_lassos_rejects_out_of_range_bounds():

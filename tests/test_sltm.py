@@ -385,6 +385,17 @@ def test_sltm_json_roundtrip():
     assert sltm_to_json(again) == data
 
 
+def test_sltm_from_json_checks_the_alphabet():
+    # FG a has a one-state machine; without letters its rows are empty,
+    # and an alphabet with no letter indexes nothing
+    _a, m = build("FG a", ["a"])
+    data = sltm_to_json(m)
+    assert data["states"] == 1
+    data["letters"], data["delta"] = [], [[]]
+    with pytest.raises(ValueError, match="at least one letter"):
+        sltm_from_json(data)
+
+
 def test_sltm_dot():
     _a, m = build("G a", ["a"])
     assert sltm_to_dot(m).startswith("digraph")
