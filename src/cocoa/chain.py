@@ -18,14 +18,18 @@ from .floating import (
     minimize_dfw, universal_dfw,
 )
 from .formula import (
-    Alphabet, Formula, LassoWord, Lassos, enumerate_lassos, eval_lassos, to_nnf,
+    Alphabet, Formula, InvalidParameter, LassoWord, Lassos, ParseError, atom_names,
+    enumerate_lassos, eval_lassos, parse_ltl, to_nnf,
 )
 # verify_chain and natural_color decide packed suites; perfbench/tracing.py
 # still wraps the one-lasso oracles at these names
 from .floating import dfw_accepts_lasso  # noqa: F401
 from .formula import eval_lasso  # noqa: F401
 from .obligation import miyano_hayashi
-from .sltm import Sltm, build_canonical_sltm, require_keys, sltm_from_json, sltm_to_json
+from .sltm import (
+    Sltm, alphabet_from_json, alphabet_to_json, build_canonical_sltm, require_keys,
+    sltm_from_json, sltm_to_json,
+)
 
 
 # a guard against a level loop that never comes out empty
@@ -68,11 +72,14 @@ class HdNcw:
 class Cocoa:
     """The chain: shared SLTM plus one (DFW, HD-NCW) pair per level."""
 
-    alphabet: Alphabet
     sltm: Sltm
     levels: tuple[tuple[Dfw, HdNcw], ...]
     formula: Formula | None = None
     awa: Awa | None = None
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.sltm.alphabet
 
     @property
     def k(self) -> int:
@@ -136,28 +143,32 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
         levels.append((d, dfw_to_hd_ncw(d, m)))
         prev = d
         ell += 1
-    return Cocoa(alphabet=a.alphabet, sltm=m, levels=tuple(levels),
-                 formula=formula, awa=a)
+    return Cocoa(sltm=m, levels=tuple(levels), formula=formula, awa=a)
 
 
 def build_chain_for_formula(f: Formula, alphabet: Alphabet | None = None,
                             config: ChainConfig | None = None) -> Cocoa:
-    from .formula import atom_names
-
     if alphabet is None:
         alphabet = Alphabet.from_aps(atom_names(f) or ["a"])
     return build_chain(from_ltl(to_nnf(f), alphabet), config=config, formula=f)
+
+
+def _accepted(chain: Cocoa, lassos: Lassos) -> list[int]:
+    """The start bits each level's DFW accepts, level 1 first."""
+    return [dfw_accepts_lassos(d, chain.sltm, lassos) for d, _ in chain.levels]
+
+
+def _color(accepted: list[int], bit: int) -> int:
+    """The natural color at a start bit: the last level whose mask has it,
+    0 if none."""
+    return max((i for i, a in enumerate(accepted, start=1) if a & bit), default=0)
 
 
 def natural_color(chain: Cocoa, w: LassoWord) -> int:
     """Maximal level accepting the word, 0 if none (evaluated on the DFWs,
     with the word packed once)."""
     lassos = Lassos.of([w])
-    color = 0
-    for i, (dfw, _ncw) in enumerate(chain.levels, start=1):
-        if dfw_accepts_lassos(dfw, chain.sltm, lassos):
-            color = i
-    return color
+    return _color(_accepted(chain, lassos), lassos.starts)
 
 
 @dataclass
@@ -195,7 +206,7 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     t0 = time.monotonic()
     lassos = enumerate_lassos(chain.alphabet, prefix_bound, period_bound)
     member = eval_lassos(f, lassos)
-    accepted = [dfw_accepts_lassos(d, chain.sltm, lassos) for d, _ in chain.levels]
+    accepted = _accepted(chain, lassos)
     even = lassos.starts
     for i, a in enumerate(accepted, start=1):
         even = (even & ~a) | (a if i % 2 == 0 else 0)
@@ -208,8 +219,7 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
         first = 1 << off
         report.first_counterexample = {
             "lasso": w.text(),
-            "natural_color": max((i for i, a in enumerate(accepted, start=1) if a & first),
-                                 default=0),
+            "natural_color": _color(accepted, first),
             "oracle_member": bool(member & first),
         }
     report.elapsed_s = time.monotonic() - t0
@@ -230,8 +240,7 @@ def drop_accepting_transition(chain: Cocoa) -> Cocoa:
     trans[q] = trans[q][:i] + (None,) + trans[q][i + 1:]
     mutated = Dfw(label=d.label, trans=tuple(trans), origin=d.origin)
     levels = chain.levels[:-1] + ((mutated, dfw_to_hd_ncw(mutated, chain.sltm)),)
-    return Cocoa(alphabet=chain.alphabet, sltm=chain.sltm, levels=levels,
-                 formula=chain.formula, awa=chain.awa)
+    return Cocoa(sltm=chain.sltm, levels=levels, formula=chain.formula, awa=chain.awa)
 
 
 # --- serialization -----------------------------------------------------------
@@ -250,8 +259,7 @@ def chain_to_json(chain: Cocoa) -> dict:
         "format": "cocoa-chain",
         "version": 1,
         "formula": None if chain.formula is None else str(chain.formula),
-        "aps": list(chain.alphabet.aps),
-        "letters": [sorted(l) for l in chain.alphabet.letters],
+        **alphabet_to_json(chain.alphabet),
         "k": chain.k,
         "sltm": sltm_to_json(chain.sltm),
         "levels": [dfw_json(d) for d, _ in chain.levels],
@@ -261,7 +269,7 @@ def chain_to_json(chain: Cocoa) -> dict:
 def chain_from_json(data: dict) -> Cocoa:
     """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
     not a chain dump, a key is missing, ``k`` is not the number of levels,
-    the alphabet breaks a rule of ``formula.Alphabet``, the SLTM
+    the alphabet is malformed (``sltm.alphabet_from_json``), the SLTM
     (``sltm_from_json``) is malformed or has another alphabet, a state or
     letter number is out of range, a level transition is given twice or
     disagrees with the SLTM labels, a level origin does not pair a state
@@ -274,14 +282,13 @@ def chain_from_json(data: dict) -> Cocoa:
     if data["k"] != len(data["levels"]):
         raise ValueError(f"k is {data['k']} for {len(data['levels'])} levels")
     m = sltm_from_json(data["sltm"])
-    alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
-    if alphabet != m.alphabet:
+    if alphabet_from_json(data) != m.alphabet:
         raise ValueError("the chain and its SLTM have different alphabets")
     levels = []
     prev = universal_dfw(m)
     for ell, lvl in enumerate(data["levels"], start=1):
         require_keys(lvl, "states", "f", "origin", "delta")
-        n, k = lvl["states"], len(alphabet.letters)
+        n, k = lvl["states"], len(m.alphabet.letters)
         label = tuple(lvl["f"])
         if len(label) != n or not all(0 <= s < m.n_states for s in label):
             raise ValueError(f"level labels {list(label)} do not give one of "
@@ -309,23 +316,15 @@ def chain_from_json(data: dict) -> Cocoa:
         prev = d
     formula = None
     if data.get("formula"):
-        from .formula import InvalidParameter, ParseError, parse_ltl
-
         try:
             formula = parse_ltl(data["formula"], data["aps"])
         except (ParseError, InvalidParameter) as exc:
             raise ValueError(f"formula {data['formula']!r} does not parse: {exc}") from exc
-    return Cocoa(alphabet=alphabet, sltm=m, levels=tuple(levels),
-                 formula=formula, awa=None)
+    return Cocoa(sltm=m, levels=tuple(levels), formula=formula, awa=None)
 
 
 def _letter_expr(letter: frozenset[str], aps: tuple[str, ...]) -> str:
-    if not aps:
-        return "t"
-    terms = []
-    for i, ap in enumerate(aps):
-        terms.append(str(i) if ap in letter else f"!{i}")
-    return "&".join(terms)
+    return "&".join(str(i) if ap in letter else f"!{i}" for i, ap in enumerate(aps)) or "t"
 
 
 def level_to_hoa(chain: Cocoa, level: int) -> str:

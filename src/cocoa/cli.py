@@ -45,6 +45,12 @@ def _level_summary(chain: Cocoa) -> list[dict]:
     return out
 
 
+def _print_levels(levels: list[dict]) -> None:
+    for lvl in levels:
+        print(f"level {lvl['level']}: dfw_states={lvl['dfw_states']} "
+              f"hdncw_states={lvl['hdncw_states']}")
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     chain = _build(args)
     out = Path(args.out)
@@ -84,9 +90,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     else:
         print(f"k={chain.k}")
         print(f"sltm_states={chain.sltm.n_states}")
-        for lvl in report["levels"]:
-            print(f"level {lvl['level']}: dfw_states={lvl['dfw_states']} "
-                  f"hdncw_states={lvl['hdncw_states']}")
+        _print_levels(report["levels"])
         for path in written:
             print(f"wrote {path}")
     return 0
@@ -162,9 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         print(f"n={args.n} k={chain.k} sltm_states={chain.sltm.n_states} "
               f"elapsed_s={elapsed:.2f}")
-        for lvl in report["levels"]:
-            print(f"level {lvl['level']}: dfw_states={lvl['dfw_states']} "
-                  f"hdncw_states={lvl['hdncw_states']}")
+        _print_levels(report["levels"])
         if args.n == 1:
             for name, ok in report["checks"].items():
                 print(f"check {name}: {'PASS' if ok else 'FAIL'}")

@@ -141,8 +141,16 @@ def always(f: Formula) -> Formula:
     return Formula(GLOBALLY, (f,))
 
 
-_PREFIX_TEXT = {NOT: "!", NEXT: "X ", FINALLY: "F ", GLOBALLY: "G "}
-_INFIX_TEXT = {AND: "&", OR: "|", IMPLIES: "->", UNTIL: "U", RELEASE: "R"}
+# The one spelling and binding of every operator: the parser, the
+# renderer, the keyword scanner and the NNF read these tables.
+_UNARY = {"!": NOT, "X": NEXT, "F": FINALLY, "G": GLOBALLY}
+# binary operators and their binding levels, loosest first
+_BINARY = {"->": (IMPLIES, 0), "|": (OR, 1), "&": (AND, 2), "U": (UNTIL, 3), "R": (RELEASE, 3)}
+_RIGHT_ASSOC = {IMPLIES, UNTIL, RELEASE}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+# the renderer's view of the tables: a word operator needs a space after it
+_PREFIX = {kind: op + " " * op.isalpha() for op, kind in _UNARY.items()}
+_SPELLING = {k: op for op, k in _CONSTANTS.items()} | {k: op for op, (k, _) in _BINARY.items()}
 
 
 def program_texts(program) -> list[str]:
@@ -152,12 +160,12 @@ def program_texts(program) -> list[str]:
     for kind, kids, name in program:
         if kind == ATOM:
             text = name or "?"
-        elif kind in (TRUE, FALSE):
-            text = kind
-        elif kind in _PREFIX_TEXT:
-            text = _PREFIX_TEXT[kind] + texts[kids[0]]
+        elif kind in _PREFIX:
+            text = _PREFIX[kind] + texts[kids[0]]
+        elif kids:
+            text = f"({texts[kids[0]]} {_SPELLING[kind]} {texts[kids[1]]})"
         else:
-            text = f"({texts[kids[0]]} {_INFIX_TEXT[kind]} {texts[kids[1]]})"
+            text = _SPELLING[kind]
         texts.append(text)
     return texts
 
@@ -216,6 +224,12 @@ def _s_release(a: Formula, b: Formula) -> Formula:
     return Formula(RELEASE, (a, b))
 
 
+# the kind each node kind turns into under a negation
+_DUAL = {AND: OR, OR: AND, FINALLY: GLOBALLY, GLOBALLY: FINALLY, UNTIL: RELEASE,
+         RELEASE: UNTIL, TRUE: FALSE, FALSE: TRUE, NEXT: NEXT}
+_FOLD_BINARY = {AND: _s_and, OR: _s_or, UNTIL: _s_until, RELEASE: _s_release}
+
+
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on atoms, no implication, and
     constants only when the whole formula is constant."""
@@ -224,38 +238,21 @@ def to_nnf(f: Formula) -> Formula:
         k = g.kind
         if k == ATOM:
             return Formula(NOT, (g,)) if negd else g
-        if k == TRUE:
-            return LFALSE if negd else LTRUE
-        if k == FALSE:
-            return LTRUE if negd else LFALSE
         if k == NOT:
             return go(g.args[0], not negd)
         if k == IMPLIES:
             a, b = g.args
             return go(Formula(OR, (Formula(NOT, (a,)), b)), negd)
-        if k == AND:
-            l, r = (go(x, negd) for x in g.args)
-            return _s_or(l, r) if negd else _s_and(l, r)
-        if k == OR:
-            l, r = (go(x, negd) for x in g.args)
-            return _s_and(l, r) if negd else _s_or(l, r)
-        if k == NEXT:
-            return _s_unary(NEXT, go(g.args[0], negd))
-        if k == FINALLY:
-            return _s_unary(GLOBALLY if negd else FINALLY, go(g.args[0], negd))
-        if k == GLOBALLY:
-            return _s_unary(FINALLY if negd else GLOBALLY, go(g.args[0], negd))
-        if k == UNTIL:
-            a, b = g.args
-            if negd:
-                return _s_release(go(a, True), go(b, True))
-            return _s_until(go(a, False), go(b, False))
-        if k == RELEASE:
-            a, b = g.args
-            if negd:
-                return _s_until(go(a, True), go(b, True))
-            return _s_release(go(a, False), go(b, False))
-        raise ValueError(f"unknown node kind {k!r}")
+        if k not in _DUAL:
+            raise ValueError(f"unknown node kind {k!r}")
+        if negd:
+            k = _DUAL[k]
+        args = [go(x, negd) for x in g.args]
+        if not args:
+            return Formula(k)
+        if len(args) == 1:
+            return _s_unary(k, args[0])
+        return _FOLD_BINARY[k](*args)
 
     return go(f, False)
 
@@ -341,22 +338,17 @@ def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
 
     def letters_of(chunk: str, offset: int) -> tuple[frozenset[str], ...]:
         out = []
-        i = 0
-        while i < len(chunk):
-            if chunk[i].isspace():
-                i += 1
-                continue
-            if chunk[i] != "{":
-                raise ParseError(offset + i, f"expected '{{', found {chunk[i]!r}")
-            j = chunk.find("}", i)
-            if j < 0:
-                raise ParseError(offset + i, "unterminated letter")
-            names = chunk[i + 1:j].split()
+        for m in re.finditer(r"\{([^}]*)\}|\S", chunk):
+            at = offset + m.start()
+            if m.group(1) is None:
+                if m.group() == "{":
+                    raise ParseError(at, "unterminated letter")
+                raise ParseError(at, f"expected '{{', found {m.group()!r}")
+            names = m.group(1).split()
             for name in names:
                 if name not in apset:
-                    raise UnknownAtom(offset + i, name)
+                    raise UnknownAtom(at, name)
             out.append(frozenset(names))
-            i = j + 1
         return tuple(out)
 
     prefix = letters_of(text[:split], 0)
@@ -651,130 +643,89 @@ def eval_lasso(f: Formula, w: LassoWord) -> bool:
 # Parser
 
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
-_TOKEN_RE = re.compile(rf"\s*(->|[!&|()]|{_IDENT})")
-_KEYWORD_UNARY = {"X": NEXT, "F": FINALLY, "G": GLOBALLY}
-# the grammar's keywords and the node kind each stands for
-_KEYWORDS = {**_KEYWORD_UNARY, "U": UNTIL, "R": RELEASE, "true": TRUE, "false": FALSE}
+# a token after blanks: an operator symbol, a parenthesis or an identifier,
+# else the unexpected character
+_SYMBOLS = sorted((op for op in (*_UNARY, *_BINARY) if not op.isalpha()), key=len, reverse=True)
+_TOKEN_RE = re.compile(rf"\s*(?:({'|'.join(map(re.escape, _SYMBOLS))}|[()]|{_IDENT})|(\S))")
 
 
 def scan_aps(text: str) -> list[str]:
     """The propositions a formula's text names, sorted: its identifiers
     other than keywords and stacked unary operators.  A proposition
     spelled only with the letters X, F and G must be declared."""
-    return sorted({name for name in re.findall(_IDENT, text)
-                   if name not in _KEYWORDS and not set(name) <= set(_KEYWORD_UNARY)})
+    return sorted({name for name in re.findall(_IDENT, text) if not (
+        name in _BINARY or name in _CONSTANTS or set(name) <= _UNARY.keys())})
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or not m.group(1):
-                if text[pos:].strip():
-                    bad = len(text) - len(text[pos:].lstrip())
-                    raise ParseError(bad, f"unexpected character {text[bad]!r}")
-                break
-            self.items.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> tuple[str, int]:
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("", len(self.text))
-
-    def take(self) -> tuple[str, int]:
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _tokens(text: str, apset: set[str]) -> list[tuple[str, int]]:
+    """The tokens of a formula's text with their positions, ending with
+    the end token ``("", len(text))``.  A word of stacked unary operators
+    that is not a declared proposition is one token per operator, so "FG a"
+    reads as F G a."""
+    out: list[tuple[str, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        tok, pos = m.group(1), m.start(1)
+        if tok is None:
+            raise ParseError(m.start(2), f"unexpected character {m.group(2)!r}")
+        if tok not in apset and set(tok) <= _UNARY.keys():
+            out.extend((ch, pos + k) for k, ch in enumerate(tok))
+        else:
+            out.append((tok, pos))
+    out.append(("", len(text)))
+    return out
 
 
 def parse_ltl(text: str, aps) -> Formula:
     """Parse the ASCII grammar; implication is kept in the returned tree.
 
-    Precedence: unary (X, F, G, !) > U, R (right-assoc) > & > | > ->.
-    """
+    The operator tables are the grammar's only spelling of its operators:
+    ``_UNARY`` (!, X, F, G) binds tightest, then ``_BINARY`` by level,
+    U and R (3) > & (2) > | (1) > -> (0), with ``_RIGHT_ASSOC`` (U, R, ->)
+    grouping to the right; ``_CONSTANTS`` are true and false."""
     aps = list(aps)
     if not aps:
         raise InvalidParameter("the set of atomic propositions must be non-empty")
     apset = set(aps)
-    toks = _Tokens(text)
-    # split stacked unary operators, so that "FG a" reads as F G a
-    split: list[tuple[str, int]] = []
-    for tok, pos in toks.items:
-        if tok not in apset and set(tok) <= set(_KEYWORD_UNARY):
-            split.extend((ch, pos + k) for k, ch in enumerate(tok))
-        else:
-            split.append((tok, pos))
-    toks.items = split
+    toks = _tokens(text, apset)[::-1]  # the next token is the last
 
-    def expect(token: str) -> None:
-        got, pos = toks.take()
-        if got != token:
-            raise ParseError(pos, f"expected {token!r}, found {got or 'end of input'!r}")
-
-    def p_implies() -> Formula:
-        left = p_or()
-        tok, _ = toks.peek()
-        if tok == "->":
-            toks.take()
-            return Formula(IMPLIES, (left, p_implies()))
-        return left
-
-    def p_or() -> Formula:
-        left = p_and()
-        while toks.peek()[0] == "|":
-            toks.take()
-            left = Formula(OR, (left, p_and()))
-        return left
-
-    def p_and() -> Formula:
-        left = p_until()
-        while toks.peek()[0] == "&":
-            toks.take()
-            left = Formula(AND, (left, p_until()))
-        return left
-
-    def p_until() -> Formula:
+    def p_binary(level: int) -> Formula:
+        """A formula whose binary operators all bind at ``level`` or tighter
+        (precedence climbing)."""
         left = p_unary()
-        tok, _ = toks.peek()
-        if _KEYWORDS.get(tok) in (UNTIL, RELEASE):
-            toks.take()
-            return Formula(_KEYWORDS[tok], (left, p_until()))
+        while (op := _BINARY.get(toks[-1][0])) and op[1] >= level:
+            toks.pop()
+            kind, bind = op
+            right = p_binary(bind if kind in _RIGHT_ASSOC else bind + 1)
+            left = Formula(kind, (left, right))
         return left
 
     def p_unary() -> Formula:
-        tok, pos = toks.peek()
-        if tok == "!":
-            toks.take()
-            return Formula(NOT, (p_unary(),))
-        if tok in _KEYWORD_UNARY:
-            toks.take()
-            return Formula(_KEYWORD_UNARY[tok], (p_unary(),))
+        tok, _pos = toks[-1]
+        if tok in _UNARY:
+            toks.pop()
+            return Formula(_UNARY[tok], (p_unary(),))
         return p_atom()
 
     def p_atom() -> Formula:
-        tok, pos = toks.take()
+        tok, pos = toks.pop()
         if tok == "(":
-            inner = p_implies()
-            expect(")")
+            inner = p_binary(0)
+            got, pos = toks.pop()
+            if got != ")":
+                raise ParseError(pos, f"expected ')', found {got or 'end of input'!r}")
             return inner
-        kind = _KEYWORDS.get(tok)
-        if kind in (TRUE, FALSE):
-            return Formula(kind)
-        if kind:
-            raise ParseError(pos, f"operator {tok!r} in atom position")
-        if tok and tok[0].isalpha() or tok.startswith("_"):
+        if tok in _CONSTANTS:
+            return Formula(_CONSTANTS[tok])
+        if re.fullmatch(_IDENT, tok):
+            if tok in _BINARY:
+                raise ParseError(pos, f"operator {tok!r} in atom position")
             if tok not in apset:
                 raise UnknownAtom(pos, tok)
             return atom(tok)
         raise ParseError(pos, f"expected a formula, found {tok or 'end of input'!r}")
 
-    result = p_implies()
-    tok, pos = toks.peek()
+    result = p_binary(0)
+    tok, pos = toks[-1]
     if tok:
         raise ParseError(pos, f"trailing input {tok!r}")
     return result
@@ -811,12 +762,8 @@ def lower_bound_family(n: int) -> Formula:
     repeated block must occur among the earlier blocks.  The returned formula
     is the negation of that block-copy language.
     """
-    if n < 1:
-        raise InvalidParameter("block count must be at least 1")
-    a = [atom(f"a{i}") for i in range(1, n + 1)]
-    b = [atom(f"b{i}") for i in range(1, n + 1)]
-    hash_ = atom("#")
-    dollar = atom("$")
+    *ab, hash_, dollar = map(atom, lower_bound_aps(n))
+    a, b = ab[:n], ab[n:]
 
     def slot(i: int) -> Formula:
         return disj(a[i], b[i])

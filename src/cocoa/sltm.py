@@ -32,7 +32,7 @@ from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
     minimal_sets, state_mask, winning_state_positions,
 )
-from .formula import Alphabet, LassoWord
+from .formula import Alphabet, LassoWord, letter_text
 from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, Vertex, pair_order
 
 
@@ -368,11 +368,28 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
 # --- exports -----------------------------------------------------------------
 
 
+def alphabet_to_json(alphabet: Alphabet) -> dict:
+    """The ``aps`` and ``letters`` keys of a dump, each letter a sorted list."""
+    return {"aps": list(alphabet.aps), "letters": [sorted(l) for l in alphabet.letters]}
+
+
+def alphabet_from_json(data: dict) -> Alphabet:
+    """The alphabet of a dump's ``aps`` and ``letters`` keys; raises
+    ValueError unless ``aps`` and each letter are lists of names (a letter
+    written as one string would split into characters), or when they break
+    a rule of ``formula.Alphabet``."""
+    def names(x) -> bool:
+        return isinstance(x, list) and all(isinstance(p, str) for p in x)
+
+    aps, letters = data["aps"], data["letters"]
+    if not (names(aps) and isinstance(letters, list) and all(map(names, letters))):
+        raise ValueError(f"aps {aps!r} and letters {letters!r} are not lists of names")
+    return Alphabet(tuple(aps), tuple(map(frozenset, letters)))
+
+
 def sltm_to_json(m: Sltm) -> dict:
-    letters = [sorted(l) for l in m.alphabet.letters]
     return {
-        "aps": list(m.alphabet.aps),
-        "letters": letters,
+        **alphabet_to_json(m.alphabet),
         "states": m.n_states,
         "initial": m.initial,
         "labels": [[list(mask_states(u)) for u in label.unions] for label in m.labels],
@@ -391,12 +408,13 @@ def require_keys(data: dict, *keys: str) -> None:
 
 def sltm_from_json(data: dict) -> Sltm:
     """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
-    key is missing, the propositions and letters break a rule of
-    ``formula.Alphabet``, the labels or vertex sets are not one per state,
-    or a state or letter number is out of range."""
+    key is missing, the propositions and letters are not lists of names or
+    break a rule of ``formula.Alphabet`` (``alphabet_from_json``), the
+    labels or vertex sets are not one per state, or a state or letter
+    number is out of range."""
     require_keys(data, "aps", "letters", "states", "initial", "labels",
                  "vertex_sets_neg", "vertex_sets_pos", "delta")
-    alphabet = Alphabet(tuple(data["aps"]), tuple(frozenset(l) for l in data["letters"]))
+    alphabet = alphabet_from_json(data)
     n = data["states"]
     for key in ("labels", "vertex_sets_neg", "vertex_sets_pos"):
         if len(data[key]) != n:
@@ -423,8 +441,6 @@ def sltm_from_json(data: dict) -> Sltm:
 
 
 def sltm_to_dot(m: Sltm) -> str:
-    from .formula import letter_text
-
     lines = ["digraph sltm {", "  rankdir=LR;"]
     for s in range(m.n_states):
         lines.append(f'  s{s} [shape=circle label="s{s}\\nl{s}"];')

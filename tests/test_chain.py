@@ -259,8 +259,7 @@ def test_verify_matches_reference_on_rabin_formulas():
 def test_verify_matches_reference_on_swapped_levels(golden_chains):
     chain, f = golden_chains["GF a -> (GF b & FG c)"]
     first, second, *rest = chain.levels
-    swapped = Cocoa(alphabet=chain.alphabet, sltm=chain.sltm,
-                    levels=(second, first, *rest), formula=chain.formula)
+    swapped = Cocoa(sltm=chain.sltm, levels=(second, first, *rest), formula=chain.formula)
     report = assert_verify_matches_reference(swapped, f, 2, 2)
     assert report["monotonicity_ok"] is False
     assert report["counterexamples"] > 0
@@ -397,6 +396,10 @@ BAD_DUMPS = {
     "duplicate aps": _both(_set(("aps",), ["a", "a"]), _set(("sltm", "aps"), ["a", "a"])),
     "undeclared letter": _both(_set(("letters",), [[], ["b"]]),
                                _set(("sltm", "letters"), [[], ["b"]])),
+    # each would split into characters, the same alphabet as the dump's
+    "letters as strings": _both(_set(("letters",), ["", "a"]),
+                                _set(("sltm", "letters"), ["", "a"])),
+    "aps as a string": _both(_set(("aps",), "a"), _set(("sltm", "aps"), "a")),
     "SLTM labels short": _set(("sltm", "labels"), []),
     "SLTM labels extra": _set(("sltm", "labels"), [[[1]], [[1]]]),
     "SLTM vertex_sets_neg empty": _set(("sltm", "vertex_sets_neg"), []),

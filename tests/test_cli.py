@@ -138,6 +138,24 @@ def test_bench_n1(capsys):
     assert data["checks"] == {"sltm_at_least_4": True, "single_level": True}
 
 
+def test_bench_n1_text(capsys):
+    code, out, _err = run(capsys, "bench", "--n", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("n=1 k=1 sltm_states=13 elapsed_s=")
+    assert lines[1:] == ["level 1: dfw_states=1 hdncw_states=14",
+                         "check sltm_at_least_4: PASS", "check single_level: PASS"]
+
+
+def test_color_json(capsys):
+    code, out, _err = run(capsys, "color", "FG a", "--word", "{a} ; {a}", "--json")
+    assert code == 0
+    assert json.loads(out) == {"word": "{a};{a}", "natural_color": 2, "member": True}
+    code, out, _err = run(capsys, "color", "GF a -> (GF b & FG c)", "--word", ";{a}{b}", "--json")
+    assert code == 0
+    assert json.loads(out) == {"word": ";{a}{b}", "natural_color": 1, "member": False}
+
+
 def test_bench_bad_n(capsys):
     code, _out, err = run(capsys, "bench", "--n", "0")
     assert code == 2 and "error" in err

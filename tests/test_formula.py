@@ -75,6 +75,53 @@ def test_parse_roundtrip_through_render():
         assert again == f
 
 
+@pytest.mark.parametrize("text,aps,position,message", [
+    ("G a $", ["a"], 4, "unexpected character '$'"),
+    ("U a", ["a"], 0, "operator 'U' in atom position"),
+    ("a b", ["a", "b"], 2, "trailing input 'b'"),
+    ("(a", ["a"], 2, "expected ')', found 'end of input'"),
+    ("a & | b", ["a", "b"], 4, "expected a formula, found '|'"),
+])
+def test_parse_error_positions_and_messages(text, aps, position, message):
+    with pytest.raises(ParseError) as caught:
+        parse_ltl(text, aps)
+    assert type(caught.value) is ParseError
+    assert (caught.value.position, caught.value.message) == (position, message)
+
+
+def test_parse_needs_propositions():
+    with pytest.raises(InvalidParameter):
+        parse_ltl("a", [])
+
+
+def test_parse_binding_levels_and_grouping():
+    # -> loosest, then |, &, and U tightest among the binary operators;
+    # -> and U group to the right; unary operators bind tighter still
+    for text, want in (("a -> b -> a | b & a U b U a", "(a -> (b -> (a | (b & (a U (b U a))))))"),
+                       ("!a U X b -> false", "((!a U X b) -> false)")):
+        assert str(parse_ltl(text, ["a", "b"])) == want
+
+
+ALL_KINDS = {ATOM, TRUE, FALSE, NOT, NEXT, FINALLY, GLOBALLY, AND, OR, IMPLIES, UNTIL, RELEASE}
+
+
+def test_render_parses_back_to_every_formula():
+    # the guard of the operator tables: a kind that the renderer or the
+    # parser does not spell breaks the round trip; each formula is also
+    # negated, so that ! meets every kind
+    roots = set()
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_formulas)
+    def roundtrip(f):
+        roots.add(f.kind)
+        for g in (f, neg(f)):
+            assert parse_ltl(str(g), ["a", "b"]) == g
+
+    roundtrip()
+    assert roots == ALL_KINDS
+
+
 def test_nnf_globally_duality():
     f = to_nnf(neg(parse_ltl("G a", ["a"])))
     assert f == parse_ltl("F !a", ["a"])
@@ -319,6 +366,7 @@ def test_lasso_parse_and_text():
     assert w.prefix == (frozenset({"a", "b"}), frozenset())
     assert w.period == (frozenset({"a"}),)
     assert parse_lasso(w.text(), alpha) == w
+    assert parse_lasso("{a} {b};{a}", alpha).text() == "{a}{b};{a}"
 
 
 def test_lasso_parse_errors():
@@ -329,6 +377,18 @@ def test_lasso_parse_errors():
         parse_lasso("{a};", alpha)  # empty period
     with pytest.raises(UnknownAtom):
         parse_lasso("{c};{a}", alpha)
+
+
+@pytest.mark.parametrize("text,position,message", [
+    ("a;{a}", 0, "expected '{', found 'a'"),
+    ("{a;{a}", 0, "unterminated letter"),
+    ("{a}};{a}", 3, "expected '{', found '}'"),
+])
+def test_lasso_parse_error_positions_and_messages(text, position, message):
+    with pytest.raises(ParseError) as caught:
+        parse_lasso(text, AB)
+    assert type(caught.value) is ParseError
+    assert (caught.value.position, caught.value.message) == (position, message)
 
 
 def test_lasso_period_required():
@@ -390,6 +450,8 @@ def test_lower_bound_family_shape():
     alpha = lower_bound_alphabet(1)
     assert set(alpha.aps) == {"a1", "b1", "#", "$"}
     assert len(alpha.letters) == 4  # restricted to singletons
+    for n in (1, 2, 3):
+        assert atom_names(lower_bound_family(n)) == sorted(lower_bound_alphabet(n).aps)
 
 
 def test_lower_bound_family_membership():

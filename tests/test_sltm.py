@@ -394,6 +394,11 @@ def test_sltm_from_json_checks_the_alphabet():
     data["letters"], data["delta"] = [], [[]]
     with pytest.raises(ValueError, match="at least one letter"):
         sltm_from_json(data)
+    # letters written as strings would split into the same two letters
+    data = sltm_to_json(m)
+    data["letters"] = ["", "a"]
+    with pytest.raises(ValueError, match="lists of names"):
+        sltm_from_json(data)
 
 
 def test_sltm_dot():
