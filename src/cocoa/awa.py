@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ._graph import tarjan_sccs
 from .formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
-    UNTIL, Alphabet, Formula, LassoWord, Lassos, letter_text, program_texts,
+    UNTIL, Alphabet, Formula, Lassos, letter_text, program_texts,
 )
 
 
@@ -153,7 +153,7 @@ class Awa:
         for q, row in enumerate(self.delta):
             if any(not p or 0 in p for p in row):
                 raise AssertionError(f"state {q} has a constant transition formula")
-            if any(p != minimal_sets(p) for p in row):
+            if any(p != minimal_sets(p) for p in set(row)):
                 raise AssertionError(f"state {q} has a transition formula out of canonical form")
         for comp in self.components:
             if len({q in self.accepting for q in comp}) > 1:
@@ -247,7 +247,9 @@ def dualize(a: Awa) -> Awa:
     # looked up at call time, where the benchmark tracer hooks it
     from .obligation import minimal_models
 
-    delta = tuple(tuple(minimal_models(p) for p in row) for row in a.delta)
+    # many letters and states share a formula: one call per distinct one
+    models = {p: minimal_models(p) for p in {p for row in a.delta for p in row}}
+    delta = tuple(tuple(models[p] for p in row) for row in a.delta)
     accepting = frozenset(set(range(a.n_states)) - set(a.accepting))
     d = Awa(a.alphabet, a.initial, delta, accepting, a.bottom, a.top, a.state_names)
     d.__dict__["dual"] = a
@@ -257,28 +259,32 @@ def dualize(a: Awa) -> Awa:
 # --- word-checking game on lassos ------------------------------------------
 
 
-def winning_state_positions(a: Awa, w: LassoWord) -> list[int]:
-    """Solve the word-checking game on states x lasso positions.
+def winning_state_positions(a: Awa, lassos: Lassos) -> list[int]:
+    """Solve the word-checking game on states x the bits of a packed lasso
+    suite.
 
-    Returns one bit row per state: bit i is set when the acceptor wins from
-    the state at lasso position i.  The rejector picks a clause of the
-    transition formula, the acceptor a state inside it.  ``pre`` is the X
-    shift of the lasso as a one-lasso ``Lassos`` suite.  The components
+    Returns one bit row per state: bit p is set when the acceptor wins
+    from the state at the word of bit p, so the start bits of a row are the
+    suite's lassos in the state's language.  One lasso is the suite
+    ``Lassos.of([w])``, its positions its bits.  The rejector picks a
+    clause of the transition formula, the acceptor a state inside it.
+    ``pre`` is the X shift of the rows (``Lassos.next``).  The components
     are solved in ``Awa.components`` order (sinks first), against the
     transitions: successors outside a component are already final.  A play
     that stays in one component forever is won exactly when the component
     is accepting, so an accepting component is a greatest fixpoint (from
-    all ones) and a rejecting one a least fixpoint (from zero).
+    all ones) and a rejecting one a least fixpoint (from zero).  Every bit
+    of a suite is a word whose suffix is another bit, so every bit is
+    decided exactly.
 
-    The lasso's letter numbers must be the automaton's: raises ValueError
+    The suite's letter numbers must be the automaton's: raises ValueError
     when the two alphabets list their letters differently.
     """
-    if w.alphabet.letters != a.alphabet.letters:
-        raise ValueError("the lasso and the automaton number their letters differently")
-    lassos = Lassos.of([w])
+    if lassos.alphabet.letters != a.alphabet.letters:
+        raise ValueError("the lassos and the automaton number their letters differently")
     full = lassos.full
     win = [0] * a.n_states
-    pre = [0] * a.n_states  # pre[q] bit i: q wins at the successor of i
+    pre = [0] * a.n_states  # pre[q] bit p: q wins at the suffix of p
     for comp in a.components:
         start = full if comp[0] in a.accepting else 0
         moves = []

@@ -151,6 +151,8 @@ _CONSTANTS = {"true": TRUE, "false": FALSE}
 # the renderer's view of the tables: a word operator needs a space after it
 _PREFIX = {kind: op + " " * op.isalpha() for op, kind in _UNARY.items()}
 _SPELLING = {k: op for op, k in _CONSTANTS.items()} | {k: op for op, (k, _) in _BINARY.items()}
+# the operator and constant words, which no proposition may be called
+_KEYWORDS = {op for op in (*_UNARY, *_BINARY) if op.isalpha()} | _CONSTANTS.keys()
 
 
 def program_texts(program) -> list[str]:
@@ -654,7 +656,7 @@ def scan_aps(text: str) -> list[str]:
     other than keywords and stacked unary operators.  A proposition
     spelled only with the letters X, F and G must be declared."""
     return sorted({name for name in re.findall(_IDENT, text) if not (
-        name in _BINARY or name in _CONSTANTS or set(name) <= _UNARY.keys())})
+        name in _KEYWORDS or set(name) <= _UNARY.keys())})
 
 
 def _tokens(text: str, apset: set[str]) -> list[tuple[str, int]]:
@@ -681,10 +683,15 @@ def parse_ltl(text: str, aps) -> Formula:
     The operator tables are the grammar's only spelling of its operators:
     ``_UNARY`` (!, X, F, G) binds tightest, then ``_BINARY`` by level,
     U and R (3) > & (2) > | (1) > -> (0), with ``_RIGHT_ASSOC`` (U, R, ->)
-    grouping to the right; ``_CONSTANTS`` are true and false."""
+    grouping to the right; ``_CONSTANTS`` are true and false.  Raises
+    InvalidParameter when no proposition is given or one is named like an
+    operator or a constant (``_KEYWORDS``)."""
     aps = list(aps)
     if not aps:
         raise InvalidParameter("the set of atomic propositions must be non-empty")
+    for p in aps:
+        if p in _KEYWORDS:
+            raise InvalidParameter(f"proposition {p!r} is named like an operator or a constant")
     apset = set(aps)
     toks = _tokens(text, apset)[::-1]  # the next token is the last
 

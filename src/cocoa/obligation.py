@@ -30,10 +30,17 @@ from .formula import Alphabet, letter_text
 Vertex = tuple[int, int]
 
 
-def pair_order(v: Vertex) -> tuple[str, str]:
-    """The order of (S, O) pairs within a successor list: by the sorted
-    members of S, then of O."""
-    return member_order(v[0]), member_order(v[1])
+class PairOrder(dict[int, str]):
+    """The order of (S, O) pairs within a successor list, by the sorted
+    members of S, then of O: ``key`` reads each mask's ``member_order``,
+    computed once per mask met and kept here."""
+
+    def __missing__(self, m: int) -> str:
+        got = self[m] = member_order(m)
+        return got
+
+    def key(self, v: Vertex) -> tuple[str, str]:
+        return self[v[0]], self[v[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +96,8 @@ class Breakpoint:
     minimal model per conjunct.  So the models of a state set on a letter
     are folded state by state: those of the set without its lowest state,
     joined with that state's row of the table.  The folds are cached per
-    instance, keyed by letter number and mask.  Pairs are pruned packed
-    into one int each.
+    instance, keyed by letter number and mask, and so is each mask's sort
+    key.  Pairs are pruned packed into one int each.
     """
 
     def __init__(self, models: tuple[tuple[tuple[int, ...], ...], ...],
@@ -104,6 +111,7 @@ class Breakpoint:
         self.width = len(models)
         # per letter number: state mask -> its minimal models
         self._models: list[dict[int, tuple[int, ...]]] = [{0: (0,)} for _ in models[0]]
+        self._order = PairOrder()
 
     def models(self, states: int, i: int) -> tuple[int, ...]:
         """Minimal models of the members' transition formulas on letter
@@ -167,7 +175,7 @@ class Breakpoint:
         low = (1 << w) - 1
         out = [(p >> w, p & low) for p in kept]
         if len(out) > 1:
-            out.sort(key=pair_order)
+            out.sort(key=self._order.key)
         return out
 
 

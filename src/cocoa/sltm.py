@@ -14,10 +14,12 @@ breakpoint graph over the disjoint union of the automaton and its dual,
 explored only as far as the checks reach, whose emptiness verdicts every
 check of that build shares.  Its rows are
 products of the two halves' rows, which it computes once each.  A
-candidate is checked only against the state of its signature, the label's
-membership of each lasso in a battery that starts empty; each signature
-names at most one state, and every inequivalent pair the check meets adds
-a lasso that tells the two apart, read off the nonempty half of their
+candidate is checked only against the state of its signature, an int of
+the label's membership of each lasso in a battery.  The battery is seeded
+with the words x^omega and x.y^omega, whose membership in every state's
+language one game solve on the packed suite gives; each signature names
+at most one state, and every inequivalent pair the check meets adds a
+lasso that tells the two apart, read off the nonempty half of their
 difference.
 Both vertex sets of a state then come from a product sweep of the machine
 with each graph.
@@ -32,8 +34,8 @@ from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
     minimal_sets, state_mask, winning_state_positions,
 )
-from .formula import Alphabet, LassoWord, letter_text
-from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, Vertex, pair_order
+from .formula import Alphabet, LassoWord, Lassos, enumerate_lassos, letter_text
+from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, PairOrder, Vertex
 
 
 class IncompatibleAutomata(Exception):
@@ -73,12 +75,27 @@ def label_of(vertex_ids: Iterable[int], graph: ObligationGraph) -> Label:
 def _initial_winners(a: Awa, w: LassoWord) -> int:
     """The mask of the states whose language contains the lasso, via the
     game solver."""
-    return state_mask(q for q, row in enumerate(winning_state_positions(a, w)) if row & 1)
+    rows = winning_state_positions(a, Lassos.of([w]))
+    return state_mask(q for q, row in enumerate(rows) if row & 1)
 
 
 def _holds(label: Label, win0: int) -> bool:
     # every union keeps a state whose language contains the lasso
     return all(u & win0 for u in label.unions)
+
+
+def label_bits(label: Label, rows: list[int]) -> int:
+    """The words of a suite in the label's language, given the words in
+    each state's language as one int row per state: the AND over the
+    label's unions of the OR of each union's member rows (-1, every bit,
+    for a label without unions)."""
+    bits = -1
+    for u in label.unions:
+        row = 0
+        for q in mask_states(u):
+            row |= rows[q]
+        bits &= row
+    return bits
 
 
 # --- label equivalence -------------------------------------------------------
@@ -116,6 +133,7 @@ class LanguageOracle(BreakpointGraph):
         self.half_rows: dict[tuple[int, int, int, bool], list[list[Vertex]]] = {}
         # the minimal models of each positive label's unions, as masks
         self.label_models: dict[Label, tuple[int, ...]] = {}
+        self.order = PairOrder()
 
     def _half_row(self, key: tuple[int, int, int, bool]) -> list[list[Vertex]]:
         got = self.half_rows.get(key)
@@ -137,12 +155,12 @@ class LanguageOracle(BreakpointGraph):
         for los, his in zip(self._half_row((0, S & low, O & low, reset)),
                             self._half_row((1, S >> n, O >> n, reset))):
             pairs = [(sl | sh, ol | oh) for sl, ol in los for sh, oh in his]
-            # pair_order compares sorted member tuples, and every low member
-            # is below every high one: pairs sharing their one low part
-            # compare as their high parts do, which the dual's kernel has
-            # sorted already.  Several low parts interleave, so sort.
+            # the pair order compares sorted member tuples, and every low
+            # member is below every high one: pairs sharing their one low
+            # part compare as their high parts do, which the dual's kernel
+            # has sorted already.  Several low parts interleave, so sort.
             if len(los) > 1:
-                pairs.sort(key=pair_order)
+                pairs.sort(key=self.order.key)
             row.append(pairs)
         return row
 
@@ -267,12 +285,15 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     successor set is classified by its label.  One map from labels to
     states answers a label met before.  A new label joins the class of an
     equivalent label or starts a new one: each signature names at most one
-    state, the only one checked for equivalence; each check that fails
-    adds its distinguishing lasso to the signature battery, so no pair is
-    rejected twice.  Representatives are pairwise inequivalent and
-    equivalent labels share every signature, so the class found does not
-    depend on the battery.  Breadth-first order numbers states by their
-    shortlex-least access words.  Each state's vertex sets, in both
+    state, the only one checked for equivalence.  A signature is one int,
+    the label's membership of a battery of lassos: the words x^omega and
+    x.y^omega for letters x and y (``enumerate_lassos(alphabet, 1, 1)``,
+    k + k^2 bits for k letters, every state's row of them from one game
+    solve), then one bit per check that failed, for the lasso that told
+    the two labels apart, so no pair is rejected twice.  Representatives
+    are pairwise inequivalent and equivalent labels share every signature,
+    so the class found does not depend on the battery.  Breadth-first
+    order numbers states by their shortlex-least access words.  Each state's vertex sets, in both
     graphs, are the vertices reachable together with it: a product sweep
     of the finished machine with each graph.
 
@@ -281,34 +302,39 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     as the successor (the single-step soundness condition of the
     construction), through the same map with each final label added.
     """
-    # cheap pre-partition: membership bits over a battery of lassos that
-    # starts empty and gains, per inequivalent pair met, a lasso telling
-    # the two apart; equivalent labels always share a signature.  A new
-    # lasso costs one bit per state's signature.
-    winners: list[int] = []
+    # accepts[q] has the bits of the battery's words in state q's
+    # language: the seed suite's bits, each its own word, then one bit per
+    # distinguishing lasso above them
+    seed = enumerate_lassos(a.alphabet, 1, 1)
+    accepts = winning_state_positions(a, seed)
+    width = seed.full.bit_length()
     oracle = LanguageOracle(a)
     reps: list[set[int] | None] = []
     rep_labels: list[Label] = []
-    by_sig: dict[tuple[bool, ...], int] = {}
+    by_sig: dict[int, int] = {}
     state_of: dict[Label, int] = {}
 
     def classify(label: Label, vs: set[int] | None = None) -> int:
         # the state of the label's language; a new one keeps vs
-        nonlocal by_sig
+        nonlocal by_sig, width
         sid = state_of.get(label)
         if sid is not None:
             return sid
-        # a state rejected adds a battery lasso, one more bit on every
-        # signature, that tells it and the label apart
-        sig = tuple(_holds(label, win) for win in winners)
+        sig = label_bits(label, accepts)
         while (sid := by_sig.get(sig)) is not None and not labels_equivalent(
                 label, rep_labels[sid], oracle):
+            # a state rejected adds a battery lasso, one more bit on every
+            # signature, that tells it and the label apart
             win = _initial_winners(a, distinguishing_lasso(label, rep_labels[sid], oracle))
             if _holds(label, win) == _holds(rep_labels[sid], win):
                 raise AssertionError("a distinguishing lasso is in both labels or in neither")
-            winners.append(win)
-            by_sig = {sg + (_holds(rep_labels[s], win),): s for sg, s in by_sig.items()}
-            sig += (_holds(label, win),)
+            bit = 1 << width
+            width += 1
+            for q in mask_states(win):
+                accepts[q] |= bit
+            by_sig = {sg | (bit if _holds(rep_labels[s], win) else 0): s
+                      for sg, s in by_sig.items()}
+            sig |= bit if _holds(label, win) else 0
         if sid is None:
             sid = len(reps)
             reps.append(vs)

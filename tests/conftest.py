@@ -260,7 +260,7 @@ def build_sltm(a: Awa, **kw) -> Sltm:
 def accepts_lasso(a: Awa, w: LassoWord, start: int | None = None) -> bool:
     """True iff the acceptor wins the word-checking game on the lasso."""
     q0 = a.initial if start is None else start
-    return bool(winning_state_positions(a, w)[q0] & 1)
+    return bool(winning_state_positions(a, Lassos.of([w]))[q0] & 1)
 
 
 def label_accepts_lasso(label: Label, a: Awa, w: LassoWord) -> bool:

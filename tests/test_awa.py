@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, LassoWord, build_chain, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    Alphabet, LassoWord, Lassos, build_chain, dualize, enumerate_lassos, eval_lasso, from_ltl,
     lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
     parse_ltl, to_nnf, winning_state_positions,
 )
@@ -279,7 +279,7 @@ def test_every_state_language_is_its_subformula():
         subs = subformulas(f)
         assert a.state_names[:-2] == tuple(str(g) for g in subs)
         for w in lassos_up_to(alpha, 1, 2):
-            win = winning_state_positions(a, w)
+            win = winning_state_positions(a, Lassos.of([w]))
             for q, g in enumerate(subs):
                 assert bool(win[q] & 1) == eval_lasso(g, w), (str(g), w.text())
 
@@ -290,7 +290,7 @@ def test_winning_positions_match_reference_on_corpus():
         a = from_ltl(to_nnf(f), alpha)
         for b in (a, dualize(a)):
             for w in enumerate_lassos(alpha, 2, 3):
-                assert row_pairs(winning_state_positions(b, w)) == \
+                assert row_pairs(winning_state_positions(b, Lassos.of([w]))) == \
                     reference_winning_state_positions(b, w), (f, w.text())
 
 
@@ -298,7 +298,7 @@ def test_winning_positions_match_reference_on_lower_bound_battery():
     a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1))
     for b in (a, dualize(a)):
         for w in enumerate_lassos(b.alphabet, 1, 2):
-            assert row_pairs(winning_state_positions(b, w)) == \
+            assert row_pairs(winning_state_positions(b, Lassos.of([w]))) == \
                 reference_winning_state_positions(b, w), w.text()
 
 
@@ -306,15 +306,39 @@ def test_winning_positions_reject_renumbered_letters(fig1):
     # the lasso's letter numbers index the transition rows
     w = parse_lasso(";{a}", fig1.alphabet)
     renumbered = Alphabet(fig1.alphabet.aps, fig1.alphabet.letters[::-1])
-    winning_state_positions(fig1, w)
+    winning_state_positions(fig1, Lassos.of([w]))
     with pytest.raises(ValueError):
-        winning_state_positions(fig1, LassoWord(renumbered, w.prefix, w.period))
+        winning_state_positions(fig1, Lassos.of([LassoWord(renumbered, w.prefix, w.period)]))
+
+
+def assert_suite_bits_match_single_lassos(a: Awa) -> None:
+    # each bit of the packed suite x^omega, x.y^omega is its own word, so
+    # one solve over all of them gives each word's verdict alone
+    suite = enumerate_lassos(a.alphabet, 1, 1)
+    rows = winning_state_positions(a, suite)
+    for off, w in zip(suite.offsets, suite):
+        alone = winning_state_positions(a, Lassos.of([w]))
+        assert [row >> off & 1 for row in rows] == [row & 1 for row in alone], w.text()
+
+
+def test_suite_solve_matches_single_lassos_on_corpus():
+    for f, aps in formula_corpus(40, seed=3):
+        a = from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+        assert_suite_bits_match_single_lassos(a)
+        assert_suite_bits_match_single_lassos(a.dual)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weak_awas())
+def test_suite_solve_matches_single_lassos_on_weak_automata(a):
+    assert_suite_bits_match_single_lassos(a)
+    assert_suite_bits_match_single_lassos(a.dual)
 
 
 def test_winning_positions_of_fig1_match_reference(fig1):
     for b in (fig1, dualize(fig1)):
         for w in lassos_up_to(fig1.alphabet, 1, 3):
-            assert row_pairs(winning_state_positions(b, w)) == \
+            assert row_pairs(winning_state_positions(b, Lassos.of([w]))) == \
                 reference_winning_state_positions(b, w)
 
 
@@ -335,7 +359,8 @@ _nnf_formulas = st.recursive(
 def test_winning_positions_match_reference_on_random_inputs(f, w):
     a = from_ltl(f, AB)
     for b in (a, dualize(a)):
-        assert row_pairs(winning_state_positions(b, w)) == reference_winning_state_positions(b, w)
+        assert row_pairs(winning_state_positions(b, Lassos.of([w]))) == \
+            reference_winning_state_positions(b, w)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -344,7 +369,7 @@ def test_winning_positions_match_reference_on_weak_automata(a):
     # components of several states, each solved as one fixpoint
     for b in (a, a.dual):
         for w in lassos_up_to(a.alphabet, 1, 2):
-            assert row_pairs(winning_state_positions(b, w)) == \
+            assert row_pairs(winning_state_positions(b, Lassos.of([w]))) == \
                 reference_winning_state_positions(b, w), w.text()
 
 

@@ -54,6 +54,15 @@ def test_repeated_aps(tmp_path, capsys):
     assert code == 2 and "listed twice" in err
 
 
+def test_keyword_aps(tmp_path, capsys):
+    # --aps takes any name; the parser rejects one spelled like an operator
+    code, _out, err = run(capsys, "translate", "G F", "--aps", "F", "--out", str(tmp_path))
+    assert code == 2 and "proposition 'F'" in err
+    assert not (tmp_path / "chain.json").exists()
+    code, _out, err = run(capsys, "verify", "G a", "--aps", "a,true")
+    assert code == 2 and "proposition 'true'" in err
+
+
 def test_translate_resource_cap(tmp_path, capsys):
     code, _out, err = run(capsys, "translate", "GF a -> GF b",
                           "--out", str(tmp_path), "--max-states", "2")

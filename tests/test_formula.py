@@ -94,6 +94,19 @@ def test_parse_needs_propositions():
         parse_ltl("a", [])
 
 
+@pytest.mark.parametrize("name", ["X", "F", "G", "U", "R", "true", "false"])
+def test_propositions_named_like_keywords_are_rejected(name):
+    # the parser reads these words as operators, never as the proposition
+    with pytest.raises(InvalidParameter, match=repr(name)):
+        parse_ltl(f"G {name}", ["a", name])
+    with pytest.raises(InvalidParameter, match=repr(name)):
+        parse_ltl("a", [name, "a"])
+
+
+def test_declared_stacked_operator_names_are_atoms():
+    assert parse_ltl("G FG", ["FG"]) == Formula(GLOBALLY, (atom("FG"),))
+
+
 def test_parse_binding_levels_and_grouping():
     # -> loosest, then |, &, and U tightest among the binary operators;
     # -> and U group to the right; unary operators bind tighter still
