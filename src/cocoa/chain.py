@@ -118,12 +118,14 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
         if time.monotonic() - t0 > cfg.timeout_s:
             raise ResourceLimit(f"timed out after {cfg.timeout_s}s during {what}", partial)
 
-    g_neg = miyano_hayashi(a.dual)
-    checkpoint(g_neg.n_vertices, "complement obligation graph")
-    g_pos = miyano_hayashi(a)
-    checkpoint(g_pos.n_vertices, "obligation graph")
-    m = build_canonical_sltm(a, g_neg, g_pos, check_single_step=cfg.check_single_step)
-    checkpoint(m.n_states, "suffix-language tracking machine")
+    # the graphs are checked once per vertex expanded, the machine once per
+    # row and once more after its vertex sets and single-step check
+    g_neg = miyano_hayashi(a.dual, lambda n: checkpoint(n, "complement obligation graph"))
+    g_pos = miyano_hayashi(a, lambda n: checkpoint(n, "obligation graph"))
+    sltm_stage = "suffix-language tracking machine"
+    m = build_canonical_sltm(a, g_neg, g_pos, check_single_step=cfg.check_single_step,
+                             checkpoint=lambda n: checkpoint(n, sltm_stage))
+    checkpoint(m.n_states, sltm_stage)
 
     levels: list[tuple[Dfw, HdNcw]] = []
     prev = universal_dfw(m)

@@ -189,10 +189,11 @@ class BreakpointGraph:
     interning its successors per letter number and, within a letter, in
     the order given; a graph expanded in id order from vertex 0 is thus
     numbered breadth first.  Equal successor tuples, in any row, are one
-    object.  ``nonempty_from`` settles an emptiness verdict per vertex,
-    component by component, so repeated queries on one graph reuse each
-    other's work, and keeps the lasso ``targets`` it meets;
-    ``accepted_lasso`` reads a witness off them, spelled with ``letters``.
+    object, and so are equal rows.  ``nonempty_from`` settles an emptiness
+    verdict per vertex, component by component, so repeated queries on one
+    graph reuse each other's work, and keeps the lasso ``targets`` it
+    meets; ``accepted_lasso`` reads a witness off them, spelled with
+    ``letters``.
     """
 
     def __init__(self, expand: Callable[[int, int], Iterable[Iterable[Vertex]]],
@@ -209,8 +210,10 @@ class BreakpointGraph:
         self.verdict: list[bool | None] = []
         # each vertex owing nothing on a cycle, mapped to its component
         self.targets: dict[int, set[int]] = {}
-        # one object per distinct successor tuple
-        self.entries: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # the state sets of the vertices found empty
+        self.empty_sets: set[int] = set()
+        # one object per distinct successor tuple and per distinct row
+        self.shared: dict[tuple, tuple] = {}
 
     def intern(self, v: tuple[int, int]) -> int:
         got = self.ids.get(v)
@@ -227,12 +230,15 @@ class BreakpointGraph:
         """The successor ids of a vertex, one tuple per letter."""
         got = self.rows[vid]
         if got is None:
-            shared = self.entries
+            # entries (tuples of ids) and rows (non-empty tuples of
+            # entries) never compare equal, so they share one dict
+            shared = self.shared
             row = []
             for vs in self.expand(*self.pairs[vid]):
                 t = tuple(map(self.intern, vs))
                 row.append(shared.setdefault(t, t))
-            got = self.rows[vid] = tuple(row)
+            got = tuple(row)
+            got = self.rows[vid] = shared.setdefault(got, got)
         return got
 
     def _succ(self, vid: int) -> list[int]:
@@ -248,22 +254,45 @@ class BreakpointGraph:
         Each component of the graph gets its verdict as it is found;
         settled vertices are skipped by later searches, and their verdicts
         are reused as leaf values.
+
+        A vertex whose state set S is known to be empty counts as settled
+        and empty, as a root and as a successor, unexpanded.  For a weak
+        automaton the language of (S, O) is the intersection of the
+        languages of the members of S, whatever the O: every vertex met has
+        O inside S minus the accepting states, and every branch of an
+        accepted run of a weak automaton ends among accepting states, so
+        the obligations of any such O are met.  Only empty verdicts are
+        shared this way.  A nonempty one found without a search would have
+        no explored path for ``accepted_lasso`` to walk, while an edge
+        skipped into an empty vertex lies on no accepting cycle, so the
+        search still finds every nonempty vertex.
         """
-        for comp in tarjan_sccs(roots, self._succ, lambda v: self.verdict[v] is not None):
+        verdict, pairs, empty = self.verdict, self.pairs, self.empty_sets
+
+        def settled(v: int) -> bool:
+            if verdict[v] is None:
+                if pairs[v][0] not in empty:
+                    return False
+                verdict[v] = False
+            return True
+
+        for comp in tarjan_sccs(roots, self._succ, settled):
             members = set(comp)
             good = internal = False
             for w in comp:
                 for s in self._succ(w):
                     if s in members:
                         internal = True
-                    elif self.verdict[s]:
+                    elif verdict[s]:
                         good = True
-            if internal and any(not self.pairs[w][1] for w in comp):
+            if internal and any(not pairs[w][1] for w in comp):
                 good = True
-                self.targets.update((w, members) for w in comp if not self.pairs[w][1])
+                self.targets.update((w, members) for w in comp if not pairs[w][1])
             for w in comp:
-                self.verdict[w] = good
-        return any(self.verdict[r] for r in roots)
+                verdict[w] = good
+            if not good:
+                empty.update(pairs[w][0] for w in comp)
+        return any(verdict[r] for r in roots)
 
     def accepted_lasso(self, roots: list[int]) -> tuple[list, list]:
         """Prefix and cycle letters of an accepted lasso from a root that
@@ -284,12 +313,15 @@ class BreakpointGraph:
         return found
 
 
-def miyano_hayashi(a: Awa) -> ObligationGraph:
+def miyano_hayashi(a: Awa, checkpoint: Callable[[int], None] | None = None
+                   ) -> ObligationGraph:
     """Language-preserving NBW for the alternating automaton: its breakpoint
     graph, expanded in id order from the initial pair.
 
     Every reachable vertex is kept, dead or not, since the tracking machine
-    steps vertex sets of this graph.
+    steps vertex sets of this graph.  ``checkpoint``, if given, is called
+    with the number of vertices found before each vertex is expanded; it
+    may raise to stop the expansion.
     """
     acc = state_mask(a.accepting)
     graph = BreakpointGraph(Breakpoint(a.dual.delta, acc, 0, 0).row, a.alphabet.letters)
@@ -297,6 +329,8 @@ def miyano_hayashi(a: Awa) -> ObligationGraph:
     graph.intern((init, init & ~acc))
     vid = 0
     while vid < len(graph.pairs):
+        if checkpoint is not None:
+            checkpoint(len(graph.pairs))
         graph.row(vid)
         vid += 1
     return ObligationGraph(a.alphabet, tuple(graph.pairs), tuple(graph.rows))

@@ -6,13 +6,16 @@ vertex sets (one for the complement graph, one for the positive graph) plus
 a suffix-language label in intersection-of-unions form.  The machine is
 explored over label-equivalence classes only: a subset construction over
 the complement graph steps one representative vertex set per state and
-classifies each successor set by its label.  One map from labels to states
-answers every label met before; a new label joins the state of an
-equivalent label, decided with an alternating-automaton emptiness check,
-or starts a new state.  Each build owns one ``LanguageOracle``: the
-breakpoint graph over the disjoint union of the automaton and its dual,
-explored only as far as the checks reach, whose emptiness verdicts every
-check of that build shares.  Its rows are
+classifies each successor set by its label.  One map from sink-normal
+forms to states answers every label met before, and every label with the
+same form, which applies the sinks: a union holding the accepting sink
+says nothing, and the rejecting sink adds nothing to a union.  A new
+form joins the state of an equivalent label, decided with an
+alternating-automaton emptiness check, or starts a new state.  Each build
+owns one ``LanguageOracle``: the breakpoint graph over the disjoint union
+of the automaton and its dual, explored only as far as the checks reach,
+whose emptiness verdicts every check of that build shares, the empty ones
+by state set.  Its rows are
 products of the two halves' rows, which it computes once each.  A
 candidate is checked only against the state of its signature, an int of
 the label's membership of each lasso in a battery.  The battery is seeded
@@ -28,11 +31,11 @@ with each graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
-    minimal_sets, state_mask, winning_state_positions,
+    minimal_masks, minimal_sets, state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord, Lassos, enumerate_lassos, letter_text
 from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, PairOrder, Vertex
@@ -82,6 +85,21 @@ def _initial_winners(a: Awa, w: LassoWord) -> int:
 def _holds(label: Label, win0: int) -> bool:
     # every union keeps a state whose language contains the lasso
     return all(u & win0 for u in label.unions)
+
+
+def sink_normal(label: Label, a: Awa) -> tuple[int, ...]:
+    """The unions of a label with the automaton's sinks applied, a form
+    with the label's language: every union holding the accepting sink
+    dropped, the rejecting sink removed from the rest, and the
+    inclusion-minimal unions kept in increasing order (a map key, so any
+    fixed order will do, and ints sort faster than ``canon_key``).  A
+    union left empty leaves the single empty union (0,), the one form of
+    the empty language; no union left is the universal language."""
+    top, keep = 1 << a.top, ~(1 << a.bottom)
+    kept = [u & keep for u in label.unions if not u & top]
+    if len(kept) > 1:
+        kept = sorted(minimal_masks(kept))
+    return tuple(kept)
 
 
 def label_bits(label: Label, rows: list[int]) -> int:
@@ -275,16 +293,21 @@ class Sltm:
 
 
 def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
-                         check_single_step: bool = True) -> Sltm:
+                         check_single_step: bool = True,
+                         checkpoint: Callable[[int], None] | None = None) -> Sltm:
     """Subset construction over the complement obligation graph ``g_neg``
     that keeps one state per label-equivalence class.
 
     Each state keeps the first vertex set that reached it as its
     representative.  The machine is Moore in its labels, so stepping the
     representative gives the successor class of every member; each
-    successor set is classified by its label.  One map from labels to
-    states answers a label met before.  A new label joins the class of an
-    equivalent label or starts a new one: each signature names at most one
+    successor set is classified by its label.  One map keyed by
+    ``sink_normal`` forms answers a label met before, and any label with
+    the same form: the form has the label's language, so a hit merges only
+    equal languages, with no oracle query.  It is a simulation normal form
+    for the one preorder that needs no computing, the accepting sink above
+    every state and the rejecting sink below.  A new form joins the class
+    of an equivalent label or starts a new one: each signature names at most one
     state, the only one checked for equivalence.  A signature is one int,
     the label's membership of a battery of lassos: the words x^omega and
     x.y^omega for letters x and y (``enumerate_lassos(alphabet, 1, 1)``,
@@ -300,7 +323,9 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     ``check_single_step`` additionally asserts, per canonical transition,
     that the suffix of the source state's label on the letter classifies
     as the successor (the single-step soundness condition of the
-    construction), through the same map with each final label added.
+    construction), through the same map with each final label's form
+    added.  ``checkpoint``, if given, is called with the number of states
+    found before each row is explored; it may raise to stop the build.
     """
     # accepts[q] has the bits of the battery's words in state q's
     # language: the seed suite's bits, each its own word, then one bit per
@@ -312,12 +337,13 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     reps: list[set[int] | None] = []
     rep_labels: list[Label] = []
     by_sig: dict[int, int] = {}
-    state_of: dict[Label, int] = {}
+    state_of: dict[tuple[int, ...], int] = {}
 
     def classify(label: Label, vs: set[int] | None = None) -> int:
         # the state of the label's language; a new one keeps vs
         nonlocal by_sig, width
-        sid = state_of.get(label)
+        key = sink_normal(label, a)
+        sid = state_of.get(key)
         if sid is not None:
             return sid
         sig = label_bits(label, accepts)
@@ -340,7 +366,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
             reps.append(vs)
             rep_labels.append(label)
             by_sig[sig] = sid
-        state_of[label] = sid
+        state_of[key] = sid
         return sid
 
     # states are numbered as they are found and expanded in id order, one
@@ -348,6 +374,8 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     initial = classify(label_of([0], g_neg), {0})
     delta: list[tuple[int, ...]] = []
     while len(delta) < len(reps):
+        if checkpoint is not None:
+            checkpoint(len(reps))
         rows = [g_neg.edges[v] for v in reps[len(delta)]]
         sets = [{d for dsts in per_letter for d in dsts} for per_letter in zip(*rows)]
         delta.append(tuple(classify(label_of(vs, g_neg), vs) for vs in sets))
@@ -371,7 +399,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
 
     if check_single_step:
         # each state's final label names it too
-        state_of.update((label, sid) for sid, label in enumerate(labels))
+        state_of.update((sink_normal(label, a), sid) for sid, label in enumerate(labels))
         for sid, row in enumerate(delta):
             for i, succ in enumerate(row):
                 if classify(suffix_label(labels[sid], i, a)) != succ:

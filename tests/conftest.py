@@ -8,8 +8,8 @@ forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
 one-kernel reference for the language oracle's rows, the eager reference
-emptiness check, and the two-pass reference for accepted
-lassos."""
+emptiness check, the unshared reference for the oracle's verdicts, and
+the two-pass reference for accepted lassos."""
 
 from __future__ import annotations
 
@@ -35,7 +35,9 @@ from cocoa.awa import (
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
 from cocoa.floating import Dfw, Nfw, det_edges, reach_back_rows, survival_rows
 from cocoa.obligation import Breakpoint, BreakpointGraph, ObligationGraph, miyano_hayashi
-from cocoa.sltm import Label, Sltm, _holds, _initial_winners, build_canonical_sltm
+from cocoa.sltm import (
+    Label, LanguageOracle, Sltm, _holds, _initial_winners, build_canonical_sltm,
+)
 
 
 def random_nnf(rng: random.Random, size: int, aps):
@@ -719,6 +721,24 @@ def reference_nonempty_witness(g: ObligationGraph) -> LassoWord | None:
     if found is None:
         raise AssertionError("no lasso through an accepting cyclic vertex")
     return LassoWord(g.alphabet, tuple(found[0]), tuple(found[1]))
+
+
+def reference_nonempty(a: Awa, pairs) -> dict[tuple[int, int], bool]:
+    """Whether an accepted run starts at each (S, O) pair reachable from the
+    given ones in the language oracle over the automaton and its dual: one
+    plain Tarjan search on a fresh oracle, every vertex expanded and no
+    verdict shared between vertices.  The reference for
+    ``obligation.BreakpointGraph.nonempty_from``."""
+    g = LanguageOracle(a)
+    roots = [g.intern(p) for p in pairs]
+    good: dict[int, bool] = {}
+    for comp in tarjan_sccs(roots, g._succ):
+        inside = set(comp)
+        succ = {s for w in comp for s in g._succ(w)}
+        cyclic = any(not g.pairs[w][1] for w in comp) and bool(succ & inside)
+        verdict = cyclic or any(good[s] for s in succ - inside)
+        good.update((w, verdict) for w in comp)
+    return {g.pairs[v]: verdict for v, verdict in good.items()}
 
 
 def reference_accepted_lasso(graph: BreakpointGraph, roots: list[int]) -> tuple[list, list]:

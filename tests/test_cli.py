@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,16 @@ def test_color_json(capsys):
     code, out, _err = run(capsys, "color", "GF a -> (GF b & FG c)", "--word", ";{a}{b}", "--json")
     assert code == 0
     assert json.loads(out) == {"word": ";{a}{b}", "natural_color": 1, "member": False}
+
+
+@pytest.mark.parametrize("cap", [("--timeout-s", "2"), ("--max-states", "1000")])
+def test_caps_stop_a_stage_mid_way(capsys, cap):
+    # the n=3 complement graph takes seconds and 61,899 vertices; a cap
+    # checked only between stages let it finish first
+    start = time.monotonic()
+    code, _out, err = run(capsys, "bench", "--n", "3", *cap)
+    assert code == 3 and "complement obligation graph" in err
+    assert time.monotonic() - start < 3.5
 
 
 def test_bench_bad_n(capsys):

@@ -19,14 +19,15 @@ from cocoa.awa import (
     mask_states, minimal_masks, minimal_sets, state_mask,
 )
 from cocoa.sltm import (
-    IncompatibleAutomata, Label, LanguageOracle, distinguishing_lasso, label_bits,
-    sltm_from_json, sltm_to_dot, sltm_to_json, suffix_label,
+    IncompatibleAutomata, Label, LanguageOracle, build_canonical_sltm,
+    distinguishing_lasso, label_bits, sink_normal, sltm_from_json, sltm_to_dot,
+    sltm_to_json, suffix_label,
 )
 
 from conftest import (
     build_sltm, formula_corpus, label_accepts_lasso, lassos_up_to,
     prefixes_up_to, prepend, reference_accepted_lasso, reference_is_empty,
-    reference_oracle_kernel, sltm_state_after, weak_awas,
+    reference_nonempty, reference_oracle_kernel, sltm_state_after, weak_awas,
 )
 from test_chain_bytes import workloads
 
@@ -373,6 +374,21 @@ def test_single_step_check_fires(monkeypatch):
         build_sltm(a, check_single_step=True)
 
 
+def test_checkpoints_run_inside_the_stages():
+    # a cap can stop each stage mid-way: the graphs call the checkpoint
+    # once per vertex expanded, with the vertices found so far, and the
+    # machine once per row, with the states found so far
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
+    counts = {"g_neg": [], "g_pos": [], "sltm": []}
+    g_neg = miyano_hayashi(a.dual, counts["g_neg"].append)
+    g_pos = miyano_hayashi(a, counts["g_pos"].append)
+    m = build_canonical_sltm(a, g_neg, g_pos, checkpoint=counts["sltm"].append)
+    for seen, size in ((counts["g_neg"], g_neg.n_vertices),
+                       (counts["g_pos"], g_pos.n_vertices), (counts["sltm"], m.n_states)):
+        assert len(seen) == size == seen[-1]
+        assert seen == sorted(seen)
+
+
 def test_sltm_json_roundtrip():
     _a, m = build("GF a -> GF b", ["a", "b"])
     data = sltm_to_json(m)
@@ -525,6 +541,43 @@ def test_seeded_signatures_split_only_inequivalent_labels(label_pairs):
     assert split and merged
 
 
+def game_bits(a: Awa):
+    """The words of ``enumerate_lassos(alphabet, 2, 2)`` in the language of
+    a label's unions, as ``label_bits`` of every state's row over the game
+    positions (all of them for no unions)."""
+    lassos = enumerate_lassos(a.alphabet, 2, 2)
+    rows = winning_state_positions(a, lassos)
+    return lambda unions: label_bits(Label(unions), rows) & lassos.full
+
+
+def test_sink_normal_form_keeps_the_language_of_built_labels(label_pairs):
+    # the labels of the corpus machines and the queries of the n=1 build;
+    # membership comes from the game solver, not the oracle
+    bits = {}
+    changed = 0
+    for oracle, l1, l2, _equivalent in label_pairs:
+        a = oracle.a
+        if a not in bits:
+            bits[a] = game_bits(a)
+        for label in (l1, l2):
+            form = sink_normal(label, a)
+            assert bits[a](form) == bits[a](label.unions), (label, form)
+            changed += form != label.unions
+    assert changed
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_sink_normal_form_keeps_the_language_on_weak_automata(data):
+    # unions over every state, the sinks included; a union left empty once
+    # the rejecting sink is removed makes the form the empty language
+    a = data.draw(weak_awas())
+    unions = st.frozensets(st.sampled_from(range(a.n_states)), min_size=1, max_size=3)
+    label = Label.make(map(state_mask, data.draw(st.lists(unions, max_size=4))))
+    bits = game_bits(a)
+    assert bits(sink_normal(label, a)) == bits(label.unions)
+
+
 def test_accepted_lasso_matches_two_pass_reference(lower_bound_queries):
     # the lasso read off the targets the emptiness check kept is the one a
     # second search over the true verdicts finds, on every nonempty
@@ -549,11 +602,13 @@ def test_lower_bound_sltm_makes_few_false_equivalence_queries(lower_bound_querie
     # the signatures start from the words x^omega and x.y^omega (20 bits)
     # and each rejected candidate adds a lasso that splits them, so
     # rejections stay few (an empty starting battery left 9, a fixed battery of 64 lassos
-    # 95); the build makes 29 queries in all, and a change to the
-    # classification that asks the oracle more fails here
+    # 95); labels keyed by their sink-normal form merge 14 of the 23
+    # equivalent pairs without a query, so the build makes 15 queries in
+    # all (29 keyed by label), and a change to the classification that
+    # asks the oracle more fails here
     queries, m = lower_bound_queries
     assert m.n_states == 13
-    assert len(queries) <= 29
+    assert len(queries) <= 15
     assert sum(not got for *_pair, got in queries) <= 6
 
 
@@ -563,7 +618,8 @@ def test_corpus_sltm_equivalence_queries(monkeypatch):
     # and in the single-step check, which asked 425 queries when vertex
     # sets and label pairs were looked up apart; signatures seeded with the
     # words x^omega and x.y^omega leave few candidates to reject, where an
-    # empty starting battery asked 359 queries, 193 of them False
+    # empty starting battery asked 359 queries, 193 of them False; keying
+    # the map by sink-normal forms, not labels, took it from 169 to 112
     queries = []
     original = cocoa.sltm.labels_equivalent
 
@@ -579,7 +635,7 @@ def test_corpus_sltm_equivalence_queries(monkeypatch):
         alpha = Alphabet.from_aps(item["aps"])
         build_sltm(from_ltl(to_nnf(parse_ltl(item["text"], item["aps"])), alpha),
                    check_single_step=True)
-    assert len(queries) <= 169
+    assert len(queries) <= 112
     assert queries.count(False) <= 3
 
 
@@ -625,7 +681,8 @@ def test_oracle_rows_match_one_kernel_over_both_halves():
     inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(60, seed=5)]
     inputs += [(to_nnf(parse_ltl(text, aps)), Alphabet.from_aps(aps))
                for text, aps in workloads.RABIN_FORMULAS + [STREETT_2]]
-    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    inputs += [(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=True))
+               for n in (1, 2)]
     checked = 0
     for f, alpha in inputs:
         checked += rows_match_reference(build_oracle(from_ltl(f, alpha)))
@@ -644,12 +701,52 @@ def test_oracle_rows_match_one_kernel_on_weak_automata(a):
     assert rows_match_reference(oracle)
 
 
+def verdicts_match_reference(oracle: LanguageOracle) -> int:
+    """Check every verdict the oracle settled, the empty ones shared by
+    state set, against a search without sharing on a fresh oracle, in which
+    vertices with equal state sets have equal verdicts; the number of
+    verdicts checked."""
+    settled = [v for v, got in enumerate(oracle.verdict) if got is not None]
+    expected = reference_nonempty(oracle.a, [oracle.pairs[v] for v in settled])
+    for v in settled:
+        assert oracle.verdict[v] == expected[oracle.pairs[v]], (v, oracle.pairs[v])
+    by_set: dict[int, set[bool]] = {}
+    for (S, _O), verdict in expected.items():
+        by_set.setdefault(S, set()).add(verdict)
+    assert all(len(verdicts) == 1 for verdicts in by_set.values())
+    return len(settled)
+
+
+def test_shared_verdicts_match_unshared_search():
+    # the verdicts left by each build, with every vertex found empty
+    # settling the others of its state set
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(40, seed=7)]
+    inputs += [(to_nnf(parse_ltl(text, aps)), Alphabet.from_aps(aps))
+               for text, aps in workloads.RABIN_FORMULAS]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    checked = 0
+    for f, alpha in inputs:
+        checked += verdicts_match_reference(build_oracle(from_ltl(f, alpha)))
+    assert checked > 1000
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_shared_verdicts_match_unshared_search_on_weak_automata(a):
+    # besides the build's queries, one per pair of single states
+    oracle = build_oracle(a)
+    singles = [Label.make([1 << q]) for q in range(a.n_states)]
+    for l1, l2 in itertools.combinations(singles, 2):
+        labels_equivalent(l1, l2, oracle)
+    assert verdicts_match_reference(oracle)
+
+
 def test_lower_bound_oracle_reuses_half_rows(lower_bound_queries):
-    # the n=1 build expands about a thousand oracle vertices from a few
+    # the n=1 build expands several hundred oracle vertices from a few
     # dozen distinct rows of each half; computing a kernel row per vertex
     # instead would fail here
     queries, _m = lower_bound_queries
     oracle = queries[0][0]
     expanded = sum(row is not None for row in oracle.rows)
-    assert expanded > 900
+    assert 0 < 4 * len(oracle.half_rows) <= expanded
     assert len(oracle.half_rows) <= 110

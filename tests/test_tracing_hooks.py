@@ -55,7 +55,9 @@ def test_tracer_hooks_see_the_calls(monkeypatch):
                  "sltm.labels_equivalent": cocoa.sltm.labels_equivalent,
                  "sltm.suffix_label": cocoa.sltm.suffix_label}
     automata = []
-    for text in ("G (a -> F b)", "GF a -> GF b"):
+    # labels that share a sink-normal form need no query, so few formulas
+    # still query the oracle in the single-step check: the first one does
+    for text in ("X (a U F (a R !a))", "GF a -> GF b"):
         f = parse_ltl(text, ["a", "b"])
         automata.append((cocoa.awa.from_ltl(to_nnf(f), Alphabet.from_aps(["a", "b"])), f))
     with counting_calls(originals) as unchecked:
