@@ -167,6 +167,14 @@ class Awa:
         return tuple(tuple(c) for c in tarjan_sccs(range(self.n_states), succ.__getitem__))
 
     @functools.cached_property
+    def clause_members(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        """``clause_members[q][i]``: the members of each clause of
+        ``delta[q][i]``, one tuple per clause, shared by equal formulas;
+        the game solver's table."""
+        members = {p: tuple(map(mask_states, p)) for p in {p for row in self.delta for p in row}}
+        return tuple(tuple(members[p] for p in row) for row in self.delta)
+
+    @functools.cached_property
     def dual(self) -> "Awa":
         """The complement automaton, built once; ``a.dual.dual is a``."""
         return dualize(self)
@@ -290,8 +298,8 @@ def winning_state_positions(a: Awa, lassos: Lassos) -> list[int]:
         moves = []
         for q in comp:
             win[q] = pre[q] = start
-            moves.append((q, [(m, [mask_states(c) for c in p])
-                              for p, m in zip(a.delta[q], lassos.rows) if m]))
+            moves.append((q, [(m, clauses)
+                              for clauses, m in zip(a.clause_members[q], lassos.rows) if m]))
         changed = True
         while changed:
             changed = False

@@ -119,7 +119,8 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
             raise ResourceLimit(f"timed out after {cfg.timeout_s}s during {what}", partial)
 
     # the graphs are checked once per vertex expanded, the machine once per
-    # row and once more after its vertex sets and single-step check
+    # row and once more after its vertex sets and single-step check, each
+    # level's product once and its determinization once per row
     g_neg = miyano_hayashi(a.dual, lambda n: checkpoint(n, "complement obligation graph"))
     g_pos = miyano_hayashi(a, lambda n: checkpoint(n, "obligation graph"))
     sltm_stage = "suffix-language tracking machine"
@@ -135,8 +136,8 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
             raise ResourceLimit(f"more than {MAX_LEVELS} levels", levels)
         nfw = level_product(prev, m, ell)
         checkpoint(nfw.n_states, f"level {ell} product", levels)
-        d = determinize(nfw, m)
-        checkpoint(d.n_states, f"level {ell} determinization", levels)
+        stage = f"level {ell} determinization"
+        d = determinize(nfw, m, lambda n: checkpoint(n, stage, levels))
         d = minimize_dfw(d, m)
         # a minimized DFW has no transient state, and the SLTM reaches every
         # state, so it is empty exactly when no state is left

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._graph import cyclic_sccs
 from .formula import LassoWord, Lassos, letter_text
@@ -113,32 +113,47 @@ def _strip_transient(d: Dfw) -> Dfw:
 
 
 def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
-    """Unabridged product of the previous level with the obligation graph of
-    the level's polarity (``Sltm.side``), then pruning: transient parts
-    removed and only SCCs containing an accepting graph vertex kept."""
+    """Product of the previous level with the obligation graph of the
+    level's polarity (``Sltm.side``), pruned to the cyclic components that
+    hold an accepting graph vertex.
+
+    A kept component projects into one cyclic component of the graph that
+    holds a vertex owing nothing, the graph's ``core``, since its cycles
+    project to cycles of the graph.  So only the pairs (p, v) with v in the
+    core and v in the vertex set of p's label are built, with only the
+    edges that stay inside v's component: the kept components, their order
+    and the NFW are those of the unabridged product.  The vertex sets are
+    closed under the graph's edges (checked where the SLTM stage sweeps
+    them), so every successor pair of a pair built here lies in the
+    product; the edges built are checked again."""
     if ell < 1:
         raise ValueError("levels start at 1")
     g, vsets = m.side(ell)
+    core = g.core
 
     ids: dict[tuple[int, int], int] = {}
     states: list[tuple[int, int]] = []
     for p in range(prev.n_states):
         for v in sorted(vsets[prev.label[p]]):
-            ids[(p, v)] = len(states)
-            states.append((p, v))
+            if core[v] >= 0:
+                ids[(p, v)] = len(states)
+                states.append((p, v))
 
-    # (p2, v2) has an id exactly when v2 is in the vertex set of p2's label
+    # (p2, v2) has an id exactly when v2 is a core vertex in the vertex set
+    # of p2's label
     trans: list[list[tuple[int, ...]]] = []
     for (p, v) in states:
         row = []
+        c = core[v]
         for p2, vs2 in zip(prev.trans[p], g.edges[v]):
             dsts = []
             if p2 is not None:
                 for v2 in vs2:
-                    q2 = ids.get((p2, v2))
-                    if q2 is None:
-                        raise AssertionError("vertex outside successor state's set")
-                    dsts.append(q2)
+                    if core[v2] == c:
+                        q2 = ids.get((p2, v2))
+                        if q2 is None:
+                            raise AssertionError("vertex outside successor state's set")
+                        dsts.append(q2)
             row.append(tuple(sorted(dsts)))
         trans.append(row)
 
@@ -157,13 +172,15 @@ def level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
     return nfw
 
 
-def determinize(n: Nfw, m: Sltm) -> Dfw:
+def determinize(n: Nfw, m: Sltm, checkpoint: Callable[[int], None] | None = None) -> Dfw:
     """Per-state subset construction: a DFW state is a set of NFW states,
     and its row is the union of its members' rows.  The previous level is
     deterministic, so the members share one previous state and the set
     stands for that state plus a set of graph vertices.  States are
     numbered as they are found, the singletons first in NFW order, and
-    expanded in id order, one row each."""
+    expanded in id order, one row each.  ``checkpoint``, if given, is
+    called with the number of states found before each row is built; it
+    may raise to stop the construction."""
     ids: dict[frozenset[int], int] = {}
     states: list[frozenset[int]] = []
     trans: list[tuple[int | None, ...]] = []
@@ -180,6 +197,8 @@ def determinize(n: Nfw, m: Sltm) -> Dfw:
         intern(frozenset({q}))
 
     while len(trans) < len(states):
+        if checkpoint is not None:
+            checkpoint(len(states))
         row = []
         for per_letter in zip(*(n.trans[q] for q in states[len(trans)])):
             out = frozenset(q2 for dsts in per_letter for q2 in dsts)

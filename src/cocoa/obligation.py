@@ -21,9 +21,10 @@ per half, joined only by the reset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
-from ._graph import lasso_letters, tarjan_sccs
+from ._graph import cyclic_sccs, lasso_letters, tarjan_sccs
 from .awa import Awa, canon_key, mask_states, member_order, minimal_masks, state_mask
 from .formula import Alphabet, letter_text
 
@@ -60,6 +61,15 @@ class ObligationGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def core(self) -> tuple[int, ...]:
+        """The component id of each vertex on a cycle through a vertex that
+        owes nothing (O empty) inside its component, -1 for the rest
+        (``_graph.cyclic_sccs``).  Every accepting cycle of a product with
+        the graph projects into one such component."""
+        succ = [sorted({d for dsts in row for d in dsts}) for row in self.edges]
+        return tuple(cyclic_sccs(succ, (v for v, (_S, O) in enumerate(self.vertices) if not O)))
+
 
 def minimal_models(clauses) -> tuple[int, ...]:
     """Minimal hitting sets of a collection of clause masks (each clause
@@ -95,9 +105,14 @@ class Breakpoint:
     The minimal models of a conjunction are the minimal unions of one
     minimal model per conjunct.  So the models of a state set on a letter
     are folded state by state: those of the set without its lowest state,
-    joined with that state's row of the table.  The folds are cached per
-    instance, keyed by letter number and mask, and so is each mask's sort
-    key.  Pairs are pruned packed into one int each.
+    joined with that state's row of the table; a fold of one model with
+    one model is their union.  The folds are cached per instance, keyed by
+    letter number and mask, and so is each mask's sort key.
+
+    Successor pairs are pruned packed into one int each, except where
+    nothing can be pruned: a reset on a kernel without sinks, whose
+    distinct minimal models give pairwise incomparable pairs, and a carry
+    with one model of O and one of S minus O, which gives one pair.
     """
 
     def __init__(self, models: tuple[tuple[tuple[int, ...], ...], ...],
@@ -106,6 +121,7 @@ class Breakpoint:
         self.accepting = accepting
         self.tops = tops
         self.bottoms = bottoms
+        self.sinkless = not (tops or bottoms)
         # a pair (S, O) packs into one int, S << width | O, so that one
         # mask test decides componentwise inclusion
         self.width = len(models)
@@ -132,7 +148,11 @@ class Breakpoint:
         for low in reversed(peeled):
             mine = self.table[low.bit_length() - 1][i]
             rest |= low
-            got = memo[rest] = minimal_masks(r | m for r in got for m in mine)
+            if len(got) == 1 and len(mine) == 1:
+                got = (got[0] | mine[0],)
+            else:
+                got = minimal_masks(r | m for r in got for m in mine)
+            memo[rest] = got
         return got
 
     def successors(self, S: int, O: int, i: int, reset: bool) -> list[Vertex]:
@@ -148,15 +168,28 @@ class Breakpoint:
         w = self.width
         free = ~self.accepting
         if reset:
-            return self._pruned({sm << w | (sm & free) for sm in self.models(S, i)})
+            models = self.models(S, i)
+            if not self.sinkless:
+                return self._pruned({sm << w | (sm & free) for sm in models})
+            # distinct minimal models differ in S, and no S is inside
+            # another, so every pair is minimal
+            out = [(sm, sm & free) for sm in models]
+            if len(out) > 1:
+                out.sort(key=self._order.key)
+            return out
         # The new state set joins a minimal model of the obligations with
         # one of the other states; the new obligations are the former's
         # non-accepting states.  Pairing each model of the whole set with
         # each model of the obligations gives pairs that each contain one
         # of these, so the minimal pairs kept are the same.
+        owed = self.models(O, i)
         rest = self.models(S & ~O, i)
-        return self._pruned({(so | sr) << w | (so & free)
-                             for so in self.models(O, i) for sr in rest})
+        if len(owed) == 1 and len(rest) == 1:
+            # one pair: only the sinks apply
+            so = owed[0]
+            s = so | rest[0]
+            return [] if s & self.bottoms else [(s & ~self.tops, so & free)]
+        return self._pruned({(so | sr) << w | (so & free) for so in owed for sr in rest})
 
     def row(self, S: int, O: int) -> list[list[Vertex]]:
         """The successors of (S, O) on each letter number, resetting when O
@@ -183,8 +216,10 @@ class BreakpointGraph:
     """The graph of breakpoint successors over (S, O) mask pairs, explored
     on demand.
 
-    ``expand(S, O)`` gives a pair's successors, one list per letter number
-    (a kernel's ``Breakpoint.row`` for a Miyano-Hayashi graph).  ``intern``
+    ``expand(S, O)`` gives a pair's successors, one list per letter number:
+    the callable passed in (a kernel's ``Breakpoint.row`` for a
+    Miyano-Hayashi graph), or a subclass's own method, which keeps the
+    graph free of a reference to itself.  ``intern``
     numbers a pair on first sight.  ``row(vid)`` expands a vertex once,
     interning its successors per letter number and, within a letter, in
     the order given; a graph expanded in id order from vertex 0 is thus
@@ -196,9 +231,10 @@ class BreakpointGraph:
     ``letters``.
     """
 
-    def __init__(self, expand: Callable[[int, int], Iterable[Iterable[Vertex]]],
+    def __init__(self, expand: Callable[[int, int], Iterable[Iterable[Vertex]]] | None,
                  letters: tuple[frozenset[str], ...]):
-        self.expand = expand
+        if expand is not None:
+            self.expand = expand
         self.letters = letters
         self.ids: dict[tuple[int, int], int] = {}
         self.pairs: list[tuple[int, int]] = []
@@ -214,6 +250,9 @@ class BreakpointGraph:
         self.empty_sets: set[int] = set()
         # one object per distinct successor tuple and per distinct row
         self.shared: dict[tuple, tuple] = {}
+
+    def expand(self, S: int, O: int) -> Iterable[Iterable[Vertex]]:
+        raise NotImplementedError("pass expand or override it")
 
     def intern(self, v: tuple[int, int]) -> int:
         got = self.ids.get(v)
@@ -232,10 +271,10 @@ class BreakpointGraph:
         if got is None:
             # entries (tuples of ids) and rows (non-empty tuples of
             # entries) never compare equal, so they share one dict
-            shared = self.shared
+            shared, ids, intern = self.shared, self.ids, self.intern
             row = []
             for vs in self.expand(*self.pairs[vid]):
-                t = tuple(map(self.intern, vs))
+                t = tuple([d if (d := ids.get(v)) is not None else intern(v) for v in vs])
                 row.append(shared.setdefault(t, t))
             got = tuple(row)
             got = self.rows[vid] = shared.setdefault(got, got)

@@ -30,6 +30,7 @@ with each graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -140,7 +141,7 @@ class LanguageOracle(BreakpointGraph):
     """
 
     def __init__(self, a: Awa):
-        super().__init__(self._product_row, a.alphabet.letters)
+        super().__init__(None, a.alphabet.letters)
         self.a = a
         d = a.dual
         self.halves = (
@@ -165,21 +166,23 @@ class LanguageOracle(BreakpointGraph):
             self.half_rows[key] = got
         return got
 
-    def _product_row(self, S: int, O: int) -> list[list[Vertex]]:
+    def expand(self, S: int, O: int) -> list[list[Vertex]]:
         n = self.a.n_states
         low = (1 << n) - 1
         reset = not O
         row = []
         for los, his in zip(self._half_row((0, S & low, O & low, reset)),
                             self._half_row((1, S >> n, O >> n, reset))):
-            pairs = [(sl | sh, ol | oh) for sl, ol in los for sh, oh in his]
             # the pair order compares sorted member tuples, and every low
             # member is below every high one: pairs sharing their one low
             # part compare as their high parts do, which the dual's kernel
             # has sorted already.  Several low parts interleave, so sort.
-            if len(los) > 1:
-                pairs.sort(key=self.order.key)
-            row.append(pairs)
+            if len(los) == 1:
+                (sl, ol), = los
+                row.append([(sl | sh, ol | oh) for sh, oh in his])
+            else:
+                row.append(sorted(((sl | sh, ol | oh) for sl, ol in los for sh, oh in his),
+                                  key=self.order.key))
         return row
 
     def _unions(self, label: Label) -> tuple[int, ...]:
@@ -392,6 +395,13 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
                     if v2 not in sets[sid2]:
                         sets[sid2].add(v2)
                         todo.append((sid2, v2))
+        # the sets are closed under the graph's edges, which the level
+        # products rely on when they enumerate only the graph's core
+        for sid, vs in enumerate(sets):
+            for vs2, per_letter in zip(map(sets.__getitem__, delta[sid]),
+                                       zip(*map(graph.edges.__getitem__, vs))):
+                if not vs2.issuperset(itertools.chain.from_iterable(per_letter)):
+                    raise AssertionError("vertex outside successor state's set")
         return tuple(frozenset(vs) for vs in sets)
 
     vsets_neg = sweep(g_neg)

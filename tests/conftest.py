@@ -8,8 +8,9 @@ forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
 one-kernel reference for the language oracle's rows, the eager reference
-emptiness check, the unshared reference for the oracle's verdicts, and
-the two-pass reference for accepted lassos."""
+emptiness check, the unshared reference for the oracle's verdicts, the
+two-pass reference for accepted lassos, and the unabridged level
+product."""
 
 from __future__ import annotations
 
@@ -661,10 +662,12 @@ class ReferenceBreakpoint:
             merged.update(self.delta[q][i])
         return reference_minimal_models(merged)
 
-    def successors(self, S: frozenset[int], O: frozenset[int], i: int):
+    def successors(self, S: frozenset[int], O: frozenset[int], i: int,
+                   reset: bool | None = None):
+        # the reset is taken when O is empty, unless given
         acc = self.accepting
         ms = self._models(S, i)
-        if not O:
+        if not O if reset is None else reset:
             return self.prune({(sm, sm - acc) for sm in ms})
         mo = self._models(O, i)
         return self.prune({(sm | so, so - acc) for sm in ms for so in mo})
@@ -767,3 +770,43 @@ def reference_accepted_lasso(graph: BreakpointGraph, roots: list[int]) -> tuple[
 def reference_is_empty(a: Awa) -> bool:
     """Language emptiness on the fully built breakpoint graph."""
     return reference_nonempty_witness(miyano_hayashi(a)) is None
+
+
+def reference_level_product(prev: Dfw, m: Sltm, ell: int) -> Nfw:
+    """The level product built whole, the reference for
+    ``floating.level_product``: every pair (p, v) with v in the vertex set
+    of p's label, with a full letter row each, then only the cyclic
+    components holding an accepting graph vertex kept.  Raises
+    AssertionError when a successor vertex lies outside the vertex set of
+    the successor state's label."""
+    g, vsets = m.side(ell)
+    ids: dict[tuple[int, int], int] = {}
+    states: list[tuple[int, int]] = []
+    for p in range(prev.n_states):
+        for v in sorted(vsets[prev.label[p]]):
+            ids[(p, v)] = len(states)
+            states.append((p, v))
+    trans: list[list[tuple[int, ...]]] = []
+    for (p, v) in states:
+        row = []
+        for p2, vs2 in zip(prev.trans[p], g.edges[v]):
+            dsts = []
+            if p2 is not None:
+                for v2 in vs2:
+                    q2 = ids.get((p2, v2))
+                    if q2 is None:
+                        raise AssertionError("vertex outside successor state's set")
+                    dsts.append(q2)
+            row.append(tuple(sorted(dsts)))
+        trans.append(row)
+    comp = cyclic_sccs([sorted({d for dsts in row for d in dsts}) for row in trans],
+                       (q for q, (_p, v) in enumerate(states) if not g.vertices[v][1]))
+    keep = [q for q in range(len(states)) if comp[q] >= 0]
+    remap = {old: new for new, old in enumerate(keep)}
+    return Nfw(
+        label=tuple(prev.label[states[q][0]] for q in keep),
+        trans=tuple(
+            tuple(tuple(remap[d] for d in dsts if comp[d] == comp[q]) for dsts in trans[q])
+            for q in keep),
+        origin=tuple(states[q] for q in keep),
+    )

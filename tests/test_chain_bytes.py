@@ -67,3 +67,21 @@ def test_lower_bound_n2_chain_is_pinned():
     assert [d.n_states for d, _c in chain.levels] == [1]
     digest = hashlib.sha256(json.dumps(chain_to_json(chain), sort_keys=True).encode()).hexdigest()
     assert digest == "2006494e430e6e2c5a86e8b475c795349920bcbf74d3b9bef553a04a73c74ce4"
+
+
+STREETT_3 = ("(GF a1 -> GF b1) & (GF a2 -> GF b2) & (GF a3 -> GF b3)",
+             ["a1", "b1", "a2", "b2", "a3", "b3"])
+
+
+def test_streett_3_chain_is_pinned():
+    # a chain whose level loop does real work: six levels over 64 letters;
+    # its digest was measured before the level products were cut to the
+    # graph's core
+    text, aps = STREETT_3
+    f = parse_ltl(text, aps)
+    a = from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+    chain = build_chain(a, config=ChainConfig(check_single_step=False), formula=f)
+    assert chain.k == 6
+    assert [d.n_states for d, _c in chain.levels] == [6, 21, 24, 12, 6, 1]
+    digest = hashlib.sha256(json.dumps(chain_to_json(chain), sort_keys=True).encode()).hexdigest()
+    assert digest == "4f210f3f898ed76ddf480945089ab0dfffec5cbdab938aba29ce52bd01d9afa3"

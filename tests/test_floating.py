@@ -1,22 +1,29 @@
 """Floating automata: universal base, level products, determinization,
 minimization, jump-in acceptance."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
+from hypothesis import given, settings
+
 import cocoa
 from cocoa import (
-    Alphabet, det_edges, determinize, dfw_accepts_lasso, eval_lasso, from_ltl,
-    level_product, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
+    Alphabet, ChainConfig, build_chain, det_edges, determinize, dfw_accepts_lasso,
+    eval_lasso, from_ltl, level_product, lower_bound_alphabet, lower_bound_family,
+    miyano_hayashi, minimize_dfw, parse_ltl, to_nnf, universal_dfw,
 )
 from cocoa._graph import cyclic_sccs
 
 from conftest import (
-    build_sltm, formula_corpus, lassos_up_to, nfw_accepts_lasso,
-    prefixes_up_to, sltm_state_after,
+    build_fig1, build_sltm, formula_corpus, lassos_up_to, nfw_accepts_lasso, prefixes_up_to,
+    reference_level_product, sltm_state_after, weak_awas,
 )
+from test_chain_bytes import STREETT_3, workloads
+from test_sltm import STREETT_2
 
 
 def setup_pipeline(text, aps):
@@ -263,3 +270,131 @@ def test_label_check_fires_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def bench_chain(text: str, aps: list[str]):
+    f = parse_ltl(text, aps)
+    return build_chain(from_ltl(to_nnf(f), Alphabet.from_aps(aps)),
+                       config=ChainConfig(check_single_step=False), formula=f)
+
+
+def products_match_reference(chain) -> int:
+    """Compare every level's product, the empty one after the last level
+    included, with the unabridged product; the number of product states
+    compared."""
+    m = chain.sltm
+    prevs = [universal_dfw(m)] + [d for d, _c in chain.levels]
+    compared = 0
+    for ell, prev in enumerate(prevs, start=1):
+        got = level_product(prev, m, ell)
+        want = reference_level_product(prev, m, ell)
+        assert (got.label, got.trans, got.origin) == (want.label, want.trans, want.origin), ell
+        compared += got.n_states
+    return compared
+
+
+def test_core_product_matches_unabridged_product():
+    chains = [bench_chain(item["text"], item["aps"])
+              for item in workloads.corpus_items(workloads.CORPUS_SEED)]
+    chains += [bench_chain(text, aps) for text, aps in workloads.RABIN_FORMULAS + [STREETT_2]]
+    for n in (1, 2):
+        f = lower_bound_family(n)
+        chains.append(build_chain(from_ltl(to_nnf(f), lower_bound_alphabet(n, restricted=True)),
+                                  config=ChainConfig(check_single_step=False), formula=f))
+    assert sum(map(products_match_reference, chains)) > 300
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_core_product_matches_unabridged_product_on_weak_automata(a):
+    products_match_reference(build_chain(a, config=ChainConfig(check_single_step=False)))
+
+
+def assert_core_is_cycles_through_owing_nothing(g) -> None:
+    # v is in the core when some vertex owing nothing (maybe v itself) and
+    # v reach each other by non-empty paths; two core vertices share an id
+    # exactly when they reach each other
+    succ = [sorted({d for dsts in row for d in dsts}) for row in g.edges]
+
+    def reach(v: int) -> set[int]:
+        seen: set[int] = set()
+        todo = list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo += succ[w]
+        return seen
+
+    after = [reach(v) for v in range(g.n_vertices)]
+    owing_nothing = [u for u, (_S, O) in enumerate(g.vertices) if not O]
+    core = g.core
+    for v in range(g.n_vertices):
+        on_cycle = any(u in after[v] and v in after[u] for u in owing_nothing)
+        assert (core[v] >= 0) == on_cycle, v
+        for w in range(g.n_vertices):
+            if core[v] >= 0 and core[w] >= 0:
+                assert (core[v] == core[w]) == (v == w or (w in after[v] and v in after[w]))
+
+
+def test_core_is_cycles_through_vertices_owing_nothing():
+    automata = [build_fig1()] + [from_ltl(to_nnf(f), Alphabet.from_aps(aps))
+                           for f, aps in formula_corpus(20, seed=31)]
+    kept = 0
+    for a in automata:
+        for b in (a, a.dual):
+            g = miyano_hayashi(b)
+            assert_core_is_cycles_through_owing_nothing(g)
+            kept += sum(c >= 0 for c in g.core)
+    assert kept > 20
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_core_is_cycles_through_vertices_owing_nothing_on_weak_automata(a):
+    for b in (a, a.dual):
+        assert_core_is_cycles_through_owing_nothing(miyano_hayashi(b))
+
+
+def test_product_rejects_a_core_successor_outside_its_set():
+    m = build_sltm(from_ltl(to_nnf(parse_ltl(*STREETT_2)), Alphabet.from_aps(STREETT_2[1])))
+    g, vsets = m.side(1)
+    core = g.core
+    # a core edge leaving a vertex for another one of its component
+    s, v, i, v2 = next((s, v, i, v2) for s, vs in enumerate(vsets) for v in sorted(vs)
+                       if core[v] >= 0 for i, dsts in enumerate(g.edges[v])
+                       for v2 in dsts if v2 != v and core[v2] == core[v])
+    s2 = m.delta[s][i]
+    cut = list(vsets)
+    cut[s2] = vsets[s2] - {v2}
+    broken = dataclasses.replace(m, vertex_sets_neg=tuple(cut))
+    with pytest.raises(AssertionError, match="outside successor state's set"):
+        level_product(universal_dfw(broken), broken, 1)
+
+
+class Stop(Exception):
+    pass
+
+
+def test_checkpoint_stops_determinization():
+    chain = bench_chain(*STREETT_3)
+    assert [d.n_states for d, _c in chain.levels] == [6, 21, 24, 12, 6, 1]
+    m = chain.sltm
+    nfw = level_product(chain.levels[1][0], m, 3)
+    seen: list[int] = []
+    whole = determinize(nfw, m, seen.append)
+    # called once per row, with the states found so far (the NFW's
+    # singletons first)
+    assert len(seen) == whole.n_states > 20
+    assert seen == sorted(seen) and seen[-1] == whole.n_states
+
+    def stop_at_five(n: int) -> None:
+        calls.append(n)
+        if len(calls) == 5:
+            raise Stop
+
+    calls: list[int] = []
+    with pytest.raises(Stop):
+        determinize(nfw, m, stop_at_five)
+    # stopped after four of the rows
+    assert calls == seen[:5]

@@ -19,8 +19,9 @@ from cocoa.obligation import (
 
 from conftest import (
     ReferenceBreakpoint, accepts_lasso, formula_corpus, lassos_up_to, letter_at, n_positions,
-    next_pos, reference_minimal_models, reference_nonempty_witness, succ_lists,
+    next_pos, reference_minimal_models, reference_nonempty_witness, succ_lists, weak_awas,
 )
+from test_sltm import build_oracle
 from test_tracing_hooks import counting_calls
 
 
@@ -101,33 +102,97 @@ def test_member_order_sorts_by_sorted_members(sets):
     assert sorted(masks, key=member_order) == sorted(masks, key=mask_states)
 
 
+def as_sets(pairs) -> list[tuple[frozenset[int], frozenset[int]]]:
+    return [(frozenset(mask_states(s)), frozenset(mask_states(o))) for s, o in pairs]
+
+
+def kernel_with_paths(b: Awa, sinks: bool, paths: set) -> tuple[Breakpoint, ReferenceBreakpoint]:
+    """The kernel of b, with or without the sinks, and its reference; each
+    call of the kernel's successors adds (sinks, reset, whether it pruned)
+    to paths."""
+    args = (state_mask(b.accepting), 1 << b.top if sinks else 0, 1 << b.bottom if sinks else 0)
+    kernel = Breakpoint(b.dual.delta, *args)
+    successors, pruned = kernel.successors, kernel._pruned
+    calls = []
+
+    def counted_pruned(packed):
+        calls.append(1)
+        return pruned(packed)
+
+    def traced(S, O, i, reset):
+        before = len(calls)
+        got = successors(S, O, i, reset)
+        paths.add((sinks, reset, len(calls) > before))
+        return got
+
+    kernel._pruned, kernel.successors = counted_pruned, traced
+    return kernel, ReferenceBreakpoint(b.delta, *args)
+
+
+def successors_match_reference(a: Awa, paths: set) -> int:
+    """Check the kernel of a and of its dual, with and without the sinks,
+    against the reference on every reachable vertex and letter, and with
+    the reset withheld where O is empty (a half of the language oracle
+    whose other half owes); the graph's own edges must name the reference
+    successors in order.  The number of successor lists checked."""
+    checked = 0
+    for b in (a, a.dual):
+        for sinks in (False, True):
+            kernel, ref = kernel_with_paths(b, sinks, paths)
+            g = expanded(sink_explorer(b), b.alphabet) if sinks else miyano_hayashi(b)
+            sets = as_sets(g.vertices)
+            for vid, (S, O) in enumerate(g.vertices):
+                for i, dsts in enumerate(g.edges[vid]):
+                    want = ref.successors(*sets[vid], i)
+                    assert as_sets(kernel.successors(S, O, i, not O)) == want, (S, O, i)
+                    assert [sets[d] for d in dsts] == want
+                    checked += 1
+                    if not O:
+                        assert as_sets(kernel.successors(S, O, i, False)) == \
+                            ref.successors(*sets[vid], i, reset=False), (S, O, i)
+    return checked
+
+
 def test_breakpoint_successors_match_reference():
-    # every reachable vertex and letter, with and without the sinks; the
-    # graph's own edges must name the reference successors in order
+    # both fast paths (a reset without sinks, a carry with one model of O
+    # and one of the rest) and the pruned path, with and without sinks
     inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
     inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
-    checked = 0
+    paths: set[tuple[bool, bool, bool]] = set()
+    assert sum(successors_match_reference(from_ltl(f, alpha), paths)
+               for f, alpha in inputs) > 2000
+    # a reset prunes exactly when the kernel has sinks
+    assert paths == {(sinks, reset, pruned) for sinks in (False, True)
+                     for reset in (False, True) for pruned in (False, True)
+                     if not reset or pruned == sinks}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_breakpoint_successors_match_reference_on_weak_automata(a):
+    assert successors_match_reference(a, set())
+
+
+def test_oracle_half_successors_match_reference():
+    # every half row a build asked the language oracle for, the reset
+    # joint: a half owing nothing is carried while the other half owes
+    inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
+    inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
+    paths: set[tuple[bool, bool, bool]] = set()
+    withheld = 0
     for f, alpha in inputs:
         a = from_ltl(f, alpha)
-        for b in (a, dualize(a)):
-            for sinks in (False, True):
-                tops = 1 << b.top if sinks else 0
-                bottoms = 1 << b.bottom if sinks else 0
-                args = (state_mask(b.accepting), tops, bottoms)
-                ref = ReferenceBreakpoint(b.delta, *args)
-                kernel = Breakpoint(b.dual.delta, *args)
-                g = expanded(sink_explorer(b), alpha) if sinks else miyano_hayashi(b)
-                as_sets = [(frozenset(mask_states(s)), frozenset(mask_states(o)))
-                           for s, o in g.vertices]
-                for vid, (S, O) in enumerate(g.vertices):
-                    for i, dsts in enumerate(g.edges[vid]):
-                        want = ref.successors(*as_sets[vid], i)
-                        got = kernel.successors(S, O, i, not O)
-                        assert [(frozenset(mask_states(s)), frozenset(mask_states(o)))
-                                for s, o in got] == want, (f, S, O, i)
-                        assert [as_sets[d] for d in dsts] == want
-                        checked += 1
-    assert checked > 2000
+        oracle = build_oracle(a)
+        kernels = [kernel_with_paths(b, True, paths) for b in (a, a.dual)]
+        for half, S, O, reset in oracle.half_rows:
+            kernel, ref = kernels[half]
+            S_O = as_sets([(S, O)])[0]
+            for i in range(len(alpha.letters)):
+                assert as_sets(kernel.successors(S, O, i, reset)) == \
+                    ref.successors(*S_O, i, reset=reset), (half, S, O, reset, i)
+            withheld += reset != (not O)
+    assert withheld > 20
+    assert paths == {(True, False, False), (True, False, True), (True, True, True)}
 
 
 def test_equal_successor_entries_are_one_object():

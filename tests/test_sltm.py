@@ -1,7 +1,9 @@
 """Canonical suffix-language tracking machine: labels, equivalence,
 minimality, and the P1-P4 structural properties."""
 
+import gc
 import itertools
+import weakref
 from collections import deque
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, LassoWord, dualize, enumerate_lassos, eval_lasso, from_ltl,
+    Alphabet, LassoWord, build_chain_for_formula, dualize, enumerate_lassos, eval_lasso, from_ltl,
     label_of, labels_equivalent, lower_bound_alphabet,
     lower_bound_family, miyano_hayashi, parse_ltl, to_nnf, winning_state_positions,
 )
@@ -654,6 +656,31 @@ def build_oracle(a: Awa) -> LanguageOracle:
         build_sltm(a)
     (oracle,) = made
     return oracle
+
+
+def test_oracles_die_with_their_builds():
+    # an oracle holds no reference to itself, so each build's oracle (its
+    # rows, half rows and models) is freed when the build returns, without
+    # waiting for a cyclic collection
+    made = []
+
+    class Watched(LanguageOracle):
+        def __init__(self, a: Awa):
+            super().__init__(a)
+            made.append(weakref.ref(self))
+
+    inputs = [(f, Alphabet.from_aps(aps)) for f, aps in formula_corpus(10, seed=3)]
+    inputs.append((lower_bound_family(1), lower_bound_alphabet(1, restricted=True)))
+    gc.disable()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cocoa.sltm, "LanguageOracle", Watched)
+            for f, alpha in inputs:
+                build_chain_for_formula(f, alpha)
+                assert made[-1]() is None, f
+    finally:
+        gc.enable()
+    assert len(made) == len(inputs)
 
 
 def rows_match_reference(oracle: LanguageOracle) -> int:
