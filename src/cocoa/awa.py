@@ -12,7 +12,7 @@ Emptiness is decided on the breakpoint graph (``obligation.BreakpointGraph``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import weakref
 
 from ._graph import tarjan_sccs
 from .formula import (
@@ -108,7 +108,6 @@ def finalize_pcnf(cnf, top: int, bottom: int) -> tuple[int, ...]:
     return minimal_sets(cnf)
 
 
-@dataclass(frozen=True, eq=False)
 class Awa:
     """Weak alternating Buchi automaton.
 
@@ -121,13 +120,18 @@ class Awa:
     ``winning_state_positions`` relies on.
     """
 
-    alphabet: Alphabet
-    initial: int
-    delta: tuple[tuple[tuple[int, ...], ...], ...]
-    accepting: frozenset[int]
-    top: int
-    bottom: int
-    state_names: tuple[str, ...]
+    def __init__(self, alphabet: Alphabet, initial: int,
+                 delta: tuple[tuple[tuple[int, ...], ...], ...], accepting: frozenset[int],
+                 top: int, bottom: int, state_names: tuple[str, ...]):
+        self.alphabet = alphabet
+        self.initial = initial
+        self.delta = delta
+        self.accepting = accepting
+        self.top = top
+        self.bottom = bottom
+        self.state_names = state_names
+        # the dual, or for a dual a weak reference to its automaton
+        self._dual: Awa | weakref.ref | None = None
 
     @property
     def n_states(self) -> int:
@@ -174,10 +178,15 @@ class Awa:
         members = {p: tuple(map(mask_states, p)) for p in {p for row in self.delta for p in row}}
         return tuple(tuple(members[p] for p in row) for row in self.delta)
 
-    @functools.cached_property
-    def dual(self) -> "Awa":
-        """The complement automaton, built once; ``a.dual.dual is a``."""
-        return dualize(self)
+    @property
+    def dual(self) -> Awa:
+        """The complement automaton, built once; ``a.dual.dual is a`` while
+        ``a`` lives.  A dual holds its automaton by a weak reference, so
+        the two form no reference cycle."""
+        d = self._dual() if isinstance(self._dual, weakref.ref) else self._dual
+        if d is None:
+            d = self._dual = dualize(self)
+        return d
 
 
 def _edge_lists(delta) -> list[list[int]]:
@@ -260,7 +269,7 @@ def dualize(a: Awa) -> Awa:
     delta = tuple(tuple(models[p] for p in row) for row in a.delta)
     accepting = frozenset(set(range(a.n_states)) - set(a.accepting))
     d = Awa(a.alphabet, a.initial, delta, accepting, a.bottom, a.top, a.state_names)
-    d.__dict__["dual"] = a
+    d._dual = weakref.ref(a)
     return d
 
 

@@ -10,7 +10,7 @@ on bounded lassos.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .awa import Awa, from_ltl
 from .floating import (
@@ -42,14 +42,12 @@ class ResourceLimit(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     max_states: int = 10 ** 6
     timeout_s: float = 300.0
     check_single_step: bool = True
 
 
-@dataclass(frozen=True, eq=False)
 class HdNcw:
     """Transition-based co-Buchi automaton; SLTM states come first, the
     level's DFW states after.  Accepting transitions are exactly the DFW
@@ -59,23 +57,30 @@ class HdNcw:
     successor of q on letter number i or None, and ``rej[q][i]`` the
     rejecting successors."""
 
-    initial: int
-    acc: tuple[tuple[int | None, ...], ...]
-    rej: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("initial", "acc", "rej")
+
+    def __init__(self, initial: int, acc: tuple[tuple[int | None, ...], ...],
+                 rej: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.initial = initial
+        self.acc = acc
+        self.rej = rej
 
     @property
     def n_states(self) -> int:
         return len(self.acc)
 
 
-@dataclass(frozen=True, eq=False)
 class Cocoa:
     """The chain: shared SLTM plus one (DFW, HD-NCW) pair per level."""
 
-    sltm: Sltm
-    levels: tuple[tuple[Dfw, HdNcw], ...]
-    formula: Formula | None = None
-    awa: Awa | None = None
+    __slots__ = ("sltm", "levels", "formula", "awa")
+
+    def __init__(self, sltm: Sltm, levels: tuple[tuple[Dfw, HdNcw], ...],
+                 formula: Formula | None = None, awa: Awa | None = None):
+        self.sltm = sltm
+        self.levels = levels
+        self.formula = formula
+        self.awa = awa
 
     @property
     def alphabet(self) -> Alphabet:
@@ -174,23 +179,29 @@ def natural_color(chain: Cocoa, w: LassoWord) -> int:
     return _color(_accepted(chain, lassos), lassos.starts)
 
 
-@dataclass
 class VerifyReport:
-    formula: str
-    prefix_bound: int
-    period_bound: int
-    lassos: int = 0
-    counterexamples: int = 0
-    first_counterexample: dict | None = None
-    monotonicity_ok: bool = True
-    elapsed_s: float = 0.0
+    __slots__ = ("formula", "prefix_bound", "period_bound", "lassos", "counterexamples",
+                 "first_counterexample", "monotonicity_ok", "elapsed_s")
+
+    def __init__(self, formula: str, prefix_bound: int, period_bound: int, lassos: int = 0,
+                 counterexamples: int = 0, first_counterexample: dict | None = None,
+                 monotonicity_ok: bool = True, elapsed_s: float = 0.0):
+        self.formula = formula
+        self.prefix_bound = prefix_bound
+        self.period_bound = period_bound
+        self.lassos = lassos
+        self.counterexamples = counterexamples
+        self.first_counterexample = first_counterexample
+        self.monotonicity_ok = monotonicity_ok
+        self.elapsed_s = elapsed_s
 
     @property
     def ok(self) -> bool:
         return self.counterexamples == 0 and self.monotonicity_ok
 
     def to_json(self) -> dict:
-        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3), "ok": self.ok}
+        return {**{k: getattr(self, k) for k in self.__slots__},
+                "elapsed_s": round(self.elapsed_s, 3), "ok": self.ok}
 
 
 def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,

@@ -179,6 +179,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Translate LTL into a chain of co-Buchi automata and "
                     "verify it against the lasso-word oracle.")
     sub = p.add_subparsers(dest="command", required=True)
+    defaults = ChainConfig()
 
     def command(name, func, summary, with_formula=True):
         sp = sub.add_parser(name, help=summary)
@@ -187,8 +188,8 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("formula", help="LTL formula (ASCII grammar)")
             sp.add_argument("--aps", help="comma-separated atomic propositions "
                                           "(default: identifiers in the formula)")
-        sp.add_argument("--max-states", type=int, default=ChainConfig.max_states)
-        sp.add_argument("--timeout-s", type=float, default=ChainConfig.timeout_s)
+        sp.add_argument("--max-states", type=int, default=defaults.max_states)
+        sp.add_argument("--timeout-s", type=float, default=defaults.timeout_s)
         sp.add_argument("--json", action="store_true")
         return sp
 

@@ -16,7 +16,6 @@ operations per automaton edge decide the whole suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -27,28 +26,32 @@ from .sltm import Sltm
 Payload = tuple[int | None, frozenset[int]]
 
 
-@dataclass(frozen=True, eq=False)
 class Nfw:
     """Nondeterministic floating automaton (product shape, cycle-pruned);
     ``trans[q][i]`` holds the successors of q on letter number i."""
 
-    label: tuple[int, ...]
-    trans: tuple[tuple[tuple[int, ...], ...], ...]
-    origin: tuple[tuple[int, int], ...]
+    __slots__ = ("label", "trans", "origin")
+
+    def __init__(self, label: tuple[int, ...], trans: tuple[tuple[tuple[int, ...], ...], ...],
+                 origin: tuple[tuple[int, int], ...]):
+        self.label = label
+        self.trans = trans
+        self.origin = origin
 
     @property
     def n_states(self) -> int:
         return len(self.trans)
 
 
-@dataclass(frozen=True, eq=False)
 class Dfw:
     """Deterministic floating automaton with a partial transition function:
     ``trans[q][i]`` is the successor of q on letter number i, or None."""
 
-    label: tuple[int, ...]
-    trans: tuple[tuple[int | None, ...], ...]
-    origin: tuple[Payload, ...]
+    def __init__(self, label: tuple[int, ...], trans: tuple[tuple[int | None, ...], ...],
+                 origin: tuple[Payload, ...]):
+        self.label = label
+        self.trans = trans
+        self.origin = origin
 
     @property
     def n_states(self) -> int:

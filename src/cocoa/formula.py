@@ -16,7 +16,6 @@ import itertools
 import operator
 import re
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 ATOM = "atom"
@@ -54,13 +53,21 @@ class InvalidParameter(Exception):
     pass
 
 
-@dataclass(frozen=True, repr=False)
 class Formula:
     """Immutable LTL syntax tree node."""
 
-    kind: str
-    args: tuple["Formula", ...] = ()
-    name: str | None = None
+    def __init__(self, kind: str, args: tuple[Formula, ...] = (), name: str | None = None):
+        self.kind = kind
+        self.args = args
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args, self.name) == (other.kind, other.args, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.args, self.name))
 
     def __repr__(self) -> str:
         return render(self)
@@ -263,7 +270,6 @@ def to_nnf(f: Formula) -> Formula:
 # Alphabets and lasso words
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """Atomic propositions plus the letter universe (sets of propositions).
 
@@ -273,20 +279,27 @@ class Alphabet:
     letter, no letter is listed twice, and no letter holds a proposition
     that is not declared."""
 
-    aps: tuple[str, ...]
-    letters: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        apset = set(self.aps)
-        if len(apset) != len(self.aps):
-            raise ValueError(f"a proposition is listed twice in {list(self.aps)}")
-        if not self.letters:
+    def __init__(self, aps: tuple[str, ...], letters: tuple[frozenset[str], ...]):
+        self.aps = aps
+        self.letters = letters
+        apset = set(aps)
+        if len(apset) != len(aps):
+            raise ValueError(f"a proposition is listed twice in {list(aps)}")
+        if not letters:
             raise ValueError("alphabet needs at least one letter")
-        if len(self.number) != len(self.letters):
-            raise ValueError(f"a letter is listed twice in {[sorted(l) for l in self.letters]}")
-        for l in self.letters:
+        if len(self.number) != len(letters):
+            raise ValueError(f"a letter is listed twice in {[sorted(l) for l in letters]}")
+        for l in letters:
             if not l <= apset:
                 raise ValueError(f"letter {sorted(l)} uses undeclared propositions")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.aps, self.letters) == (other.aps, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.aps, self.letters))
 
     @cached_property
     def number(self) -> dict[frozenset[str], int]:
@@ -311,21 +324,31 @@ def letter_text(letter: frozenset[str]) -> str:
     return "{" + " ".join(sorted(letter)) + "}"
 
 
-@dataclass(frozen=True)
 class LassoWord:
     """Ultimately-periodic word u . v^omega over an alphabet."""
 
-    alphabet: Alphabet
-    prefix: tuple[frozenset[str], ...]
-    period: tuple[frozenset[str], ...]
+    __slots__ = ("alphabet", "prefix", "period")
 
-    def __post_init__(self):
-        if len(self.period) < 1:
+    def __init__(self, alphabet: Alphabet, prefix: tuple[frozenset[str], ...],
+                 period: tuple[frozenset[str], ...]):
+        self.alphabet = alphabet
+        self.prefix = prefix
+        self.period = period
+        if len(period) < 1:
             raise ValueError("lasso period must be non-empty")
-        number = self.alphabet.number
-        for letter in self.prefix + self.period:
+        number = alphabet.number
+        for letter in prefix + period:
             if letter not in number:
                 raise ValueError(f"letter {sorted(letter)} is not in the alphabet")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.alphabet, self.prefix, self.period)
+                == (other.alphabet, other.prefix, other.period))
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.prefix, self.period))
 
     def text(self) -> str:
         return "".join(map(letter_text, self.prefix)) + ";" + "".join(map(letter_text, self.period))

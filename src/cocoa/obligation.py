@@ -20,7 +20,6 @@ per half, joined only by the reset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -44,7 +43,6 @@ class PairOrder(dict[int, str]):
         return self[v[0]], self[v[1]]
 
 
-@dataclass(frozen=True, eq=False)
 class ObligationGraph:
     """NBW over (S, O) vertices, pairs of state masks with O subset of S;
     vertex 0 is initial, and a vertex is accepting iff its O is empty.
@@ -53,9 +51,11 @@ class ObligationGraph:
     number i of the alphabet.
     """
 
-    alphabet: Alphabet
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(self, alphabet: Alphabet, vertices: tuple[Vertex, ...],
+                 edges: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.alphabet = alphabet
+        self.vertices = vertices
+        self.edges = edges
 
     @property
     def n_vertices(self) -> int:

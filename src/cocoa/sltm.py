@@ -31,8 +31,7 @@ with each graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .awa import (
     Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
@@ -46,8 +45,7 @@ class IncompatibleAutomata(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Intersection of unions of state languages, each union a state mask;
     no unions means the universal language.  Canonical: unions sorted,
     supersets of another union dropped."""
@@ -265,7 +263,6 @@ def suffix_label(label: Label, i: int, a: Awa) -> Label:
 # --- the machine -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Sltm:
     """Canonical suffix-language tracking machine with dual vertex-set
     labelings (complement graph and positive graph) and suffix labels.
@@ -273,14 +270,21 @@ class Sltm:
     ``delta[s][i]`` is the successor of state s on letter number i; the
     machine is complete."""
 
-    alphabet: Alphabet
-    initial: int
-    delta: tuple[tuple[int, ...], ...]
-    vertex_sets_neg: tuple[frozenset[int], ...]
-    vertex_sets_pos: tuple[frozenset[int], ...]
-    labels: tuple[Label, ...]
-    g_neg: ObligationGraph | None = None
-    g_pos: ObligationGraph | None = None
+    __slots__ = ("alphabet", "initial", "delta", "vertex_sets_neg", "vertex_sets_pos",
+                 "labels", "g_neg", "g_pos")
+
+    def __init__(self, alphabet: Alphabet, initial: int, delta: tuple[tuple[int, ...], ...],
+                 vertex_sets_neg: tuple[frozenset[int], ...],
+                 vertex_sets_pos: tuple[frozenset[int], ...], labels: tuple[Label, ...],
+                 g_neg: ObligationGraph | None = None, g_pos: ObligationGraph | None = None):
+        self.alphabet = alphabet
+        self.initial = initial
+        self.delta = delta
+        self.vertex_sets_neg = vertex_sets_neg
+        self.vertex_sets_pos = vertex_sets_pos
+        self.labels = labels
+        self.g_neg = g_neg
+        self.g_pos = g_pos
 
     @property
     def n_states(self) -> int:

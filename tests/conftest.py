@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked-example automaton, random formula corpus,
+"""Shared fixtures: the copy of an object with some of its ``__init__``
+parameters replaced, the worked-example automaton, random formula corpus,
 the tree-walk list of subformulas, random weak automata, the SLTM builder
 over both obligation graphs, the lasso position helpers, the test-only
 lasso membership checks of an AWA, a label, an NFW and an HD-NCW, the
@@ -14,6 +15,7 @@ product."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
@@ -39,6 +41,20 @@ from cocoa.obligation import Breakpoint, BreakpointGraph, ObligationGraph, miyan
 from cocoa.sltm import (
     Label, LanguageOracle, Sltm, _holds, _initial_winners, build_canonical_sltm,
 )
+
+
+def init_names(cls) -> list[str]:
+    """The names of the parameters of ``cls.__init__``, each also the name
+    of the attribute that keeps it."""
+    return list(inspect.signature(cls).parameters)
+
+
+def replaced(obj, **changes):
+    """A new object of ``obj``'s class, built by its ``__init__`` from
+    ``obj``'s attributes with ``changes`` in place of some; an unknown name
+    raises TypeError."""
+    kwargs = {name: getattr(obj, name) for name in init_names(type(obj))}
+    return type(obj)(**{**kwargs, **changes})
 
 
 def random_nnf(rng: random.Random, size: int, aps):

@@ -1,19 +1,20 @@
 """Weak alternating automata: construction, dualization, game acceptance."""
 
-import dataclasses
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocoa import (
-    Alphabet, LassoWord, Lassos, build_chain, dualize, enumerate_lassos, eval_lasso, from_ltl,
-    lower_bound_alphabet, lower_bound_family, miyano_hayashi, neg, parse_lasso,
-    parse_ltl, to_nnf, winning_state_positions,
+    Alphabet, LassoWord, Lassos, build_chain, build_chain_for_formula, dualize,
+    enumerate_lassos, eval_lasso, from_ltl, lower_bound_alphabet, lower_bound_family,
+    miyano_hayashi, neg, parse_lasso, parse_ltl, to_nnf, winning_state_positions,
 )
 import cocoa
 from cocoa.awa import (
@@ -27,9 +28,10 @@ from cocoa.formula import (
 from cocoa.obligation import minimal_models
 
 from conftest import (
-    AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, lassos_up_to, letter_at,
-    reference_dual, reference_is_empty, reference_minimal_sets, reference_nonempty_witness,
-    reference_winning_state_positions, row_pairs, subformulas, weak_awas,
+    AB, ab_lassos, accepts_lasso, build_fig1, formula_corpus, init_names, lassos_up_to,
+    letter_at, reference_dual, reference_is_empty, reference_minimal_sets,
+    reference_nonempty_witness, reference_winning_state_positions, replaced, row_pairs,
+    subformulas, weak_awas,
 )
 
 
@@ -48,7 +50,7 @@ def test_validate_rejects_constant_formulas(fig1):
         delta = list(fig1.delta)
         delta[1] = (constant,) + delta[1][1:]
         with pytest.raises(AssertionError):
-            dataclasses.replace(fig1, delta=tuple(delta)).validate()
+            replaced(fig1, delta=tuple(delta)).validate()
 
 
 def test_validate_rejects_bad_shapes(fig1):
@@ -60,13 +62,13 @@ def test_validate_rejects_bad_shapes(fig1):
     short[1] = short[1][:-1]
     beyond = list(fig1.delta)
     beyond[1] = ((fig1.delta[1][0][0] | 1 << fig1.n_states,),) + beyond[1][1:]
-    for bad in (dataclasses.replace(fig1, delta=tuple(short)),
-                dataclasses.replace(fig1, initial=42),
-                dataclasses.replace(fig1, delta=tuple(beyond)),
-                dataclasses.replace(fig1, accepting=fig1.accepting | {-1}),
-                dataclasses.replace(fig1, state_names=fig1.state_names[:-1]),
-                dataclasses.replace(fig1, accepting=fig1.accepting - {fig1.top}),
-                dataclasses.replace(fig1, accepting=fig1.accepting | {fig1.bottom})):
+    for bad in (replaced(fig1, delta=tuple(short)),
+                replaced(fig1, initial=42),
+                replaced(fig1, delta=tuple(beyond)),
+                replaced(fig1, accepting=fig1.accepting | {-1}),
+                replaced(fig1, state_names=fig1.state_names[:-1]),
+                replaced(fig1, accepting=fig1.accepting - {fig1.top}),
+                replaced(fig1, accepting=fig1.accepting | {fig1.bottom})):
         with pytest.raises(AssertionError):
             bad.validate()
         with pytest.raises(AssertionError):
@@ -144,7 +146,7 @@ def test_check_weak_rejects_mixed_scc(fig1):
     delta = list(fig1.delta)
     delta[1] = ((1 << 2,),) * len(fig1.alphabet.letters)
     delta[2] = ((1 << 1,),) * len(fig1.alphabet.letters)
-    broken = dataclasses.replace(fig1, delta=tuple(delta))
+    broken = replaced(fig1, delta=tuple(delta))
     assert (1, 2) in broken.components
     with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
         broken.validate()
@@ -159,13 +161,13 @@ def test_validate_rejects_bad_ranks(fig1):
     i0, g1, g2 = 0, 5, 6
     delta = list(fig1.delta)
     delta[g2] = ((1 << i0,),) * len(fig1.alphabet.letters)
-    rising = dataclasses.replace(fig1, delta=tuple(delta))
+    rising = replaced(fig1, delta=tuple(delta))
     assert (0, 4, 5, 6) in rising.components
     # the same cycle with every member accepting is weak again ...
-    uniform = dataclasses.replace(rising, accepting=rising.accepting | {i0, g1})
+    uniform = replaced(rising, accepting=rising.accepting | {i0, g1})
     uniform.validate()
     # ... until one member leaves the accepting set
-    mixed = dataclasses.replace(uniform, accepting=uniform.accepting - {g1})
+    mixed = replaced(uniform, accepting=uniform.accepting - {g1})
     for bad in (rising, mixed):
         with pytest.raises(AssertionError, match="mixes accepting and rejecting"):
             bad.validate()
@@ -212,10 +214,33 @@ def test_dualize_involution():
     # cached dual of the dual is the automaton itself
     for a in duality_inputs():
         dd = dualize(dualize(a))
-        for field in dataclasses.fields(Awa):
-            assert getattr(dd, field.name) == getattr(a, field.name), field.name
+        for name in init_names(Awa):
+            assert getattr(dd, name) == getattr(a, name), name
         assert a.dual.dual is a
         assert dualize(a).dual is a
+
+
+def test_automata_die_with_their_chains():
+    # a dual refers back to its automaton weakly, so a chain's automaton
+    # and its dual are freed when the chain is dropped, without waiting
+    # for a cyclic collection
+    gc.disable()
+    try:
+        chain = build_chain_for_formula(parse_ltl("G (a -> F b)", ["a", "b"]))
+        assert chain.awa.dual.dual is chain.awa
+        a, d = weakref.ref(chain.awa), weakref.ref(chain.awa.dual)
+        del chain
+        assert a() is None and d() is None
+    finally:
+        gc.enable()
+
+
+def test_dual_rebuilds_its_automaton_once_it_is_gone():
+    # a dual that outlives its automaton builds a new one, kept from then on
+    d = from_ltl(to_nnf(parse_ltl("G (a -> F b)", ["a", "b"])), AB).dual
+    assert d.dual is d.dual
+    for name in init_names(Awa):
+        assert getattr(d.dual, name) == getattr(dualize(d), name), name
 
 
 def test_dual_rows_are_minimal_models():
@@ -419,8 +444,8 @@ def moved_sinks() -> list[Awa]:
     out = []
     for text in SINK_FORMULAS:
         a = from_ltl(to_nnf(parse_ltl(text, ["a", "b"])), AB)
-        out += [dataclasses.replace(a, top=q) for q in sorted(a.accepting - {a.top})]
-        out += [dataclasses.replace(a, bottom=q) for q in range(a.n_states)
+        out += [replaced(a, top=q) for q in sorted(a.accepting - {a.top})]
+        out += [replaced(a, bottom=q) for q in range(a.n_states)
                 if q not in a.accepting and q != a.bottom]
     return out
 
@@ -448,7 +473,7 @@ def test_validate_rejects_formulas_out_of_canonical_form(fig1):
     for q, p in ((i0, subsumed), (g0, swapped)):
         delta = list(fig1.delta)
         delta[q] = (p,) + delta[q][1:]
-        bad = dataclasses.replace(fig1, delta=tuple(delta))
+        bad = replaced(fig1, delta=tuple(delta))
         with pytest.raises(AssertionError, match="canonical form"):
             bad.validate()
         with pytest.raises(AssertionError, match="canonical form"):
@@ -458,9 +483,9 @@ def test_validate_rejects_formulas_out_of_canonical_form(fig1):
 def test_validate_fires_under_optimize():
     # `python -O` strips assert statements; the weakness check must not be one
     code = textwrap.dedent("""
-        import dataclasses
         import sys
         from cocoa import Alphabet, from_ltl, parse_ltl, to_nnf
+        from conftest import replaced
 
         if sys.flags.optimize != 1:
             sys.exit(2)
@@ -469,7 +494,7 @@ def test_validate_fires_under_optimize():
         names = a.state_names
         delta = list(a.delta)
         delta[names.index("G a")] = ((1 << names.index("F G a"),),) * len(delta[0])
-        bad = dataclasses.replace(a, delta=tuple(delta))
+        bad = replaced(a, delta=tuple(delta))
         try:
             bad.validate()
         except AssertionError as exc:
@@ -477,7 +502,8 @@ def test_validate_fires_under_optimize():
         sys.exit(1)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cocoa.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

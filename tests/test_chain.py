@@ -266,7 +266,7 @@ def test_verify_matches_reference_on_swapped_levels(golden_chains):
 
 
 def test_verify_chain_builds_no_words_but_its_counterexample():
-    fns = {"LassoWord": LassoWord.__post_init__,
+    fns = {"LassoWord": LassoWord.__init__,
            "eval_lasso": cocoa.formula.eval_lasso,
            "dfw_accepts_lasso": cocoa.floating.dfw_accepts_lasso,
            "to_nnf": cocoa.formula.to_nnf}

@@ -1,7 +1,6 @@
 """Floating automata: universal base, level products, determinization,
 minimization, jump-in acceptance."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -20,7 +19,7 @@ from cocoa._graph import cyclic_sccs
 
 from conftest import (
     build_fig1, build_sltm, formula_corpus, lassos_up_to, nfw_accepts_lasso, prefixes_up_to,
-    reference_level_product, sltm_state_after, weak_awas,
+    reference_level_product, replaced, sltm_state_after, weak_awas,
 )
 from test_chain_bytes import STREETT_3, workloads
 from test_sltm import STREETT_2
@@ -367,7 +366,7 @@ def test_product_rejects_a_core_successor_outside_its_set():
     s2 = m.delta[s][i]
     cut = list(vsets)
     cut[s2] = vsets[s2] - {v2}
-    broken = dataclasses.replace(m, vertex_sets_neg=tuple(cut))
+    broken = replaced(m, vertex_sets_neg=tuple(cut))
     with pytest.raises(AssertionError, match="outside successor state's set"):
         level_product(universal_dfw(broken), broken, 1)
 
