@@ -21,10 +21,9 @@ from .formula import (
     implies, lower_bound_alphabet, lower_bound_family, neg, nxt, parse_lasso,
     parse_ltl, release, to_nnf, until,
 )
-from .obligation import ObligationGraph, miyano_hayashi, obligation_to_dot
-from .sltm import (
-    IncompatibleAutomata, LanguageOracle, Label, Sltm, build_canonical_sltm,
-    label_of, labels_equivalent, sltm_to_json,
+from .obligation import (
+    IncompatibleAutomata, LanguageOracle, ObligationGraph, miyano_hayashi, obligation_to_dot,
 )
+from .sltm import Label, Sltm, build_canonical_sltm, label_of, labels_equivalent, sltm_to_json
 
 __all__ = [name for name in dir() if not name.startswith("_")]

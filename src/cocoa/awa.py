@@ -96,6 +96,8 @@ def cnf_and(*parts) -> tuple[int, ...]:
 
 
 def cnf_or(a, b) -> tuple[int, ...]:
+    if len(a) == 1 and len(b) == 1:
+        return (a[0] | b[0],)
     return minimal_masks(c1 | c2 for c1 in a for c2 in b)
 
 

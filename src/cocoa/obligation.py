@@ -13,9 +13,9 @@ One explorer, ``BreakpointGraph``, interns the pairs and expands their
 successor rows, sharing one tuple among equal successor entries.
 ``miyano_hayashi`` expands it over one kernel, whose breakpoint resets when
 O is empty, and freezes it into an ``ObligationGraph``.  The tracking
-machine's language oracle expands it only as far as its emptiness checks
-reach, over the disjoint union of an automaton and its dual: one kernel
-per half, joined only by the reset.
+machine's ``LanguageOracle`` expands it only as far as its emptiness
+checks reach, over the disjoint union of an automaton and its dual: one
+kernel per half, joined only by the reset.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from ._graph import cyclic_sccs, lasso_letters, tarjan_sccs
-from .awa import Awa, canon_key, mask_states, member_order, minimal_masks, state_mask
+from .awa import (
+    Awa, cnf_or, mask_states, member_order, minimal_masks, minimal_sets, state_mask,
+)
 from .formula import Alphabet, letter_text
 
 Vertex = tuple[int, int]
@@ -88,7 +90,7 @@ def minimal_models(clauses) -> tuple[int, ...]:
             else:
                 grown.update(m | 1 << q for q in mask_states(c))
         models = minimal_masks(grown)
-    return tuple(sorted(models, key=canon_key))
+    return minimal_sets(models)
 
 
 class Breakpoint:
@@ -105,9 +107,9 @@ class Breakpoint:
     The minimal models of a conjunction are the minimal unions of one
     minimal model per conjunct.  So the models of a state set on a letter
     are folded state by state: those of the set without its lowest state,
-    joined with that state's row of the table; a fold of one model with
-    one model is their union.  The folds are cached per instance, keyed by
-    letter number and mask, and so is each mask's sort key.
+    joined with that state's row of the table (``awa.cnf_or``).  The folds
+    are cached per instance, keyed by letter number and mask, and so is
+    each mask's sort key.
 
     Successor pairs are pruned packed into one int each, except where
     nothing can be pruned: a reset on a kernel without sinks, whose
@@ -148,11 +150,7 @@ class Breakpoint:
         for low in reversed(peeled):
             mine = self.table[low.bit_length() - 1][i]
             rest |= low
-            if len(got) == 1 and len(mine) == 1:
-                got = (got[0] | mine[0],)
-            else:
-                got = minimal_masks(r | m for r in got for m in mine)
-            memo[rest] = got
+            got = memo[rest] = cnf_or(got, mine)
         return got
 
     def successors(self, S: int, O: int, i: int, reset: bool) -> list[Vertex]:
@@ -350,6 +348,99 @@ class BreakpointGraph:
         if found is None:
             raise AssertionError("no accepted lasso from a nonempty root")
         return found
+
+
+class IncompatibleAutomata(Exception):
+    pass
+
+
+class LanguageOracle(BreakpointGraph):
+    """Emptiness of label differences, on the breakpoint graph over the
+    disjoint union of an automaton and its dual; one per SLTM build.
+
+    State q of the automaton is bit q of a vertex's masks, and state q of
+    the dual bit n + q.  The two halves share no state, so a vertex's
+    successors on a letter are the products of each half's successors: the
+    minimal models, the sinks and the componentwise-minimal pairs all
+    factor.  Only the breakpoint is joint: it resets both halves when
+    neither owes an obligation.  Each half has its own kernel, the
+    automaton's reading its models from the dual's rows and the dual's from
+    the automaton's, and ``half_rows`` keeps every half's successors on all
+    letters, keyed by (half, S part, O part, reset); a row is the product
+    of two of them.
+
+    The language of a vertex is the intersection of its member state
+    languages, so per-vertex verdicts are a property of the graph and are
+    shared by every query on it.
+    """
+
+    def __init__(self, a: Awa):
+        super().__init__(None, a.alphabet.letters)
+        self.a = a
+        d = a.dual
+        self.halves = (
+            Breakpoint(d.delta, state_mask(a.accepting), 1 << a.top, 1 << a.bottom),
+            Breakpoint(a.delta, state_mask(d.accepting), 1 << d.top, 1 << d.bottom))
+        # per half, S part, O part and reset: the successors on each
+        # letter number, the dual's already shifted into the high bits
+        self.half_rows: dict[tuple[int, int, int, bool], list[list[Vertex]]] = {}
+        # the minimal models of each positive side's unions, as masks
+        self.label_models: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _half_row(self, key: tuple[int, int, int, bool]) -> list[list[Vertex]]:
+        got = self.half_rows.get(key)
+        if got is None:
+            half, S, O, reset = key
+            k = self.halves[half]
+            got = [k.successors(S, O, i, reset) for i in range(len(self.letters))]
+            if half:
+                n = self.a.n_states
+                got = [[(s << n, o << n) for s, o in succ] for succ in got]
+            self.half_rows[key] = got
+        return got
+
+    def expand(self, S: int, O: int) -> list[list[Vertex]]:
+        n = self.a.n_states
+        low = (1 << n) - 1
+        reset = not O
+        return [[(sl | sh, ol | oh) for sl, ol in los for sh, oh in his]
+                for los, his in zip(self._half_row((0, S & low, O & low, reset)),
+                                    self._half_row((1, S >> n, O >> n, reset)))]
+
+    def _checked(self, unions: tuple[int, ...]) -> tuple[int, ...]:
+        for u in unions:
+            if u >> self.a.n_states:
+                raise IncompatibleAutomata(
+                    f"label references unknown state {u.bit_length() - 1}")
+        return unions
+
+    def difference_roots(self, pos: tuple[int, ...], neg: tuple[int, ...]) -> list[int]:
+        """Initial vertices for the intersection of the ``pos`` unions minus
+        that of the ``neg`` unions (each union a state mask, as in an SLTM
+        label); raises IncompatibleAutomata when a union names a state the
+        automaton does not have.
+
+        The negated unions enter as fresh atoms in one extra clause, so the
+        minimal models are those of pos's unions, each with one neg union;
+        that union expands into its dual states.  The sinks apply per half:
+        a rejecting one drops the pair, accepting ones are stripped from
+        the state set.
+        """
+        negs = self._checked(neg)
+        models = self.label_models.get(pos)
+        if models is None:
+            models = self.label_models[pos] = minimal_models(self._checked(pos))
+        n = self.a.n_states
+        lo, hi = self.halves
+        duals = [((u & ~hi.tops) << n, (u & ~hi.accepting) << n)
+                 for u in negs if not u & hi.bottoms]
+        roots = set()
+        for m in models:
+            if not m & lo.bottoms:
+                s, o = m & ~lo.tops, m & ~lo.accepting
+                for ds, do in duals:
+                    roots.add(self.intern((s | ds, o | do)))
+        return sorted(roots)
 
 
 def miyano_hayashi(a: Awa, checkpoint: Callable[[int], None] | None = None

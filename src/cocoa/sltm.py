@@ -12,12 +12,10 @@ same form, which applies the sinks: a union holding the accepting sink
 says nothing, and the rejecting sink adds nothing to a union.  A new
 form joins the state of an equivalent label, decided with an
 alternating-automaton emptiness check, or starts a new state.  Each build
-owns one ``LanguageOracle``: the breakpoint graph over the disjoint union
-of the automaton and its dual, explored only as far as the checks reach,
-whose emptiness verdicts every check of that build shares, the empty ones
-by state set.  Its rows are
-products of the two halves' rows, which it computes once each.  A
-candidate is checked only against the state of its signature, an int of
+owns one ``obligation.LanguageOracle``: the breakpoint graph over the
+disjoint union of the automaton and its dual, explored only as far as the
+checks reach, whose emptiness verdicts every check of that build shares,
+the empty ones by state set.  A candidate is checked only against the state of its signature, an int of
 the label's membership of each lasso in a battery.  The battery is seeded
 with the words x^omega and x.y^omega, whose membership in every state's
 language one game solve on the packed suite gives; each signature names
@@ -38,11 +36,7 @@ from .awa import (
     minimal_masks, minimal_sets, state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord, Lassos, enumerate_lassos, letter_text
-from .obligation import Breakpoint, BreakpointGraph, ObligationGraph, PairOrder, Vertex
-
-
-class IncompatibleAutomata(Exception):
-    pass
+from .obligation import LanguageOracle, ObligationGraph
 
 
 class Label(NamedTuple):
@@ -118,109 +112,6 @@ def label_bits(label: Label, rows: list[int]) -> int:
 # --- label equivalence -------------------------------------------------------
 
 
-class LanguageOracle(BreakpointGraph):
-    """Emptiness of label differences, on the breakpoint graph over the
-    disjoint union of an automaton and its dual; one per build.
-
-    State q of the automaton is bit q of a vertex's masks, and state q of
-    the dual bit n + q.  The two halves share no state, so a vertex's
-    successors on a letter are the products of each half's successors: the
-    minimal models, the sinks and the componentwise-minimal pairs all
-    factor.  Only the breakpoint is joint: it resets both halves when
-    neither owes an obligation.  Each half has its own kernel, the
-    automaton's reading its models from the dual's rows and the dual's from
-    the automaton's, and ``half_rows`` keeps every half's successors on all
-    letters, keyed by (half, S part, O part, reset); a row is the product
-    of two of them, sorted as one kernel over both halves would sort it.
-
-    The language of a vertex is the intersection of its member state
-    languages, so per-vertex verdicts are a property of the graph and are
-    shared by every query on it.
-    """
-
-    def __init__(self, a: Awa):
-        super().__init__(None, a.alphabet.letters)
-        self.a = a
-        d = a.dual
-        self.halves = (
-            Breakpoint(d.delta, state_mask(a.accepting), 1 << a.top, 1 << a.bottom),
-            Breakpoint(a.delta, state_mask(d.accepting), 1 << d.top, 1 << d.bottom))
-        # per half, S part, O part and reset: the successors on each
-        # letter number, the dual's already shifted into the high bits
-        self.half_rows: dict[tuple[int, int, int, bool], list[list[Vertex]]] = {}
-        # the minimal models of each positive label's unions, as masks
-        self.label_models: dict[Label, tuple[int, ...]] = {}
-        self.order = PairOrder()
-
-    def _half_row(self, key: tuple[int, int, int, bool]) -> list[list[Vertex]]:
-        got = self.half_rows.get(key)
-        if got is None:
-            half, S, O, reset = key
-            k = self.halves[half]
-            got = [k.successors(S, O, i, reset) for i in range(len(self.letters))]
-            if half:
-                n = self.a.n_states
-                got = [[(s << n, o << n) for s, o in succ] for succ in got]
-            self.half_rows[key] = got
-        return got
-
-    def expand(self, S: int, O: int) -> list[list[Vertex]]:
-        n = self.a.n_states
-        low = (1 << n) - 1
-        reset = not O
-        row = []
-        for los, his in zip(self._half_row((0, S & low, O & low, reset)),
-                            self._half_row((1, S >> n, O >> n, reset))):
-            # the pair order compares sorted member tuples, and every low
-            # member is below every high one: pairs sharing their one low
-            # part compare as their high parts do, which the dual's kernel
-            # has sorted already.  Several low parts interleave, so sort.
-            if len(los) == 1:
-                (sl, ol), = los
-                row.append([(sl | sh, ol | oh) for sh, oh in his])
-            else:
-                row.append(sorted(((sl | sh, ol | oh) for sl, ol in los for sh, oh in his),
-                                  key=self.order.key))
-        return row
-
-    def _unions(self, label: Label) -> tuple[int, ...]:
-        for u in label.unions:
-            if u >> self.a.n_states:
-                raise IncompatibleAutomata(
-                    f"label references unknown state {u.bit_length() - 1}")
-        return label.unions
-
-    def difference_roots(self, pos: Label, neg: Label) -> list[int]:
-        """Initial vertices for [[pos]] minus [[neg]]; raises
-        IncompatibleAutomata when a label names a state the automaton does
-        not have.
-
-        The negated unions enter as fresh atoms in one extra clause, so the
-        minimal models are those of pos's unions, each with one neg union;
-        that union expands into its dual states.  The sinks apply per half:
-        a rejecting one drops the pair, accepting ones are stripped from
-        the state set.
-        """
-        from .obligation import minimal_models
-
-        negs = self._unions(neg)
-        models = self.label_models.get(pos)
-        if models is None:
-            models = minimal_models(self._unions(pos))
-            self.label_models[pos] = models
-        n = self.a.n_states
-        lo, hi = self.halves
-        duals = [((u & ~hi.tops) << n, (u & ~hi.accepting) << n)
-                 for u in negs if not u & hi.bottoms]
-        roots = set()
-        for m in models:
-            if not m & lo.bottoms:
-                s, o = m & ~lo.tops, m & ~lo.accepting
-                for ds, do in duals:
-                    roots.add(self.intern((s | ds, o | do)))
-        return sorted(roots)
-
-
 def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
     """Decide language equality of two labels.
 
@@ -228,9 +119,9 @@ def labels_equivalent(l1: Label, l2: Label, oracle: LanguageOracle) -> bool:
     oracle's breakpoint graph over the automaton and its dual (the
     alternating encoding of (l1 and not l2) or (l2 and not l1)).
     """
-    if oracle.nonempty_from(oracle.difference_roots(l1, l2)):
+    if oracle.nonempty_from(oracle.difference_roots(l1.unions, l2.unions)):
         return False
-    return not oracle.nonempty_from(oracle.difference_roots(l2, l1))
+    return not oracle.nonempty_from(oracle.difference_roots(l2.unions, l1.unions))
 
 
 def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoWord:
@@ -241,7 +132,7 @@ def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoW
     already.  Raises ValueError when the labels are equivalent.
     """
     for pos, neg in ((l1, l2), (l2, l1)):
-        roots = oracle.difference_roots(pos, neg)
+        roots = oracle.difference_roots(pos.unions, neg.unions)
         if oracle.nonempty_from(roots):
             prefix, cycle = oracle.accepted_lasso(roots)
             return LassoWord(oracle.a.alphabet, tuple(prefix), tuple(cycle))
