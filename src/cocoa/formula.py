@@ -668,10 +668,18 @@ def eval_lasso(f: Formula, w: LassoWord) -> bool:
 # Parser
 
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
-# a token after blanks: an operator symbol, a parenthesis or an identifier,
-# else the unexpected character
 _SYMBOLS = sorted((op for op in (*_UNARY, *_BINARY) if not op.isalpha()), key=len, reverse=True)
-_TOKEN_RE = re.compile(rf"\s*(?:({'|'.join(map(re.escape, _SYMBOLS))}|[()]|{_IDENT})|(\S))")
+
+
+def _token_re(names=()) -> re.Pattern:
+    """A token after blanks: an operator symbol, a parenthesis, one of the
+    given names (longest first), or an identifier, else the unexpected
+    character."""
+    words = [*_SYMBOLS, "(", ")", *sorted(names, key=len, reverse=True)]
+    return re.compile(rf"\s*(?:({'|'.join(map(re.escape, words))}|{_IDENT})|(\S))")
+
+
+_TOKEN_RE = _token_re()
 
 
 def scan_aps(text: str) -> list[str]:
@@ -684,11 +692,13 @@ def scan_aps(text: str) -> list[str]:
 
 def _tokens(text: str, apset: set[str]) -> list[tuple[str, int]]:
     """The tokens of a formula's text with their positions, ending with
-    the end token ``("", len(text))``.  A word of stacked unary operators
-    that is not a declared proposition is one token per operator, so "FG a"
-    reads as F G a."""
+    the end token ``("", len(text))``.  A declared proposition that is not
+    an identifier, such as "#", is one token.  A word of stacked unary
+    operators that is not a declared proposition is one token per
+    operator, so "FG a" reads as F G a."""
+    literal = [p for p in apset if not re.fullmatch(_IDENT, p)]
     out: list[tuple[str, int]] = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in (_token_re(literal) if literal else _TOKEN_RE).finditer(text):
         tok, pos = m.group(1), m.start(1)
         if tok is None:
             raise ParseError(m.start(2), f"unexpected character {m.group(2)!r}")
@@ -706,15 +716,20 @@ def parse_ltl(text: str, aps) -> Formula:
     The operator tables are the grammar's only spelling of its operators:
     ``_UNARY`` (!, X, F, G) binds tightest, then ``_BINARY`` by level,
     U and R (3) > & (2) > | (1) > -> (0), with ``_RIGHT_ASSOC`` (U, R, ->)
-    grouping to the right; ``_CONSTANTS`` are true and false.  Raises
-    InvalidParameter when no proposition is given or one is named like an
-    operator or a constant (``_KEYWORDS``)."""
+    grouping to the right; ``_CONSTANTS`` are true and false.  Every
+    declared proposition reads as itself, identifier or not.  Raises
+    InvalidParameter when no proposition is given, or one is named like an
+    operator or a constant (``_KEYWORDS``), is empty, or holds a blank, a
+    parenthesis or an operator symbol."""
     aps = list(aps)
     if not aps:
         raise InvalidParameter("the set of atomic propositions must be non-empty")
     for p in aps:
         if p in _KEYWORDS:
             raise InvalidParameter(f"proposition {p!r} is named like an operator or a constant")
+        if not p or re.search(r"[\s()]", p) or any(op in p for op in _SYMBOLS):
+            raise InvalidParameter(
+                f"proposition {p!r} is empty or holds a blank, a parenthesis or an operator")
     apset = set(aps)
     toks = _tokens(text, apset)[::-1]  # the next token is the last
 
@@ -746,12 +761,12 @@ def parse_ltl(text: str, aps) -> Formula:
             return inner
         if tok in _CONSTANTS:
             return Formula(_CONSTANTS[tok])
+        if tok in apset:
+            return atom(tok)
         if re.fullmatch(_IDENT, tok):
             if tok in _BINARY:
                 raise ParseError(pos, f"operator {tok!r} in atom position")
-            if tok not in apset:
-                raise UnknownAtom(pos, tok)
-            return atom(tok)
+            raise UnknownAtom(pos, tok)
         raise ParseError(pos, f"expected a formula, found {tok or 'end of input'!r}")
 
     result = p_binary(0)

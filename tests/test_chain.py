@@ -457,6 +457,20 @@ def test_chain_from_json_accepts_built_chains():
     assert origins > 50
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_lower_bound_chains_load_back(n):
+    # the family declares the propositions "#" and "$", which no identifier
+    # spells: the formula's text parses back to it, and a dump loads back
+    # to the same bytes
+    f, aps = lower_bound_family(n), cocoa.formula.lower_bound_aps(n)
+    assert str(f).startswith("!((# & X (a1 | b1)) & ")
+    assert parse_ltl(str(f), aps) == f
+    a = from_ltl(to_nnf(f), lower_bound_alphabet(n))
+    chain = build_chain(a, formula=f, config=ChainConfig(check_single_step=False))
+    blob = json.dumps(chain_to_json(chain))
+    assert json.dumps(chain_to_json(chain_from_json(json.loads(blob)))) == blob
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(weak_awas())
 def test_chains_of_random_weak_automata(a):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,21 @@ def test_propositions_named_like_keywords_are_rejected(name):
 
 def test_declared_stacked_operator_names_are_atoms():
     assert parse_ltl("G FG", ["FG"]) == Formula(GLOBALLY, (atom("FG"),))
+
+
+@pytest.mark.parametrize("name", ["", "a b", "#\t", "(p", "p)", "!p", "p&q", "p|q", "p->q"])
+def test_propositions_that_cannot_be_read_are_rejected(name):
+    with pytest.raises(InvalidParameter, match=re.escape(repr(name))):
+        parse_ltl("a", ["a", name])
+
+
+def test_declared_non_identifier_propositions_parse():
+    # matched literally, longest first, around the operators they border
+    aps = ["#", "##", "$1", "a.b", "-"]
+    assert parse_ltl("##&#|X$1->a.b U -", aps) == parse_ltl(
+        "((## & #) | X $1) -> (a.b U -)", aps)
+    with pytest.raises(ParseError, match="unexpected character '#'"):
+        parse_ltl("G #", ["a"])
 
 
 def test_parse_binding_levels_and_grouping():
