@@ -154,6 +154,10 @@ def suffix_label(label: Label, i: int, a: Awa) -> Label:
 # --- the machine -------------------------------------------------------------
 
 
+def _unlimited(_n_states: int) -> None:
+    """The checkpoint of a build without limits."""
+
+
 class Sltm:
     """Canonical suffix-language tracking machine with dual vertex-set
     labelings (complement graph and positive graph) and suffix labels.
@@ -223,8 +227,12 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     as the successor (the single-step soundness condition of the
     construction), through the same map with each final label's form
     added.  ``checkpoint``, if given, is called with the number of states
-    found before each row is explored; it may raise to stop the build.
+    found before each row is explored, then once per state in each sweep's
+    closure check, once per 1,024 steps of each sweep, and once per row of
+    the single-step check; it may raise to stop the build.
     """
+    if checkpoint is None:
+        checkpoint = _unlimited
     # accepts[q] has the bits of the battery's words in state q's
     # language: the seed suite's bits, each its own word, then one bit per
     # distinguishing lasso above them
@@ -272,8 +280,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
     initial = classify(label_of([0], g_neg), {0})
     delta: list[tuple[int, ...]] = []
     while len(delta) < len(reps):
-        if checkpoint is not None:
-            checkpoint(len(reps))
+        checkpoint(len(reps))
         rows = [g_neg.edges[v] for v in reps[len(delta)]]
         sets = [{d for dsts in per_letter for d in dsts} for per_letter in zip(*rows)]
         delta.append(tuple(classify(label_of(vs, g_neg), vs) for vs in sets))
@@ -283,7 +290,11 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
         sets: list[set[int]] = [set() for _ in delta]
         sets[initial].add(0)
         todo = [(initial, 0)]
+        popped = 0
         while todo:
+            popped += 1
+            if not popped % 1024:
+                checkpoint(len(delta))
             sid, v = todo.pop()
             for sid2, dsts in zip(delta[sid], graph.edges[v]):
                 for v2 in dsts:
@@ -293,6 +304,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
         # the sets are closed under the graph's edges, which the level
         # products rely on when they enumerate only the graph's core
         for sid, vs in enumerate(sets):
+            checkpoint(len(delta))
             for vs2, per_letter in zip(map(sets.__getitem__, delta[sid]),
                                        zip(*map(graph.edges.__getitem__, vs))):
                 if not vs2.issuperset(itertools.chain.from_iterable(per_letter)):
@@ -306,6 +318,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
         # each state's final label names it too
         state_of.update((sink_normal(label, a), sid) for sid, label in enumerate(labels))
         for sid, row in enumerate(delta):
+            checkpoint(len(delta))
             for i, succ in enumerate(row):
                 if classify(suffix_label(labels[sid], i, a)) != succ:
                     raise AssertionError(

@@ -380,16 +380,32 @@ def test_single_step_check_fires(monkeypatch):
 def test_checkpoints_run_inside_the_stages():
     # a cap can stop each stage mid-way: the graphs call the checkpoint
     # once per vertex expanded, with the vertices found so far, and the
-    # machine once per row, with the states found so far
+    # machine first once per row explored, with the states found so far
     a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
     counts = {"g_neg": [], "g_pos": [], "sltm": []}
     g_neg = miyano_hayashi(a.dual, counts["g_neg"].append)
     g_pos = miyano_hayashi(a, counts["g_pos"].append)
     m = build_canonical_sltm(a, g_neg, g_pos, checkpoint=counts["sltm"].append)
     for seen, size in ((counts["g_neg"], g_neg.n_vertices),
-                       (counts["g_pos"], g_pos.n_vertices), (counts["sltm"], m.n_states)):
+                       (counts["g_pos"], g_pos.n_vertices),
+                       (counts["sltm"][:m.n_states], m.n_states)):
         assert len(seen) == size == seen[-1]
         assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("check_single_step", [False, True])
+def test_checkpoints_reach_the_sltm_tail(check_single_step):
+    # after the last row explored, each vertex-set sweep calls the
+    # checkpoint once per state in its closure check (and once per 1,024
+    # steps), and the single-step check once per row, so a cap can stop
+    # the stage's tail too
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
+    seen = []
+    m = build_sltm(a, check_single_step=check_single_step, checkpoint=seen.append)
+    n = m.n_states
+    tail = seen[n:]
+    assert len(tail) >= (3 if check_single_step else 2) * n
+    assert set(tail) == {n}
 
 
 def test_sltm_json_roundtrip():
