@@ -81,16 +81,15 @@ def minimal_models(clauses) -> tuple[int, ...]:
     one clause at a time (Berge): a model that already hits the clause is
     kept, any other is extended by each state of the clause.
     """
-    models: tuple[int, ...] = (0,)
+    grown = {0}
     for c in clauses:
-        grown = set()
+        models, grown = minimal_masks(grown), set()
         for m in models:
             if m & c:
                 grown.add(m)
             else:
                 grown.update(m | 1 << q for q in mask_states(c))
-        models = minimal_masks(grown)
-    return minimal_sets(models)
+    return minimal_sets(grown)
 
 
 class Breakpoint:
