@@ -671,15 +671,12 @@ _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _SYMBOLS = sorted((op for op in (*_UNARY, *_BINARY) if not op.isalpha()), key=len, reverse=True)
 
 
-def _token_re(names=()) -> re.Pattern:
+def _token_re(names) -> re.Pattern:
     """A token after blanks: an operator symbol, a parenthesis, one of the
     given names (longest first), or an identifier, else the unexpected
     character."""
     words = [*_SYMBOLS, "(", ")", *sorted(names, key=len, reverse=True)]
     return re.compile(rf"\s*(?:({'|'.join(map(re.escape, words))}|{_IDENT})|(\S))")
-
-
-_TOKEN_RE = _token_re()
 
 
 def scan_aps(text: str) -> list[str]:
@@ -698,7 +695,7 @@ def _tokens(text: str, apset: set[str]) -> list[tuple[str, int]]:
     operator, so "FG a" reads as F G a."""
     literal = [p for p in apset if not re.fullmatch(_IDENT, p)]
     out: list[tuple[str, int]] = []
-    for m in (_token_re(literal) if literal else _TOKEN_RE).finditer(text):
+    for m in _token_re(literal).finditer(text):
         tok, pos = m.group(1), m.start(1)
         if tok is None:
             raise ParseError(m.start(2), f"unexpected character {m.group(2)!r}")
