@@ -27,7 +27,7 @@ from .floating import dfw_accepts_lasso  # noqa: F401
 from .formula import eval_lasso  # noqa: F401
 from .obligation import miyano_hayashi
 from .sltm import (
-    Sltm, alphabet_from_json, alphabet_to_json, build_canonical_sltm, require_keys,
+    Sltm, alphabet_from_json, alphabet_to_json, build_canonical_sltm, checked, require_keys,
     sltm_from_json, sltm_to_json,
 )
 
@@ -282,10 +282,11 @@ def chain_to_json(chain: Cocoa) -> dict:
 
 def chain_from_json(data: dict) -> Cocoa:
     """Load a chain dumped by ``chain_to_json``; raises ValueError when it is
-    not a chain dump, a key is missing, ``k`` is not the number of levels,
-    the alphabet is malformed (``sltm.alphabet_from_json``), the SLTM
-    (``sltm_from_json``) is malformed or has another alphabet, a state or
-    letter number is out of range, a level transition is given twice or
+    not a chain dump, a key is missing, a count, state number, row or the
+    formula has the wrong type (``sltm.checked``), ``k`` is not the number
+    of levels, the alphabet is malformed (``sltm.alphabet_from_json``), the
+    SLTM (``sltm_from_json``) is malformed or has another alphabet, a state
+    or letter number is out of range, a level transition is given twice or
     disagrees with the SLTM labels, a level origin does not pair a state
     of the previous level carrying the same label with vertices of that
     label's set in the level's obligation graph, or the formula does not
@@ -293,7 +294,7 @@ def chain_from_json(data: dict) -> Cocoa:
     if data.get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     require_keys(data, "aps", "letters", "k", "sltm", "levels")
-    if data["k"] != len(data["levels"]):
+    if checked(data["k"], "k") != len(checked(data["levels"], "levels", list)):
         raise ValueError(f"k is {data['k']} for {len(data['levels'])} levels")
     m = sltm_from_json(data["sltm"])
     if alphabet_from_json(data) != m.alphabet:
@@ -302,13 +303,14 @@ def chain_from_json(data: dict) -> Cocoa:
     prev = universal_dfw(m)
     for ell, lvl in enumerate(data["levels"], start=1):
         require_keys(lvl, "states", "f", "origin", "delta")
-        n, k = lvl["states"], len(m.alphabet.letters)
-        label = tuple(lvl["f"])
+        n, k = checked(lvl["states"], "level states"), len(m.alphabet.letters)
+        label = tuple(checked(lvl["f"], "level labels", list, int))
         if len(label) != n or not all(0 <= s < m.n_states for s in label):
             raise ValueError(f"level labels {list(label)} do not give one of "
                              f"{m.n_states} SLTM states to each of {n} states")
         trans = [[None] * k for _ in range(n)]
-        for q, i, dst in lvl["delta"]:
+        for edge in checked(lvl["delta"], "level transitions", list):
+            q, i, dst = checked(edge, "a level transition", list, int)
             if not (0 <= q < n and 0 <= i < k and 0 <= dst < n):
                 raise ValueError(f"level transition {[q, i, dst]} is out of range")
             if label[dst] != m.delta[label[q]][i]:
@@ -317,21 +319,25 @@ def chain_from_json(data: dict) -> Cocoa:
                 raise ValueError(f"level transition {[q, i]} is given twice")
             trans[q][i] = dst
         _g, vsets = m.side(ell)
-        origin = tuple((p, frozenset(vs)) for p, vs in lvl["origin"])
+        origin = []
+        for entry in checked(lvl["origin"], "level origins", list):
+            p, vs = checked(entry, "a level origin", list)
+            origin.append((checked(p, "an origin state"),
+                           frozenset(checked(vs, "origin vertices", list, int))))
         if len(origin) != n:
             raise ValueError(f"{len(origin)} level origins for {n} states")
         for q, (p, vs) in enumerate(origin):
-            if not (isinstance(p, int) and 0 <= p < prev.n_states
-                    and prev.label[p] == label[q] and vs and vs <= vsets[label[q]]):
+            if not (0 <= p < prev.n_states and prev.label[p] == label[q]
+                    and vs and vs <= vsets[label[q]]):
                 raise ValueError(f"level origin {[p, sorted(vs)]} of state {q} does not "
                                  f"match level {ell - 1} and the SLTM vertex sets")
-        d = Dfw(label=label, trans=tuple(map(tuple, trans)), origin=origin)
+        d = Dfw(label=label, trans=tuple(map(tuple, trans)), origin=tuple(origin))
         levels.append((d, dfw_to_hd_ncw(d, m)))
         prev = d
     formula = None
     if data.get("formula"):
         try:
-            formula = parse_ltl(data["formula"], data["aps"])
+            formula = parse_ltl(checked(data["formula"], "formula", str), data["aps"])
         except (ParseError, InvalidParameter) as exc:
             raise ValueError(f"formula {data['formula']!r} does not parse: {exc}") from exc
     return Cocoa(sltm=m, levels=tuple(levels), formula=formula, awa=None)

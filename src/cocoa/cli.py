@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification counterexample or failed bench check,
-2 usage/parse error, 3 resource cap exceeded.
+2 usage/parse error, 3 resource cap exceeded, 141 (128 + SIGPIPE) standard
+output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -212,9 +214,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.max_states <= 0 or args.timeout_s <= 0:
+        # a NaN cap passes no comparison, so it is no cap
+        if not (args.max_states > 0 and args.timeout_s > 0):
             raise InvalidParameter("resource caps must be positive")
-        return args.func(args)
+        code = args.func(args)
+        # a closed reader shows here, not in the interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit flush writes what is left to nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (ParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,8 @@ from typing import Callable, Iterable
 
 from ._graph import cyclic_sccs, lasso_letters, tarjan_sccs
 from .awa import (
-    Awa, cnf_or, mask_states, member_order, minimal_masks, minimal_sets, state_mask,
+    Awa, cnf_and, cnf_or, finalize_pcnf, mask_states, member_order, minimal_masks,
+    minimal_sets, state_mask,
 )
 from .formula import Alphabet, letter_text
 
@@ -368,6 +369,9 @@ class LanguageOracle(BreakpointGraph):
     letters, keyed by (half, S part, O part, reset); a row is the product
     of two of them.
 
+    The dual half's model memo also serves suffix steps: a state set's
+    models on a letter are the CNF of its union's suffix language.
+
     The language of a vertex is the intersection of its member state
     languages, so per-vertex verdicts are a property of the graph and are
     shared by every query on it.
@@ -412,6 +416,11 @@ class LanguageOracle(BreakpointGraph):
                 raise IncompatibleAutomata(
                     f"label references unknown state {u.bit_length() - 1}")
         return unions
+
+    def suffix(self, unions: tuple[int, ...], i: int) -> tuple[int, ...]:
+        """The CNF, sinks applied, of the unions' suffix language after letter i."""
+        a, dual = self.a, self.halves[1]
+        return finalize_pcnf(cnf_and(*(dual.models(u, i) for u in unions)), a.top, a.bottom)
 
     def difference_roots(self, pos: tuple[int, ...], neg: tuple[int, ...]) -> list[int]:
         """Initial vertices for the intersection of the ``pos`` unions minus

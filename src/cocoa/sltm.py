@@ -32,8 +32,7 @@ import itertools
 from typing import Callable, Iterable, NamedTuple
 
 from .awa import (
-    Awa, CNF_FALSE, CNF_TRUE, cnf_and, cnf_or, finalize_pcnf, mask_states,
-    minimal_masks, minimal_sets, state_mask, winning_state_positions,
+    Awa, mask_states, minimal_masks, minimal_sets, state_mask, winning_state_positions,
 )
 from .formula import Alphabet, LassoWord, Lassos, enumerate_lassos, letter_text
 from .obligation import LanguageOracle, ObligationGraph
@@ -56,15 +55,11 @@ class Label(NamedTuple):
 
 def label_of(vertex_ids: Iterable[int], graph: ObligationGraph) -> Label:
     """One union per vertex, containing every state present in the vertex."""
-    vertex_ids = sorted(vertex_ids)
-    if not vertex_ids:
+    unions = [graph.vertices[vid][0] for vid in vertex_ids]
+    if not unions:
         raise ValueError("a label needs at least one vertex")
-    unions = []
-    for vid in vertex_ids:
-        S, _O = graph.vertices[vid]
-        if not S:
-            raise ValueError("obligation-graph vertex with empty state set")
-        unions.append(S)
+    if 0 in unions:
+        raise ValueError("obligation-graph vertex with empty state set")
     return Label.make(unions)
 
 
@@ -139,16 +134,9 @@ def distinguishing_lasso(l1: Label, l2: Label, oracle: LanguageOracle) -> LassoW
     raise ValueError("the labels are equivalent")
 
 
-def suffix_label(label: Label, i: int, a: Awa) -> Label:
-    """The label denoting the suffix of the label's language after letter
-    number i of the automaton's alphabet."""
-    cnf = CNF_TRUE
-    for u in label.unions:
-        part = CNF_FALSE
-        for q in mask_states(u):
-            part = cnf_or(part, a.delta[q][i])
-        cnf = cnf_and(cnf, part)
-    return Label(finalize_pcnf(cnf, a.top, a.bottom))
+def suffix_label(label: Label, i: int, oracle: LanguageOracle) -> Label:
+    """The suffix of the label's language after letter number i, as a label."""
+    return Label(oracle.suffix(label.unions, i))
 
 
 # --- the machine -------------------------------------------------------------
@@ -320,7 +308,7 @@ def build_canonical_sltm(a: Awa, g_neg: ObligationGraph, g_pos: ObligationGraph,
         for sid, row in enumerate(delta):
             checkpoint(len(delta))
             for i, succ in enumerate(row):
-                if classify(suffix_label(labels[sid], i, a)) != succ:
+                if classify(suffix_label(labels[sid], i, oracle)) != succ:
                     raise AssertionError(
                         f"single-step condition violated: label of state {succ} "
                         f"is not the suffix of state {sid} on {sorted(a.alphabet.letters[i])}")
@@ -372,27 +360,39 @@ def sltm_to_json(m: Sltm) -> dict:
 
 
 def require_keys(data: dict, *keys: str) -> None:
-    """Raise ValueError unless a dump has every one of the keys."""
-    missing = [k for k in keys if k not in data]
+    """Raise ValueError unless a dump is a dict with every one of the keys."""
+    missing = [k for k in keys if k not in checked(data, "a dump", dict)]
     if missing:
         raise ValueError(f"the dump has no {', '.join(missing)}")
 
 
+def checked(value, what: str, kind: type = int, item: type | None = None):
+    """A dump entry, if its type is exactly ``kind``, so that an int is no
+    bool, and, with ``item`` given, so is each of its members; raises
+    ValueError otherwise."""
+    if type(value) is not kind or item is not None and any(type(x) is not item for x in value):
+        name = kind.__name__ + (f"[{item.__name__}]" if item is not None else "")
+        raise ValueError(f"{what} is {value!r}, not of type {name}")
+    return value
+
+
 def sltm_from_json(data: dict) -> Sltm:
     """Load a machine dumped by ``sltm_to_json``; raises ValueError when a
-    key is missing, the propositions and letters are not lists of names or
+    key is missing, a count, state number or row has the wrong type
+    (``checked``), the propositions and letters are not lists of names or
     break a rule of ``formula.Alphabet`` (``alphabet_from_json``), the
     labels or vertex sets are not one per state, or a state or letter
     number is out of range."""
     require_keys(data, "aps", "letters", "states", "initial", "labels",
                  "vertex_sets_neg", "vertex_sets_pos", "delta")
     alphabet = alphabet_from_json(data)
-    n = data["states"]
+    n = checked(data["states"], "states")
     for key in ("labels", "vertex_sets_neg", "vertex_sets_pos"):
-        if len(data[key]) != n:
+        if len(checked(data[key], key, list)) != n:
             raise ValueError(f"{len(data[key])} {key} for {n} states")
-    delta = tuple(map(tuple, data["delta"]))
-    if not 0 <= data["initial"] < n:
+    delta = tuple(tuple(checked(row, "a transition row", list, int))
+                  for row in checked(data["delta"], "delta", list))
+    if not 0 <= checked(data["initial"], "initial") < n:
         raise ValueError(f"initial state {data['initial']} is not one of {n} states")
     if len(delta) != n:
         raise ValueError(f"{len(delta)} transition rows for {n} states")
@@ -402,13 +402,19 @@ def sltm_from_json(data: dict) -> Sltm:
                              f"{len(alphabet.letters)} letters")
         if not all(0 <= s < n for s in row):
             raise ValueError(f"a successor in {list(row)} is not one of {n} states")
+
+    def vertex_sets(key: str) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(checked(s, "a vertex set", list, int)) for s in data[key])
+
     return Sltm(
         alphabet=alphabet,
         initial=data["initial"],
         delta=delta,
-        vertex_sets_neg=tuple(frozenset(s) for s in data["vertex_sets_neg"]),
-        vertex_sets_pos=tuple(frozenset(s) for s in data["vertex_sets_pos"]),
-        labels=tuple(Label.make([state_mask(u) for u in ls]) for ls in data["labels"]),
+        vertex_sets_neg=vertex_sets("vertex_sets_neg"),
+        vertex_sets_pos=vertex_sets("vertex_sets_pos"),
+        labels=tuple(Label.make([state_mask(checked(u, "a label union", list, int))
+                                 for u in checked(ls, "a label", list)])
+                     for ls in data["labels"]),
     )
 
 

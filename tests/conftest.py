@@ -8,7 +8,8 @@ game solver, the reference lasso enumeration, the string packer and the
 forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
-one-kernel reference for the language oracle's rows, the eager reference
+one-kernel reference for the language oracle's rows, the fold over
+transition rows that ``sltm.suffix_label`` replaced, the eager reference
 emptiness check, the unshared reference for the oracle's verdicts, the
 two-pass reference for accepted lassos, and the unabridged level
 product."""
@@ -32,8 +33,8 @@ from cocoa.formula import (
 )
 from cocoa._graph import cyclic_sccs, lasso_letters, tarjan_sccs
 from cocoa.awa import (
-    Awa, mask_states, minimal_sets, state_mask,
-    winning_state_positions,
+    CNF_FALSE, CNF_TRUE, Awa, cnf_and, cnf_or, finalize_pcnf, mask_states, minimal_sets,
+    state_mask, winning_state_positions,
 )
 from cocoa.chain import Cocoa, HdNcw, VerifyReport
 from cocoa.floating import Dfw, Nfw, det_edges, reach_back_rows, survival_rows
@@ -715,6 +716,19 @@ def reference_oracle_kernel(a: Awa) -> Breakpoint:
         accepting=state_mask(a.accepting) | state_mask(d.accepting) << n,
         tops=1 << a.top | 1 << (n + d.top),
         bottoms=1 << a.bottom | 1 << (n + d.bottom))
+
+
+def reference_suffix_label(label: Label, i: int, a: Awa) -> Label:
+    """The label of the suffix of a label's language after letter number
+    i, folded from the automaton's transition rows: the reference for
+    ``sltm.suffix_label``, which reads the language oracle's kernel."""
+    cnf = CNF_TRUE
+    for u in label.unions:
+        part = CNF_FALSE
+        for q in mask_states(u):
+            part = cnf_or(part, a.delta[q][i])
+        cnf = cnf_and(cnf, part)
+    return Label(finalize_pcnf(cnf, a.top, a.bottom))
 
 
 def succ_lists(g: ObligationGraph) -> list[list[int]]:

@@ -415,12 +415,23 @@ BAD_DUMPS = {
     "formula cut short": _set(("formula",), "G a &"),
     "formula with an undeclared atom": _set(("formula",), "G c"),
     "formula with an open parenthesis": _set(("formula",), "G (a"),
+    # entries of the wrong type
+    "levels a number": _set(("levels",), 5),
+    "level a number": _set(("levels", 0), 5),
+    "SLTM rows as numbers": _set(("sltm", "delta"), [0]),
+    "SLTM initial a string": _set(("sltm", "initial"), "0"),
+    "SLTM label member a string": _set(("sltm", "labels"), [[["x"]]]),
+    "level labels as floats": _set(("levels", 0, "f"), [0.0, 0.0]),
+    "formula a number": _set(("formula",), 5),
+    # on G a, whose SLTM successors are 1, 0, 1 and 1: true would load as 1
+    "G a: boolean state numbers": _set(("sltm", "delta"), [[True, 0], [True, True]]),
 }
 
 
-@pytest.mark.parametrize("edit", BAD_DUMPS.values(), ids=BAD_DUMPS)
-def test_chain_from_json_rejects_malformed_dumps(golden_chains, edit):
-    assert_edit_rejected(golden_chains["FG a"][0], edit)
+@pytest.mark.parametrize("name,edit", BAD_DUMPS.items(), ids=BAD_DUMPS)
+def test_chain_from_json_rejects_malformed_dumps(golden_chains, name, edit):
+    text = "G a" if name.startswith("G a:") else "FG a"
+    assert_edit_rejected(golden_chains[text][0], edit)
 
 
 # edits that keep every number in range but contradict the SLTM: G a has

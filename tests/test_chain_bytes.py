@@ -53,13 +53,14 @@ def test_chain_bytes_match_benchmark_digest(workload, item):
     assert chain_digest(item) == EXPECTED[workload][item["key"]]["sha256"]
 
 
-def test_lower_bound_n2_chain_is_pinned():
+@pytest.mark.parametrize("check_single_step", [False, True])
+def test_lower_bound_n2_chain_is_pinned(check_single_step):
     # the n=2 member of the lower-bound family, built as `cocoa bench --n 2`
-    # builds it; its digest was measured before the breakpoint kernel moved
-    # to bit masks
+    # builds it and, with the single-step check, as `cocoa translate` does;
+    # its digest was measured before the breakpoint kernel moved to bit masks
     f = lower_bound_family(2)
     a = from_ltl(to_nnf(f), lower_bound_alphabet(2, restricted=True))
-    chain = build_chain(a, config=ChainConfig(check_single_step=False), formula=f)
+    chain = build_chain(a, config=ChainConfig(check_single_step=check_single_step), formula=f)
     assert chain.k == 1
     assert chain.sltm.n_states == 83
     assert chain.sltm.g_neg.n_vertices == 3244

@@ -1,12 +1,19 @@
 """Command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cocoa
 from cocoa import build_chain_for_formula, parse_ltl
 from cocoa.cli import main
+
+SRC = Path(cocoa.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -189,6 +196,24 @@ def test_bad_bounds(capsys):
 
 
 def test_nonpositive_caps(capsys):
-    for flag in ("--max-states", "--timeout-s"):
-        code, _out, err = run(capsys, "verify", "G a", flag, "0")
+    for flag, value in (("--max-states", "0"), ("--timeout-s", "0"), ("--timeout-s", "nan")):
+        code, _out, err = run(capsys, "verify", "G a", flag, value)
         assert code == 2 and "resource caps must be positive" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the reader of standard output is gone before the command prints:
+    # unbuffered, print itself fails; buffered, the flush does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cocoa.cli", "bench", "--n", "1"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -30,7 +30,8 @@ from cocoa.sltm import (
 from conftest import (
     build_sltm, formula_corpus, label_accepts_lasso, lassos_up_to,
     prefixes_up_to, prepend, reference_accepted_lasso, reference_is_empty,
-    reference_nonempty, reference_oracle_kernel, sltm_state_after, weak_awas,
+    reference_nonempty, reference_oracle_kernel, reference_suffix_label, sltm_state_after,
+    weak_awas,
 )
 from test_chain_bytes import workloads
 
@@ -218,10 +219,35 @@ def test_suffix_label_semantics(fig1, ab_alphabet):
     l = Label.make([1 << 2])
     oracle = LanguageOracle(fig1)
     number = fig1.alphabet.number
-    with_a = suffix_label(l, number[frozenset({"a"})], fig1)
-    without_a = suffix_label(l, number[frozenset()], fig1)
+    with_a = suffix_label(l, number[frozenset({"a"})], oracle)
+    without_a = suffix_label(l, number[frozenset()], oracle)
     assert labels_equivalent(with_a, l, oracle) is True
     assert labels_equivalent(without_a, Label.make([1 << 3]), oracle) is True
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weak_awas())
+def test_suffix_label_matches_the_row_fold(a):
+    # single states, unions with each sink and with the next state, and
+    # two-union labels: each steps as the fold over the transition rows,
+    # on a fresh oracle and on one whose rows equivalence queries expanded
+    n = a.n_states
+    unions = [1 << q for q in range(n)]
+    unions += [1 << q | 1 << s for q in range(n) for s in (a.top, a.bottom, (q + 1) % n)]
+    labels = [Label.make([u]) for u in unions]
+    labels += [Label.make([1 << q, 1 << (q + 1) % n]) for q in range(n)]
+    letters = range(len(a.alphabet.letters))
+    for l in labels:
+        oracle = LanguageOracle(a)
+        assert [suffix_label(l, i, oracle) for i in letters] == [
+            reference_suffix_label(l, i, a) for i in letters]
+    oracle = LanguageOracle(a)
+    for l1, l2 in itertools.combinations(labels[:n], 2):
+        labels_equivalent(l1, l2, oracle)
+    assert any(row is not None for row in oracle.rows)
+    for l in labels:
+        for i in letters:
+            assert suffix_label(l, i, oracle) == reference_suffix_label(l, i, a)
 
 
 def test_sltm_fg_a_single_state():
@@ -369,7 +395,7 @@ def test_single_step_check_fires(monkeypatch):
 
     def wrong(label, j, b):
         if (label, j) == (m.labels[s], i):
-            return Label.make([1 << b.bottom])
+            return Label.make([1 << b.a.bottom])
         return original(label, j, b)
 
     monkeypatch.setattr(cocoa.sltm, "suffix_label", wrong)
