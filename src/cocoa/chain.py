@@ -291,7 +291,7 @@ def chain_from_json(data: dict) -> Cocoa:
     of the previous level carrying the same label with vertices of that
     label's set in the level's obligation graph, or the formula does not
     parse over the chain's propositions."""
-    if data.get("format") != "cocoa-chain":
+    if checked(data, "a chain dump", dict).get("format") != "cocoa-chain":
         raise ValueError("not a chain dump")
     require_keys(data, "aps", "letters", "k", "sltm", "levels")
     if checked(data["k"], "k") != len(checked(data["levels"], "levels", list)):

@@ -293,7 +293,11 @@ class BreakpointGraph:
         are reused as leaf values.
 
         A vertex whose state set S is known to be empty counts as settled
-        and empty, as a root and as a successor, unexpanded.  For a weak
+        and empty, as a root and as a successor, unexpanded; so does one
+        settled when it was interned, as the language oracle settles a
+        vertex holding a state q and q's dual: no word is in L(q) and not
+        in L(q), and all it reaches holds a state and its dual again, since
+        any model of a formula meets any model of its dual.  For a weak
         automaton the language of (S, O) is the intersection of the
         languages of the members of S, whatever the O: every vertex met has
         O inside S minus the accepting states, and every branch of an
@@ -375,6 +379,14 @@ class LanguageOracle(BreakpointGraph):
     The language of a vertex is the intersection of its member state
     languages, so per-vertex verdicts are a property of the graph and are
     shared by every query on it.
+
+    A vertex holding a state q in both halves, ``S & S >> n`` nonzero,
+    asks for L(q) and not L(q), so ``intern`` settles it empty and nothing
+    expands it.  All it reaches is empty too: every model of q's formula
+    on a letter meets every model of the dual formula, so each successor
+    again holds some state in both halves, and that state is no sink, since
+    a half strips its accepting sink and drops a pair holding its rejecting
+    one, and each half's accepting sink is the other's rejecting one.
     """
 
     def __init__(self, a: Awa):
@@ -389,6 +401,15 @@ class LanguageOracle(BreakpointGraph):
         self.half_rows: dict[tuple[int, int, int, bool], list[list[Vertex]]] = {}
         # the minimal models of each positive side's unions, as masks
         self.label_models: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def intern(self, v: Vertex) -> int:
+        got = self.ids.get(v)
+        if got is None:
+            got = super().intern(v)
+            S = v[0]
+            if S & S >> self.a.n_states:
+                self.verdict[got] = False
+        return got
 
     def _half_row(self, key: tuple[int, int, int, bool]) -> list[list[Vertex]]:
         got = self.half_rows.get(key)
@@ -432,22 +453,30 @@ class LanguageOracle(BreakpointGraph):
         minimal models are those of pos's unions, each with one neg union;
         that union expands into its dual states.  The sinks apply per half:
         a rejecting one drops the pair, accepting ones are stripped from
-        the state set.
+        the state set.  A model m that meets the neg union u gives a vertex
+        with a state in both halves, which is empty (see the class), so it
+        is not built: once the sinks are applied, m & u is exactly the
+        state shared.  A neg union holding a whole pos union meets every
+        model, so it is dropped first, and with no neg union left the
+        difference is empty without solving for the models.
         """
-        negs = self._checked(neg)
-        models = self.label_models.get(pos)
-        if models is None:
-            models = self.label_models[pos] = minimal_models(self._checked(pos))
+        negs, pos = self._checked(neg), self._checked(pos)
         n = self.a.n_states
         lo, hi = self.halves
-        duals = [((u & ~hi.tops) << n, (u & ~hi.accepting) << n)
-                 for u in negs if not u & hi.bottoms]
+        duals = [(u, (u & ~hi.tops) << n, (u & ~hi.accepting) << n) for u in negs
+                 if not u & hi.bottoms and not any(p & u == p for p in pos)]
+        if not duals:
+            return []
+        models = self.label_models.get(pos)
+        if models is None:
+            models = self.label_models[pos] = minimal_models(pos)
         roots = set()
         for m in models:
             if not m & lo.bottoms:
                 s, o = m & ~lo.tops, m & ~lo.accepting
-                for ds, do in duals:
-                    roots.add(self.intern((s | ds, o | do)))
+                for u, ds, do in duals:
+                    if not m & u:
+                        roots.add(self.intern((s | ds, o | do)))
         return sorted(roots)
 
 

@@ -15,7 +15,12 @@ alternating-automaton emptiness check, or starts a new state.  Each build
 owns one ``obligation.LanguageOracle``: the breakpoint graph over the
 disjoint union of the automaton and its dual, explored only as far as the
 checks reach, whose emptiness verdicts every check of that build shares,
-the empty ones by state set.  A candidate is checked only against the state of its signature, an int of
+the empty ones by state set.  A vertex holding a state q and q's dual is
+empty, since no word is in L(q) and not in L(q), and so is all it
+reaches, since any model of a formula meets any model of its dual and
+the state shared is never a sink; the oracle settles such a vertex when
+it interns it, expands none, and builds none as a difference root.  A
+candidate is checked only against the state of its signature, an int of
 the label's membership of each lasso in a battery.  The battery is seeded
 with the words x^omega and x.y^omega, whose membership in every state's
 language one game solve on the packed suite gives; each signature names

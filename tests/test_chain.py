@@ -21,6 +21,7 @@ from cocoa import (
 )
 from cocoa.awa import Awa, mask_states, minimal_sets, state_mask
 from cocoa.formula import LFALSE
+from cocoa.sltm import sltm_from_json
 
 from conftest import (
     accepts_lasso, formula_corpus, lassos_up_to, ncw_accepts_lasso,
@@ -454,6 +455,15 @@ BAD_LEVELS = {
 @pytest.mark.parametrize("text,edit", BAD_LEVELS.values(), ids=BAD_LEVELS)
 def test_chain_from_json_rejects_levels_that_contradict_the_sltm(golden_chains, text, edit):
     assert_edit_rejected(golden_chains[text][0], edit)
+
+
+@pytest.mark.parametrize("data", [[], "x", None, 5], ids=repr)
+def test_loaders_reject_dumps_that_are_not_dicts(data):
+    # a chain dump as a whole, and an SLTM dump, of another JSON type
+    with pytest.raises(ValueError, match="not of type dict"):
+        chain_from_json(data)
+    with pytest.raises(ValueError, match="not of type dict"):
+        sltm_from_json(data)
 
 
 def test_chain_from_json_accepts_built_chains():

@@ -21,7 +21,7 @@ from conftest import (
     ReferenceBreakpoint, accepts_lasso, formula_corpus, lassos_up_to, letter_at, n_positions,
     next_pos, reference_minimal_models, reference_nonempty_witness, succ_lists, weak_awas,
 )
-from test_sltm import build_oracle
+from test_sltm import build_oracle, query_single_states
 from test_tracing_hooks import counting_calls
 
 
@@ -174,8 +174,10 @@ def test_breakpoint_successors_match_reference_on_weak_automata(a):
 
 
 def test_oracle_half_successors_match_reference():
-    # every half row a build asked the language oracle for, the reset
-    # joint: a half owing nothing is carried while the other half owes
+    # every half row a build and the single-state queries asked the
+    # language oracle for, the reset joint: a half owing nothing is carried
+    # while the other half owes (the builds alone ask for 19 such rows,
+    # since no vertex holding a state and its dual is expanded)
     inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(12, seed=22)]
     inputs.append((to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True)))
     paths: set[tuple[bool, bool, bool]] = set()
@@ -183,6 +185,7 @@ def test_oracle_half_successors_match_reference():
     for f, alpha in inputs:
         a = from_ltl(f, alpha)
         oracle = build_oracle(a)
+        query_single_states(oracle)
         kernels = [kernel_with_paths(b, True, paths) for b in (a, a.dual)]
         for half, S, O, reset in oracle.half_rows:
             kernel, ref = kernels[half]

@@ -15,6 +15,7 @@ from cocoa import (
     label_of, labels_equivalent, lower_bound_alphabet,
     lower_bound_family, miyano_hayashi, parse_ltl, to_nnf, winning_state_positions,
 )
+import cocoa.obligation
 import cocoa.sltm
 from cocoa.awa import (
     Awa, CNF_FALSE, cnf_and, finalize_pcnf,
@@ -34,6 +35,7 @@ from conftest import (
     weak_awas,
 )
 from test_chain_bytes import workloads
+from test_tracing_hooks import counting_calls
 
 
 def build(text, aps, **kw):
@@ -684,21 +686,32 @@ def test_corpus_sltm_equivalence_queries(monkeypatch):
     assert queries.count(False) <= 3
 
 
-def build_oracle(a: Awa) -> LanguageOracle:
-    """The language oracle of the automaton's SLTM build, as the build
-    left it."""
+def build_oracle(a: Awa, oracle_class: type[LanguageOracle] = LanguageOracle,
+                 **kw) -> LanguageOracle:
+    """The language oracle of the automaton's SLTM build (``build_sltm``
+    with the keywords given), as the build left it, made as an
+    ``oracle_class``."""
     made = []
 
-    class Recording(LanguageOracle):
+    class Recording(oracle_class):
         def __init__(self, a: Awa):
             super().__init__(a)
             made.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocoa.sltm, "LanguageOracle", Recording)
-        build_sltm(a)
+        build_sltm(a, **kw)
     (oracle,) = made
     return oracle
+
+
+def query_single_states(oracle: LanguageOracle) -> None:
+    """Ask the oracle, beyond its build's queries, whether each two labels
+    of one state are equivalent, so that difference roots hold
+    obligations in both halves."""
+    singles = [Label.make([1 << q]) for q in range(oracle.a.n_states)]
+    for l1, l2 in itertools.combinations(singles, 2):
+        labels_equivalent(l1, l2, oracle)
 
 
 def test_oracles_die_with_their_builds():
@@ -749,27 +762,30 @@ STREETT_2 = ("(GF a1 -> GF b1) & (GF a2 -> GF b2)", ["a1", "b1", "a2", "b2"])
 def test_oracle_rows_match_one_kernel_over_both_halves():
     # the factored rows (each half's successors from its own kernel, joined
     # by the reset) name the successors of one kernel over the disjoint
-    # union on every vertex the builds expand
+    # union on every vertex the builds expand, and on the corpus and Rabin
+    # automata on every vertex the single-state queries expand too (the
+    # builds alone expand 766 rows, since no vertex holding a state and its
+    # dual is expanded)
     inputs = [(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(60, seed=5)]
     inputs += [(to_nnf(parse_ltl(text, aps)), Alphabet.from_aps(aps))
                for text, aps in workloads.RABIN_FORMULAS + [STREETT_2]]
-    inputs += [(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=True))
-               for n in (1, 2)]
     checked = 0
     for f, alpha in inputs:
-        checked += rows_match_reference(build_oracle(from_ltl(f, alpha)))
+        oracle = build_oracle(from_ltl(f, alpha))
+        query_single_states(oracle)
+        checked += rows_match_reference(oracle)
+    for n in (1, 2):
+        a = from_ltl(to_nnf(lower_bound_family(n)), lower_bound_alphabet(n, restricted=True))
+        checked += rows_match_reference(build_oracle(a))
     assert checked > 2000
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(weak_awas())
 def test_oracle_rows_match_one_kernel_on_weak_automata(a):
-    # besides the build's queries, one per pair of single states, so that
-    # the difference roots hold obligations in both halves
+    # besides the build's queries, one per pair of single states
     oracle = build_oracle(a)
-    singles = [Label.make([1 << q]) for q in range(a.n_states)]
-    for l1, l2 in itertools.combinations(singles, 2):
-        labels_equivalent(l1, l2, oracle)
+    query_single_states(oracle)
     assert rows_match_reference(oracle)
 
 
@@ -807,18 +823,93 @@ def test_shared_verdicts_match_unshared_search():
 def test_shared_verdicts_match_unshared_search_on_weak_automata(a):
     # besides the build's queries, one per pair of single states
     oracle = build_oracle(a)
-    singles = [Label.make([1 << q]) for q in range(a.n_states)]
-    for l1, l2 in itertools.combinations(singles, 2):
-        labels_equivalent(l1, l2, oracle)
+    query_single_states(oracle)
     assert verdicts_match_reference(oracle)
 
 
-def test_lower_bound_oracle_reuses_half_rows(lower_bound_queries):
-    # the n=1 build expands several hundred oracle vertices from a few
-    # dozen distinct rows of each half; computing a kernel row per vertex
-    # instead would fail here
-    queries, _m = lower_bound_queries
-    oracle = queries[0][0]
+def test_lower_bound_oracle_reuses_half_rows():
+    # the n=1 build computes each half row's kernel successors once, as
+    # many as the distinct rows of each half its oracle vertices need
+    calls = []
+
+    class Counting(LanguageOracle):
+        def __init__(self, a: Awa):
+            super().__init__(a)
+            for half, kernel in enumerate(self.halves):
+                def successors(S, O, i, reset, half=half, computed=kernel.successors):
+                    calls.append((half, S, O, reset, i))
+                    return computed(S, O, i, reset)
+
+                kernel.successors = successors
+
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
+    oracle = build_oracle(a, Counting, check_single_step=False)
+    assert len(set(calls)) == len(calls)
+    assert set(calls) == {(*key, i) for key in oracle.half_rows
+                          for i in range(len(a.alphabet.letters))}
     expanded = sum(row is not None for row in oracle.rows)
-    assert 0 < 4 * len(oracle.half_rows) <= expanded
+    assert 0 < len(oracle.half_rows) < expanded
     assert len(oracle.half_rows) <= 110
+
+
+def test_lower_bound_oracle_expands_no_vertex_holding_a_state_and_its_dual():
+    # the n=1 build interned 759 oracle vertices and expanded 539 while it
+    # still built and expanded the vertices holding a state in both halves
+    a = from_ltl(to_nnf(lower_bound_family(1)), lower_bound_alphabet(1, restricted=True))
+    oracle = build_oracle(a, check_single_step=False)
+    n = a.n_states
+    assert len(oracle.pairs) <= 211
+    assert sum(row is not None for row in oracle.rows) <= 99
+    assert not any(S & S >> n for (S, _O), row in zip(oracle.pairs, oracle.rows)
+                   if row is not None)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_awas())
+def test_vertices_holding_a_state_and_its_dual_are_empty(a):
+    # the vertices with a state in both halves that a build and the
+    # single-state queries interned, and each state paired with its dual:
+    # the oracle settled the former empty unexpanded, and a search that
+    # expands them finds each empty, and each successor under the one
+    # kernel over both halves again holding a state in both halves
+    n = a.n_states
+    oracle = build_oracle(a)
+    query_single_states(oracle)
+    pairs = []
+    for v, (S, O) in enumerate(oracle.pairs):
+        if S & S >> n:
+            assert oracle.verdict[v] is False and oracle.rows[v] is None, (S, O)
+            pairs.append((S, O))
+    kernel = reference_oracle_kernel(a)
+    for q in range(n):
+        if q not in (a.top, a.bottom):
+            S = 1 << q | 1 << (n + q)
+            pairs.append((S, S & ~kernel.accepting))
+    verdicts = reference_nonempty(a, pairs)
+    for (S, O), nonempty in verdicts.items():
+        assert S & S >> n and not nonempty, (S, O)
+        for i in range(len(a.alphabet.letters)):
+            assert all(s & s >> n for s, _o in kernel.successors(S, O, i, not O)), (S, O, i)
+
+
+def test_difference_roots_of_a_label_and_a_wider_one_are_none():
+    # a difference whose every negated union holds a positive union (the
+    # same label, each union widened by a state, or the universal label) is
+    # empty, found without solving for the positive side's models or
+    # interning a vertex
+    automata = [from_ltl(to_nnf(f), Alphabet.from_aps(aps)) for f, aps in formula_corpus(8, seed=3)]
+    automata.append(from_ltl(to_nnf(lower_bound_family(1)),
+                             lower_bound_alphabet(1, restricted=True)))
+    asked = 0
+    for a in automata:
+        labels = build_sltm(a).labels
+        oracle = LanguageOracle(a)
+        with counting_calls({"minimal_models": cocoa.obligation.minimal_models}) as calls:
+            for label in labels:
+                wider = [Label.make([u | 1 << q for u in label.unions]) for q in range(a.n_states)]
+                for neg in [label, Label.make([])] + wider:
+                    assert oracle.difference_roots(label.unions, neg.unions) == [], (label, neg)
+                    asked += 1
+        assert calls == {"minimal_models": 0}
+        assert oracle.pairs == []
+    assert asked > 100
