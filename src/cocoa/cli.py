@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification counterexample or failed bench check,
-2 usage/parse error, 3 resource cap exceeded, 141 (128 + SIGPIPE) standard
-output closed by its reader.
+2 usage/parse error or an output file that cannot be written, 3 resource cap
+exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -55,19 +55,11 @@ def _print_levels(levels: list[dict]) -> None:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     chain = _build(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     if args.format == "json":
-        path = out / "chain.json"
-        path.write_text(json.dumps(chain_to_json(chain), indent=2, sort_keys=True) + "\n")
-        written.append(str(path))
+        files = {"chain.json": json.dumps(chain_to_json(chain), indent=2, sort_keys=True) + "\n"}
     elif args.format == "hoa":
-        for i in range(1, chain.k + 1):
-            path = out / f"level-{i}.hoa"
-            path.write_text(level_to_hoa(chain, i))
-            written.append(str(path))
-    elif args.format == "dot":
+        files = {f"level-{i}.hoa": level_to_hoa(chain, i) for i in range(1, chain.k + 1)}
+    else:
         files = {
             "awa.dot": awa_to_dot(chain.awa),
             "obligation-neg.dot": obligation_to_dot(chain.sltm.g_neg),
@@ -76,10 +68,18 @@ def cmd_translate(args: argparse.Namespace) -> int:
         }
         for i, (d, _c) in enumerate(chain.levels, start=1):
             files[f"level-{i}-dfw.dot"] = dfw_to_dot(d, chain.sltm, name=f"level{i}")
+    out = Path(args.out)
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             path = out / name
             path.write_text(text)
             written.append(str(path))
+    except OSError as exc:
+        # a failed write is a bad --out, not a counterexample: exit 2
+        raise InvalidParameter(
+            f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
     report = {
         "formula": str(chain.formula),
         "k": chain.k,

@@ -187,56 +187,38 @@ def atom_names(f: Formula) -> list[str]:
     return sorted({name for kind, _kids, name in f.program if kind == ATOM and name})
 
 
-def _s_and(a: Formula, b: Formula) -> Formula:
-    if a.kind == FALSE or b.kind == FALSE:
-        return LFALSE
-    if a.kind == TRUE:
-        return b
-    if b.kind == TRUE:
-        return a
-    return Formula(AND, (a, b))
-
-
-def _s_or(a: Formula, b: Formula) -> Formula:
-    if a.kind == TRUE or b.kind == TRUE:
-        return LTRUE
-    if a.kind == FALSE:
-        return b
-    if b.kind == FALSE:
-        return a
-    return Formula(OR, (a, b))
-
-
-def _s_unary(kind: str, a: Formula) -> Formula:
-    if a.kind in (TRUE, FALSE):
-        return a
-    return Formula(kind, (a,))
-
-
-def _s_until(a: Formula, b: Formula) -> Formula:
-    if b.kind in (TRUE, FALSE):
-        return b
-    if a.kind == FALSE:
-        return b
-    if a.kind == TRUE:
-        return Formula(FINALLY, (b,))
-    return Formula(UNTIL, (a, b))
-
-
-def _s_release(a: Formula, b: Formula) -> Formula:
-    if b.kind in (TRUE, FALSE):
-        return b
-    if a.kind == TRUE:
-        return b
-    if a.kind == FALSE:
-        return Formula(GLOBALLY, (b,))
-    return Formula(RELEASE, (a, b))
-
-
 # the kind each node kind turns into under a negation
 _DUAL = {AND: OR, OR: AND, FINALLY: GLOBALLY, GLOBALLY: FINALLY, UNTIL: RELEASE,
          RELEASE: UNTIL, TRUE: FALSE, FALSE: TRUE, NEXT: NEXT}
-_FOLD_BINARY = {AND: _s_and, OR: _s_or, UNTIL: _s_until, RELEASE: _s_release}
+# the constant that decides a connective; the other constant is its unit
+_ZERO = {AND: FALSE, OR: TRUE}
+# the constant left operand that leaves the right operand, and the unary
+# operator that the other constant leaves: false U b = b, true U b = F b
+_LEFT_UNIT = {UNTIL: (FALSE, FINALLY), RELEASE: (TRUE, GLOBALLY)}
+
+
+def _folded(kind: str, args: list[Formula]) -> Formula:
+    """The node ``kind`` over ``args`` with its constants folded: & and |
+    by ``_ZERO``; for any other kind a constant right (or only) operand is
+    the result, and U and R then follow ``_LEFT_UNIT``."""
+    a, b = args[0], args[-1]
+    if kind in _ZERO:
+        zero = _ZERO[kind]
+        if zero in (a.kind, b.kind):
+            return Formula(zero)
+        if a.kind == _DUAL[zero]:
+            return b
+        if b.kind == _DUAL[zero]:
+            return a
+    elif b.kind in (TRUE, FALSE):
+        return b
+    elif kind in _LEFT_UNIT:
+        unit, unary = _LEFT_UNIT[kind]
+        if a.kind == unit:
+            return b
+        if a.kind == _DUAL[unit]:
+            return Formula(unary, (b,))
+    return Formula(kind, tuple(args))
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -257,11 +239,7 @@ def to_nnf(f: Formula) -> Formula:
         if negd:
             k = _DUAL[k]
         args = [go(x, negd) for x in g.args]
-        if not args:
-            return Formula(k)
-        if len(args) == 1:
-            return _s_unary(k, args[0])
-        return _FOLD_BINARY[k](*args)
+        return _folded(k, args) if args else Formula(k)
 
     return go(f, False)
 
@@ -269,19 +247,29 @@ def to_nnf(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Alphabets and lasso words
 
+# the characters that end a quoted HOA name or delimit a lasso's letters
+_UNSPELLABLE = frozenset('"\\{};')
+
 
 class Alphabet:
     """Atomic propositions plus the letter universe (sets of propositions).
 
-    Every table of the translation is indexed by letter number, so an
-    alphabet checks its four rules when it is made and raises ValueError
-    otherwise: no proposition is listed twice, there is at least one
-    letter, no letter is listed twice, and no letter holds a proposition
-    that is not declared."""
+    Every table of the translation is indexed by letter number, and every
+    output spells its propositions from the alphabet, so an alphabet checks
+    its five rules when it is made and raises ValueError otherwise: each
+    proposition is one word of lasso text, without a character of
+    ``_UNSPELLABLE``; none is listed twice; there is at least one letter;
+    no letter is listed twice; and no letter holds a proposition that is
+    not declared."""
 
     def __init__(self, aps: tuple[str, ...], letters: tuple[frozenset[str], ...]):
         self.aps = aps
         self.letters = letters
+        for p in aps:
+            # a letter's names are read back by str.split
+            if p.split() != [p] or _UNSPELLABLE.intersection(p):
+                raise ValueError(f"proposition {p!r} cannot be spelled in HOA or lasso text: "
+                                 "it is empty or holds a blank or one of \" \\ { } ;")
         apset = set(aps)
         if len(apset) != len(aps):
             raise ValueError(f"a proposition is listed twice in {list(aps)}")

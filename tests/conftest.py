@@ -1,5 +1,6 @@
 """Shared fixtures: the copy of an object with some of its ``__init__``
 parameters replaced, the worked-example automaton, random formula corpus,
+the hand-written constant folding that ``to_nnf``'s law tables replaced,
 the tree-walk list of subformulas, random weak automata, the SLTM builder
 over both obligation graphs, the lasso position helpers, the test-only
 lasso membership checks of an AWA, a label, an NFW and an HD-NCW, the
@@ -71,6 +72,71 @@ def random_nnf(rng: random.Random, size: int, aps):
     left = random_nnf(rng, left_size, aps)
     right = random_nnf(rng, size - 1 - left_size, aps)
     return {"U": until, "R": release, "&": conj, "|": disj}[kind](left, right)
+
+
+def reference_to_nnf(f: Formula) -> Formula:
+    """The negation normal form with one hand-written constant folding per
+    operator family: the reference for ``to_nnf``'s law tables."""
+    dual = {AND: OR, OR: AND, FINALLY: GLOBALLY, GLOBALLY: FINALLY, UNTIL: RELEASE,
+            RELEASE: UNTIL, TRUE: FALSE, FALSE: TRUE, NEXT: NEXT}
+
+    def s_and(a, b):
+        if a.kind == FALSE or b.kind == FALSE:
+            return Formula(FALSE)
+        if a.kind == TRUE:
+            return b
+        if b.kind == TRUE:
+            return a
+        return Formula(AND, (a, b))
+
+    def s_or(a, b):
+        if a.kind == TRUE or b.kind == TRUE:
+            return Formula(TRUE)
+        if a.kind == FALSE:
+            return b
+        if b.kind == FALSE:
+            return a
+        return Formula(OR, (a, b))
+
+    def s_until(a, b):
+        if b.kind in (TRUE, FALSE):
+            return b
+        if a.kind == FALSE:
+            return b
+        if a.kind == TRUE:
+            return Formula(FINALLY, (b,))
+        return Formula(UNTIL, (a, b))
+
+    def s_release(a, b):
+        if b.kind in (TRUE, FALSE):
+            return b
+        if a.kind == TRUE:
+            return b
+        if a.kind == FALSE:
+            return Formula(GLOBALLY, (b,))
+        return Formula(RELEASE, (a, b))
+
+    fold_binary = {AND: s_and, OR: s_or, UNTIL: s_until, RELEASE: s_release}
+
+    def go(g: Formula, negd: bool) -> Formula:
+        k = g.kind
+        if k == ATOM:
+            return Formula(NOT, (g,)) if negd else g
+        if k == NOT:
+            return go(g.args[0], not negd)
+        if k == IMPLIES:
+            a, b = g.args
+            return go(Formula(OR, (Formula(NOT, (a,)), b)), negd)
+        if negd:
+            k = dual[k]
+        args = [go(x, negd) for x in g.args]
+        if not args:
+            return Formula(k)
+        if len(args) == 1:
+            return args[0] if args[0].kind in (TRUE, FALSE) else Formula(k, (args[0],))
+        return fold_binary[k](*args)
+
+    return go(f, False)
 
 
 def subformulas(f: Formula) -> list[Formula]:

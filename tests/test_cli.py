@@ -201,10 +201,9 @@ def test_nonpositive_caps(capsys):
         assert code == 2 and "resource caps must be positive" in err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_exits_141_quietly(unbuffered):
-    # the reader of standard output is gone before the command prints:
-    # unbuffered, print itself fails; buffered, the flush does
+def run_to_closed_stdout(*argv, unbuffered=False):
+    """Run the command in a new process whose standard output is a pipe
+    with no reader left."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
@@ -212,8 +211,46 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     r, w = os.pipe()
     os.close(r)
     try:
-        done = subprocess.run([sys.executable, "-m", "cocoa.cli", "bench", "--n", "1"],
+        return subprocess.run([sys.executable, "-m", "cocoa.cli", *argv],
                               stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(w)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the reader of standard output is gone before the command prints:
+    # unbuffered, print itself fails; buffered, the flush does
+    done = run_to_closed_stdout("bench", "--n", "1", unbuffered=unbuffered)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_translate_to_closed_stdout_still_exits_141(tmp_path):
+    # the files are written; only the report has no reader
+    done = run_to_closed_stdout("translate", "G a", "--out", str(tmp_path), unbuffered=True)
+    assert (done.returncode, done.stderr) == (141, b"")
+    assert (tmp_path / "chain.json").exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    (tmp_path / "dir" / "chain.json").mkdir(parents=True)
+    for out in (taken, taken / "sub", tmp_path / "dir"):
+        code, out_text, err = run(capsys, "translate", "G a", "--out", str(out))
+        assert code == 2 and err.startswith("error: cannot write ") and not out_text
+    assert taken.read_text() == "kept\n"
+    assert [p.name for p in (tmp_path / "dir").iterdir()] == ["chain.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", 'G F a"b', "--aps", 'a"b', "--format", "hoa"),
+    ("translate", "G F a;b", "--aps", "a;b"),
+    ("color", "G F a}", "--aps", "a}", "--word", "{a}};{a}}"),
+])
+def test_names_the_outputs_cannot_spell_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # translate would write to the default --out, cocoa-out
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "cannot be spelled" in err and not out
+    assert not any(tmp_path.iterdir())

@@ -16,13 +16,13 @@ from cocoa import (
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, LFALSE, LTRUE, NEXT, NOT, OR,
-    RELEASE, TRUE, UNTIL, atom_names, scan_aps,
+    RELEASE, TRUE, UNTIL, _DUAL, _LEFT_UNIT, _ZERO, atom_names, scan_aps,
 )
 
 from conftest import (
     AB, ab_lassos, canonical_lasso, formula_corpus, lassos_up_to, letter_at,
     formula_size, reference_enumerate_lassos, reference_eval_lasso, reference_pack,
-    subformulas,
+    reference_to_nnf, subformulas,
 )
 
 
@@ -280,6 +280,30 @@ def test_nnf_of_formulas_with_constants(f):
     assert eval_lassos(nnf, _AB_SUITE) == eval_lassos(f, _AB_SUITE)
 
 
+def test_nnf_folds_as_the_hand_written_reference():
+    kinds = set()
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(_formulas)
+    def same(f):
+        kinds.update(g.kind for g in subformulas(f))
+        for g in (f, neg(f)):
+            assert str(to_nnf(g)) == str(reference_to_nnf(g))
+            assert to_nnf(g) == reference_to_nnf(g)
+
+    same()
+    assert kinds == ALL_KINDS
+
+
+def test_law_tables_map_onto_their_duals():
+    # a law added for one operator and not for its dual fails here
+    assert all(_DUAL[_DUAL[k]] == k for k in _DUAL)
+    for k, zero in _ZERO.items():
+        assert _ZERO[_DUAL[k]] == _DUAL[zero]
+    for k, laws in _LEFT_UNIT.items():
+        assert _LEFT_UNIT[_DUAL[k]] == tuple(_DUAL[x] for x in laws)
+
+
 # batches that mix period lengths 1-3, so that the per-length wraps meet
 _short_lassos = st.builds(
     lambda u, v: LassoWord(AB, tuple(u), tuple(v)),
@@ -362,7 +386,9 @@ def test_alphabet_rules_hold_however_it_is_made():
     for aps, letters, message in ((("a", "a"), (a,), "proposition is listed twice"),
                                   (("a",), (), "at least one letter"),
                                   (("a",), (a, a), "letter is listed twice"),
-                                  (("a",), (a, b), "undeclared propositions")):
+                                  (("a",), (a, b), "undeclared propositions"),
+                                  *(((p,), (frozenset(),), "cannot be spelled")
+                                    for p in ('a"', "a\\", "a{", "a}", "a;", "a b", "a\t", ""))):
         with pytest.raises(ValueError, match=message):
             Alphabet(aps, letters)
     with pytest.raises(ValueError, match="at least one letter"):
