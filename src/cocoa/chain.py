@@ -32,7 +32,7 @@ from .sltm import (
 )
 
 
-# a guard against a level loop that never comes out empty
+# the most levels a chain may have, against a level loop that never ends
 MAX_LEVELS = 64
 
 
@@ -137,8 +137,6 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
     prev = universal_dfw(m)
     ell = 1
     while True:
-        if ell > MAX_LEVELS:
-            raise ResourceLimit(f"more than {MAX_LEVELS} levels", levels)
         nfw = level_product(prev, m, ell)
         checkpoint(nfw.n_states, f"level {ell} product", levels)
         stage = f"level {ell} determinization"
@@ -148,6 +146,8 @@ def build_chain(a: Awa, config: ChainConfig | None = None,
         # state, so it is empty exactly when no state is left
         if d.n_states == 0:
             break
+        if ell > MAX_LEVELS:
+            raise ResourceLimit(f"more than {MAX_LEVELS} levels", levels)
         levels.append((d, dfw_to_hd_ncw(d, m)))
         prev = d
         ell += 1
@@ -179,29 +179,22 @@ def natural_color(chain: Cocoa, w: LassoWord) -> int:
     return _color(_accepted(chain, lassos), lassos.starts)
 
 
-class VerifyReport:
-    __slots__ = ("formula", "prefix_bound", "period_bound", "lassos", "counterexamples",
-                 "first_counterexample", "monotonicity_ok", "elapsed_s")
-
-    def __init__(self, formula: str, prefix_bound: int, period_bound: int, lassos: int = 0,
-                 counterexamples: int = 0, first_counterexample: dict | None = None,
-                 monotonicity_ok: bool = True, elapsed_s: float = 0.0):
-        self.formula = formula
-        self.prefix_bound = prefix_bound
-        self.period_bound = period_bound
-        self.lassos = lassos
-        self.counterexamples = counterexamples
-        self.first_counterexample = first_counterexample
-        self.monotonicity_ok = monotonicity_ok
-        self.elapsed_s = elapsed_s
+class VerifyReport(NamedTuple):
+    formula: str
+    prefix_bound: int
+    period_bound: int
+    lassos: int = 0
+    counterexamples: int = 0
+    first_counterexample: dict | None = None
+    monotonicity_ok: bool = True
+    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
         return self.counterexamples == 0 and self.monotonicity_ok
 
     def to_json(self) -> dict:
-        return {**{k: getattr(self, k) for k in self.__slots__},
-                "elapsed_s": round(self.elapsed_s, 3), "ok": self.ok}
+        return {**self._asdict(), "elapsed_s": round(self.elapsed_s, 3), "ok": self.ok}
 
 
 def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
@@ -214,8 +207,8 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     check runs on masks with one bit per lasso, at its start bit: the
     oracle's members, and each level's accepted words ``A_i``.  The parity
     of the natural color is folded level by level, the last accepting level
-    deciding; monotonicity fails where ``A_(i+1) & ~A_i`` is set.  Only the
-    first counterexample in suite order is built as a word.
+    deciding; monotonicity fails where ``A_(i+1) & ~A_i`` is set.  Words
+    are built only up to the first counterexample in suite order.
     """
     t0 = time.monotonic()
     lassos = enumerate_lassos(chain.alphabet, prefix_bound, period_bound)
@@ -225,19 +218,18 @@ def verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     for i, a in enumerate(accepted, start=1):
         even = (even & ~a) | (a if i % 2 == 0 else 0)
     mismatch = even ^ member
-    report = VerifyReport(str(f), prefix_bound, period_bound, lassos=len(lassos),
-                          counterexamples=mismatch.bit_count())
-    report.monotonicity_ok = not any(hi & ~lo for lo, hi in zip(accepted, accepted[1:]))
+    first_counterexample = None
     if mismatch:
         off, w = lassos.first(mismatch)
         first = 1 << off
-        report.first_counterexample = {
+        first_counterexample = {
             "lasso": w.text(),
             "natural_color": _color(accepted, first),
             "oracle_member": bool(member & first),
         }
-    report.elapsed_s = time.monotonic() - t0
-    return report
+    monotone = not any(hi & ~lo for lo, hi in zip(accepted, accepted[1:]))
+    return VerifyReport(str(f), prefix_bound, period_bound, len(lassos), mismatch.bit_count(),
+                        first_counterexample, monotone, time.monotonic() - t0)
 
 
 def drop_accepting_transition(chain: Cocoa) -> Cocoa:

@@ -392,17 +392,15 @@ class Lassos(Sequence[LassoWord]):
       move per period length: the cut mask, shifted by v - 1.
     * ``enumerate_lassos``: one bit per lasso, suffixes shared; see there.
 
-    The suite is a read-only sequence in its given order.  The order and
-    each lasso's bit (``offsets``) are spelled out only when they are read,
-    or by ``first`` up to the lasso it finds, and each ``LassoWord`` only
-    when it is accessed.
+    The suite is a read-only sequence of ``LassoWord``s in its given
+    order.  ``order()`` yields each lasso as (start bit, ``LassoWord``) in
+    suite order; it runs only when the words or their bits (``offsets``)
+    are read, or by ``first`` up to the lasso it finds.
     """
 
     def __init__(self, alphabet: Alphabet, full: int, rows: tuple[int, ...], starts: int,
                  inner: int, moves: tuple[tuple[int, int], ...],
-                 order: Callable[[], Iterator[tuple[int, str, str]]]):
-        """``order()`` yields every lasso as (start bit, prefix, period) in
-        suite order, spelled with ``chr(i)`` for letter number i."""
+                 order: Callable[[], Iterator[tuple[int, LassoWord]]]):
         self.alphabet = alphabet
         self.full = full
         self.rows = rows
@@ -412,18 +410,18 @@ class Lassos(Sequence[LassoWord]):
         self._order = order
 
     @cached_property
-    def _suite(self) -> list[tuple[int, str, str]]:
+    def _suite(self) -> list[tuple[int, LassoWord]]:
         return list(self._order())
 
     @cached_property
     def offsets(self) -> list[int]:
         """The start bit of each lasso, in suite order."""
-        return [off for off, _u, _v in self._suite]
+        return [off for off, _w in self._suite]
 
     @staticmethod
     def of(words: Sequence[LassoWord]) -> "Lassos":
         """The given lassos, over the alphabet of the first, in order, each
-        on its own run of bits."""
+        on its own run of bits; the suite holds these very words."""
         alphabet = words[0].alphabet
         number = alphabet.number
         rows = [0] * len(alphabet.letters)
@@ -444,35 +442,23 @@ class Lassos(Sequence[LassoWord]):
         full = (1 << pos) - 1
         # the last position lies v - 1 bits above its cut
         moves = tuple((cuts[v], v - 1) for v in sorted(cuts))
-
-        def order() -> Iterator[tuple[int, str, str]]:
-            def spell(xs: tuple[frozenset[str], ...]) -> str:
-                return "".join([chr(number[x]) for x in xs])
-
-            return ((off, spell(w.prefix), spell(w.period)) for off, w in zip(offsets, words))
-
-        return Lassos(alphabet, full, tuple(rows), starts, full ^ last, moves, order)
+        return Lassos(alphabet, full, tuple(rows), starts, full ^ last, moves,
+                      lambda: zip(offsets, words))
 
     def __len__(self) -> int:
         return self.starts.bit_count()
 
     def __getitem__(self, i: int) -> LassoWord:
-        _off, u, v = self._suite[operator.index(i)]
-        return self._word(u, v)
-
-    def _word(self, u: str, v: str) -> LassoWord:
-        letters = self.alphabet.letters
-        return LassoWord(self.alphabet, tuple(letters[ord(c)] for c in u),
-                         tuple(letters[ord(c)] for c in v))
+        return self._suite[operator.index(i)][1]
 
     def first(self, mask: int) -> tuple[int, LassoWord]:
         """The start bit and the word of the first lasso in suite order
         whose start bit is set in ``mask``; raises ValueError when there is
         none."""
         bits = format(mask, "b")[::-1]  # bits[p] is bit p, read in O(1)
-        for off, u, v in self._order():
+        for off, w in self._order():
             if off < len(bits) and bits[off] == "1":
-                return off, self._word(u, v)
+                return off, w
         raise ValueError("no start bit of the suite is set in the mask")
 
     def next(self, row: int) -> int:
@@ -512,7 +498,8 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
     Each word is listed once, in its normal form: the period is primitive
     and the prefix does not end with the period's last letter (else the
     period could be rolled back into the prefix).  Words come ordered by
-    prefix length, prefix, period length and period.
+    prefix length, prefix, period length and period; ``order()`` yields
+    each as (start bit, ``LassoWord``), built as it is listed.
 
     The suite is suffix-closed: dropping the first letter of a lasso gives
     another lasso of the suite.  So each lasso is one bit, and its suffix
@@ -576,22 +563,23 @@ def enumerate_lassos(alphabet: Alphabet, prefix_bound: int, period_bound: int) -
         base += n * width
         width *= n
 
-    def order() -> Iterator[tuple[int, str, str]]:
-        at = {}  # the bit of each period
+    def order() -> Iterator[tuple[int, LassoWord]]:
+        at = {}  # the bit of each period, a tuple of letter numbers
         pos = 0
         for lyndon in cycles:
             for k in range(len(lyndon)):
-                at["".join(map(chr, lyndon[k:] + lyndon[:k]))] = pos
+                at[lyndon[k:] + lyndon[:k]] = pos
                 pos += 1
         periods = sorted(at, key=lambda v: (len(v), v))
-        chars = [chr(i) for i in range(n)]
+        letters = alphabet.letters
         base = 0
         for plen in range(prefix_bound + 1):
-            for k, pref in enumerate(map("".join, itertools.product(chars, repeat=plen))):
+            for k, pref in enumerate(itertools.product(range(n), repeat=plen)):
                 block = base + k * size0
+                u = tuple(letters[x] for x in pref)
                 for v in periods:
                     if not pref or v[-1] != pref[-1]:
-                        yield block + at[v], pref, v
+                        yield block + at[v], LassoWord(alphabet, u, tuple(letters[x] for x in v))
             base += n ** plen * size0
 
     return Lassos(alphabet, (1 << base) - 1, tuple(rows), starts, inner, tuple(moves), order)

@@ -587,9 +587,11 @@ def reference_verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
     """``verify_chain`` one lasso at a time, the reference for the packed
     verifier: the natural color from the per-lasso DFW acceptance, the
     oracle from ``reference_eval_lasso``."""
-    report = VerifyReport(str(f), prefix_bound, period_bound)
+    lassos = counterexamples = 0
+    first_counterexample = None
+    monotonicity_ok = True
     for w in reference_enumerate_lassos(chain.alphabet, prefix_bound, period_bound):
-        report.lassos += 1
+        lassos += 1
         accept_vector = [reference_dfw_accepts_lasso(d, chain.sltm, w) for d, _ in chain.levels]
         color = 0
         for i, acc in enumerate(accept_vector, start=1):
@@ -597,17 +599,18 @@ def reference_verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
                 color = i
         for i in range(1, len(accept_vector)):
             if accept_vector[i] and not accept_vector[i - 1]:
-                report.monotonicity_ok = False
+                monotonicity_ok = False
         member = reference_eval_lasso(f, w)
         if (color % 2 == 0) != member:
-            report.counterexamples += 1
-            if report.first_counterexample is None:
-                report.first_counterexample = {
+            counterexamples += 1
+            if first_counterexample is None:
+                first_counterexample = {
                     "lasso": w.text(),
                     "natural_color": color,
                     "oracle_member": member,
                 }
-    return report
+    return VerifyReport(str(f), prefix_bound, period_bound, lassos, counterexamples,
+                        first_counterexample, monotonicity_ok)
 
 
 def row_pairs(rows: list[int]) -> set[tuple[int, int]]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import cocoa.awa
+import cocoa.chain
 import cocoa.floating
 import cocoa.formula
 from cocoa import (
@@ -304,6 +305,17 @@ def test_resource_limit_raises():
     a = from_ltl(to_nnf(f), alpha)
     with pytest.raises(ResourceLimit):
         build_chain(a, config=ChainConfig(max_states=3))
+
+
+def test_level_cap_admits_a_chain_of_exactly_that_many_levels(monkeypatch):
+    # FG a has k=2: level 3 comes out empty, so a cap of 2 holds it
+    monkeypatch.setattr(cocoa.chain, "MAX_LEVELS", 2)
+    chain, _f = build("FG a", ["a"])
+    assert chain.k == 2
+    monkeypatch.setattr(cocoa.chain, "MAX_LEVELS", 1)
+    with pytest.raises(ResourceLimit, match="more than 1 levels") as caught:
+        build("FG a", ["a"])
+    assert [d.n_states for d, _c in caught.value.partial] == [chain.levels[0][0].n_states]
 
 
 def test_build_chain_for_formula_infers_alphabet():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cocoa
+import cocoa.chain
 from cocoa import build_chain_for_formula, parse_ltl
 from cocoa.cli import main
 
@@ -183,6 +184,27 @@ def test_caps_stop_a_stage_mid_way(capsys, cap):
     code, _out, err = run(capsys, "bench", "--n", "3", *cap)
     assert code == 3 and "complement obligation graph" in err
     assert time.monotonic() - start < 3.5
+
+
+def test_level_cap_reports_the_levels_completed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cocoa.chain, "MAX_LEVELS", 1)
+    code, _out, err = run(capsys, "translate", "FG a", "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert err.splitlines() == ["resource cap: more than 1 levels",
+                                "partial progress: 1 levels completed"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [" & ".join(["a"] * 520), "X " * 3000 + "a"],
+                         ids=["520-conjuncts", "3000-nexts"])
+@pytest.mark.parametrize("command", ["translate", "verify"])
+def test_deeply_nested_formulas_exit_2(tmp_path, monkeypatch, capsys, command, text):
+    # 520 conjuncts overflow the negation normal form, 3,000 X the parser
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, text, "--aps", "a")
+    assert code == 2 and not out
+    assert err == "error: the formula is nested too deeply\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_bench_bad_n(capsys):

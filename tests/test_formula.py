@@ -321,6 +321,15 @@ def test_eval_lassos_matches_reference_bit_for_bit(f, words):
     assert [lassos[i] for i in range(len(words))] == words
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.lists(_short_lassos, min_size=1, max_size=8))
+def test_lassos_of_hands_back_the_words_it_was_given(words):
+    lassos = Lassos.of(words)
+    for i, off in enumerate(lassos.offsets):
+        got_off, got = lassos.first(1 << off)
+        assert got_off == off and lassos[i] is got is words[i]
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(_short_lassos, min_size=1, max_size=8))
 def test_lassos_of_packs_like_the_string_packer(words):
