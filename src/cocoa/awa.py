@@ -208,46 +208,46 @@ def from_ltl(f: Formula, alphabet: Alphabet) -> Awa:
     is entry q of ``f.program``, so the formula itself is the last before
     the sinks."""
     program = f.program
-    for kind, kids, _name in program:
-        if kind == IMPLIES:
-            raise NotNnf("implication must be eliminated before construction")
-        if kind == NOT and program[kids[0]][0] != ATOM:
-            raise NotNnf("negation below non-atom; convert to NNF first")
+    letters = alphabet.letters
     n = len(program)
     top, bottom = n, n + 1
     names = tuple(program_texts(program)) + ("TOP", "BOT")
-
-    def exp(q: int, x: frozenset[str]):
-        k, kids, name = program[q]
-        if k == ATOM:
-            return CNF_TRUE if name in x else CNF_FALSE
-        if k == NOT:
-            return CNF_FALSE if program[kids[0]][2] in x else CNF_TRUE
-        if k == TRUE:
-            return CNF_TRUE
-        if k == FALSE:
-            return CNF_FALSE
-        if k == AND:
-            return cnf_and(exp(kids[0], x), exp(kids[1], x))
-        if k == OR:
-            return cnf_or(exp(kids[0], x), exp(kids[1], x))
-        if k == NEXT:
-            return (1 << kids[0],)
+    # exps[q][i]: the expansion of entry q on letter number i, a CNF read
+    # by q's parents; the children come before q
+    exps: list[list[tuple[int, ...]]] = []
+    for q, (k, kids, name) in enumerate(program):
+        args = [exps[c] for c in kids]
         own = (1 << q,)
-        if k == UNTIL:
-            return cnf_or(exp(kids[1], x), cnf_and(exp(kids[0], x), own))
-        if k == RELEASE:
-            return cnf_and(exp(kids[1], x), cnf_or(exp(kids[0], x), own))
-        if k == FINALLY:
-            return cnf_or(exp(kids[0], x), own)
-        if k == GLOBALLY:
-            return cnf_and(exp(kids[0], x), own)
-        raise ValueError(f"unexpected node kind {k!r}")
+        if k == ATOM:
+            row = [CNF_TRUE if name in x else CNF_FALSE for x in letters]
+        elif k == NOT:
+            if program[kids[0]][0] != ATOM:
+                raise NotNnf("negation below non-atom; convert to NNF first")
+            row = [CNF_FALSE if c == CNF_TRUE else CNF_TRUE for c in args[0]]
+        elif k == IMPLIES:
+            raise NotNnf("implication must be eliminated before construction")
+        elif k in (TRUE, FALSE):
+            row = [CNF_TRUE if k == TRUE else CNF_FALSE] * len(letters)
+        elif k == AND:
+            row = list(map(cnf_and, *args))
+        elif k == OR:
+            row = list(map(cnf_or, *args))
+        elif k == NEXT:
+            row = [(1 << kids[0],)] * len(letters)
+        elif k == UNTIL:
+            row = [cnf_or(y, cnf_and(x, own)) for x, y in zip(*args)]
+        elif k == RELEASE:
+            row = [cnf_and(y, cnf_or(x, own)) for x, y in zip(*args)]
+        elif k == FINALLY:
+            row = [cnf_or(x, own) for x in args[0]]
+        elif k == GLOBALLY:
+            row = [cnf_and(x, own) for x in args[0]]
+        else:
+            raise ValueError(f"unexpected node kind {k!r}")
+        exps.append(row)
 
-    delta = tuple(tuple(finalize_pcnf(exp(q, x), top, bottom) for x in alphabet.letters)
-                  for q in range(n))
-    delta += (((1 << top,),) * len(alphabet.letters),
-              ((1 << bottom,),) * len(alphabet.letters))
+    delta = tuple(tuple(finalize_pcnf(p, top, bottom) for p in row) for row in exps)
+    delta += (((1 << top,),) * len(letters), ((1 << bottom,),) * len(letters))
 
     accepting = frozenset(
         {q for q, (k, _kids, _name) in enumerate(program) if k not in (UNTIL, FINALLY)} | {top})

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification counterexample or failed bench check,
-2 usage/parse error, a formula nested too deeply or an output file that
-cannot be written, 3 resource cap exceeded, 141 (128 + SIGPIPE) standard
-output closed by its reader.
+2 usage/parse error or an output file that cannot be written, 3 resource
+cap exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -229,10 +228,6 @@ def main(argv=None) -> int:
         return 141
     except (ParseError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the parser and the formula passes recurse once per nesting level
-        print("error: the formula is nested too deeply", file=sys.stderr)
         return 2
     except ResourceLimit as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

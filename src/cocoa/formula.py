@@ -64,10 +64,11 @@ class Formula:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kind, self.args, self.name) == (other.kind, other.args, other.name)
+        # compiled, so that neither side is walked recursively
+        return self is other or self.program == other.program
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.args, self.name))
+        return hash(self.program)
 
     def __repr__(self) -> str:
         return render(self)
@@ -83,16 +84,19 @@ class Formula:
         Equal subtrees share one entry.  Entries are looked up by the entry
         tuple itself, so compiling hashes small tuples, never whole subtrees.
         """
+        # the nodes root first, right operands first: reversed, children first
+        nodes, todo = [], [self]
+        while todo:
+            g = todo.pop()
+            nodes.append(g)
+            todo.extend(g.args)
         ids: dict[tuple[str, tuple[int, ...], str | None], int] = {}
-
-        def walk(g: Formula) -> int:
-            op = (g.kind, tuple(walk(c) for c in g.args), g.name)
-            got = ids.get(op)
-            if got is None:
-                got = ids[op] = len(ids)
-            return got
-
-        walk(self)
+        done: list[int] = []  # the entries of the subtrees read, the last on top
+        for g in reversed(nodes):
+            cut = len(done) - len(g.args)
+            op = (g.kind, tuple(done[cut:]), g.name)
+            del done[cut:]
+            done.append(ids.setdefault(op, len(ids)))
         return tuple(ids)
 
 
@@ -108,20 +112,20 @@ def neg(f: Formula) -> Formula:
     return Formula(NOT, (f,))
 
 
+def _grouped(kind: str, fs: tuple[Formula, ...], unit: Formula) -> Formula:
+    """``fs`` joined by ``kind``, grouped to the right; ``unit`` for none."""
+    out = fs[-1] if fs else unit
+    for f in reversed(fs[:-1]):
+        out = Formula(kind, (f, out))
+    return out
+
+
 def conj(*fs: Formula) -> Formula:
-    if not fs:
-        return LTRUE
-    if len(fs) == 1:
-        return fs[0]
-    return Formula(AND, (fs[0], conj(*fs[1:])))
+    return _grouped(AND, fs, LTRUE)
 
 
 def disj(*fs: Formula) -> Formula:
-    if not fs:
-        return LFALSE
-    if len(fs) == 1:
-        return fs[0]
-    return Formula(OR, (fs[0], disj(*fs[1:])))
+    return _grouped(OR, fs, LFALSE)
 
 
 def implies(a: Formula, b: Formula) -> Formula:
@@ -224,24 +228,24 @@ def _folded(kind: str, args: list[Formula]) -> Formula:
 def to_nnf(f: Formula) -> Formula:
     """Negation normal form: negation only on atoms, no implication, and
     constants only when the whole formula is constant."""
-
-    def go(g: Formula, negd: bool) -> Formula:
-        k = g.kind
-        if k == ATOM:
-            return Formula(NOT, (g,)) if negd else g
-        if k == NOT:
-            return go(g.args[0], not negd)
-        if k == IMPLIES:
-            a, b = g.args
-            return go(Formula(OR, (Formula(NOT, (a,)), b)), negd)
-        if k not in _DUAL:
-            raise ValueError(f"unknown node kind {k!r}")
-        if negd:
-            k = _DUAL[k]
-        args = [go(x, negd) for x in g.args]
-        return _folded(k, args) if args else Formula(k)
-
-    return go(f, False)
+    nnf: list[tuple[Formula, Formula]] = []  # per entry of the program: its NNF and its negation's
+    for kind, kids, name in f.program:
+        if kind == ATOM:
+            g = atom(name)
+            nnf.append((g, Formula(NOT, (g,))))
+            continue
+        if kind == NOT:
+            nnf.append(nnf[kids[0]][::-1])
+            continue
+        args = [nnf[c] for c in kids]
+        if kind == IMPLIES:
+            # a -> b is !a | b
+            kind, args[0] = OR, args[0][::-1]
+        elif kind not in _DUAL:
+            raise ValueError(f"unknown node kind {kind!r}")
+        nnf.append(tuple(_folded(k, [a[side] for a in args]) if args else Formula(k)
+                         for side, k in enumerate((kind, _DUAL[kind]))))
+    return nnf[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +693,12 @@ def parse_ltl(text: str, aps) -> Formula:
     The operator tables are the grammar's only spelling of its operators:
     ``_UNARY`` (!, X, F, G) binds tightest, then ``_BINARY`` by level,
     U and R (3) > & (2) > | (1) > -> (0), with ``_RIGHT_ASSOC`` (U, R, ->)
-    grouping to the right; ``_CONSTANTS`` are true and false.  Every
-    declared proposition reads as itself, identifier or not.  Raises
-    InvalidParameter when no proposition is given, or one is named like an
-    operator or a constant (``_KEYWORDS``), is empty, or holds a blank, a
-    parenthesis or an operator symbol."""
+    grouping to the right; ``_CONSTANTS`` are true and false.  One loop
+    applies pending operators by level, so memory alone bounds the
+    nesting.  Every declared proposition reads as itself, identifier or
+    not.  Raises InvalidParameter when no proposition is given, or one is
+    named like an operator or a constant (``_KEYWORDS``), is empty, or
+    holds a blank, a parenthesis or an operator symbol."""
     aps = list(aps)
     if not aps:
         raise InvalidParameter("the set of atomic propositions must be non-empty")
@@ -705,48 +710,52 @@ def parse_ltl(text: str, aps) -> Formula:
                 f"proposition {p!r} is empty or holds a blank, a parenthesis or an operator")
     apset = set(aps)
     toks = _tokens(text, apset)[::-1]  # the next token is the last
-
-    def p_binary(level: int) -> Formula:
-        """A formula whose binary operators all bind at ``level`` or tighter
-        (precedence climbing)."""
-        left = p_unary()
-        while (op := _BINARY.get(toks[-1][0])) and op[1] >= level:
+    tightest = 1 + max(bind for _kind, bind in _BINARY.values())  # the unary level
+    operands: list[Formula] = []
+    # the operators still waiting for an operand, with their levels; an
+    # open parenthesis waits at level -1, below every operator
+    pending: list[tuple[str, int]] = []
+    want_operand = True
+    while True:
+        tok, pos = toks[-1]
+        op = _BINARY.get(tok)
+        # a right-associative operator leaves its own level pending; any
+        # other token ends every operator above the innermost parenthesis
+        level = op[1] + (op[0] in _RIGHT_ASSOC) if op else 0
+        if want_operand:
             toks.pop()
-            kind, bind = op
-            right = p_binary(bind if kind in _RIGHT_ASSOC else bind + 1)
-            left = Formula(kind, (left, right))
-        return left
-
-    def p_unary() -> Formula:
-        tok, _pos = toks[-1]
-        if tok in _UNARY:
+            if tok in _UNARY:
+                pending.append((_UNARY[tok], tightest))
+            elif tok == "(":
+                pending.append(("(", -1))
+            elif tok in _CONSTANTS:
+                operands.append(Formula(_CONSTANTS[tok]))
+            elif tok in apset:
+                operands.append(atom(tok))
+            elif re.fullmatch(_IDENT, tok):
+                if tok in _BINARY:
+                    raise ParseError(pos, f"operator {tok!r} in atom position")
+                raise UnknownAtom(pos, tok)
+            else:
+                raise ParseError(pos, f"expected a formula, found {tok or 'end of input'!r}")
+            want_operand = tok in _UNARY or tok == "("
+        elif pending and pending[-1][1] >= level:
+            kind, bind = pending.pop()
+            arity = 1 if bind == tightest else 2
+            operands[-arity:] = [Formula(kind, tuple(operands[-arity:]))]
+        elif op:
             toks.pop()
-            return Formula(_UNARY[tok], (p_unary(),))
-        return p_atom()
-
-    def p_atom() -> Formula:
-        tok, pos = toks.pop()
-        if tok == "(":
-            inner = p_binary(0)
-            got, pos = toks.pop()
-            if got != ")":
-                raise ParseError(pos, f"expected ')', found {got or 'end of input'!r}")
-            return inner
-        if tok in _CONSTANTS:
-            return Formula(_CONSTANTS[tok])
-        if tok in apset:
-            return atom(tok)
-        if re.fullmatch(_IDENT, tok):
-            if tok in _BINARY:
-                raise ParseError(pos, f"operator {tok!r} in atom position")
-            raise UnknownAtom(pos, tok)
-        raise ParseError(pos, f"expected a formula, found {tok or 'end of input'!r}")
-
-    result = p_binary(0)
-    tok, pos = toks[-1]
-    if tok:
-        raise ParseError(pos, f"trailing input {tok!r}")
-    return result
+            pending.append(op)
+            want_operand = True
+        elif pending:
+            toks.pop()
+            if tok != ")":
+                raise ParseError(pos, f"expected ')', found {tok or 'end of input'!r}")
+            pending.pop()
+        elif tok:
+            raise ParseError(pos, f"trailing input {tok!r}")
+        else:
+            return operands.pop()
 
 
 # ---------------------------------------------------------------------------

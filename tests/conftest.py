@@ -4,9 +4,9 @@ the hand-written constant folding that ``to_nnf``'s law tables replaced,
 the tree-walk list of subformulas, random weak automata, the SLTM builder
 over both obligation graphs, the lasso position helpers, the test-only
 lasso membership checks of an AWA, a label, an NFW and an HD-NCW, the
-reference lasso evaluator, the per-lasso reference verifier, the reference
-game solver, the reference lasso enumeration, the string packer and the
-forward DFW acceptance that
+reference lasso evaluator, the per-lasso reference verifier, the natural
+colours of the Muller fragment, the reference game solver, the reference
+lasso enumeration, the string packer and the forward DFW acceptance that
 ``Lassos.of`` and ``dfw_accepts_lassos`` replaced, the frozenset
 references for subsumption, dualization and the breakpoint kernel, the
 one-kernel reference for the language oracle's rows, the fold over
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from cocoa import (
     Alphabet, Formula, LassoWord, Lassos, always, atom, conj, disj,
-    enumerate_lassos, eventually, neg, nxt, release, until,
+    enumerate_lassos, eval_lasso, eventually, neg, nxt, release, until,
 )
 from cocoa.formula import (
     AND, ATOM, FALSE, FINALLY, GLOBALLY, IMPLIES, NEXT, NOT, OR, RELEASE, TRUE,
@@ -611,6 +611,40 @@ def reference_verify_chain(chain: Cocoa, f: Formula, prefix_bound: int,
                 }
     return VerifyReport(str(f), prefix_bound, period_bound, lassos, counterexamples,
                         first_counterexample, monotonicity_ok)
+
+
+def infinite_literals(w: LassoWord) -> frozenset[str]:
+    """X(w): the literals, p or !p, true at some letter of the period."""
+    return frozenset(p if p in x else "!" + p for x in w.period for p in w.alphabet.aps)
+
+
+def muller_colors(f: Formula, aps) -> dict[frozenset[str], int]:
+    """The natural colour of each literal set X, for a Boolean combination
+    f of GF l and FG l over literals l, whose truth on w depends on X(w)
+    alone.  The period of two letters, one with p wherever p is in X and
+    one without p wherever !p is in X, has X(w) = X.  D_1 is the
+    down-closure of the rejected sets and D_(i+1) that of the sets of D_i
+    that disagree with i's parity: accepted for odd i, rejected for even
+    i.  The colour of X is the largest i with X in D_i, 0 if none: the
+    Wagner hierarchy's chain count for a Muller condition (Casares,
+    Colcombet and Fijalkow, ICALP 2021), read in the chain form of Ehlers
+    and Schewe (FSTTCS 2022)."""
+    alphabet = Alphabet.from_aps(aps)
+    accepted = {}
+    for parts in itertools.product(*[({p}, {"!" + p}, {p, "!" + p}) for p in aps]):
+        x = frozenset().union(*parts)
+        period = (frozenset(p for p in aps if p in x), frozenset(p for p in aps if "!" + p not in x))
+        accepted[x] = eval_lasso(f, LassoWord(alphabet, (), period))
+    color = dict.fromkeys(accepted, 0)
+    tops = [x for x, ok in accepted.items() if not ok]
+    i = 1
+    while tops:
+        down = [x for x in accepted if any(x <= t for t in tops)]
+        for x in down:
+            color[x] = i
+        tops = [x for x in down if accepted[x] == (i % 2 == 1)]
+        i += 1
+    return color
 
 
 def row_pairs(rows: list[int]) -> set[tuple[int, int]]:

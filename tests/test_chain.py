@@ -25,8 +25,8 @@ from cocoa.formula import LFALSE
 from cocoa.sltm import sltm_from_json
 
 from conftest import (
-    accepts_lasso, formula_corpus, lassos_up_to, ncw_accepts_lasso,
-    reference_dfw_accepts_lassos, reference_verify_chain, weak_awas,
+    accepts_lasso, formula_corpus, infinite_literals, lassos_up_to, muller_colors,
+    ncw_accepts_lasso, reference_dfw_accepts_lassos, reference_verify_chain, weak_awas,
 )
 from test_chain_bytes import workloads
 from test_tracing_hooks import counting_calls
@@ -189,6 +189,56 @@ def test_natural_colors_examples(golden_chains):
     assert natural_color(fga, parse_lasso("{a};{a}", fga.alphabet)) == 2
     assert natural_color(fga, parse_lasso(";{a}{}", fga.alphabet)) == 1
     assert natural_color(fga, parse_lasso(";{a}", fga.alphabet)) == 2
+
+
+def natural_colors(chain: Cocoa, suite: Lassos) -> list[int]:
+    """``natural_color`` of each lasso of a suite, in suite order, with the
+    suite packed once."""
+    accepted = cocoa.chain._accepted(chain, suite)
+    return [cocoa.chain._color(accepted, 1 << off) for off in suite.offsets]
+
+
+def test_colors_of_a_formula_and_its_negation_differ_by_one():
+    # a necessary condition of naturality that max-even soundness misses:
+    # a chain with a level repeated is sound and monotone but breaks it
+    pairs = 0
+    for f, aps in formula_corpus(60, seed=11):
+        alphabet = Alphabet.from_aps(aps)
+        suite = enumerate_lassos(alphabet, 2, 3)
+        colors, dual_colors = (natural_colors(build_chain_for_formula(g, alphabet), suite)
+                               for g in (f, cocoa.formula.neg(f)))
+        assert all(abs(c - d) == 1 for c, d in zip(colors, dual_colors)), f
+        pairs += len(colors)
+    assert pairs == 40032
+
+
+def _pairs(k: int, join: str, pair: str) -> tuple[str, list[str]]:
+    """k copies of ``pair`` over a_i and b_i joined by ``join``, and the
+    propositions."""
+    text = join.join(pair.format(a=f"a{i}", b=f"b{i}") for i in range(1, k + 1))
+    return text, [f"{c}{i}" for i in range(1, k + 1) for c in "ab"]
+
+
+# the top colour of the rabin workload's formulas in the fragment, all but G a
+RABIN_TOPS = {"FG a": 2, "GF a -> GF b": 2, "GF a -> (GF b & FG c)": 4,
+              "(FG a | GF b) & (FG c | GF d)": 4, "(GF a & FG b) | (GF c & FG d)": 5}
+# Streett-k, Rabin-k and those, with the top colour: 2k for Streett-k and
+# 2k + 1 for Rabin-k
+MULLER_FRAGMENT = (
+    [(*_pairs(k, " & ", "(GF {a} -> GF {b})"), 2 * k) for k in (1, 2, 3)]
+    + [(*_pairs(k, " | ", "(GF {a} & FG {b})"), 2 * k + 1) for k in (1, 2, 3)]
+    + [(text, aps, RABIN_TOPS[text]) for text, aps in workloads.RABIN_FORMULAS if text != "G a"])
+
+
+@pytest.mark.parametrize("text,aps,top", MULLER_FRAGMENT, ids=[t for t, _a, _k in MULLER_FRAGMENT])
+def test_natural_colors_match_the_muller_oracle(text, aps, top):
+    # period 2 reaches every set of infinitely-often literals, so every
+    # colour class meets the suite
+    chain, f = build(text, aps)
+    colors = muller_colors(f, aps)
+    suite = enumerate_lassos(chain.alphabet, 1 if len(chain.alphabet.letters) <= 16 else 0, 2)
+    assert natural_colors(chain, suite) == [colors[infinite_literals(w)] for w in suite]
+    assert max(colors.values()) == chain.k == top
 
 
 def test_verify_chain_examples(golden_chains):

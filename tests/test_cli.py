@@ -195,16 +195,33 @@ def test_level_cap_reports_the_levels_completed(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", [" & ".join(["a"] * 520), "X " * 3000 + "a"],
-                         ids=["520-conjuncts", "3000-nexts"])
-@pytest.mark.parametrize("command", ["translate", "verify"])
-def test_deeply_nested_formulas_exit_2(tmp_path, monkeypatch, capsys, command, text):
-    # 520 conjuncts overflow the negation normal form, 3,000 X the parser
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command, text, "--aps", "a")
-    assert code == 2 and not out
-    assert err == "error: the formula is nested too deeply\n"
-    assert not any(tmp_path.iterdir())
+DEPTH = 2000
+
+
+@pytest.mark.parametrize("text,shallow,same_labels", [
+    (" & ".join(["a"] * DEPTH), "a", False),
+    (" -> ".join(["a"] * DEPTH), "true", False),  # a -> a is true
+    (" U ".join(["a"] * DEPTH), "a", False),  # a U a is a
+    ("!" * DEPTH + "a", "a", True),
+    ("(" * DEPTH + "a" + ")" * DEPTH, "a", True),
+], ids=["conjuncts", "implications", "untils", "negations", "parentheses"])
+def test_deeply_nested_formulas_build_as_their_shallow_equivalents(
+        tmp_path, capsys, text, shallow, same_labels):
+    # deeper than Python's recursion limit of 1,000 frames
+    chains = []
+    for i, formula in enumerate((text, shallow)):
+        folder = tmp_path / str(i)
+        code, _out, err = run(capsys, "translate", formula, "--aps", "a", "--out", str(folder))
+        assert code == 0 and not err
+        chains.append(json.loads((folder / "chain.json").read_text()))
+        code, out, err = run(capsys, "verify", formula, "--aps", "a", "--json")
+        assert code == 0 and not err and json.loads(out)["ok"]
+    deep, flat = chains
+    del deep["formula"], flat["formula"]
+    if not same_labels:
+        # the labels name the automaton's states, one per subformula
+        assert deep["sltm"].pop("labels") != flat["sltm"].pop("labels")
+    assert deep == flat
 
 
 def test_bench_bad_n(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cocoa import (
     Alphabet, Formula, InvalidParameter, LassoWord, Lassos, ParseError,
     UnknownAtom, atom, enumerate_lassos, eval_lasso, eval_lassos,
-    lower_bound_alphabet, lower_bound_family, neg, parse_lasso, parse_ltl,
+    lower_bound_alphabet, lower_bound_family, neg, nxt, parse_lasso, parse_ltl,
     to_nnf,
 )
 from cocoa.formula import (
@@ -149,6 +149,20 @@ def test_render_parses_back_to_every_formula():
 
     roundtrip()
     assert roots == ALL_KINDS
+
+
+def test_5000_nested_nexts_parse_render_and_compare():
+    # no chain is built: the SLTM of X^n grows faster than n
+    text = "X " * 5000 + "a"
+    f = parse_ltl(text, ["a"])
+    built = atom("a")
+    for _ in range(5000):
+        built = nxt(built)
+    assert str(f) == text and len(f.program) == 5001
+    again = parse_ltl(str(f), ["a"])
+    assert again == f == built and hash(again) == hash(f) == hash(built)
+    assert f != parse_ltl("X " * 4999 + "a", ["a"])
+    assert to_nnf(f) == f
 
 
 def test_nnf_globally_duality():
